@@ -151,10 +151,14 @@ def _out_dir(options: dict) -> Path:
     return out
 
 
+def _option(options: dict, key: str, default):
+    """The option's value, or ``default`` when it was not given (0 counts as given)."""
+    value = options.get(key)
+    return default if value is None else value
+
+
 def _jobs(options: dict) -> int:
-    jobs = options.get("jobs")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    jobs = _option(options, "jobs", os.cpu_count() or 1)
     if jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {jobs}")
     return jobs
@@ -268,14 +272,14 @@ def _experiment_config(options: dict) -> ExperimentConfig:
     feature_set = _parse_features(options)
     try:
         return ExperimentConfig(
-            model_family=options.get("model") or "histogram",
+            model_family=_option(options, "model", "histogram"),
             feature_set=feature_set,
             weights=_parse_weights(options, len(feature_set)),
-            n_groups=options.get("groups") or evaluation.DEFAULT_N_GROUPS,
-            n_bins=options.get("bins") or densities.DEFAULT_N_BINS,
+            n_groups=_option(options, "groups", evaluation.DEFAULT_N_GROUPS),
+            n_bins=_option(options, "bins", densities.DEFAULT_N_BINS),
             bandwidths=_parse_bandwidths(options),
-            gmm_k=options.get("gmm_k") or densities.DEFAULT_GMM_K,
-            seed=options.get("seed") or 0,
+            gmm_k=_option(options, "gmm_k", densities.DEFAULT_GMM_K),
+            seed=_option(options, "seed", 0),
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -384,12 +388,10 @@ def cmd_evaluate(options: dict) -> int:
 
 
 def cmd_synth(options: dict) -> int:
-    n_performers = options.get("performers") or 9
-    n_notes = options.get("notes") or 2000
-    seed = options.get("seed") or 0
-    separation = options.get("separation")
-    if separation is None:
-        separation = 1.0
+    n_performers = _option(options, "performers", 9)
+    n_notes = _option(options, "notes", 2000)
+    seed = _option(options, "seed", 0)
+    separation = _option(options, "separation", 1.0)
     if n_performers < 2:
         raise InputError("--performers must be at least 2")
     if n_notes < 2:

@@ -158,28 +158,46 @@ def classify(
     Test models are fitted with the same family and hyperparameters as the
     training models; ties break to the lexicographically smallest id.
     """
-    test_models = {}
-    for kind in config.feature_set:
-        values = np.asarray(getattr(test_series[kind], "values", test_series[kind]))
-        if len(values) == 0:
-            raise EmptyTestSeriesError(f"no test values for feature {kind}")
-        test_models[kind] = fit_model(values, kind, config)
-    fused, _ = _score_candidates(test_models, train_models, config)
-    return min(fused, key=lambda pid: (fused[pid], pid))
+    test_values = {
+        kind: np.asarray(getattr(test_series[kind], "values", test_series[kind]))
+        for kind in config.feature_set
+    }
+    outcome = _decide(_trial_kls(test_values, train_models, config.feature_set, config), config)
+    if "reason" in outcome:
+        raise EmptyTestSeriesError(outcome["reason"])
+    return outcome["predicted"]
 
 
-def _score_candidates(test_models, train_models, config):
-    weights = config.effective_weights
-    fused: dict[str, float] = {}
-    per_feature: dict[str, dict[str, float]] = {}
+def _trial_kls(test_values, train_models, kinds, config):
+    """Per kind with test values, KL from its test model to each candidate's training model."""
+    test_models = {
+        kind: fit_model(test_values[kind], kind, config) for kind in kinds if len(test_values[kind])
+    }
+    kls: dict[str, dict[str, float]] = {kind: {} for kind in test_models}
     for pid in sorted(train_models):
-        kls = [
-            divergence.kl(test_models[kind], train_models[pid][kind]).value
-            for kind in config.feature_set
-        ]
-        per_feature[pid] = dict(zip(config.feature_set, kls))
-        fused[pid] = divergence.fuse(kls, weights)
-    return fused, per_feature
+        for kind, model in test_models.items():
+            kls[kind][pid] = divergence.kl(model, train_models[pid][kind]).value
+    return kls
+
+
+def _decide(kls, config) -> dict:
+    """Fused-KL argmin over ``config.feature_set`` (ties to the smallest id), or why to skip."""
+    for kind in config.feature_set:
+        if kind not in kls:
+            return {"reason": f"empty {kind} test series"}
+    per_feature = {
+        pid: {kind: kls[kind][pid] for kind in config.feature_set}
+        for pid in kls[config.feature_set[0]]
+    }
+    fused = {
+        pid: divergence.fuse(list(row.values()), config.effective_weights)
+        for pid, row in per_feature.items()
+    }
+    return {
+        "predicted": min(fused, key=lambda c: (fused[c], c)),
+        "fused_kl": fused,
+        "feature_kl": per_feature,
+    }
 
 
 @dataclass(frozen=True)
@@ -317,79 +335,58 @@ def run_cv(
     successor spans two groups belong to neither side. The report is
     deterministic for a fixed config and independent of ``jobs``.
     """
-    performer_ids = tuple(sorted(dataset.by_performer))
-    if len(performer_ids) < 2:
+    return _report(dataset, _kl_table(dataset, config, jobs), config)
+
+
+def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
+    """``_trial_kls`` over ``config.feature_set`` for every (performer, group) trial.
+
+    Each model is fitted once, so one table serves every feature subset and
+    weighting of these kinds. ``jobs`` threads share the trials.
+    """
+    if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
     fold = logo_split(dataset.n_positions, config.n_groups)
 
-    values_by_group: dict[tuple[str, str], list[np.ndarray]] = {}
-    for pid in performer_ids:
+    # group g's values are trial (pid, g)'s test set; the other groups pool into
+    # pid's candidate model for group g, shared by all trials on that group
+    test_values = {(pid, g): {} for pid in dataset.performer_ids for g in range(fold.n_groups)}
+    train_models: dict[int, dict[str, dict[str, object]]] = {g: {} for g in range(fold.n_groups)}
+    for pid in dataset.performer_ids:
         for kind in config.feature_set:
             series = dataset.by_performer[pid][kind]
             groups = _value_groups(series, fold)
-            values_by_group[(pid, kind)] = [
-                series.values[groups == g] for g in range(fold.n_groups)
-            ]
+            chunks = [series.values[groups == g] for g in range(fold.n_groups)]
+            for g, chunk in enumerate(chunks):
+                test_values[(pid, g)][kind] = chunk
+                pool = np.concatenate(chunks[:g] + chunks[g + 1 :])
+                train_models[g].setdefault(pid, {})[kind] = fit_model(pool, kind, config)
 
-    # candidate models per excluded group, shared by all trials on that group
-    train_models: dict[int, dict[str, dict[str, object]]] = {}
-    for g in range(fold.n_groups):
-        train_models[g] = {}
-        for pid in performer_ids:
-            models = {}
-            for kind in config.feature_set:
-                pool = np.concatenate(
-                    [
-                        chunk
-                        for other, chunk in enumerate(values_by_group[(pid, kind)])
-                        if other != g
-                    ]
-                )
-                models[kind] = fit_model(pool, kind, config)
-            train_models[g][pid] = models
-
-    index = {pid: i for i, pid in enumerate(performer_ids)}
-    trial_keys = [(pid, g) for pid in performer_ids for g in range(fold.n_groups)]
-
-    def run_trial(key):
-        pid, g = key
-        test_models = {}
-        for kind in config.feature_set:
-            values = values_by_group[(pid, kind)][g]
-            if len(values) == 0:
-                return {"performer": pid, "group": g, "reason": f"empty {kind} test series"}
-            test_models[kind] = fit_model(values, kind, config)
-        fused, per_feature = _score_candidates(test_models, train_models[g], config)
-        predicted = min(fused, key=lambda c: (fused[c], c))
-        return {
-            "performer": pid,
-            "group": g,
-            "predicted": predicted,
-            "fused_kl": fused,
-            "feature_kl": per_feature,
-        }
+    def score_trial(key):
+        return _trial_kls(test_values[key], train_models[key[1]], config.feature_set, config)
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_trial, trial_keys))
+        with ThreadPoolExecutor(max_workers=jobs) as executor:
+            table = list(executor.map(score_trial, test_values))
     else:
-        outcomes = [run_trial(key) for key in trial_keys]
+        table = [score_trial(key) for key in test_values]
+    return dict(zip(test_values, table))
 
+
+def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> EvaluationReport:
+    """Decide every trial of a ``_kl_table`` for one feature set and weighting."""
+    performer_ids = dataset.performer_ids
+    index = {pid: i for i, pid in enumerate(performer_ids)}
     confusion = np.zeros((len(performer_ids), len(performer_ids)), dtype=np.int64)
     trials, skipped = [], []
-    for outcome in outcomes:
+    for (pid, g), kls in table.items():
+        outcome = {"performer": pid, "group": g, **_decide(kls, config)}
         if "predicted" in outcome:
-            confusion[index[outcome["performer"]], index[outcome["predicted"]]] += 1
+            confusion[index[pid], index[outcome["predicted"]]] += 1
             trials.append(outcome)
         else:
-            log.warning(
-                "skipping trial (%s, group %d): %s",
-                outcome["performer"],
-                outcome["group"],
-                outcome["reason"],
-            )
+            log.warning("skipping trial (%s, group %d): %s", pid, g, outcome["reason"])
             skipped.append(outcome)
-
     return EvaluationReport(
         performer_ids=performer_ids,
         confusion=confusion,
@@ -437,26 +434,23 @@ def sweep(
     subsets: Iterable[tuple[str, ...]] | None = None,
     jobs: int = 1,
 ) -> SweepResult:
-    """Run CV for every feature subset x model family; rank by precision."""
-    if subsets is None:
-        subsets = feature_subsets()
-    rows = []
-    reports = {}
+    """Run CV for every feature subset x model family; rank by precision.
+
+    Per model family, the fits and KLs of every kind the subsets use are made
+    once and shared by all subsets, so a sweep costs about one CV pass per
+    family; each subset's report equals ``run_cv`` on that subset.
+    """
+    subsets = [tuple(s) for s in (feature_subsets() if subsets is None else subsets)]
+    kinds = tuple(dict.fromkeys(kind for subset in subsets for kind in subset))
+    rows, reports = [], {}
     for family in model_families:
+        table_config = replace(base_config, model_family=family, feature_set=kinds, weights=None)
+        table = _kl_table(dataset, table_config, jobs)
         for subset in subsets:
-            config = replace(
-                base_config, model_family=family, feature_set=tuple(subset), weights=None
-            )
-            report = run_cv(dataset, config, jobs=jobs)
-            row = SweepRow(
-                model_family=family,
-                feature_set=tuple(subset),
-                precision=report.scores.macro_precision,
-                recall=report.scores.macro_recall,
-                f=report.scores.macro_f,
-            )
-            rows.append(row)
-            reports[(family, tuple(subset))] = report
+            report = _report(dataset, table, replace(table_config, feature_set=subset))
+            s = report.scores
+            rows.append(SweepRow(family, subset, s.macro_precision, s.macro_recall, s.macro_f))
+            reports[(family, subset)] = report
     rows.sort(key=lambda r: (-r.precision, r.model_family, r.feature_set))
     best = rows[0]
     return SweepResult(

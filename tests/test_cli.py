@@ -38,20 +38,21 @@ class TestExitCodes:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_unknown_feature_name_exits_2(self, trio_dir, tmp_path, capsys):
-        code = main(
-            [
-                "evaluate",
-                "--input",
-                str(trio_dir),
-                "--out",
-                str(tmp_path / "o"),
-                "--features",
-                "OT,BOGUS",
-            ]
-        )
-        assert code == 2
-        assert "unknown feature" in capsys.readouterr().err
+    def test_bad_option_values_exit_2(self, trio_dir, tmp_path, capsys):
+        evaluate = ["evaluate", "--input", str(trio_dir), "--out", str(tmp_path / "o")]
+        synth = ["synth", "--out", str(tmp_path / "s")]
+        cases = [
+            (evaluate + ["--features", "OT,BOGUS"], "unknown feature"),
+            # an explicit 0 is a value to check, not a request for the default
+            (evaluate + ["--groups", "0"], "at least 2 groups"),
+            (evaluate + ["--groups", "2", "--bins", "0"], "n_bins must be >= 1"),
+            (evaluate + ["--groups", "2", "--model", "gmm", "--gmm-k", "0"], "k must be >= 1"),
+            (synth + ["--performers", "0"], "--performers must be at least 2"),
+            (synth + ["--notes", "0"], "--notes must be at least 2"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            assert message in capsys.readouterr().err
 
 
 class TestAlign:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,40 @@ class TestSweep:
         assert precisions == sorted(precisions, reverse=True)
         assert result.best_report.confusion.shape == (2, 2)
         assert result.best.feature_label in ("OT", "DL", "OT+DL")
+
+    def test_rows_equal_run_cv_per_subset_with_an_empty_test_group(self):
+        rng = np.random.default_rng(4)
+        n = 40
+        positions = np.arange(n)
+        by_performer = {}
+        for pid, mu in (("a", 0.0), ("b", 0.8), ("c", 1.6)):
+            # b has no DL values in group 0 (positions 0-9), so that trial has no DL test set
+            dl_positions = positions[10:] if pid == "b" else positions
+            by_performer[pid] = {
+                "OT": point_series(pid, rng.normal(mu, 1.0, n), "OT"),
+                "DL": point_series(pid, rng.normal(-mu, 1.5, len(dl_positions)), "DL", dl_positions),
+                "ND": point_series(pid, rng.normal(0.5 * mu, 1.0, n), "ND"),
+            }
+        dataset = DeviationDataset(n_positions=n, by_performer=by_performer)
+        config = ExperimentConfig(feature_set=("OT",), n_groups=4, n_bins=8)
+        subsets = [
+            ("OT",), ("DL",), ("ND",), ("OT", "DL"), ("OT", "ND"), ("DL", "ND"), ("OT", "DL", "ND")
+        ]
+        families = ("histogram", "kde")
+        # a one-shot iterable must serve every model family
+        result = sweep(dataset, config, model_families=families, subsets=iter(subsets), jobs=2)
+        assert len(result.rows) == len(families) * len(subsets)
+        for row in result.rows:
+            row_config = replace(config, model_family=row.model_family, feature_set=row.feature_set)
+            report = run_cv(dataset, row_config)
+            scores = report.scores
+            assert (row.precision, row.recall, row.f) == (
+                scores.macro_precision,
+                scores.macro_recall,
+                scores.macro_f,
+            )
+            expected_skips = [{"performer": "b", "group": 0, "reason": "empty DL test series"}]
+            assert list(report.skipped) == (expected_skips if "DL" in row.feature_set else [])
+            assert len(report.trials) + len(report.skipped) == 3 * 4
+            if row == result.best:
+                assert result.best_report.to_json() == report.to_json()
