@@ -6,11 +6,17 @@ matches are kept as pairs but flagged as substitutions, which is how
 performance errors are marked. Aligning every performance to one reference
 produces the position-by-performer note table the norm performance is
 averaged from.
+
+The DP is exact but banded (Ukkonen 1985): it fills only the diagonals a
+path of cost at most a threshold can visit, and doubles the threshold until
+the banded optimum proves itself globally optimal. Time and memory are
+O((n + m) * w) for a band of w diagonals, rather than O(n * m).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,18 +24,6 @@ import numpy as np
 from .midi_io import Performance
 
 log = logging.getLogger(__name__)
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency, but stay usable
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 
 @dataclass(frozen=True)
@@ -81,37 +75,72 @@ class NoteAlignment:
             raise ValueError("pairs and insertions must partition performance indices")
 
 
-@njit(cache=True)
-def _nw_moves(ref, perf, cost_sub, cost_ins, cost_del):  # pragma: no cover - jitted
-    n = ref.shape[0]
-    m = perf.shape[0]
-    moves = np.empty((n + 1, m + 1), dtype=np.uint8)
-    prev = np.empty(m + 1, dtype=np.float64)
-    cur = np.empty(m + 1, dtype=np.float64)
-    prev[0] = 0.0
-    moves[0, 0] = 0
-    for j in range(1, m + 1):
-        prev[j] = prev[j - 1] + cost_ins
-        moves[0, j] = 2
+def _gap(k: int, costs: AlignmentCosts) -> float:
+    """Cheapest way to move k diagonals: k insertions, or -k deletions."""
+    return k * costs.cost_ins if k >= 0 else -k * costs.cost_del
+
+
+def _band(n: int, m: int, costs: AlignmentCosts, threshold: float) -> tuple[int, int]:
+    """Diagonals k = j - i (lowest, highest) that a path of cost <= ``threshold`` can visit.
+
+    A path through diagonal k must move |k| diagonals from (0, 0) and then
+    |m - n - k| more to (n, m), so it costs at least ``_gap(k) + _gap(m - n - k)``.
+    """
+
+    def bound(k: int) -> float:
+        return _gap(k, costs) + _gap(m - n - k, costs)
+
+    low, high = min(0, m - n), max(0, m - n)
+    while low > -n and bound(low - 1) <= threshold:
+        low -= 1
+    while high < m and bound(high + 1) <= threshold:
+        high += 1
+    return low, high
+
+
+def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: int, high: int):
+    """The DP restricted to diagonals ``low``..``high``; returns (moves, cost at (n, m), cells).
+
+    Cell (i, j) sits at slot p = j - i - low of row i, so its pair, deletion
+    and insertion predecessors are slots p, p + 1 of row i - 1 and p - 1 of
+    row i. Off-band and off-table slots hold infinity, which no comparison
+    below prefers to a finite cost. ``moves[i * w + p]`` is 0 (pair),
+    1 (deletion) or 2 (insertion); ties prefer them in that order.
+    """
+    n, m = len(ref), len(perf)
+    sub, ins, dele = costs.cost_sub, costs.cost_ins, costs.cost_del
+    w = high - low + 1
+    moves = bytearray((n + 1) * w)
+    # slot w stays infinite; it is read as p + 1 past the top diagonal and as p - 1 == -1
+    prev = [math.inf] * (w + 1)
+    prev[-low] = 0.0
+    for p in range(1 - low, min(w, m - low + 1)):
+        prev[p] = prev[p - 1] + ins
+        moves[p] = 2
+    # perf_at[j] is the pitch paired at column j; column 0 has none
+    perf_at = [-1] + perf
+    cells = 0
     for i in range(1, n + 1):
-        cur[0] = prev[0] + cost_del
-        moves[i, 0] = 1
+        cur = [math.inf] * (w + 1)
         rp = ref[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0.0 if rp == perf[j - 1] else cost_sub)
-            up = prev[j] + cost_del
-            left = cur[j - 1] + cost_ins
+        base = i + low  # column of slot 0
+        first, stop = max(0, -base), min(w, m - base + 1)
+        cells += stop - first
+        row = i * w
+        for p, pitch in zip(range(first, stop), perf_at[base + first : base + stop]):
+            diag = prev[p] + (0.0 if rp == pitch else sub)
+            up = prev[p + 1] + dele
+            left = cur[p - 1] + ins
             if diag <= up and diag <= left:
-                cur[j] = diag
-                moves[i, j] = 0
+                cur[p] = diag
             elif up <= left:
-                cur[j] = up
-                moves[i, j] = 1
+                cur[p] = up
+                moves[row + p] = 1
             else:
-                cur[j] = left
-                moves[i, j] = 2
-        prev, cur = cur, prev
-    return moves, prev[m]
+                cur[p] = left
+                moves[row + p] = 2
+        prev = cur
+    return moves, prev[m - n - low], cells
 
 
 def align_pair(
@@ -124,25 +153,50 @@ def align_pair(
     Ties prefer pairing over deletion over insertion, which makes the result
     deterministic. Identical pitch sequences short-circuit to the identity
     mapping (cost 0, which is the DP optimum).
+
+    The band starts at the diagonals every path must cross. After each pass
+    the banded optimum U bounds the true optimum from above; once it falls
+    below the threshold t (by a round-off margin), every optimal path lies in
+    the band, so moves and cost equal those of the full table. Otherwise t
+    doubles, or rises to just above U when that is less.
     """
     if not reference.notes or not performance.notes:
         raise ValueError("alignment requires non-empty performances")
-    ref = np.asarray(reference.pitch_sequence(), dtype=np.int16)
-    perf = np.asarray(performance.pitch_sequence(), dtype=np.int16)
+    ref = reference.pitch_sequence()
+    perf = performance.pitch_sequence()
+    n, m = len(ref), len(perf)
 
-    if ref.shape == perf.shape and np.array_equal(ref, perf):
-        pairs = tuple((i, i) for i in range(len(ref)))
-        return NoteAlignment(pairs, (), (), (), len(ref), len(perf), 0.0)
+    if ref == perf:
+        pairs = tuple((i, i) for i in range(n))
+        return NoteAlignment(pairs, (), (), (), n, m, 0.0)
 
-    moves, total_cost = _nw_moves(
-        ref, perf, costs.cost_sub, costs.cost_ins, costs.cost_del
+    threshold = max(_gap(m - n, costs), costs.cost_ins + costs.cost_del)
+    band, passes, cells = None, 0, 0
+    while True:
+        wanted = _band(n, m, costs, threshold)
+        if wanted != band:  # a threshold that adds no diagonal would give the same pass
+            band = wanted
+            moves, total_cost, pass_cells = _banded_moves(ref, perf, costs, *band)
+            passes += 1
+            cells += pass_cells
+        # float round-off in path sums and bounds must not decide band membership
+        margin = 1e-9 * (1.0 + total_cost)
+        if total_cost + margin < threshold:
+            break
+        threshold = min(2.0 * threshold, max(total_cost * (1.0 + 1e-6), total_cost + 2.0 * margin))
+    low, high = band
+    w = high - low + 1
+    log.debug(
+        "aligned %s (%d notes) to %s (%d notes): passes=%d band=%d diagonals cells=%d",
+        performance.performer_id, m, reference.performer_id, n, passes, w, cells,
     )
+
     pairs: list[tuple[int, int]] = []
     insertions: list[int] = []
     deletions: list[int] = []
-    i, j = len(ref), len(perf)
+    i, j = n, m
     while i > 0 or j > 0:
-        move = moves[i, j]
+        move = moves[i * w + j - i - low]
         if move == 0:
             i -= 1
             j -= 1
@@ -160,8 +214,8 @@ def align_pair(
         tuple(reversed(insertions)),
         tuple(reversed(deletions)),
         substitutions,
-        len(ref),
-        len(perf),
+        n,
+        m,
         float(total_cost),
     )
 

@@ -293,15 +293,21 @@ def _write(path: Path, text: str) -> None:
 # commands
 
 
-def cmd_align(options: dict) -> int:
-    performances = _load_performances(options)
-    out = _out_dir(options)
+def _align(performances: list[Performance], options: dict, out: Path):
+    """The aligned note table; its alignment report goes to ``out/alignment_report.json``."""
     table, report = build_table(performances, reference=_load_reference(options))
-
     _write(
         out / "alignment_report.json",
         json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
     )
+    return table
+
+
+def cmd_align(options: dict) -> int:
+    performances = _load_performances(options)
+    out = _out_dir(options)
+    table = _align(performances, options, out)
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["position", "performer", "onset", "offset", "pitch", "dynamic"])
@@ -327,7 +333,7 @@ def cmd_align(options: dict) -> int:
 def cmd_features(options: dict) -> int:
     performances = _load_performances(options)
     out = _out_dir(options)
-    table, _ = build_table(performances, reference=_load_reference(options))
+    table = _align(performances, options, out)
     norm = compute_norm(table)
 
     by_performer = extract_deviations(table, norm)
@@ -358,11 +364,19 @@ def cmd_evaluate(options: dict) -> int:
     config = _experiment_config(options)
     jobs = _jobs(options)
 
-    table, _ = build_table(performances, reference=_load_reference(options))
+    table = _align(performances, options, out)
     norm = compute_norm(table)
     dataset = DeviationDataset.from_table(table, norm)
+    result = None
     try:
-        report = run_cv(dataset, config, jobs=jobs)
+        if options.get("sweep"):
+            # the sweep's KL table covers every kind, so it also yields the main report
+            result = evaluation.sweep(
+                dataset, config, model_families=(config.model_family,), jobs=jobs
+            )
+            report = result.base_report
+        else:
+            report = run_cv(dataset, config, jobs=jobs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -371,10 +385,7 @@ def cmd_evaluate(options: dict) -> int:
     _write(out / "confusion_normalized.csv", evaluation.confusion_csv(report, normalized=True))
     _write(out / "metrics.csv", evaluation.metrics_csv(report))
 
-    if options.get("sweep"):
-        result = evaluation.sweep(
-            dataset, config, model_families=(config.model_family,), jobs=jobs
-        )
+    if result is not None:
         _write(out / f"sweep_{config.model_family}.csv", evaluation.sweep_csv(result.rows))
         best = result.best
         print(f"best subset: {best.feature_label} (precision {best.precision:.3f})")

@@ -412,9 +412,18 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Sweep rows ranked by precision, the best row's report, and the base config's report.
+
+    ``base_report`` equals ``run_cv(dataset, base_config)``. It is reduced from
+    the sweep's own KL table, so it exists only when ``base_config.model_family``
+    was swept and the subsets use every kind of ``base_config.feature_set``
+    (the default subsets use all kinds); otherwise it is None.
+    """
+
     rows: tuple[SweepRow, ...]
     best: SweepRow
     best_report: EvaluationReport
+    base_report: EvaluationReport | None
 
 
 def feature_subsets(min_size: int = 2, include_singletons: bool = False) -> list[tuple[str, ...]]:
@@ -442,10 +451,12 @@ def sweep(
     """
     subsets = [tuple(s) for s in (feature_subsets() if subsets is None else subsets)]
     kinds = tuple(dict.fromkeys(kind for subset in subsets for kind in subset))
-    rows, reports = [], {}
+    rows, reports, base_report = [], {}, None
     for family in model_families:
         table_config = replace(base_config, model_family=family, feature_set=kinds, weights=None)
         table = _kl_table(dataset, table_config, jobs)
+        if family == base_config.model_family and set(base_config.feature_set) <= set(kinds):
+            base_report = _report(dataset, table, base_config)
         for subset in subsets:
             report = _report(dataset, table, replace(table_config, feature_set=subset))
             s = report.scores
@@ -457,6 +468,7 @@ def sweep(
         rows=tuple(rows),
         best=best,
         best_report=reports[(best.model_family, best.feature_set)],
+        base_report=base_report,
     )
 
 

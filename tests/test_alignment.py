@@ -7,12 +7,14 @@ from conftest import simple_performance
 from pianist_id.alignment import (
     AlignedNoteTable,
     AlignmentCosts,
+    NoteAlignment,
     align_pair,
     build_table,
     concat_tables,
     median_reference,
 )
-from pianist_id.midi_io import Performance
+from pianist_id.midi_io import NoteEvent, Performance
+from pianist_id.synth import SCORE_PITCH_RANGE, default_profiles, generate_score, render_performer
 
 
 def brute_force_cost(ref_pitches, perf_pitches, costs):
@@ -29,6 +31,72 @@ def brute_force_cost(ref_pitches, perf_pitches, costs):
                 )
                 best = min(best, pair_cost + gap_cost)
     return best
+
+
+def full_matrix_alignment(ref, perf, costs):
+    """The unbanded Needleman-Wunsch DP over all (n+1)(m+1) cells, with its traceback.
+
+    Same recurrence and tie order as ``align_pair`` (pair, then deletion, then
+    insertion); it is the reference the banded DP must reproduce exactly.
+    """
+    n, m = len(ref), len(perf)
+    moves = np.empty((n + 1, m + 1), dtype=np.uint8)
+    prev = [0.0] * (m + 1)
+    moves[0, 0] = 0
+    for j in range(1, m + 1):
+        prev[j] = prev[j - 1] + costs.cost_ins
+        moves[0, j] = 2
+    for i in range(1, n + 1):
+        cur = [0.0] * (m + 1)
+        cur[0] = prev[0] + costs.cost_del
+        moves[i, 0] = 1
+        for j in range(1, m + 1):
+            diag = prev[j - 1] + (0.0 if ref[i - 1] == perf[j - 1] else costs.cost_sub)
+            up = prev[j] + costs.cost_del
+            left = cur[j - 1] + costs.cost_ins
+            if diag <= up and diag <= left:
+                cur[j], moves[i, j] = diag, 0
+            elif up <= left:
+                cur[j], moves[i, j] = up, 1
+            else:
+                cur[j], moves[i, j] = left, 2
+        prev = cur
+    pairs, insertions, deletions = [], [], []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if moves[i, j] == 0:
+            i, j = i - 1, j - 1
+            pairs.append((i, j))
+        elif moves[i, j] == 1:
+            i -= 1
+            deletions.append(i)
+        else:
+            j -= 1
+            insertions.append(j)
+    pairs.reverse()
+    return NoteAlignment(
+        tuple(pairs),
+        tuple(reversed(insertions)),
+        tuple(reversed(deletions)),
+        tuple((r, p) for r, p in pairs if ref[r] != perf[p]),
+        n,
+        m,
+        prev[m],
+    )
+
+
+def edited(rng, pitches):
+    """A copy with up to three random wrong, dropped or extra notes."""
+    out = list(pitches)
+    for _ in range(int(rng.integers(0, 4))):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            out[int(rng.integers(len(out)))] = int(rng.integers(60, 66))
+        elif kind == 1 and len(out) > 1:
+            del out[int(rng.integers(len(out)))]
+        else:
+            out.insert(int(rng.integers(len(out) + 1)), int(rng.integers(60, 66)))
+    return out
 
 
 def perf_from_pitches(pitches, performer_id="p"):
@@ -90,6 +158,81 @@ class TestAlignPair:
             )
             expected = brute_force_cost(ref_pitches, perf_pitches, costs)
             assert al.total_cost == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            AlignmentCosts(),
+            AlignmentCosts(2.0, 0.5, 0.5),
+            AlignmentCosts(1.0, 0.3, 0.9),
+            AlignmentCosts(0.7, 1.1, 0.4),
+        ],
+    )
+    def test_banded_dp_equals_the_full_matrix_dp(self, costs):
+        rng = np.random.default_rng(7)
+        cases = [
+            # the last of a run of equal pitches is the one paired
+            ([60, 60], [60]),
+            # co-optimal alignments whose float costs differ in the last bit: a
+            # band grown only until the threshold equals the banded optimum, with
+            # no round-off margin, traces a different one
+            (
+                [62, 60, 62, 61, 61, 61, 62, 60, 61, 62],
+                [61, 62, 61, 62, 60, 60, 61, 60, 62, 61, 60, 61, 60, 60, 61, 61, 62, 61, 60, 62],
+            ),
+        ]
+        for _ in range(150):
+            alphabet = int(rng.integers(2, 6))
+            ref = [int(p) for p in rng.integers(60, 60 + alphabet, size=int(rng.integers(1, 41)))]
+            if rng.random() < 0.5:
+                perf = edited(rng, ref)
+            else:
+                perf = [int(p) for p in rng.integers(60, 60 + alphabet, size=int(rng.integers(1, 41)))]
+            cases.append((ref, perf))
+        for ref, perf in cases:
+            if ref == perf:
+                continue
+            al = align_pair(perf_from_pitches(ref, "r"), perf_from_pitches(perf, "p"), costs)
+            assert al == full_matrix_alignment(ref, perf, costs), (ref, perf)
+
+    def test_injected_errors_come_back_at_scale(self):
+        score = generate_score(2000, seed=3)
+        notes = list(render_performer(score, default_profiles(2, base_seed=3)[0], "p").notes)
+        onsets = [note.onset for note in notes]
+        # a note alone at its onset keeps its place when its pitch changes
+        lone = [i for i in range(1, len(notes) - 1) if onsets[i - 1] < onsets[i] < onsets[i + 1]]
+        chosen: list[int] = []
+        for i in np.random.default_rng(3).permutation(lone).tolist():
+            if all(abs(i - c) >= 8 for c in chosen):
+                chosen.append(i)
+            if len(chosen) == 20:
+                break
+        wrong, extra = SCORE_PITCH_RANGE[0] - 1, SCORE_PITCH_RANGE[1] + 1
+        counts = {"substitutions": 0, "deletions": 0, "insertions": 0}
+        # apply from the back so earlier indices stay valid
+        for k, i in enumerate(sorted(chosen, reverse=True)):
+            note = notes[i]
+            if k % 3 == 0:
+                notes[i] = NoteEvent(note.onset, note.offset, wrong, note.dynamic)
+                counts["substitutions"] += 1
+            elif k % 3 == 1:
+                del notes[i]
+                counts["deletions"] += 1
+            else:
+                onset = 0.5 * (note.onset + notes[i + 1].onset)
+                notes.insert(i + 1, NoteEvent(onset, onset + 0.01, extra, 64))
+                counts["insertions"] += 1
+        al = align_pair(score, Performance("p", "x", tuple(notes)))
+        assert len(al.substitutions) == counts["substitutions"]
+        assert len(al.deletions) == counts["deletions"]
+        assert len(al.insertions) == counts["insertions"]
+        costs = AlignmentCosts()
+        script_cost = (
+            counts["substitutions"] * costs.cost_sub
+            + counts["deletions"] * costs.cost_del
+            + counts["insertions"] * costs.cost_ins
+        )
+        assert al.total_cost <= script_cost + 1e-9
 
     def test_costs_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -107,8 +107,8 @@ class TestFeatures:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["features", "--input", str(trio_dir), "--out", str(out_a)]) == 0
         assert main(["features", "--input", str(trio_dir), "--out", str(out_b)]) == 0
-        assert (out_a / "features.csv").read_bytes() == (out_b / "features.csv").read_bytes()
-        assert (out_a / "norm.csv").read_bytes() == (out_b / "norm.csv").read_bytes()
+        for name in ("features.csv", "norm.csv", "alignment_report.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestSynthAndEvaluate:
@@ -161,6 +161,8 @@ class TestSynthAndEvaluate:
         assert report_a == report_b
         for name in ("confusion.csv", "confusion_normalized.csv", "metrics.csv"):
             assert (outs[0] / name).exists()
+        alignment = json.loads((outs[0] / "alignment_report.json").read_text())
+        assert sorted(alignment["per_performer"]) == ["p1", "p2", "p3"]
         report = json.loads(report_a)
         assert report["metrics"]["macro_precision"] == 1.0
 
@@ -169,25 +171,17 @@ class TestSynthAndEvaluate:
         assert main(
             ["synth", "--performers", "2", "--notes", "200", "--seed", "8", "--out", str(data)]
         ) == 0
-        out = tmp_path / "out"
-        code = main(
-            [
-                "evaluate",
-                "--input",
-                str(data / "performances"),
-                "--out",
-                str(out),
-                "--features",
-                "IOI,DL",
-                "--groups",
-                "4",
-                "--sweep",
-            ]
-        )
-        assert code == 0
+        args = ["evaluate", "--input", str(data / "performances"), "--features", "IOI,DL",
+                "--weights", "0.5,2", "--groups", "4"]
+        out, plain = tmp_path / "out", tmp_path / "plain"
+        assert main(args + ["--out", str(out), "--sweep"]) == 0
         lines = (out / "sweep_histogram.csv").read_text().splitlines()
         assert lines[0] == "Feature,Precision,Recall,F-score"
         assert len(lines) == 1 + 26
+        # the main report comes from the sweep's KL table and equals a plain run's
+        assert main(args + ["--out", str(plain)]) == 0
+        for name in ("report.json", "alignment_report.json"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
 class TestConfigFile:

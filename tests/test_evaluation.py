@@ -262,7 +262,9 @@ class TestSweep:
                 for pid, mu in (("a", 0.0), ("b", 1.5))
             },
         )
-        config = ExperimentConfig(feature_set=("OT", "DL"), n_groups=4, n_bins=8)
+        config = ExperimentConfig(
+            feature_set=("DL", "OT"), weights=(2.0, 0.5), n_groups=4, n_bins=8
+        )
         result = sweep(
             dataset,
             config,
@@ -274,6 +276,9 @@ class TestSweep:
         assert precisions == sorted(precisions, reverse=True)
         assert result.best_report.confusion.shape == (2, 2)
         assert result.best.feature_label in ("OT", "DL", "OT+DL")
+        assert result.base_report.to_json() == run_cv(dataset, config).to_json()
+        # no base report when the subsets leave out one of its kinds
+        assert sweep(dataset, config, ("histogram",), subsets=[("OT",)]).base_report is None
 
     def test_rows_equal_run_cv_per_subset_with_an_empty_test_group(self):
         rng = np.random.default_rng(4)
