@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -234,8 +235,8 @@ def _parse_weights(options: dict, n_features: int) -> tuple[float, ...] | None:
         raise InputError(f"weights must be numbers: {exc}") from exc
     if len(weights) != n_features:
         raise InputError(f"got {len(weights)} weights for {n_features} features")
-    if any(w < 0 for w in weights):
-        raise InputError("weights must be non-negative")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise InputError("weights must be finite and non-negative")
     return weights
 
 
@@ -263,8 +264,7 @@ def _parse_bandwidths(options: dict) -> tuple[tuple[str, float], ...]:
             merged[kind] = float(value)
         except ValueError as exc:
             raise InputError(f"bad bandwidth for {kind}: {value!r}") from exc
-        if merged[kind] <= 0:
-            raise InputError(f"bandwidth for {kind} must be positive")
+        densities.check_bandwidth(merged[kind], kind)
     return tuple(sorted(merged.items()))
 
 

@@ -25,6 +25,8 @@ GMM_MAX_ITER = 500
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+EMPTY_KDE_MESSAGE = "cannot fit a KDE to an empty series"
+
 
 def _as_values(series) -> np.ndarray:
     values = np.asarray(getattr(series, "values", series), dtype=np.float64)
@@ -72,8 +74,7 @@ class KDE:
     bandwidth: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        check_bandwidth(self.bandwidth)
         if len(self.sample_points) == 0:
             raise ValueError("KDE needs at least one sample")
 
@@ -167,28 +168,48 @@ def histogram_pdf(model: Histogram, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
+def check_bandwidth(bandwidth: float, kind: str | None = None) -> float:
+    """The bandwidth as a float; a ValueError, naming ``kind`` if given, unless
+    it is positive and finite."""
+    h = float(bandwidth)
+    if not (math.isfinite(h) and h > 0):
+        name = "bandwidth" if kind is None else f"bandwidth for {kind}"
+        raise ValueError(f"{name} must be positive and finite, got {bandwidth}")
+    return h
+
+
 def fit_kde(series, bandwidth: float) -> KDE:
     """Gaussian-kernel KDE with a fixed bandwidth."""
     values = _as_values(series)
     if len(values) == 0:
-        raise ValueError("cannot fit a KDE to an empty series")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        raise ValueError(EMPTY_KDE_MESSAGE)
     return KDE(sample_points=values.copy(), bandwidth=float(bandwidth))
+
+
+def kernel_sum(samples: np.ndarray, bandwidth: float, xs: np.ndarray) -> np.ndarray:
+    """Unnormalised Gaussian kernel sum, sum over s of exp(-((x - s)/h)^2 / 2), at each x.
+
+    Exact (no binning); zero everywhere for an empty sample.
+    """
+    out = np.empty(len(xs))
+    # chunk the grid so samples x grid stays within a modest memory budget
+    chunk = max(1, int(4_000_000 / max(len(samples), 1)))
+    for start in range(0, len(xs), chunk):
+        z = (xs[start : start + chunk, None] - samples[None, :]) / bandwidth
+        out[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)
+    return out
+
+
+def kernel_density(sums: np.ndarray, n_samples: int, bandwidth: float) -> np.ndarray:
+    """KDE density from a ``kernel_sum`` over ``n_samples`` samples."""
+    return sums / (n_samples * bandwidth * _SQRT_2PI)
 
 
 def kde_pdf(model: KDE, x) -> np.ndarray | float:
     """pdf(x) = mean of standard-normal kernels centered on the samples."""
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    h = model.bandwidth
     samples = model.sample_points
-    out = np.empty(len(xs))
-    # chunk the grid so samples x grid stays within a modest memory budget
-    chunk = max(1, int(4_000_000 / max(len(samples), 1)))
-    for start in range(0, len(xs), chunk):
-        z = (xs[start : start + chunk, None] - samples[None, :]) / h
-        out[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)
-    out /= len(samples) * h * _SQRT_2PI
+    out = kernel_density(kernel_sum(samples, model.bandwidth, xs), len(samples), model.bandwidth)
     return out if np.ndim(x) else float(out[0])
 
 

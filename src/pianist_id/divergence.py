@@ -1,9 +1,15 @@
 """KL divergence between fitted models of the same family, plus linear fusion.
 
 Values are reported in nats. Histograms use the exact discrete sum after
-rebinning onto shared edges; KDEs use deterministic trapezoid integration on a
-wide grid; GMMs use the variational approximation built from closed-form
+rebinning onto shared edges; KDEs use deterministic trapezoid integration of
+exact kernel sums on a uniform grid whose step never exceeds a quarter of the
+bandwidth; GMMs use the variational approximation built from closed-form
 Gaussian component divergences. Divergence across model families is rejected.
+
+A pairwise KDE KL (``kl_kde``) builds its grid from the two models' samples.
+Cross-validation instead puts every KDE of one feature kind on one shared grid
+(``kde_grid`` over all of that kind's grouped values), evaluates each group's
+kernel sum there once and integrates with the same ``kl_on_grid``.
 """
 
 from __future__ import annotations
@@ -69,21 +75,41 @@ def _rebin(h: Histogram, edges: np.ndarray) -> np.ndarray:
     return np.diff(cdf)
 
 
-def kl_kde(p: KDE, q: KDE, n_points: int = KDE_GRID_POINTS) -> KlResult:
-    """Trapezoid-rule estimate of the integral p(x) log(p(x)/q(x)) dx.
+def kde_grid(
+    lo: float, hi: float, pad: float, max_step: float, n_points: int = KDE_GRID_POINTS
+) -> np.ndarray:
+    """Uniform grid over [lo - pad, hi + pad] of at least ``n_points`` points and
+    enough more that the step never exceeds ``max_step``."""
+    lo, hi = lo - pad, hi + pad
+    return np.linspace(lo, hi, max(n_points, math.ceil((hi - lo) / max_step) + 1))
 
-    The uniform grid spans the union of both sample ranges widened by 5x the
-    larger bandwidth; the denominator is floored at 1e-300.
-    """
-    pad = 5.0 * max(p.bandwidth, q.bandwidth)
-    lo = min(float(p.sample_points.min()), float(q.sample_points.min())) - pad
-    hi = max(float(p.sample_points.max()), float(q.sample_points.max())) + pad
-    grid = np.linspace(lo, hi, n_points)
-    px = np.asarray(kde_pdf(p, grid))
-    qx = np.maximum(np.asarray(kde_pdf(q, grid)), Q_FLOOR)
+
+def kl_on_grid(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> KlResult:
+    """Trapezoid-rule estimate of the integral p(x) log(p(x)/q(x)) dx from the
+    densities on ``grid``; the denominator is floored at ``Q_FLOOR``."""
+    qx = np.maximum(qx, Q_FLOOR)
     integrand = np.where(px > 0, px * np.log(np.maximum(px, Q_FLOOR) / qx), 0.0)
     value = float(np.trapezoid(integrand, grid))
-    return KlResult(value=_clamp(value), method="grid", grid_spec=(lo, hi, n_points))
+    return KlResult(
+        value=_clamp(value), method="grid", grid_spec=(float(grid[0]), float(grid[-1]), len(grid))
+    )
+
+
+def kl_kde(p: KDE, q: KDE, n_points: int = KDE_GRID_POINTS) -> KlResult:
+    """``kl_on_grid`` for two KDEs on a grid of their own.
+
+    The grid spans the union of both sample ranges widened by 5x the larger
+    bandwidth, with at least ``n_points`` points and a step of at most a
+    quarter of the smaller bandwidth.
+    """
+    grid = kde_grid(
+        min(float(p.sample_points.min()), float(q.sample_points.min())),
+        max(float(p.sample_points.max()), float(q.sample_points.max())),
+        pad=5.0 * max(p.bandwidth, q.bandwidth),
+        max_step=min(p.bandwidth, q.bandwidth) / 4.0,
+        n_points=n_points,
+    )
+    return kl_on_grid(np.asarray(kde_pdf(p, grid)), np.asarray(kde_pdf(q, grid)), grid)
 
 
 def gaussian_kl(mean_p: float, var_p: float, mean_q: float, var_q: float) -> float:
@@ -146,6 +172,6 @@ def fuse(kls: Sequence, weights: Iterable[float] | None = None) -> float:
     weights = [float(w) for w in weights]
     if len(weights) != len(values):
         raise ValueError(f"got {len(values)} KL values but {len(weights)} weights")
-    if any(w < 0 for w in weights):
-        raise ValueError("fusion weights must be non-negative")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError("fusion weights must be finite and non-negative")
     return float(sum(w * v for w, v in zip(weights, values)))

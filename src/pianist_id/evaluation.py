@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -105,6 +106,8 @@ class ExperimentConfig:
         object.__setattr__(self, "feature_set", tuple(self.feature_set))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+                raise ValueError("fusion weights must be finite and non-negative")
 
     @property
     def effective_weights(self) -> tuple[float, ...]:
@@ -341,36 +344,112 @@ def run_cv(
 def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
     """``_trial_kls`` over ``config.feature_set`` for every (performer, group) trial.
 
-    Each model is fitted once, so one table serves every feature subset and
-    weighting of these kinds. ``jobs`` threads share the trials.
+    Each model is fitted once (for KDEs, each group's kernel sum is computed
+    once), so one table serves every feature subset and weighting of these
+    kinds. ``jobs`` threads share the trials (for KDEs, the performers' kernel
+    sums, then the groups).
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
     fold = logo_split(dataset.n_positions, config.n_groups)
+    # chunks[kind][pid][g]: group g's values are trial (pid, g)'s test set; the
+    # other groups pool into pid's candidate model for every trial on group g
+    chunks = {
+        kind: {
+            pid: _group_chunks(dataset.by_performer[pid][kind], fold)
+            for pid in dataset.performer_ids
+        }
+        for kind in config.feature_set
+    }
+    if config.model_family == "kde":
+        return _kde_kl_table(chunks, dataset.performer_ids, fold.n_groups, config, jobs)
 
-    # group g's values are trial (pid, g)'s test set; the other groups pool into
-    # pid's candidate model for group g, shared by all trials on that group
     test_values = {(pid, g): {} for pid in dataset.performer_ids for g in range(fold.n_groups)}
     train_models: dict[int, dict[str, dict[str, object]]] = {g: {} for g in range(fold.n_groups)}
     for pid in dataset.performer_ids:
         for kind in config.feature_set:
-            series = dataset.by_performer[pid][kind]
-            groups = _value_groups(series, fold)
-            chunks = [series.values[groups == g] for g in range(fold.n_groups)]
-            for g, chunk in enumerate(chunks):
+            pid_chunks = chunks[kind][pid]
+            for g, chunk in enumerate(pid_chunks):
                 test_values[(pid, g)][kind] = chunk
-                pool = np.concatenate(chunks[:g] + chunks[g + 1 :])
+                pool = np.concatenate(pid_chunks[:g] + pid_chunks[g + 1 :])
                 train_models[g].setdefault(pid, {})[kind] = fit_model(pool, kind, config)
 
     def score_trial(key):
         return _trial_kls(test_values[key], train_models[key[1]], config.feature_set, config)
 
+    return dict(zip(test_values, _map(score_trial, test_values, jobs)))
+
+
+def _map(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, over ``jobs`` threads when jobs > 1."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as executor:
-            table = list(executor.map(score_trial, test_values))
-    else:
-        table = [score_trial(key) for key in test_values]
-    return dict(zip(test_values, table))
+            return list(executor.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _group_chunks(series: DeviationSeries, fold: FoldSpec) -> list[np.ndarray]:
+    """The series' values per group; a value whose pair straddles groups is in none."""
+    groups = _value_groups(series, fold)
+    return [series.values[groups == g] for g in range(fold.n_groups)]
+
+
+def _kde_kl_table(chunks, performer_ids, n_groups: int, config: ExperimentConfig, jobs: int):
+    """The KDE ``_kl_table``, from exact kernel sums on one shared grid per kind.
+
+    A kind's grid spans all of its grouped values, widened by 5 bandwidths, so
+    it depends on neither the feature subset nor the weights. Each group's
+    kernel sum on it is computed once. A test density is its group's sum; a
+    training pool's density is the sum of the other groups' vectors, never the
+    total minus the group, which would cancel in the tails that decide the KL.
+    """
+    table = {(pid, g): {} for pid in performer_ids for g in range(n_groups)}
+    for kind in config.feature_set:
+        h = densities.check_bandwidth(config.bandwidth_for(kind), kind)
+        by_pid = chunks[kind]
+        for pid_chunks in by_pid.values():
+            sizes = [len(c) for c in pid_chunks]
+            if any(n == sum(sizes) for n in sizes):  # an empty training pool
+                raise ValueError(densities.EMPTY_KDE_MESSAGE)
+        values = [c for pid_chunks in by_pid.values() for c in pid_chunks if len(c)]
+        grid = divergence.kde_grid(
+            min(float(c.min()) for c in values),
+            max(float(c.max()) for c in values),
+            pad=5.0 * h,
+            max_step=h / 4.0,
+        )
+        n_values = sum(len(c) for c in values)
+        log.debug(
+            "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
+            kind, float(grid[0]), float(grid[-1]), len(grid),
+            (grid[1] - grid[0]) / h, n_values * len(grid),
+        )
+        group_sums = _map(
+            lambda pid: [densities.kernel_sum(c, h, grid) for c in by_pid[pid]], performer_ids, jobs
+        )
+        sums = dict(zip(performer_ids, group_sums))
+
+        def score_group(g):
+            others = [k for k in range(n_groups) if k != g]
+            train = {}
+            for pid in performer_ids:
+                pool_sum = np.sum([sums[pid][k] for k in others], axis=0)
+                pool_size = sum(len(by_pid[pid][k]) for k in others)
+                train[pid] = densities.kernel_density(pool_sum, pool_size, h)
+            kls = {}
+            for pid in performer_ids:
+                n_test = len(by_pid[pid][g])
+                if n_test:  # a kind with no test values is left out of the trial
+                    test = densities.kernel_density(sums[pid][g], n_test, h)
+                    kls[pid] = {
+                        c: divergence.kl_on_grid(test, train[c], grid).value for c in performer_ids
+                    }
+            return kls
+
+        for g, kls in enumerate(_map(score_group, range(n_groups), jobs)):
+            for pid, row in kls.items():
+                table[(pid, g)][kind] = row
+    return table
 
 
 def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> EvaluationReport:

@@ -41,12 +41,18 @@ class TestExitCodes:
     def test_bad_option_values_exit_2(self, trio_dir, tmp_path, capsys):
         evaluate = ["evaluate", "--input", str(trio_dir), "--out", str(tmp_path / "o")]
         synth = ["synth", "--out", str(tmp_path / "s")]
+        kde = evaluate + ["--groups", "2", "--model", "kde", "--features", "IOI,DL,ND"]
         cases = [
             (evaluate + ["--features", "OT,BOGUS"], "unknown feature"),
             # an explicit 0 is a value to check, not a request for the default
             (evaluate + ["--groups", "0"], "at least 2 groups"),
             (evaluate + ["--groups", "2", "--bins", "0"], "n_bins must be >= 1"),
             (evaluate + ["--groups", "2", "--model", "gmm", "--gmm-k", "0"], "k must be >= 1"),
+            # non-finite values are rejected before any fit
+            (kde + ["--weights", "nan,1,1"], "weights must be finite and non-negative"),
+            (kde + ["--weights", "inf,1,1"], "weights must be finite and non-negative"),
+            (kde + ["--bandwidths", "IOI=inf"], "bandwidth for IOI must be positive and finite"),
+            (kde + ["--bandwidths", "DL=nan"], "bandwidth for DL must be positive and finite"),
             (synth + ["--performers", "0"], "--performers must be at least 2"),
             (synth + ["--notes", "0"], "--notes must be at least 2"),
         ]

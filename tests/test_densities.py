@@ -6,6 +6,7 @@ import pytest
 from pianist_id.densities import (
     DEFAULT_BANDWIDTHS,
     GMM,
+    KDE,
     fit_gmm,
     fit_gmm_trace,
     fit_histogram,
@@ -78,8 +79,11 @@ class TestKde:
         }
 
     def test_non_positive_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            fit_kde(np.asarray([1.0]), bandwidth=0.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_kde(np.asarray([1.0]), bandwidth=bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                KDE(sample_points=np.asarray([1.0]), bandwidth=bad)
 
     def test_pdf_integrates_to_one(self):
         rng = np.random.default_rng(11)

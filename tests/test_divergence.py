@@ -112,6 +112,18 @@ class TestKlKde:
         lo, hi, n = result.grid_spec
         assert lo == pytest.approx(-2.5) and hi == pytest.approx(3.5) and n == 4096
 
+    def test_step_never_exceeds_a_quarter_bandwidth(self):
+        # one far outlier: 4096 points would give a step of about 5 bandwidths
+        p = fit_kde(np.asarray([0.0, 0.01, 0.03, 200.0]), bandwidth=0.01)
+        q = fit_kde(np.asarray([0.02, 0.04]), bandwidth=0.01)
+        lo, hi, n = kl_kde(p, q).grid_spec
+        assert n > 4096
+        assert (hi - lo) / (n - 1) <= 0.01 / 4
+        # with unequal bandwidths the narrower one sets the step
+        wide = fit_kde(np.asarray([0.0, 50.0]), bandwidth=2.0)
+        lo, hi, n = kl_kde(wide, fit_kde(np.asarray([1.0]), bandwidth=0.02)).grid_spec
+        assert (lo, hi) == (-10.0, 60.0) and (hi - lo) / (n - 1) <= 0.02 / 4
+
 
 class TestKlGmm:
     def test_self_divergence_exactly_zero(self):
@@ -175,8 +187,9 @@ class TestDispatchAndFusion:
     def test_fuse_validates_lengths_and_signs(self):
         with pytest.raises(ValueError):
             fuse([0.1, 0.2], [1.0])
-        with pytest.raises(ValueError):
-            fuse([0.1], [-1.0])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fuse([0.1], [bad])
 
     def test_kl_result_rejects_negative_or_non_finite(self):
         with pytest.raises(ValueError):

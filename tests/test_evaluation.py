@@ -1,8 +1,12 @@
+import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pianist_id.densities import fit_kde, kde_pdf
+from pianist_id.divergence import kl_kde, kl_on_grid
 from pianist_id.evaluation import (
     DeviationDataset,
     EmptyTestSeriesError,
@@ -113,6 +117,11 @@ class TestConfig:
     def test_rejects_weight_length_mismatch(self):
         with pytest.raises(ValueError):
             ExperimentConfig(feature_set=("OT", "DL"), weights=(1.0,))
+
+    def test_rejects_non_finite_or_negative_weights(self):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                ExperimentConfig(feature_set=("OT", "DL"), weights=(bad, 1.0))
 
     def test_default_weights_are_all_one(self):
         config = ExperimentConfig(feature_set=("OT", "DL"))
@@ -239,6 +248,101 @@ class TestRunCv:
         dataset = make_dataset({"a": np.arange(16.0)})
         with pytest.raises(ValueError):
             run_cv(dataset, ExperimentConfig(feature_set=("OT",), n_groups=4))
+
+
+class TestKdeTable:
+    """The KDE KL table: exact kernel sums on one shared grid per kind."""
+
+    def dataset(self):
+        rng = np.random.default_rng(21)
+        n = 40
+        positions = np.arange(n)
+        by_performer = {}
+        for pid, mu in (("a", 0.0), ("b", 0.7), ("c", 1.4)):
+            ioi = rng.normal(0.5 + 0.02 * mu, 0.02, n)
+            if pid == "c":
+                ioi[25] = 60.0  # one far outlier: the IOI grid needs > 4096 points
+            by_performer[pid] = {
+                "OT": point_series(pid, rng.normal(mu, 1.0, n), "OT"),
+                # successor pairs: the ones that straddle a group bound are in no group
+                "IOI": DeviationSeries(
+                    kind="IOI", performer_id=pid, values=ioi,
+                    positions=positions, end_positions=positions + 1,
+                ),
+            }
+        return DeviationDataset(n_positions=n + 1, by_performer=by_performer)
+
+    def test_values_equal_the_exact_kernel_reference_on_the_shared_grid(self, caplog):
+        dataset = self.dataset()
+        config = ExperimentConfig(model_family="kde", feature_set=("OT", "IOI"), n_groups=4)
+        with caplog.at_level(logging.DEBUG, logger="pianist_id.evaluation"):
+            report = run_cv(dataset, config)
+        fold = logo_split(dataset.n_positions, config.n_groups)
+        chunks, grids = {}, {}
+        for kind in config.feature_set:
+            h = config.bandwidth_for(kind)
+            for pid in dataset.performer_ids:
+                series = dataset.by_performer[pid][kind]
+                start, end = fold.group_of(series.positions), fold.group_of(series.end_positions)
+                for g in range(fold.n_groups):
+                    chunks[(pid, g, kind)] = series.values[(start == g) & (end == g)]
+            grouped = np.concatenate([v for (_, _, k), v in chunks.items() if k == kind])
+            lo, hi = grouped.min() - 5 * h, grouped.max() + 5 * h
+            grids[kind] = np.linspace(lo, hi, max(4096, math.ceil((hi - lo) / (h / 4)) + 1))
+            assert grids[kind][1] - grids[kind][0] <= h / 4
+            [line] = [r.getMessage() for r in caplog.records if f"KDE grid {kind}:" in r.getMessage()]
+            assert f"{len(grids[kind])} points" in line
+        assert len(grids["IOI"]) > 4096
+
+        assert len(report.trials) == 3 * 4
+        for trial in report.trials:
+            pid, g = trial["performer"], trial["group"]
+            for candidate, row in trial["feature_kl"].items():
+                for kind, value in row.items():
+                    h = config.bandwidth_for(kind)
+                    grid = grids[kind]
+                    test = fit_kde(chunks[(pid, g, kind)], h)
+                    pool = fit_kde(
+                        np.concatenate(
+                            [chunks[(candidate, k, kind)] for k in range(fold.n_groups) if k != g]
+                        ),
+                        h,
+                    )
+                    reference = kl_on_grid(kde_pdf(test, grid), kde_pdf(pool, grid), grid).value
+                    assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+                    assert abs(value - kl_kde(test, pool).value) <= 1e-4
+
+    def test_report_bytes_do_not_depend_on_jobs(self):
+        dataset = self.dataset()
+        config = ExperimentConfig(
+            model_family="kde", feature_set=("IOI", "OT"), weights=(0.5, 2.0), n_groups=4
+        )
+        assert run_cv(dataset, config, jobs=1).to_json() == run_cv(dataset, config, jobs=3).to_json()
+
+    def test_empty_training_pool_raises(self):
+        # b's OT values all sit in group 0, so b's training pool for group 0 is empty
+        dataset = DeviationDataset(
+            n_positions=16,
+            by_performer={
+                "a": {"OT": point_series("a", np.linspace(0.0, 1.0, 16), "OT")},
+                "b": {"OT": point_series("b", [0.2, 0.4, 0.6], "OT", positions=[0, 1, 2])},
+            },
+        )
+        config = ExperimentConfig(model_family="kde", feature_set=("OT",), n_groups=4)
+        with pytest.raises(ValueError, match="cannot fit a KDE to an empty series"):
+            run_cv(dataset, config)
+
+    def test_non_finite_bandwidth_is_rejected_by_kind(self):
+        dataset = self.dataset()
+        for bad in (math.inf, math.nan, 0.0):
+            config = ExperimentConfig(
+                model_family="kde",
+                feature_set=("OT", "IOI"),
+                n_groups=4,
+                bandwidths=(("IOI", bad), ("OT", 1.2)),
+            )
+            with pytest.raises(ValueError, match="bandwidth for IOI must be positive and finite"):
+                run_cv(dataset, config)
 
 
 class TestSweep:
