@@ -160,7 +160,7 @@ def align_pair(
     the band, so moves and cost equal those of the full table. Otherwise t
     doubles, or rises to just above U when that is less.
     """
-    if not reference.notes or not performance.notes:
+    if not len(reference) or not len(performance):
         raise ValueError("alignment requires non-empty performances")
     ref = reference.pitch_sequence()
     perf = performance.pitch_sequence()
@@ -286,7 +286,7 @@ class TableReport:
 
 def median_reference(performances: list[Performance]) -> Performance:
     """The performance with median note count (ties broken by performer_id)."""
-    ordered = sorted(performances, key=lambda p: (len(p.notes), p.performer_id))
+    ordered = sorted(performances, key=lambda p: (len(p), p.performer_id))
     return ordered[len(ordered) // 2]
 
 
@@ -316,7 +316,7 @@ def build_table(
     if len(set(performer_ids)) != len(performer_ids):
         raise ValueError("performer ids must be unique")
 
-    n_ref = len(reference.notes)
+    n_ref = len(reference)
     k = len(performances)
     onsets = np.full((n_ref, k), np.nan)
     offsets = np.full((n_ref, k), np.nan)
@@ -332,12 +332,11 @@ def build_table(
             "insertions": len(al.insertions),
             "deletions": len(al.deletions),
         }
-        for r, p in al.pairs:
-            note = perf.notes[p]
-            onsets[r, col] = note.onset
-            offsets[r, col] = note.offset
-            dynamics[r, col] = note.dynamic
-            pitches[r, col] = note.pitch
+        rows, picks = np.array(al.pairs, dtype=np.intp).reshape(-1, 2).T
+        onsets[rows, col] = perf.onsets[picks]
+        offsets[rows, col] = perf.offsets[picks]
+        dynamics[rows, col] = perf.dynamics[picks]
+        pitches[rows, col] = perf.pitches[picks]
 
     coverage = (~np.isnan(onsets)).sum(axis=1)
     keep = coverage >= min_coverage

@@ -19,6 +19,8 @@ import traceback
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import densities, evaluation, synth
 from .alignment import build_table
 from .evaluation import DeviationDataset, ExperimentConfig, run_cv
@@ -33,6 +35,9 @@ from .midi_io import (
 )
 
 PROG = "pianist-id"
+
+#: Aligned-table cells written per block.
+CSV_BLOCK = 256
 
 
 class InputError(ValueError):
@@ -166,19 +171,24 @@ def _jobs(options: dict) -> int:
 
 
 def _load_performance(path: Path, piece_id: str) -> Performance:
+    """Read one performance file; malformed content is an input error naming the file."""
     performer_id = path.stem
-    if path.suffix.lower() in (".mid", ".midi"):
+    suffix = path.suffix.lower()
+    if suffix not in (".mid", ".midi", ".csv"):
+        raise InputError(f"unsupported performance file type: {path}")
+    try:
+        if suffix == ".csv":
+            return from_note_table(
+                path.read_text(encoding="utf-8"), performer_id=performer_id, piece_id=piece_id
+            )
         performance, warnings = parse_smf_with_warnings(
             path.read_bytes(), performer_id=performer_id, piece_id=piece_id
         )
-        for message in warnings:
-            print(f"{PROG}: warning: {path.name}: {message}", file=sys.stderr)
-        return performance
-    if path.suffix.lower() == ".csv":
-        return from_note_table(
-            path.read_text(encoding="utf-8"), performer_id=performer_id, piece_id=piece_id
-        )
-    raise InputError(f"unsupported performance file type: {path}")
+    except ValueError as exc:  # SmfParseError, a bad note, or text that is not UTF-8
+        raise InputError(f"{path}: {exc}") from exc
+    for message in warnings:
+        print(f"{PROG}: warning: {path.name}: {message}", file=sys.stderr)
+    return performance
 
 
 def _load_performances(options: dict) -> list[Performance]:
@@ -311,20 +321,21 @@ def cmd_align(options: dict) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["position", "performer", "onset", "offset", "pitch", "dynamic"])
-    present = table.present_mask()
-    for pos in range(table.n_positions):
-        for col, pid in enumerate(table.performer_ids):
-            if present[pos, col]:
-                writer.writerow(
-                    [
-                        pos,
-                        pid,
-                        repr(float(table.onsets[pos, col])),
-                        repr(float(table.offsets[pos, col])),
-                        int(table.pitches[pos, col]),
-                        int(table.dynamics[pos, col]),
-                    ]
-                )
+    # present cells in row-major order: by position, then by performer column;
+    # converted to Python values a block at a time to keep few alive at once
+    positions, cols = np.nonzero(table.present_mask())
+    for start in range(0, len(positions), CSV_BLOCK):
+        rows, cells = positions[start : start + CSV_BLOCK], cols[start : start + CSV_BLOCK]
+        writer.writerows(
+            zip(
+                rows.tolist(),
+                map(table.performer_ids.__getitem__, cells.tolist()),
+                map(repr, table.onsets[rows, cells].tolist()),
+                map(repr, table.offsets[rows, cells].tolist()),
+                table.pitches[rows, cells].tolist(),
+                table.dynamics[rows, cells].astype(np.int64).tolist(),
+            )
+        )
     _write(out / "aligned_table.csv", buf.getvalue())
     print(f"aligned {len(performances)} performances at {table.n_positions} positions -> {out}")
     return 0

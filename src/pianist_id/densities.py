@@ -25,6 +25,9 @@ GMM_MAX_ITER = 500
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+#: Grid x sample elements per ``kernel_sum`` chunk.
+KERNEL_CHUNK = 2**18
+
 EMPTY_KDE_MESSAGE = "cannot fit a KDE to an empty series"
 
 
@@ -192,8 +195,9 @@ def kernel_sum(samples: np.ndarray, bandwidth: float, xs: np.ndarray) -> np.ndar
     Exact (no binning); zero everywhere for an empty sample.
     """
     out = np.empty(len(xs))
-    # chunk the grid so samples x grid stays within a modest memory budget
-    chunk = max(1, int(4_000_000 / max(len(samples), 1)))
+    # each grid x sample temporary stays near KERNEL_CHUNK elements (2 MiB of
+    # float64); every row is summed on its own, so chunking changes no bit
+    chunk = max(1, KERNEL_CHUNK // max(len(samples), 1))
     for start in range(0, len(xs), chunk):
         z = (xs[start : start + chunk, None] - samples[None, :]) / bandwidth
         out[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)

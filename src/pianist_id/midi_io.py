@@ -1,26 +1,45 @@
 """Standard MIDI File parsing/writing and the note-table CSV interchange format.
 
-Performances are reduced to per-note events with absolute times in seconds.
-Only what the downstream pipeline needs is kept: onset, offset, pitch and
-dynamic level (note-on velocity). Sustain pedal (CC64) is ignored, so offsets
+A performance is reduced to four note columns with absolute times in seconds:
+onset, offset, pitch and dynamic level (note-on velocity). Only what the
+downstream pipeline needs is kept. Sustain pedal (CC64) is ignored, so offsets
 are key-release times.
+
+The SMF reader makes one pass per track over the raw bytes and pairs each
+note-off with its note-on as it goes; all ticks then go to seconds in one
+vectorised step, and no per-note object is made. ``NoteEvent`` is the
+per-note view (``Performance.notes``) and a way to build a performance note
+by note.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import logging
+import math
+import operator
 import struct
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
+
+log = logging.getLogger(__name__)
 
 NOTE_TABLE_HEADER = ("onset", "offset", "pitch", "dynamic")
 
 #: Microseconds per quarter note when an SMF carries no tempo event (120 BPM).
 DEFAULT_TEMPO = 500_000
 DEFAULT_DIVISION = 480
+
+#: Integers below this convert to float64 exactly.
+_EXACT_INT = 2**53
+
+_MTHD = int.from_bytes(b"MThd", "big")
+_MTRK = int.from_bytes(b"MTrk", "big")
 
 
 class SmfParseError(ValueError):
@@ -41,12 +60,14 @@ class NoteEvent:
     dynamic: int
 
     def __post_init__(self):
-        if self.onset < 0:
-            raise ValueError(f"onset must be non-negative, got {self.onset}")
+        if not 0 <= self.onset < math.inf:
+            raise ValueError(f"onset must be finite and non-negative, got {self.onset}")
         if not self.offset > self.onset:
             raise ValueError(
                 f"offset must exceed onset, got onset={self.onset} offset={self.offset}"
             )
+        if self.offset == math.inf:
+            raise ValueError(f"offset must be finite, got {self.offset}")
         if not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch out of MIDI range 0..127: {self.pitch}")
         if not 1 <= self.dynamic <= 127:
@@ -57,23 +78,129 @@ class NoteEvent:
         return self.offset - self.onset
 
 
-@dataclass(frozen=True)
+_FIELDS = ("onset", "offset", "pitch", "dynamic")
+_ONSET_PITCH = operator.attrgetter("onset", "pitch")
+
+
+def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ...]:
+    """The four note columns as arrays, every note checked as ``NoteEvent`` checks one.
+
+    The first bad note, in the given order, raises ``NoteEvent``'s error.
+    """
+    columns = (
+        np.asarray(onsets, dtype=np.float64),
+        np.asarray(offsets, dtype=np.float64),
+        np.asarray(pitches),
+        np.asarray(dynamics),
+    )
+    n = len(columns[0])
+    if any(column.shape != (n,) for column in columns):
+        raise ValueError("note columns must be one-dimensional and of equal length")
+    onsets, offsets, pitches, dynamics = columns
+    integral = not n or (pitches.dtype.kind in "iu" and dynamics.dtype.kind in "iu")
+    if not integral or not np.all(
+        (0 <= onsets) & (onsets < offsets) & (offsets < np.inf)
+        & (0 <= pitches) & (pitches <= 127) & (1 <= dynamics) & (dynamics <= 127)
+    ):
+        for note in zip(onsets.tolist(), offsets.tolist(), pitches.tolist(), dynamics.tolist()):
+            NoteEvent(*note)
+        raise ValueError("pitches and dynamics must be integers")
+    return onsets, offsets, pitches.astype(np.int64), dynamics.astype(np.int64)
+
+
+def _read_only(columns) -> tuple[np.ndarray, ...]:
+    columns = tuple(columns)
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
+def _column(index: int, doc: str) -> property:
+    return property(lambda self: self._note_columns()[index], doc=doc)
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Performance:
-    """An ordered note list for one performer; notes sorted by (onset, pitch)."""
+    """One performer's notes as four read-only columns, sorted by (onset, pitch).
+
+    ``onsets`` and ``offsets`` are float64 seconds; ``pitches`` and
+    ``dynamics`` are int64 MIDI values. Notes tied in (onset, pitch) keep the
+    order they were given in. :meth:`from_columns` checks every note in one
+    vectorised pass, as ``NoteEvent`` checks one, and sorts the columns with
+    one stable ``np.lexsort``.
+
+    ``Performance(performer_id, piece_id, notes)`` takes ``NoteEvent``s, which
+    checked themselves when they were made: it sorts them and builds the
+    columns on first use. ``notes`` is the same notes as a tuple of
+    ``NoteEvent``: the given ones, or built from the columns on first use.
+    Whichever side is built is cached. Alignment, features and evaluation read
+    only the columns.
+    """
 
     performer_id: str
     piece_id: str
-    notes: tuple[NoteEvent, ...]
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.notes, key=lambda n: (n.onset, n.pitch)))
-        object.__setattr__(self, "notes", ordered)
+    onsets = _column(0, "Onset times in seconds (float64).")
+    offsets = _column(1, "Offset (key-release) times in seconds (float64).")
+    pitches = _column(2, "MIDI pitches (int64).")
+    dynamics = _column(3, "Note-on velocities (int64).")
+
+    def __init__(self, performer_id: str, piece_id: str, notes: Iterable[NoteEvent] = ()):
+        self.__dict__.update(  # the instance is frozen once built
+            performer_id=performer_id,
+            piece_id=piece_id,
+            _notes=tuple(sorted(notes, key=_ONSET_PITCH)),
+            _columns=None,
+        )
+
+    @classmethod
+    def from_columns(
+        cls, performer_id: str, piece_id: str, onsets, offsets, pitches, dynamics
+    ) -> Performance:
+        """A performance from four equal-length note columns, in any note order."""
+        columns = _checked_columns(onsets, offsets, pitches, dynamics)
+        order = np.lexsort((columns[2], columns[0]))  # stable: by onset, then pitch
+        performance = cls.__new__(cls)
+        performance.__dict__.update(
+            performer_id=performer_id,
+            piece_id=piece_id,
+            _notes=None,
+            _columns=_read_only(column[order] for column in columns),
+        )
+        return performance
+
+    def _note_columns(self) -> tuple[np.ndarray, ...]:
+        if self._columns is None:
+            lists = ([getattr(note, field) for note in self._notes] for field in _FIELDS)
+            object.__setattr__(self, "_columns", _read_only(_checked_columns(*lists)))
+        return self._columns
+
+    @property
+    def notes(self) -> tuple[NoteEvent, ...]:
+        """The notes as ``NoteEvent``s in (onset, pitch) order."""
+        if self._notes is None:
+            columns = (column.tolist() for column in self._columns)
+            object.__setattr__(self, "_notes", tuple(map(NoteEvent, *columns)))
+        return self._notes
 
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self._notes if self._notes is not None else self._columns[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Performance):
+            return NotImplemented
+        return (self.performer_id, self.piece_id) == (other.performer_id, other.piece_id) and all(
+            map(np.array_equal, self._note_columns(), other._note_columns())
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.performer_id, self.piece_id, len(self)))
+
+    def __repr__(self) -> str:
+        return f"Performance({self.performer_id!r}, {self.piece_id!r}, {len(self)} notes)"
 
     def pitch_sequence(self) -> list[int]:
-        return [n.pitch for n in self.notes]
+        return self.pitches.tolist()
 
 
 class TempoMap:
@@ -109,38 +236,51 @@ class TempoMap:
             self.division * 1_000_000
         )
 
+    def to_seconds_array(self, ticks: np.ndarray) -> np.ndarray:
+        """``to_seconds`` of every tick, bit for bit.
 
-class _Reader:
-    __slots__ = ("data", "pos")
+        Python divides the exact integer (tick - t_i) * tempo_i with one
+        rounding; float64 does the same only while that product is below
+        2**53. A file whose products may reach it (one spanning months) is
+        converted one tick at a time.
+        """
+        ticks = np.asarray(ticks, dtype=np.int64)
+        if len(ticks) and int(ticks.max()) * max(self._tempos) >= _EXACT_INT:
+            return np.array([self.to_seconds(t) for t in ticks.tolist()], dtype=np.float64)
+        i = np.searchsorted(self._ticks, ticks, side="right") - 1
+        product = (ticks - np.asarray(self._ticks, dtype=np.int64)[i]) * np.asarray(
+            self._tempos, dtype=np.int64
+        )[i]
+        return np.asarray(self._seconds)[i] + product.astype(np.float64) / (
+            self.division * 1_000_000
+        )
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SmfParseError("truncated data", self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+def _need(data: bytes, pos: int, size: int) -> None:
+    """Raise "truncated data" at ``pos`` unless ``size`` bytes follow it."""
+    if pos + size > len(data):
+        raise SmfParseError("truncated data", pos)
 
-    def u8(self) -> int:
-        return self.read(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self.read(2))[0]
+def _uint(data: bytes, pos: int, size: int) -> int:
+    """The big-endian unsigned integer of ``size`` bytes at ``pos``."""
+    _need(data, pos, size)
+    return int.from_bytes(data[pos : pos + size], "big")
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self.read(4))[0]
 
-    def vlq(self) -> int:
-        total = 0
-        for _ in range(4):
-            byte = self.u8()
-            total = (total << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return total
-        raise SmfParseError("variable-length quantity longer than 4 bytes", self.pos)
+def _vlq_tail(data: bytes, pos: int, first: int) -> tuple[int, int]:
+    """Finish a variable-length quantity whose first byte ``first`` had bit 7 set.
+
+    Returns (value, position after it). Reading past the data raises IndexError.
+    """
+    value = first & 0x7F
+    for _ in range(3):
+        byte = data[pos]
+        pos += 1
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos
+    raise SmfParseError("variable-length quantity longer than 4 bytes", pos)
 
 
 def parse_smf(data: bytes, *, performer_id: str = "", piece_id: str = "") -> Performance:
@@ -159,154 +299,158 @@ def parse_smf_with_warnings(
     Note-on with velocity 0 counts as note-off. Overlapping same-pitch notes
     pair each note-off with the earliest open note-on of that pitch (per track
     and channel). A note-on still open at end of track is closed at the track's
-    final tick and reported as a warning.
+    final tick and reported as a warning. A note-off at its note-on's tick is
+    moved one tick later, with a warning. Notes tied in (onset, pitch) keep the
+    order of the note-offs that closed them, by (tick, position in the file).
     """
-    rdr = _Reader(data)
-    if rdr.read(4) != b"MThd":
+    if _uint(data, 0, 4) != _MTHD:
         raise SmfParseError("missing MThd header", 0)
-    header_len = rdr.u32()
+    header_len = _uint(data, 4, 4)
     if header_len < 6:
-        raise SmfParseError(f"header chunk too short ({header_len} bytes)", rdr.pos - 4)
-    fmt_offset = rdr.pos
-    smf_format = rdr.u16()
-    n_tracks = rdr.u16()
-    division_offset = rdr.pos
-    division = rdr.u16()
+        raise SmfParseError(f"header chunk too short ({header_len} bytes)", 4)
+    smf_format = _uint(data, 8, 2)
+    n_tracks = _uint(data, 10, 2)
+    division = _uint(data, 12, 2)
     if smf_format not in (0, 1):
-        raise SmfParseError(f"unsupported SMF format {smf_format}", fmt_offset)
+        raise SmfParseError(f"unsupported SMF format {smf_format}", 8)
     if division & 0x8000:
-        raise SmfParseError("SMPTE time division is not supported", division_offset)
+        raise SmfParseError("SMPTE time division is not supported", 12)
     if division == 0:
-        raise SmfParseError("time division must be positive", division_offset)
-    rdr.read(header_len - 6)  # ignore any header extension bytes
+        raise SmfParseError("time division must be positive", 12)
+    _need(data, 14, header_len - 6)  # any header extension bytes are ignored
+    pos = 8 + header_len
 
     warnings: list[str] = []
     tempo_changes: list[tuple[int, int]] = []
-    # (tick, file_order, is_on, pitch, velocity); file_order keeps pairing FIFO
-    raw_notes: list[tuple[int, int, int, int, int]] = []
+    # (on tick, off tick, pitch, velocity) per note, in each track's closing order
+    paired: list[tuple[int, int, int, int]] = []
 
     tracks_seen = 0
     while tracks_seen < n_tracks:
-        if rdr.pos >= len(rdr.data):
-            raise SmfParseError(
-                f"expected {n_tracks} tracks, found {tracks_seen}", rdr.pos
-            )
-        chunk_start = rdr.pos
-        chunk_id = rdr.read(4)
-        chunk_len = rdr.u32()
-        if chunk_id != b"MTrk":
-            rdr.read(chunk_len)  # alien chunks are skipped per the SMF spec
-            continue
-        _parse_track(
-            rdr, chunk_start, chunk_len, tracks_seen, tempo_changes, raw_notes, warnings
-        )
-        tracks_seen += 1
+        if pos >= len(data):
+            raise SmfParseError(f"expected {n_tracks} tracks, found {tracks_seen}", pos)
+        chunk_id = _uint(data, pos, 4)
+        chunk_len = _uint(data, pos + 4, 4)
+        start, end = pos + 8, pos + 8 + chunk_len
+        if chunk_id != _MTRK:
+            _need(data, start, chunk_len)  # alien chunks are skipped per the SMF spec
+        elif end > len(data):
+            raise SmfParseError("track chunk length runs past end of file", pos + 4)
+        else:
+            _scan_track(data, start, end, tempo_changes, paired, warnings)
+            tracks_seen += 1
+        pos = end
+
+    ticks = np.array(paired, dtype=np.int64).reshape(-1, 4)
+    # Within a track, notes close in file order at non-decreasing ticks, so a
+    # stable sort by the closing note-off's tick orders them by (tick, file
+    # position) across tracks.
+    ticks = ticks[np.argsort(ticks[:, 1], kind="stable")]
+    zero_length = np.flatnonzero(ticks[:, 1] == ticks[:, 0])
+    for on_tick, pitch in ticks[zero_length][:, [0, 2]].tolist():
+        warnings.append(f"zero-length note (pitch {pitch}) at tick {on_tick} extended by one tick")
+    ticks[zero_length, 1] += 1
 
     tempo_map = TempoMap(division, tempo_changes)
-    notes = [
-        NoteEvent(
-            onset=tempo_map.to_seconds(on_tick),
-            offset=tempo_map.to_seconds(off_tick),
-            pitch=pitch,
-            dynamic=velocity,
-        )
-        for on_tick, off_tick, pitch, velocity in _pair_notes(raw_notes, warnings)
-    ]
-    performance = Performance(performer_id, piece_id, tuple(notes))
+    performance = Performance.from_columns(
+        performer_id,
+        piece_id,
+        tempo_map.to_seconds_array(ticks[:, 0]),
+        tempo_map.to_seconds_array(ticks[:, 1]),
+        ticks[:, 2],
+        ticks[:, 3],
+    )
+    log.debug(
+        "parsed %s: %d tracks, %d notes, %d tempo changes, %d warnings",
+        performer_id or "<unnamed>", tracks_seen, len(performance), len(tempo_changes),
+        len(warnings),
+    )
     return performance, warnings
 
 
-def _parse_track(rdr, chunk_start, chunk_len, track_index, tempo_changes, raw_notes, warnings):
-    end = rdr.pos + chunk_len
-    if end > len(rdr.data):
-        raise SmfParseError("track chunk length runs past end of file", chunk_start + 4)
+def _scan_track(data, pos, end, tempo_changes, paired, warnings) -> None:
+    """Read the events of the track chunk ``data[pos:end]`` and pair its notes.
+
+    Note-offs are paired FIFO per (channel, pitch) as they come; a note closed
+    at its note-on's tick is left zero-length for the caller to extend. An
+    event may read past ``end`` before it is checked against it. A byte read
+    past the end of ``data`` is "truncated data" at offset ``len(data)``,
+    where a run of single-byte reads must fail.
+    """
+    n = len(data)
     tick = 0
-    running_status: int | None = None
-    order_base = len(raw_notes)
-    while rdr.pos < end:
-        tick += rdr.vlq()
-        status = rdr.u8()
-        if status < 0x80:
-            if running_status is None:
-                raise SmfParseError("data byte without running status", rdr.pos - 1)
-            rdr.pos -= 1
-            status = running_status
-        if status == 0xFF:
-            running_status = None
-            meta_type = rdr.u8()
-            length = rdr.vlq()
-            payload = rdr.read(length)
-            if meta_type == 0x51:
-                if length != 3:
-                    raise SmfParseError("tempo event must carry 3 bytes", rdr.pos - length)
-                tempo_changes.append((tick, int.from_bytes(payload, "big")))
-            elif meta_type == 0x2F:
-                break
-        elif status in (0xF0, 0xF7):
-            running_status = None
-            rdr.read(rdr.vlq())
-        elif status >= 0xF0:
-            raise SmfParseError(f"unsupported system message 0x{status:02X}", rdr.pos - 1)
-        else:
-            running_status = status
-            kind = status & 0xF0
-            channel = status & 0x0F
-            if kind in (0x80, 0x90):
-                pitch = rdr.u8()
-                velocity = rdr.u8()
-                if pitch > 127 or velocity > 127:
-                    raise SmfParseError("note data byte out of range", rdr.pos - 1)
-                is_on = kind == 0x90 and velocity > 0
-                key = track_index * 16 + channel
-                raw_notes.append((tick, len(raw_notes), key * 256 + (1 if is_on else 0), pitch, velocity))
-            elif kind in (0xA0, 0xB0, 0xE0):
-                rdr.read(2)
-            elif kind in (0xC0, 0xD0):
-                rdr.read(1)
-        if rdr.pos > end:
-            raise SmfParseError("event runs past its track chunk boundary", rdr.pos)
-    # skip any bytes after an early End of Track meta event
-    rdr.pos = end
-    _close_dangling(raw_notes, order_base, tick, warnings)
+    running = 0  # running status; 0 while there is none
+    pending: dict[int, deque] = {}  # channel << 7 | pitch -> open (on tick, velocity)
+    append = paired.append
+    try:
+        while pos < end:
+            delta = data[pos]
+            pos += 1
+            if delta & 0x80:
+                delta, pos = _vlq_tail(data, pos, delta)
+            tick += delta
+            status = data[pos]
+            pos += 1
+            if status < 0x80:
+                if not running:
+                    raise SmfParseError("data byte without running status", pos - 1)
+                pos -= 1
+                status = running
+            if status < 0xF0:
+                running = status
+                kind = status & 0xF0
+                if kind == 0x90 or kind == 0x80:
+                    pitch = data[pos]
+                    velocity = data[pos + 1]
+                    pos += 2
+                    if pitch > 127 or velocity > 127:
+                        raise SmfParseError("note data byte out of range", pos - 1)
+                    key = (status & 0x0F) << 7 | pitch
+                    queue = pending.get(key)
+                    if kind == 0x90 and velocity:
+                        if queue is None:
+                            queue = pending[key] = deque()
+                        queue.append((tick, velocity))
+                    elif queue:  # a note-off with no open note-on is dropped
+                        on_tick, on_velocity = queue.popleft()
+                        append((on_tick, tick, pitch, on_velocity))
+                else:
+                    size = 1 if kind == 0xC0 or kind == 0xD0 else 2
+                    _need(data, pos, size)
+                    pos += size
+            elif status == 0xFF or status == 0xF0 or status == 0xF7:
+                running = 0
+                if status == 0xFF:
+                    meta_type = data[pos]
+                    pos += 1
+                length = data[pos]
+                pos += 1
+                if length & 0x80:
+                    length, pos = _vlq_tail(data, pos, length)
+                _need(data, pos, length)
+                pos += length
+                if status == 0xFF and meta_type == 0x51:
+                    if length != 3:
+                        raise SmfParseError("tempo event must carry 3 bytes", pos - length)
+                    tempo = int.from_bytes(data[pos - 3 : pos], "big")
+                    if not tempo:
+                        raise SmfParseError("tempo must be positive, got 0", pos - 3)
+                    tempo_changes.append((tick, tempo))
+                elif status == 0xFF and meta_type == 0x2F:
+                    break
+            else:
+                raise SmfParseError(f"unsupported system message 0x{status:02X}", pos - 1)
+            if pos > end:
+                raise SmfParseError("event runs past its track chunk boundary", pos)
+    except IndexError:
+        raise SmfParseError("truncated data", n) from None
 
-
-def _close_dangling(raw_notes, order_base, final_tick, warnings):
-    open_count: dict[tuple[int, int], int] = {}
-    for tick, _, tag, pitch, _ in raw_notes[order_base:]:
-        key = (tag // 256, pitch)
-        if tag % 256:
-            open_count[key] = open_count.get(key, 0) + 1
-        elif open_count.get(key, 0) > 0:
-            open_count[key] -= 1
-    for (stream_key, pitch), count in sorted(open_count.items()):
-        for _ in range(count):
-            warnings.append(
-                f"dangling note-on (pitch {pitch}) closed at final tick {final_tick}"
-            )
-            raw_notes.append((final_tick, len(raw_notes), stream_key * 256, pitch, 0))
-
-
-def _pair_notes(raw_notes, warnings):
-    """FIFO-pair note-ons with note-offs per (track, channel, pitch)."""
-    paired: list[tuple[int, int, int, int]] = []
-    open_notes: dict[tuple[int, int], deque] = {}
-    for tick, order, tag, pitch, velocity in sorted(raw_notes, key=lambda e: (e[0], e[1])):
-        key = (tag // 256, pitch)
-        if tag % 256:
-            open_notes.setdefault(key, deque()).append((tick, velocity))
-        else:
-            queue = open_notes.get(key)
-            if not queue:
-                continue  # stray note-off; harmless
-            on_tick, on_velocity = queue.popleft()
-            off_tick = tick
-            if off_tick <= on_tick:
-                off_tick = on_tick + 1
-                warnings.append(
-                    f"zero-length note (pitch {pitch}) at tick {on_tick} extended by one tick"
-                )
-            paired.append((on_tick, off_tick, pitch, on_velocity))
-    return paired
+    # note-ons still open at the end close at the final tick, by (channel, pitch)
+    for key in sorted(key for key, queue in pending.items() if queue):
+        pitch = key & 0x7F
+        for on_tick, velocity in pending[key]:
+            warnings.append(f"dangling note-on (pitch {pitch}) closed at final tick {tick}")
+            append((on_tick, tick, pitch, velocity))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +466,25 @@ def to_note_table(performance: Performance) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(NOTE_TABLE_HEADER)
-    for note in performance.notes:
-        writer.writerow([repr(note.onset), repr(note.offset), note.pitch, note.dynamic])
+    writer.writerows(
+        zip(
+            map(repr, performance.onsets.tolist()),
+            map(repr, performance.offsets.tolist()),
+            performance.pitches.tolist(),
+            performance.dynamics.tolist(),
+        )
+    )
     return buf.getvalue()
 
 
 def from_note_table(
     text: str, *, performer_id: str = "", piece_id: str = ""
 ) -> Performance:
-    """Parse note-table CSV produced by :func:`to_note_table`."""
+    """Parse note-table CSV produced by :func:`to_note_table`.
+
+    Every row is read before the notes are checked, so a file with several
+    faults reports the first malformed row before the first invalid note.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != NOTE_TABLE_HEADER:
         raise ValueError(
@@ -342,28 +496,31 @@ def from_note_table(
             continue
         if len(row) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        notes.append(
-            NoteEvent(
-                onset=float(row[0]),
-                offset=float(row[1]),
-                pitch=int(row[2]),
-                dynamic=int(row[3]),
-            )
-        )
-    return Performance(performer_id, piece_id, tuple(notes))
+        notes.append((float(row[0]), float(row[1]), int(row[2]), int(row[3])))
+    columns = zip(*notes) if notes else ((),) * 4
+    return Performance.from_columns(performer_id, piece_id, *columns)
 
 
 # ---------------------------------------------------------------------------
 # SMF writing
 
 
-def _vlq_bytes(value: int) -> bytes:
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(out))
+def _vlq_events(deltas: np.ndarray, payloads: np.ndarray) -> bytes:
+    """Events as bytes: each delta as a variable-length quantity, then its payload row."""
+    sizes = np.ones(len(deltas), dtype=np.int64)
+    groups = 1
+    while len(deltas) and int(deltas.max()) >> (7 * groups):
+        sizes += deltas >> (7 * groups) > 0
+        groups += 1
+    ends = np.cumsum(sizes + payloads.shape[1])
+    starts = ends - payloads.shape[1] - sizes
+    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
+    for g in range(groups):  # the 7-bit group g places from the quantity's last byte
+        has = sizes > g
+        out[starts[has] + sizes[has] - 1 - g] = (deltas[has] >> (7 * g)) & 0x7F | (0x80 if g else 0)
+    for j in range(payloads.shape[1]):
+        out[ends - payloads.shape[1] + j] = payloads[:, j]
+    return out.tobytes()
 
 
 def write_smf(
@@ -374,37 +531,38 @@ def write_smf(
 ) -> bytes:
     """Serialize as a single-track format-0 SMF at a fixed tempo.
 
-    Onsets/offsets are rounded to the tick grid; zero-length notes after
-    rounding are extended by one tick. At equal ticks note-offs precede
-    note-ons so FIFO pairing on re-parse reconstructs the same notes.
+    Onsets/offsets are rounded to the tick grid (half to even); zero-length
+    notes after rounding are extended by one tick. At equal ticks note-offs
+    precede note-ons so FIFO pairing on re-parse reconstructs the same notes.
     """
     ticks_per_second = division * 1_000_000 / tempo
-    # (tick, kind, pitch, payload); kind: 0 tempo, 1 note-off, 2 note-on
-    events: list[tuple[int, int, int, int]] = [(0, 0, 0, tempo)]
-    for note in performance.notes:
-        on_tick = round(note.onset * ticks_per_second)
-        off_tick = round(note.offset * ticks_per_second)
-        if off_tick <= on_tick:
-            off_tick = on_tick + 1
-        events.append((on_tick, 2, note.pitch, note.dynamic))
-        events.append((off_tick, 1, note.pitch, 0))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    on_ticks = np.rint(performance.onsets * ticks_per_second)
+    off_ticks = np.rint(performance.offsets * ticks_per_second)
+    if len(off_ticks) and off_ticks.max() >= 2**62:
+        raise ValueError("note times run past the SMF tick range")
+    on_ticks = on_ticks.astype(np.int64)
+    off_ticks = np.maximum(off_ticks.astype(np.int64), on_ticks + 1)
 
-    body = bytearray()
-    previous_tick = 0
-    for tick, kind, pitch, payload in events:
-        body += _vlq_bytes(tick - previous_tick)
-        previous_tick = tick
-        if kind == 0:
-            body += b"\xff\x51\x03" + payload.to_bytes(3, "big")
-        elif kind == 1:
-            body += bytes((0x80, pitch, 0))
-        else:
-            body += bytes((0x90, pitch, payload))
-    body += b"\x00\xff\x2f\x00"  # End of Track
-
+    # each note gives a note-on then a note-off; sorted by (tick, off before on, pitch)
+    ticks = np.column_stack((on_ticks, off_ticks)).ravel()
+    is_off = np.tile(np.array([0, 1]), len(performance))
+    pitches = np.repeat(performance.pitches, 2)
+    order = np.lexsort((pitches, 1 - is_off, ticks))
+    payloads = np.column_stack(
+        (
+            np.where(is_off, 0x80, 0x90),
+            pitches,
+            np.column_stack((performance.dynamics, np.zeros_like(performance.dynamics))).ravel(),
+        )
+    )[order]
+    body = (
+        b"\x00\xff\x51\x03"
+        + tempo.to_bytes(3, "big")
+        + _vlq_events(np.diff(ticks[order], prepend=0), payloads)
+        + b"\x00\xff\x2f\x00"  # End of Track
+    )
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, division)
-    return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+    return header + b"MTrk" + struct.pack(">I", len(body)) + body
 
 
 def quantize_performance(

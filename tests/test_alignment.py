@@ -266,6 +266,40 @@ class TestBuildTable:
         assert table.n_positions == 2
         assert report.dropped_positions == (1,)
 
+    def test_cells_equal_a_per_note_fill_of_the_alignment_pairs(self):
+        score = generate_score(300, seed=5)
+        rng = np.random.default_rng(5)
+        performances = []
+        for i, profile in enumerate(default_profiles(3, base_seed=5)):
+            notes = list(render_performer(score, profile, f"p{i}").notes)
+            # drop notes and change pitches, so pairs skip positions and some
+            # positions fall below coverage 2
+            for j in sorted(rng.choice(100, 25, replace=False).tolist(), reverse=True):
+                note = notes[j]
+                if j % 2:
+                    del notes[j]
+                else:
+                    notes[j] = NoteEvent(note.onset, note.offset, 20 + j % 7, note.dynamic)
+            performances.append(Performance(f"p{i}", "x", tuple(notes)))
+        table, report = build_table(performances, reference=score)
+
+        shape = (len(score), len(performances))
+        expected = {name: np.full(shape, np.nan) for name in ("onsets", "offsets", "dynamics")}
+        expected["pitches"] = np.full(shape, -1, dtype=np.int16)
+        for col, perf in enumerate(performances):
+            for r, p in align_pair(score, perf).pairs:
+                note = perf.notes[p]
+                expected["onsets"][r, col] = note.onset
+                expected["offsets"][r, col] = note.offset
+                expected["dynamics"][r, col] = note.dynamic
+                expected["pitches"][r, col] = note.pitch
+        keep = np.setdiff1d(np.arange(len(score)), report.dropped_positions)
+        assert report.dropped_positions
+        for name, cells in expected.items():
+            got = getattr(table, name)
+            assert got.dtype == cells.dtype
+            assert np.array_equal(got, cells[keep], equal_nan=True), name
+
     def test_needs_two_performances(self):
         with pytest.raises(ValueError):
             build_table([perf_from_pitches([60], "a")])

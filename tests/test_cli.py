@@ -61,6 +61,29 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
 
 
+    def test_malformed_performance_files_exit_2_naming_the_file(self, trio_dir, tmp_path, capsys):
+        header = b"onset,offset,pitch,dynamic\n"
+        cases = [
+            ("align", "p4.mid", (trio_dir / "p1.mid").read_bytes()[:30],
+             "track chunk length runs past end of file (byte offset 18)"),
+            ("align", "p4.csv", header + b"0.5,0.25,60,64\n", "offset must exceed onset"),
+            ("align", "p4.csv", header + b"0.5,0.75,60\n", "line 2: expected 4 fields"),
+            ("align", "p4.csv", b"\xff\xfe\x00", "codec can't decode"),
+            # a non-finite time used to pass the parser and fail in the features
+            ("features", "p4.csv", header + b"0.5,inf,60,64\n", "offset must be finite"),
+        ]
+        for i, (command, name, content, message) in enumerate(cases):
+            d = tmp_path / f"case{i}"
+            d.mkdir()
+            for good in trio_dir.iterdir():
+                (d / good.name).write_bytes(good.read_bytes())
+            (d / name).write_bytes(content)
+            assert main([command, "--input", str(d), "--out", str(tmp_path / f"out{i}")]) == 2
+            err = capsys.readouterr().err
+            assert f"{d / name}: " in err and message in err, err
+            assert "Traceback" not in err
+
+
 class TestAlign:
     def test_identical_inputs_give_identity_report(self, trio_dir, tmp_path):
         out = tmp_path / "out"

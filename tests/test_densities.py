@@ -14,6 +14,7 @@ from pianist_id.densities import (
     gmm_pdf,
     histogram_pdf,
     kde_pdf,
+    kernel_sum,
     model_from_json,
     model_to_json,
 )
@@ -93,6 +94,14 @@ class TestKde:
             lambda xs: np.asarray(kde_pdf(k, xs)), values.mean(), values.std() + k.bandwidth
         )
         assert total == pytest.approx(1.0, abs=1e-3)
+
+
+    def test_kernel_sum_chunks_change_no_bit(self):
+        rng = np.random.default_rng(2)
+        samples = rng.normal(size=3000)
+        xs = np.linspace(-4.0, 4.0, 700)  # 2.1M grid x sample elements: several chunks
+        z = (xs[:, None] - samples[None, :]) / 0.3
+        assert np.array_equal(kernel_sum(samples, 0.3, xs), np.exp(-0.5 * z * z).sum(axis=1))
 
 
 class TestGmm:

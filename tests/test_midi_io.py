@@ -1,8 +1,14 @@
+import logging
+import math
+import random
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import END_OF_TRACK, note_off, note_on, simple_performance, smf_bytes, tempo_event, vlq
+from smf_reference import reference_parse, reference_write
+from pianist_id import synth
 from pianist_id.midi_io import (
     NoteEvent,
     Performance,
@@ -39,6 +45,56 @@ class TestNoteEvent:
         perf = Performance("p", "x", notes)
         assert [n.pitch for n in perf.notes] == [60, 60, 64]
         assert [n.onset for n in perf.notes] == [0.0, 1.0, 1.0]
+
+    def test_rejects_non_finite_times(self):
+        for onset, offset in ((math.inf, math.inf), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                NoteEvent(onset, offset, 60, 64)
+            with pytest.raises(ValueError):
+                Performance.from_columns("p", "x", [0.0, onset], [1.0, offset], [60, 60], [64, 64])
+        with pytest.raises(ValueError, match="offset must be finite"):
+            from_note_table("onset,offset,pitch,dynamic\n0.5,inf,60,64\n")
+
+
+class TestPerformanceColumns:
+    NOTES = (
+        NoteEvent(1.0, 1.5, 64, 70),
+        NoteEvent(0.0, 0.5, 60, 64),
+        NoteEvent(1.0, 1.25, 60, 71),
+        NoteEvent(1.0, 1.75, 60, 72),
+    )
+
+    def test_columns_are_sorted_read_only_and_stable_on_ties(self):
+        perf = Performance("p", "x", self.NOTES)
+        assert perf.onsets.tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert perf.pitches.tolist() == [60, 60, 60, 64]
+        assert perf.dynamics.tolist() == [64, 71, 72, 70]  # tied (1.0, 60) keep their order
+        assert perf.onsets.dtype == np.float64 and perf.pitches.dtype.kind == "i"
+        assert not perf.offsets.flags.writeable
+        with pytest.raises(ValueError):
+            perf.offsets[0] = 9.0
+        assert perf.pitch_sequence() == [60, 60, 60, 64]
+        assert all(type(p) is int for p in perf.pitch_sequence())
+        assert len(perf) == 4
+
+    def test_notes_view_keeps_given_notes_and_is_built_once_from_columns(self):
+        perf = Performance("p", "x", self.NOTES)
+        assert perf.notes[3] is self.NOTES[0]
+        columns = Performance.from_columns(
+            "p", "x", *zip(*((n.onset, n.offset, n.pitch, n.dynamic) for n in self.NOTES))
+        )
+        assert columns == perf and columns.notes == perf.notes
+        assert columns.notes is columns.notes
+        assert columns != Performance("q", "x", self.NOTES)
+        assert columns != Performance("p", "x", self.NOTES[:3])
+
+    def test_first_bad_note_in_given_order_raises_its_own_error(self):
+        with pytest.raises(ValueError, match="pitch out of MIDI range 0..127: 128"):
+            Performance.from_columns("p", "x", [2.0, 1.0, 0.0], [3.0, 2.0, -1.0], [60, 128, 60], [64, 64, 64])
+        with pytest.raises(ValueError, match="integers"):
+            Performance.from_columns("p", "x", [0.0], [1.0], [60.5], [64])
+        with pytest.raises(ValueError, match="equal length"):
+            Performance.from_columns("p", "x", [0.0], [1.0, 2.0], [60], [64])
 
 
 class TestParse:
@@ -98,6 +154,23 @@ class TestParse:
         dangling = [n for n in perf.notes if n.pitch == 60][0]
         assert dangling.offset == pytest.approx(0.5)  # final tick = 480
 
+    def test_zero_tempo_is_a_parse_error_at_the_tempo_event(self):
+        data = smf_bytes([note_on(0, 60, 64), tempo_event(0, 0), note_off(480, 60), END_OF_TRACK])
+        with pytest.raises(SmfParseError, match="tempo must be positive") as exc:
+            parse_smf(data)
+        assert data[exc.value.offset - 3 : exc.value.offset + 3] == b"\xff\x51\x03\x00\x00\x00"
+
+    def test_one_debug_line_per_parsed_file(self, caplog):
+        track0 = tempo_event(0, 250_000) + END_OF_TRACK
+        # the note-on of pitch 62 is left open 10 ticks before the end
+        track1 = note_on(0, 60, 64) + note_off(480, 60) + note_on(0, 62, 64) + vlq(10) + b"\xff\x2f\x00"
+        data = _format_1(track0, track1)
+        caplog.set_level(logging.DEBUG, logger="pianist_id.midi_io")
+        parse_smf_with_warnings(data, performer_id="p7")
+        assert [r.getMessage() for r in caplog.records] == [
+            "parsed p7: 2 tracks, 2 notes, 1 tempo changes, 1 warnings"
+        ]
+
     def test_parse_is_deterministic(self):
         data = smf_bytes(
             [note_on(0, 60, 64), note_off(120, 60), note_on(7, 72, 33), note_off(9, 72), END_OF_TRACK]
@@ -107,17 +180,7 @@ class TestParse:
     def test_format_1_merges_tracks_and_shares_tempo(self):
         track0 = tempo_event(0, 250_000) + END_OF_TRACK
         track1 = note_on(0, 60, 64) + note_off(480, 60) + END_OF_TRACK
-        data = (
-            b"MThd"
-            + struct.pack(">IHHH", 6, 1, 2, 480)
-            + b"MTrk"
-            + struct.pack(">I", len(track0))
-            + track0
-            + b"MTrk"
-            + struct.pack(">I", len(track1))
-            + track1
-        )
-        perf = parse_smf(data)
+        perf = parse_smf(_format_1(track0, track1))
         assert perf.notes == (NoteEvent(0.0, 0.25, 60, 64),)
 
     def test_alien_chunks_are_skipped(self):
@@ -133,6 +196,11 @@ class TestParse:
             + track
         )
         assert len(parse_smf(data).notes) == 1
+
+
+def _format_1(*tracks: bytes, division: int = 480) -> bytes:
+    out = b"MThd" + struct.pack(">IHHH", 6, 1, len(tracks), division)
+    return out + b"".join(b"MTrk" + struct.pack(">I", len(t)) + t for t in tracks)
 
 
 class TestParseErrors:
@@ -225,3 +293,153 @@ class TestWriteQuantize:
         perf = Performance("p", "x", (NoteEvent(0.5, 0.5 + 1e-5, 60, 64),))
         q = quantize_performance(perf)
         assert q.notes[0].offset > q.notes[0].onset
+
+
+def _random_track(rng: random.Random) -> bytes:
+    """Events over two channels: notes (often overlapping, zero-length or left
+    open), running status, tempo changes, controllers, programs, SysEx and meta
+    text, usually closed by End of Track."""
+    events, running = [], None
+    for _ in range(rng.randint(0, 40)):
+        delta = rng.choice([0, 0, 1, rng.randint(0, 200), rng.randint(0, 1 << 20)])
+        channel = rng.randrange(2)
+        r = rng.random()
+        if r < 0.6:
+            pitch = rng.choice([60, 62, 64, rng.randrange(128)])
+            on = rng.random() < 0.55
+            status = (0x90 if on or rng.random() < 0.5 else 0x80) | channel
+            velocity = rng.randint(1, 127) if on else (0 if status & 0xF0 == 0x90 else rng.randrange(128))
+            head = b"" if running == status and rng.random() < 0.7 else bytes((status,))
+            events.append(vlq(delta) + head + bytes((pitch, velocity)))
+            running = status
+            continue
+        if r < 0.7:
+            events.append(tempo_event(delta, 0 if rng.random() < 0.03 else rng.randint(1, (1 << 24) - 1)))
+            running = None
+        elif r < 0.75:
+            events.append(vlq(delta) + bytes((0xB0 | channel, 64, rng.randrange(128))))
+            running = 0xB0 | channel
+        elif r < 0.8:
+            events.append(vlq(delta) + bytes((0xC0 | channel, rng.randrange(128))))
+            running = 0xC0 | channel
+        elif r < 0.9:
+            size = rng.randint(0, 5)
+            head = rng.choice([b"\xf0", b"\xf7", b"\xff\x01"])
+            events.append(vlq(delta) + head + vlq(size) + bytes(rng.randrange(128) for _ in range(size)))
+            running = None
+        else:
+            events.append(vlq(delta) + bytes((0xE0 | channel, rng.randrange(128), rng.randrange(128))))
+            running = 0xE0 | channel
+    if rng.random() < 0.9:
+        events.append(vlq(rng.choice([0, 5])) + b"\xff\x2f\x00")
+        if rng.random() < 0.1:
+            events.append(b"junk after End of Track")
+    return b"".join(events)
+
+
+def _random_smf(rng: random.Random) -> bytes:
+    if rng.random() < 0.3:  # a synth render, as the benchmark and `synth` write them
+        score = synth.generate_score(rng.randint(2, 30), rng.randrange(1000))
+        profile = synth.default_profiles(2, base_seed=rng.randrange(100))[rng.randrange(2)]
+        return write_smf(synth.render_performer(score, profile, "p"))
+    tracks = [_random_track(rng) for _ in range(rng.randint(1, 4))]
+    data = b"MThd" + struct.pack(
+        ">IHHH", 6, 1 if len(tracks) > 1 else rng.randrange(2), len(tracks), rng.choice([7, 96, 480, 960])
+    )
+    for track in tracks:
+        if rng.random() < 0.1:
+            data += b"XFIH" + struct.pack(">I", 3) + b"abc"  # an alien chunk
+        data += b"MTrk" + struct.pack(">I", len(track)) + track
+    return data
+
+
+def _damage(rng: random.Random, data: bytes) -> bytes:
+    """Intact, truncated, or with one to three bytes flipped (and maybe truncated)."""
+    r = rng.random()
+    if r < 0.25:
+        return data
+    if r < 0.55:
+        return data[: rng.randrange(len(data) + 1)]
+    damaged = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        damaged[rng.randrange(len(damaged))] ^= rng.choice([1 << rng.randrange(8), rng.randrange(1, 256)])
+    if r > 0.9:
+        damaged = damaged[: rng.randrange(len(damaged) + 1)]
+    return bytes(damaged)
+
+
+def _outcome(parse, data: bytes):
+    """Notes as exact bits plus warnings, or the error's class, message and offset."""
+    try:
+        notes, warnings = parse(data)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return [(n.onset.hex(), n.offset.hex(), n.pitch, n.dynamic) for n in notes], warnings
+
+
+def _library_parse(data: bytes):
+    performance, warnings = parse_smf_with_warnings(data)
+    return performance.notes, warnings
+
+
+class TestAgainstReferenceParser:
+    def test_fuzzed_files_parse_as_the_reference_parses_them(self):
+        rng = random.Random(20261018)
+        seen = {"notes": 0, "dangling": 0, "zero-length": 0, "ties": 0, "errors": 0, "zero tempo": 0}
+        for _ in range(2400):
+            data = _damage(rng, _random_smf(rng))
+            expected, got = _outcome(reference_parse, data), _outcome(_library_parse, data)
+            if got[0] is SmfParseError and got[1].startswith("tempo must be positive"):
+                # the one intended difference: the reference raises a bare
+                # ValueError or parses zero-length times, or fails further on
+                assert data[got[2] : got[2] + 3] == b"\0\0\0"
+                seen["zero tempo"] += 1
+                continue
+            assert got == expected, data.hex()
+            if expected[0] is SmfParseError:
+                seen["errors"] += 1
+            elif isinstance(expected[0], list) and expected[0]:
+                keys = [(onset, pitch) for onset, _, pitch, _ in expected[0]]
+                seen["notes"] += 1
+                seen["ties"] += len(set(keys)) < len(keys)
+                seen["dangling"] += any("dangling" in w for w in expected[1])
+                seen["zero-length"] += any("zero-length" in w for w in expected[1])
+        assert min(seen.values()) >= 20, seen
+
+    def test_huge_ticks_convert_exactly(self):
+        # 0x0FFFFFFF is the longest delta; at this tempo (tick - t_i) * tempo passes
+        # 2**53 after a few of them, and 2**63 after 2100 more
+        rng = random.Random(5)
+        longest = vlq(0x0FFFFFFF)
+        events, ticks, tick = [tempo_event(0, 0xFFFFFF)], [], 0
+        for pitch in range(50, 70):
+            on, off = tick + 0x0FFFFFFF, tick + 0x0FFFFFFF + rng.randint(1, 999)
+            events += [longest + bytes((0x90, pitch, 64)), vlq(off - on) + bytes((0x80, pitch, 0))]
+            ticks += [on, off]
+            tick = off
+        events += [longest + b"\xff\x01\x00"] * 2100
+        events += [vlq(3) + bytes((0x90, 70, 64)), vlq(5) + bytes((0x80, 70, 0)), END_OF_TRACK]
+        data = smf_bytes(events, division=7)
+        assert ticks[-1] * 0xFFFFFF > 2**53
+
+        assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
+        tempo_map = TempoMap(7, [(0, 0xFFFFFF)])
+        exact = [tempo_map.to_seconds(t) for t in ticks]
+        assert tempo_map.to_seconds_array(np.array(ticks)).tolist() == exact
+        # a plain float64 division of the products would miss some of them
+        rounded = (np.array(ticks) * 0xFFFFFF).astype(np.float64) / 7_000_000
+        assert rounded.tolist() != exact
+
+    def test_written_bytes_equal_the_reference_writer(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 40, 400):
+            # onsets on a coarse grid tie in onset and pitch; tiny durations round to zero
+            onsets = np.round(rng.uniform(0, 60, n), 1)
+            durations = rng.choice([1e-5, 0.001, 0.3, 2.0], n)
+            pitches = rng.integers(58, 62, n)
+            dynamics = rng.integers(1, 128, n)
+            perf = Performance.from_columns("p", "x", onsets, onsets + durations, pitches, dynamics)
+            for division, tempo in ((480, 500_000), (96, 1_234_567)):
+                assert write_smf(perf, division=division, tempo=tempo) == reference_write(
+                    perf.notes, division=division, tempo=tempo
+                )
