@@ -251,10 +251,10 @@ def _parse_weights(options: dict, n_features: int) -> tuple[float, ...] | None:
 
 
 def _parse_bandwidths(options: dict) -> tuple[tuple[str, float], ...]:
-    merged = dict(densities.DEFAULT_BANDWIDTHS)
+    """The ``--bandwidths`` overrides; ``ExperimentConfig`` fills in the other kinds."""
     raw = options.get("bandwidths")
     if raw is None:
-        return tuple(sorted(merged.items()))
+        return ()
     if isinstance(raw, dict):
         overrides = raw
     else:
@@ -267,15 +267,14 @@ def _parse_bandwidths(options: dict) -> tuple[tuple[str, float], ...]:
                 raise InputError(f"bandwidth override must look like KIND=VALUE: {part!r}")
             kind, value = part.split("=", 1)
             overrides[kind.strip()] = value
+    parsed = []
     for kind, value in overrides.items():
-        if kind not in KINDS:
-            raise InputError(f"unknown feature kind in bandwidths: {kind!r}")
         try:
-            merged[kind] = float(value)
+            bandwidth = float(value)
         except ValueError as exc:
             raise InputError(f"bad bandwidth for {kind}: {value!r}") from exc
-        densities.check_bandwidth(merged[kind], kind)
-    return tuple(sorted(merged.items()))
+        parsed.append((kind, densities.check_bandwidth(bandwidth, kind)))
+    return tuple(parsed)
 
 
 def _experiment_config(options: dict) -> ExperimentConfig:

@@ -83,9 +83,8 @@ class ExperimentConfig:
     weights: tuple[float, ...] | None = None
     n_groups: int = DEFAULT_N_GROUPS
     n_bins: int = densities.DEFAULT_N_BINS
-    bandwidths: tuple[tuple[str, float], ...] = tuple(
-        sorted(densities.DEFAULT_BANDWIDTHS.items())
-    )
+    # (kind, KDE bandwidth) pairs; kinds left out take ``DEFAULT_BANDWIDTHS``
+    bandwidths: tuple[tuple[str, float], ...] = ()
     gmm_k: int = densities.DEFAULT_GMM_K
     gmm_tol: float = densities.GMM_TOL
     gmm_max_iter: int = densities.GMM_MAX_ITER
@@ -101,6 +100,12 @@ class ExperimentConfig:
         for kind in self.feature_set:
             if kind not in KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
+        bandwidths = dict(self.bandwidths)
+        for kind in bandwidths:
+            if kind not in KINDS:
+                raise ValueError(f"unknown feature kind in bandwidths: {kind!r}")
+        bandwidths = {**densities.DEFAULT_BANDWIDTHS, **bandwidths}
+        object.__setattr__(self, "bandwidths", tuple(sorted(bandwidths.items())))
         if self.weights is not None and len(self.weights) != len(self.feature_set):
             raise ValueError("weights must match feature_set length")
         object.__setattr__(self, "feature_set", tuple(self.feature_set))

@@ -1,15 +1,16 @@
 """Standard MIDI File parsing/writing and the note-table CSV interchange format.
 
-A performance is reduced to four note columns with absolute times in seconds:
-onset, offset, pitch and dynamic level (note-on velocity). Only what the
-downstream pipeline needs is kept. Sustain pedal (CC64) is ignored, so offsets
-are key-release times.
+A performance is four note columns and nothing else, with absolute times in
+seconds: onset, offset, pitch and dynamic level (note-on velocity). Only what
+the downstream pipeline needs is kept. Sustain pedal (CC64) is ignored, so
+offsets are key-release times.
 
 The SMF reader makes one pass per track over the raw bytes and pairs each
 note-off with its note-on as it goes; all ticks then go to seconds in one
-vectorised step, and no per-note object is made. ``NoteEvent`` is the
-per-note view (``Performance.notes``) and a way to build a performance note
-by note.
+vectorised step, and no per-note object is made. ``NoteEvent`` is one note:
+the element of the ``Performance.notes`` view, built on demand from the
+columns, and a way to hand a performance over note by note, which is
+converted to columns at once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import csv
 import io
 import logging
 import math
-import operator
+import numbers
 import struct
 from bisect import bisect_right
 from collections import deque
@@ -68,6 +69,13 @@ class NoteEvent:
             )
         if self.offset == math.inf:
             raise ValueError(f"offset must be finite, got {self.offset}")
+        if type(self.pitch) is not int or type(self.dynamic) is not int:  # numpy ints pass
+            for value in (self.pitch, self.dynamic):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(
+                        "pitches and dynamics must be integers, "
+                        f"got pitch={self.pitch!r} dynamic={self.dynamic!r}"
+                    )
         if not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch out of MIDI range 0..127: {self.pitch}")
         if not 1 <= self.dynamic <= 127:
@@ -76,10 +84,6 @@ class NoteEvent:
     @property
     def duration(self) -> float:
         return self.offset - self.onset
-
-
-_FIELDS = ("onset", "offset", "pitch", "dynamic")
-_ONSET_PITCH = operator.attrgetter("onset", "pitch")
 
 
 def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ...]:
@@ -108,89 +112,72 @@ def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ..
     return onsets, offsets, pitches.astype(np.int64), dynamics.astype(np.int64)
 
 
-def _read_only(columns) -> tuple[np.ndarray, ...]:
-    columns = tuple(columns)
-    for column in columns:
-        column.setflags(write=False)
-    return columns
-
-
-def _column(index: int, doc: str) -> property:
-    return property(lambda self: self._note_columns()[index], doc=doc)
+_COLUMNS = ("onsets", "offsets", "pitches", "dynamics")
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Performance:
     """One performer's notes as four read-only columns, sorted by (onset, pitch).
 
-    ``onsets`` and ``offsets`` are float64 seconds; ``pitches`` and
-    ``dynamics`` are int64 MIDI values. Notes tied in (onset, pitch) keep the
-    order they were given in. :meth:`from_columns` checks every note in one
-    vectorised pass, as ``NoteEvent`` checks one, and sorts the columns with
-    one stable ``np.lexsort``.
+    ``onsets`` and ``offsets`` are float64 seconds (offsets are key-release
+    times); ``pitches`` and ``dynamics`` are int64 MIDI values (dynamics are
+    note-on velocities). Notes tied in (onset, pitch) keep the order they were
+    given in.
 
-    ``Performance(performer_id, piece_id, notes)`` takes ``NoteEvent``s, which
-    checked themselves when they were made: it sorts them and builds the
-    columns on first use. ``notes`` is the same notes as a tuple of
-    ``NoteEvent``: the given ones, or built from the columns on first use.
-    Whichever side is built is cached. Alignment, features and evaluation read
-    only the columns.
+    Both constructors take the same path: every note is checked in one
+    vectorised pass, as ``NoteEvent`` checks one, and the columns are sorted
+    with one stable ``np.lexsort``. :meth:`from_columns` takes four
+    equal-length columns; ``Performance(performer_id, piece_id, notes)`` takes
+    ``NoteEvent``s and converts them to columns at once. ``notes`` is a view:
+    a new tuple of ``NoteEvent`` built from the columns on each access.
     """
 
     performer_id: str
     piece_id: str
-
-    onsets = _column(0, "Onset times in seconds (float64).")
-    offsets = _column(1, "Offset (key-release) times in seconds (float64).")
-    pitches = _column(2, "MIDI pitches (int64).")
-    dynamics = _column(3, "Note-on velocities (int64).")
+    onsets: np.ndarray
+    offsets: np.ndarray
+    pitches: np.ndarray
+    dynamics: np.ndarray
 
     def __init__(self, performer_id: str, piece_id: str, notes: Iterable[NoteEvent] = ()):
-        self.__dict__.update(  # the instance is frozen once built
-            performer_id=performer_id,
-            piece_id=piece_id,
-            _notes=tuple(sorted(notes, key=_ONSET_PITCH)),
-            _columns=None,
-        )
+        rows = [(note.onset, note.offset, note.pitch, note.dynamic) for note in notes]
+        self._set_columns(performer_id, piece_id, *(zip(*rows) if rows else ((),) * 4))
 
     @classmethod
     def from_columns(
         cls, performer_id: str, piece_id: str, onsets, offsets, pitches, dynamics
     ) -> Performance:
         """A performance from four equal-length note columns, in any note order."""
-        columns = _checked_columns(onsets, offsets, pitches, dynamics)
-        order = np.lexsort((columns[2], columns[0]))  # stable: by onset, then pitch
         performance = cls.__new__(cls)
-        performance.__dict__.update(
-            performer_id=performer_id,
-            piece_id=piece_id,
-            _notes=None,
-            _columns=_read_only(column[order] for column in columns),
-        )
+        performance._set_columns(performer_id, piece_id, onsets, offsets, pitches, dynamics)
         return performance
 
-    def _note_columns(self) -> tuple[np.ndarray, ...]:
-        if self._columns is None:
-            lists = ([getattr(note, field) for note in self._notes] for field in _FIELDS)
-            object.__setattr__(self, "_columns", _read_only(_checked_columns(*lists)))
-        return self._columns
+    def _set_columns(self, performer_id, piece_id, *columns) -> None:
+        columns = _checked_columns(*columns)
+        order = np.lexsort((columns[2], columns[0]))  # stable: by onset, then pitch
+        sorted_columns = [column[order] for column in columns]
+        for column in sorted_columns:
+            column.setflags(write=False)
+        self.__dict__.update(  # the instance is frozen once built
+            zip(_COLUMNS, sorted_columns),
+            performer_id=performer_id,
+            piece_id=piece_id,
+        )
 
     @property
     def notes(self) -> tuple[NoteEvent, ...]:
-        """The notes as ``NoteEvent``s in (onset, pitch) order."""
-        if self._notes is None:
-            columns = (column.tolist() for column in self._columns)
-            object.__setattr__(self, "_notes", tuple(map(NoteEvent, *columns)))
-        return self._notes
+        """The notes as ``NoteEvent``s in (onset, pitch) order, built on each access."""
+        return tuple(map(NoteEvent, *(getattr(self, name).tolist() for name in _COLUMNS)))
 
     def __len__(self) -> int:
-        return len(self._notes if self._notes is not None else self._columns[0])
+        return len(self.onsets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Performance):
             return NotImplemented
         return (self.performer_id, self.piece_id) == (other.performer_id, other.piece_id) and all(
-            map(np.array_equal, self._note_columns(), other._note_columns())
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMNS
         )
 
     def __hash__(self) -> int:

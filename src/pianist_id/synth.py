@@ -5,6 +5,10 @@ performer profile: onsets are tempo-scaled and jittered, dynamics shifted
 (optionally bimodally), durations scaled and articulation-biased. Because the
 renderer preserves note order and pitches, rendered performances align to the
 score as the identity mapping, which gives the whole pipeline a ground truth.
+
+Scores and renders are built as note columns. Random draws are made one at a
+time in note order, so a seed gives the same notes as the note-by-note form
+in ``tests/synth_reference.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .alignment import build_table
 from .evaluation import DeviationDataset, EvaluationReport, ExperimentConfig, run_cv
 from .features import UndefinedCorrelationError, compute_norm, pearson_r
-from .midi_io import NoteEvent, Performance
+from .midi_io import Performance
 
 SCORE_PITCH_RANGE = (36, 96)
 SCORE_IOI_RANGE = (0.1, 1.0)
@@ -74,22 +78,26 @@ def generate_score(n_notes: int, seed: int) -> Performance:
         raise ValueError(f"need at least 2 notes, got {n_notes}")
     rng = np.random.default_rng(seed)
     chord_sizes, chord_probs = zip(*CHORD_PROBABILITIES)
-    notes: list[NoteEvent] = []
+    onsets: list[float] = []
+    offsets: list[float] = []
+    pitches: list[int] = []
+    dynamics: list[int] = []
     onset = 0.0
     pitch_center = 66
-    while len(notes) < n_notes:
+    while len(pitches) < n_notes:
         ioi = float(rng.uniform(*SCORE_IOI_RANGE))
         duration = float(rng.uniform(*SCORE_DURATION_FRACTION)) * ioi
-        size = min(int(rng.choice(chord_sizes, p=chord_probs)), n_notes - len(notes))
-        pitch_center = int(
-            np.clip(pitch_center + rng.integers(-5, 6), SCORE_PITCH_RANGE[0] + 8, SCORE_PITCH_RANGE[1] - 8)
+        size = min(int(rng.choice(chord_sizes, p=chord_probs)), n_notes - len(pitches))
+        pitch_center += int(rng.integers(-5, 6))
+        pitch_center = min(max(pitch_center, SCORE_PITCH_RANGE[0] + 8), SCORE_PITCH_RANGE[1] - 8)
+        onsets += [onset] * size
+        offsets += [onset + duration] * size
+        pitches.extend(range(pitch_center, pitch_center + 4 * size, 4))
+        dynamics.extend(
+            int(rng.integers(SCORE_DYNAMIC_RANGE[0], SCORE_DYNAMIC_RANGE[1] + 1)) for _ in range(size)
         )
-        pitches = sorted({pitch_center + 4 * i for i in range(size)})
-        for pitch in pitches:
-            dynamic = int(rng.integers(SCORE_DYNAMIC_RANGE[0], SCORE_DYNAMIC_RANGE[1] + 1))
-            notes.append(NoteEvent(onset, onset + duration, pitch, dynamic))
         onset += ioi
-    return Performance("score", f"synth-{seed}", tuple(notes))
+    return Performance.from_columns("score", f"synth-{seed}", onsets, offsets, pitches, dynamics)
 
 
 def render_performer(
@@ -99,41 +107,40 @@ def render_performer(
 
     All notes of a chord share one jitter draw, so simultaneous notes stay
     simultaneous; jittered onsets are nudged forward where needed to keep the
-    original note order.
+    original note order. Random draws are made in note order (a chord's jitter
+    before its first note's velocity draws); the rest is array arithmetic.
     """
     rng = np.random.default_rng(profile.seed)
     jitter_mean, jitter_std = profile.onset_jitter
     shift = profile.velocity_shift
 
-    notes: list[NoteEvent] = []
-    previous_onset = -1.0
-    current_source_onset: float | None = None
-    current_onset = 0.0
-    for note in score.notes:
-        if note.onset != current_source_onset:
-            current_source_onset = note.onset
-            onset = note.onset * profile.tempo_scale + float(
-                rng.normal(jitter_mean, jitter_std)
-            )
-            floor = 0.0 if previous_onset < 0.0 else previous_onset + MIN_NOTE_GAP
-            if onset < floor:
-                onset = floor
-            current_onset = onset
-            previous_onset = onset
-        duration = max(
-            note.duration * profile.duration_scale - profile.articulation_bias,
-            MIN_DURATION,
-        )
-        if shift.second_mean is not None and rng.random() < shift.second_weight:
-            velocity_offset = rng.normal(shift.second_mean, shift.stddev)
-        else:
-            velocity_offset = rng.normal(shift.mean, shift.stddev)
-        dynamic = int(np.clip(round(note.dynamic + velocity_offset), 1, 127))
-        notes.append(NoteEvent(current_onset, current_onset + duration, note.pitch, dynamic))
-    return Performance(
+    starts_chord = np.ones(len(score), dtype=bool)  # a note whose onset differs from the last
+    starts_chord[1:] = score.onsets[1:] != score.onsets[:-1]
+    jitters: list[float] = []
+    velocity_offsets: list[float] = []
+    for starts in starts_chord.tolist():
+        if starts:
+            jitters.append(rng.normal(jitter_mean, jitter_std))
+        second_mode = shift.second_mean is not None and rng.random() < shift.second_weight
+        mean = shift.second_mean if second_mode else shift.mean
+        velocity_offsets.append(rng.normal(mean, shift.stddev))
+
+    # the onset floor depends on the previous chord's floored onset, so it is a loop
+    chord_onsets = (score.onsets[starts_chord] * profile.tempo_scale + jitters).tolist()
+    floor = 0.0
+    for k, onset in enumerate(chord_onsets):
+        chord_onsets[k] = onset = max(onset, floor)
+        floor = onset + MIN_NOTE_GAP
+    onsets = np.asarray(chord_onsets)[np.cumsum(starts_chord) - 1]
+    durations = (score.offsets - score.onsets) * profile.duration_scale - profile.articulation_bias
+    dynamics = np.clip(np.rint(score.dynamics + np.asarray(velocity_offsets)), 1, 127)
+    return Performance.from_columns(
         performer_id or f"{score.performer_id}-rendered",
         score.piece_id,
-        tuple(notes),
+        onsets,
+        onsets + np.maximum(durations, MIN_DURATION),
+        score.pitches,
+        dynamics.astype(np.int64),
     )
 
 

@@ -53,6 +53,7 @@ class TestExitCodes:
             (kde + ["--weights", "inf,1,1"], "weights must be finite and non-negative"),
             (kde + ["--bandwidths", "IOI=inf"], "bandwidth for IOI must be positive and finite"),
             (kde + ["--bandwidths", "DL=nan"], "bandwidth for DL must be positive and finite"),
+            (kde + ["--bandwidths", "XX=0.1"], "unknown feature kind in bandwidths: 'XX'"),
             (synth + ["--performers", "0"], "--performers must be at least 2"),
             (synth + ["--notes", "0"], "--notes must be at least 2"),
         ]

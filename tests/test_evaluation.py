@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pianist_id.densities import fit_kde, kde_pdf
+from pianist_id.densities import DEFAULT_BANDWIDTHS, fit_kde, kde_pdf
 from pianist_id.divergence import kl_kde, kl_on_grid
 from pianist_id.evaluation import (
     DeviationDataset,
@@ -126,6 +126,20 @@ class TestConfig:
     def test_default_weights_are_all_one(self):
         config = ExperimentConfig(feature_set=("OT", "DL"))
         assert config.effective_weights == (1.0, 1.0)
+
+    def test_partial_bandwidths_are_merged_over_the_defaults(self):
+        config = ExperimentConfig(
+            model_family="kde", feature_set=("IOI", "DL"), bandwidths=(("IOI", 0.02),)
+        )
+        assert config.bandwidths == tuple(sorted({**DEFAULT_BANDWIDTHS, "IOI": 0.02}.items()))
+        assert config.bandwidth_for("IOI") == 0.02
+        assert config.bandwidth_for("DL") == DEFAULT_BANDWIDTHS["DL"]
+        assert ExperimentConfig().bandwidths == tuple(sorted(DEFAULT_BANDWIDTHS.items()))
+        assert replace(config, seed=1).bandwidths == config.bandwidths
+
+    def test_rejects_bandwidth_for_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown feature kind in bandwidths: 'XX'"):
+            ExperimentConfig(model_family="kde", bandwidths=(("XX", 0.1),))
 
 
 class TestClassify:
@@ -343,6 +357,14 @@ class TestKdeTable:
             )
             with pytest.raises(ValueError, match="bandwidth for IOI must be positive and finite"):
                 run_cv(dataset, config)
+
+    def test_partial_bandwidths_run_with_defaults_for_the_rest(self):
+        dataset = self.dataset()
+        partial = ExperimentConfig(
+            model_family="kde", feature_set=("OT", "IOI"), n_groups=4, bandwidths=(("IOI", 0.01),)
+        )
+        full = ExperimentConfig(model_family="kde", feature_set=("OT", "IOI"), n_groups=4)
+        assert run_cv(dataset, partial).to_json() == run_cv(dataset, full).to_json()
 
 
 class TestSweep:

@@ -36,6 +36,15 @@ class TestNoteEvent:
         with pytest.raises(ValueError):
             NoteEvent(-0.1, 1.0, 60, 64)
 
+    def test_rejects_non_integral_or_bool_pitch_and_dynamic(self):
+        for pitch, dynamic in ((60.0, 64), (60, 64.5), (True, 64), (60, np.bool_(True))):
+            with pytest.raises(ValueError, match="pitches and dynamics must be integers"):
+                NoteEvent(0.0, 1.0, pitch, dynamic)
+        assert NoteEvent(0.0, 1.0, np.int64(60), np.uint8(64)).pitch == 60
+        # a column of floats is refused at construction, naming the first note
+        with pytest.raises(ValueError, match=r"got pitch=60\.0 dynamic=64"):
+            Performance.from_columns("p", "x", [0.0, 1.0], [0.5, 1.5], [60.0, 62.0], [64, 64])
+
     def test_performance_sorts_by_onset_then_pitch(self):
         notes = (
             NoteEvent(1.0, 1.5, 64, 70),
@@ -77,14 +86,15 @@ class TestPerformanceColumns:
         assert all(type(p) is int for p in perf.pitch_sequence())
         assert len(perf) == 4
 
-    def test_notes_view_keeps_given_notes_and_is_built_once_from_columns(self):
+    def test_notes_view_is_rebuilt_from_columns_on_each_access(self):
         perf = Performance("p", "x", self.NOTES)
-        assert perf.notes[3] is self.NOTES[0]
+        assert perf.notes == tuple(self.NOTES[i] for i in (1, 2, 3, 0))
         columns = Performance.from_columns(
             "p", "x", *zip(*((n.onset, n.offset, n.pitch, n.dynamic) for n in self.NOTES))
         )
         assert columns == perf and columns.notes == perf.notes
-        assert columns.notes is columns.notes
+        assert columns.notes == columns.notes and columns.notes is not columns.notes
+        assert all(type(n.pitch) is int and type(n.dynamic) is int for n in columns.notes)
         assert columns != Performance("q", "x", self.NOTES)
         assert columns != Performance("p", "x", self.NOTES[:3])
 

@@ -1,10 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from synth_reference import reference_generate_score, reference_render_performer
 from pianist_id.alignment import align_pair, build_table
+from pianist_id.cli import main
 from pianist_id.evaluation import ExperimentConfig
 from pianist_id.features import compute_norm, deviations, performer_stream
+from pianist_id.midi_io import Performance, write_smf
 from pianist_id.synth import (
+    MIN_DURATION,
+    MIN_NOTE_GAP,
     PerformerProfile,
     VelocityShift,
     benchmark,
@@ -14,6 +21,37 @@ from pianist_id.synth import (
 )
 
 IDENTITY = PerformerProfile()
+
+COLUMNS = ("onsets", "offsets", "pitches", "dynamics")
+
+
+def edge_profiles(seed):
+    """Profiles that reach every branch of the renderer."""
+    return [
+        # bimodal velocity; dynamics clamped at both 1 and 127
+        PerformerProfile(
+            velocity_shift=VelocityShift(-40.0, 45.0, second_mean=50.0, second_weight=0.4),
+            seed=seed,
+        ),
+        # durations cut to MIN_DURATION; jitter wide enough that the onset floor binds
+        PerformerProfile(
+            tempo_scale=0.5,
+            onset_jitter=(-0.05, 0.4),
+            articulation_bias=0.3,
+            duration_scale=0.5,
+            seed=seed + 1,
+        ),
+        # zero spread
+        PerformerProfile(tempo_scale=1.3, duration_scale=1.3, seed=seed + 2),
+    ]
+
+
+def assert_same_notes(got, expected):
+    assert (got.performer_id, got.piece_id) == (expected.performer_id, expected.piece_id)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert write_smf(got) == write_smf(expected)
 
 
 class TestGenerateScore:
@@ -107,6 +145,58 @@ class TestRenderPerformer:
             PerformerProfile(onset_jitter=(0.0, -0.1))
         with pytest.raises(ValueError):
             VelocityShift(stddev=-1.0)
+
+
+class TestAgainstNoteByNoteReference:
+    def test_scores_and_renders_equal_the_reference_bit_for_bit(self):
+        floor_bound = clamped_low = clamped_high = at_min_duration = bimodal = 0
+        for seed in range(20):
+            n_notes = 150 + 7 * seed
+            score = generate_score(n_notes, seed)
+            assert_same_notes(score, reference_generate_score(n_notes, seed))
+            profiles = default_profiles(3, base_seed=seed) + edge_profiles(seed)
+            for i, profile in enumerate(profiles):
+                rendered = render_performer(score, profile, f"p{i}")
+                assert_same_notes(rendered, reference_render_performer(score, profile, f"p{i}"))
+                chord_onsets = np.unique(rendered.onsets)
+                floor_bound += int(np.sum(chord_onsets[1:] == chord_onsets[:-1] + MIN_NOTE_GAP))
+                clamped_low += int(np.sum(rendered.dynamics == 1))
+                clamped_high += int(np.sum(rendered.dynamics == 127))
+                durations = rendered.offsets - rendered.onsets
+                at_min_duration += int(np.sum(np.isclose(durations, MIN_DURATION)))
+                bimodal += profile.velocity_shift.second_mean is not None
+        assert min(floor_bound, clamped_low, clamped_high, at_min_duration, bimodal) > 0
+
+    def test_unnamed_render_and_empty_score(self):
+        score = generate_score(40, seed=3)
+        assert_same_notes(
+            render_performer(score, edge_profiles(3)[0]),
+            reference_render_performer(score, edge_profiles(3)[0]),
+        )
+        empty = Performance.from_columns("score", "empty", [], [], [], [])
+        assert len(render_performer(empty, default_profiles(3)[2])) == 0
+
+
+def tree_sha256(root):
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (7, "9151f4faa614b68a40304f65e905279d16fbda049ba1f1d1cb0d6c203a01e48d"),
+        (401, "f119389457e2f64546c7b96c60d3d484cd0fe96358f090c6ccb2b82c277195e2"),
+    ],
+)
+def test_synth_command_output_is_pinned(tmp_path, seed, expected):
+    # every file `pianist-id synth` writes (SMF, note tables, profiles) at 3 x 200 notes
+    args = ["synth", "--performers", "3", "--notes", "200", "--seed", str(seed)]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert tree_sha256(tmp_path) == expected
 
 
 class TestDeviationGroundTruth:
