@@ -20,6 +20,7 @@ DEFAULT_BANDWIDTHS = {"OT": 1.2, "IOI": 0.01, "OTD": 0.02, "DL": 1.5, "ND": 0.01
 DEFAULT_N_BINS = 50
 HISTOGRAM_SMOOTHING_EPS = 1e-9
 DEFAULT_GMM_K = 3
+GMM_K_CAP = 3
 GMM_TOL = 1e-8
 GMM_MAX_ITER = 500
 
@@ -224,7 +225,7 @@ def fit_gmm(
     seed: int = 0,
     tol: float = GMM_TOL,
     max_iter: int = GMM_MAX_ITER,
-    k_cap: int = 3,
+    k_cap: int = GMM_K_CAP,
 ) -> GMM:
     """EM fit of a k-component 1-D Gaussian mixture, deterministic under seed."""
     model, _ = fit_gmm_trace(series, k, seed=seed, tol=tol, max_iter=max_iter, k_cap=k_cap)
@@ -238,7 +239,7 @@ def fit_gmm_trace(
     seed: int = 0,
     tol: float = GMM_TOL,
     max_iter: int = GMM_MAX_ITER,
-    k_cap: int = 3,
+    k_cap: int = GMM_K_CAP,
 ) -> tuple[GMM, np.ndarray]:
     """Like fit_gmm but also returns the per-iteration log-likelihood trace.
 

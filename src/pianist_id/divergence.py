@@ -7,9 +7,10 @@ bandwidth; GMMs use the variational approximation built from closed-form
 Gaussian component divergences. Divergence across model families is rejected.
 
 A pairwise KDE KL (``kl_kde``) builds its grid from the two models' samples.
-Cross-validation instead puts every KDE of one feature kind on one shared grid
-(``kde_grid`` over all of that kind's grouped values), evaluates each group's
-kernel sum there once and integrates with the same ``kl_on_grid``.
+Cross-validation's one KL table (``evaluation._kl_table``) compares histograms
+and GMMs with ``kl``; for KDEs it puts every KDE of one feature kind on one
+shared grid (``kde_grid`` over all of that kind's grouped values), evaluates
+each group's kernel sum there once and integrates with the same ``kl_on_grid``.
 """
 
 from __future__ import annotations

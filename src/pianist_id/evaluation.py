@@ -86,11 +86,10 @@ class ExperimentConfig:
     # (kind, KDE bandwidth) pairs; kinds left out take ``DEFAULT_BANDWIDTHS``
     bandwidths: tuple[tuple[str, float], ...] = ()
     gmm_k: int = densities.DEFAULT_GMM_K
-    gmm_tol: float = densities.GMM_TOL
-    gmm_max_iter: int = densities.GMM_MAX_ITER
     seed: int = 0
 
     def __post_init__(self):
+        """Reject every bad setting here, before any input is read."""
         if self.model_family not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {self.model_family!r}")
         if not self.feature_set:
@@ -99,20 +98,31 @@ class ExperimentConfig:
             raise ValueError("feature_set must not repeat kinds")
         for kind in self.feature_set:
             if kind not in KINDS:
-                raise ValueError(f"unknown feature kind {kind!r}")
+                raise ValueError(f"unknown feature kind {kind!r}; choose from {','.join(KINDS)}")
+        object.__setattr__(self, "feature_set", tuple(self.feature_set))
+        if self.weights is not None:
+            if len(self.weights) != len(self.feature_set):
+                raise ValueError(
+                    f"got {len(self.weights)} weights for {len(self.feature_set)} features"
+                )
+            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+                raise ValueError("fusion weights must be finite and non-negative")
+        if self.n_groups < 2:
+            raise ValueError(f"need at least 2 groups, got {self.n_groups}")
+        if self.n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {self.n_bins}")
+        if self.gmm_k < 1:
+            raise ValueError(f"gmm_k must be >= 1, got {self.gmm_k}")
+        if self.gmm_k > densities.GMM_K_CAP:
+            raise ValueError(f"gmm_k={self.gmm_k} exceeds the component cap {densities.GMM_K_CAP}")
         bandwidths = dict(self.bandwidths)
         for kind in bandwidths:
             if kind not in KINDS:
                 raise ValueError(f"unknown feature kind in bandwidths: {kind!r}")
         bandwidths = {**densities.DEFAULT_BANDWIDTHS, **bandwidths}
-        object.__setattr__(self, "bandwidths", tuple(sorted(bandwidths.items())))
-        if self.weights is not None and len(self.weights) != len(self.feature_set):
-            raise ValueError("weights must match feature_set length")
-        object.__setattr__(self, "feature_set", tuple(self.feature_set))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-                raise ValueError("fusion weights must be finite and non-negative")
+        checked = {kind: densities.check_bandwidth(h, kind) for kind, h in bandwidths.items()}
+        object.__setattr__(self, "bandwidths", tuple(sorted(checked.items())))
 
     @property
     def effective_weights(self) -> tuple[float, ...]:
@@ -130,8 +140,8 @@ class ExperimentConfig:
             "n_bins": self.n_bins,
             "bandwidths": {k: v for k, v in self.bandwidths},
             "gmm_k": self.gmm_k,
-            "gmm_tol": self.gmm_tol,
-            "gmm_max_iter": self.gmm_max_iter,
+            "gmm_tol": densities.GMM_TOL,
+            "gmm_max_iter": densities.GMM_MAX_ITER,
             "seed": self.seed,
         }
 
@@ -147,13 +157,7 @@ def fit_model(values, kind: str, config: ExperimentConfig):
         return densities.fit_histogram(values, config.n_bins)
     if config.model_family == "kde":
         return densities.fit_kde(values, config.bandwidth_for(kind))
-    return densities.fit_gmm(
-        values,
-        config.gmm_k,
-        seed=_model_seed(config.seed, kind),
-        tol=config.gmm_tol,
-        max_iter=config.gmm_max_iter,
-    )
+    return densities.fit_gmm(values, config.gmm_k, seed=_model_seed(config.seed, kind))
 
 
 def classify(
@@ -166,26 +170,19 @@ def classify(
     Test models are fitted with the same family and hyperparameters as the
     training models; ties break to the lexicographically smallest id.
     """
-    test_values = {
-        kind: np.asarray(getattr(test_series[kind], "values", test_series[kind]))
-        for kind in config.feature_set
-    }
-    outcome = _decide(_trial_kls(test_values, train_models, config.feature_set, config), config)
+    kls = {}
+    for kind in config.feature_set:
+        values = np.asarray(getattr(test_series[kind], "values", test_series[kind]))
+        if len(values):  # a kind with no test values is left out, so _decide skips
+            test = fit_model(values, kind, config)
+            kls[kind] = {
+                pid: divergence.kl(test, train_models[pid][kind]).value
+                for pid in sorted(train_models)
+            }
+    outcome = _decide(kls, config)
     if "reason" in outcome:
         raise EmptyTestSeriesError(outcome["reason"])
     return outcome["predicted"]
-
-
-def _trial_kls(test_values, train_models, kinds, config):
-    """Per kind with test values, KL from its test model to each candidate's training model."""
-    test_models = {
-        kind: fit_model(test_values[kind], kind, config) for kind in kinds if len(test_values[kind])
-    }
-    kls: dict[str, dict[str, float]] = {kind: {} for kind in test_models}
-    for pid in sorted(train_models):
-        for kind, model in test_models.items():
-            kls[kind][pid] = divergence.kl(model, train_models[pid][kind]).value
-    return kls
 
 
 def _decide(kls, config) -> dict:
@@ -347,42 +344,89 @@ def run_cv(
 
 
 def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
-    """``_trial_kls`` over ``config.feature_set`` for every (performer, group) trial.
+    """``{(pid, g): {kind: {candidate: KL}}}`` for every (performer, group) trial.
 
-    Each model is fitted once (for KDEs, each group's kernel sum is computed
-    once), so one table serves every feature subset and weighting of these
-    kinds. ``jobs`` threads share the trials (for KDEs, the performers' kernel
-    sums, then the groups).
+    Per kind, trial (pid, g) tests pid's group-g values against each
+    candidate's pool of their other groups; a kind with no test values is left
+    out of the trial. The model family supplies the pieces (``_family``): a
+    group's part, how parts pool, how a part becomes a model and the KL between
+    two models. Each part, model and KL is made once, so one table serves every
+    feature subset and weighting of these kinds. ``jobs`` threads compute the
+    performers' parts where a family has any (the KDE kernel sums); pools, fits
+    and KLs run one group at a time in the calling thread.
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
+    performer_ids = dataset.performer_ids
     fold = logo_split(dataset.n_positions, config.n_groups)
-    # chunks[kind][pid][g]: group g's values are trial (pid, g)'s test set; the
-    # other groups pool into pid's candidate model for every trial on group g
-    chunks = {
-        kind: {
-            pid: _group_chunks(dataset.by_performer[pid][kind], fold)
-            for pid in dataset.performer_ids
+    groups = range(fold.n_groups)
+    table = {(pid, g): {} for pid in performer_ids for g in groups}
+    for kind in config.feature_set:
+        # chunks[pid][g]: the values of trial (pid, g)'s test set
+        chunks = {
+            pid: _group_chunks(dataset.by_performer[pid][kind], fold) for pid in performer_ids
         }
-        for kind in config.feature_set
-    }
-    if config.model_family == "kde":
-        return _kde_kl_table(chunks, dataset.performer_ids, fold.n_groups, config, jobs)
+        part, pool, model, kl = _family(kind, chunks, config)
+        if part is None:
+            parts = chunks
+        else:
+            by_pid = _map(lambda pid: [part(c) for c in chunks[pid]], performer_ids, jobs)
+            parts = dict(zip(performer_ids, by_pid))
+        for g in groups:
+            train = {
+                pid: model(pool([parts[pid][k] for k in groups if k != g]))
+                for pid in performer_ids
+            }
+            for pid in performer_ids:
+                if len(chunks[pid][g]):
+                    test = model(parts[pid][g])
+                    table[(pid, g)][kind] = {c: kl(test, train[c]) for c in performer_ids}
+    return table
 
-    test_values = {(pid, g): {} for pid in dataset.performer_ids for g in range(fold.n_groups)}
-    train_models: dict[int, dict[str, dict[str, object]]] = {g: {} for g in range(fold.n_groups)}
-    for pid in dataset.performer_ids:
-        for kind in config.feature_set:
-            pid_chunks = chunks[kind][pid]
-            for g, chunk in enumerate(pid_chunks):
-                test_values[(pid, g)][kind] = chunk
-                pool = np.concatenate(pid_chunks[:g] + pid_chunks[g + 1 :])
-                train_models[g].setdefault(pid, {})[kind] = fit_model(pool, kind, config)
 
-    def score_trial(key):
-        return _trial_kls(test_values[key], train_models[key[1]], config.feature_set, config)
+def _family(kind: str, chunks, config: ExperimentConfig):
+    """``(part, pool, model, kl)`` for ``_kl_table``: the family's pieces for one kind.
 
-    return dict(zip(test_values, _map(score_trial, test_values, jobs)))
+    Histograms and GMMs take a group's values as its part (``part`` is None),
+    pool by concatenation, fit with ``fit_model`` and compare with
+    ``divergence.kl``. KDEs work on one shared grid per kind, spanning all of
+    its grouped values widened by 5 bandwidths, so it depends on neither the
+    feature subset nor the weights. A group's part is its exact kernel sum on
+    that grid with its size; a pool is the sum of the other groups' vectors,
+    never the total minus the group, which would cancel in the tails that
+    decide the KL.
+    """
+    if config.model_family != "kde":
+        return (
+            None,
+            np.concatenate,
+            lambda values: fit_model(values, kind, config),
+            lambda p, q: divergence.kl(p, q).value,
+        )
+    for pid_chunks in chunks.values():
+        sizes = [len(c) for c in pid_chunks]
+        if any(n == sum(sizes) for n in sizes):  # an empty training pool
+            raise ValueError(densities.EMPTY_KDE_MESSAGE)
+    h = config.bandwidth_for(kind)
+    values = [c for pid_chunks in chunks.values() for c in pid_chunks if len(c)]
+    grid = divergence.kde_grid(
+        min(float(c.min()) for c in values),
+        max(float(c.max()) for c in values),
+        pad=5.0 * h,
+        max_step=h / 4.0,
+    )
+    n_values = sum(len(c) for c in values)
+    log.debug(
+        "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
+        kind, float(grid[0]), float(grid[-1]), len(grid),
+        (grid[1] - grid[0]) / h, n_values * len(grid),
+    )
+    return (
+        lambda values: (densities.kernel_sum(values, h, grid), len(values)),
+        lambda parts: (np.sum([s for s, _ in parts], axis=0), sum(n for _, n in parts)),
+        lambda part: densities.kernel_density(*part, h),
+        lambda p, q: divergence.kl_on_grid(p, q, grid).value,
+    )
 
 
 def _map(fn, items, jobs: int) -> list:
@@ -397,64 +441,6 @@ def _group_chunks(series: DeviationSeries, fold: FoldSpec) -> list[np.ndarray]:
     """The series' values per group; a value whose pair straddles groups is in none."""
     groups = _value_groups(series, fold)
     return [series.values[groups == g] for g in range(fold.n_groups)]
-
-
-def _kde_kl_table(chunks, performer_ids, n_groups: int, config: ExperimentConfig, jobs: int):
-    """The KDE ``_kl_table``, from exact kernel sums on one shared grid per kind.
-
-    A kind's grid spans all of its grouped values, widened by 5 bandwidths, so
-    it depends on neither the feature subset nor the weights. Each group's
-    kernel sum on it is computed once. A test density is its group's sum; a
-    training pool's density is the sum of the other groups' vectors, never the
-    total minus the group, which would cancel in the tails that decide the KL.
-    """
-    table = {(pid, g): {} for pid in performer_ids for g in range(n_groups)}
-    for kind in config.feature_set:
-        h = densities.check_bandwidth(config.bandwidth_for(kind), kind)
-        by_pid = chunks[kind]
-        for pid_chunks in by_pid.values():
-            sizes = [len(c) for c in pid_chunks]
-            if any(n == sum(sizes) for n in sizes):  # an empty training pool
-                raise ValueError(densities.EMPTY_KDE_MESSAGE)
-        values = [c for pid_chunks in by_pid.values() for c in pid_chunks if len(c)]
-        grid = divergence.kde_grid(
-            min(float(c.min()) for c in values),
-            max(float(c.max()) for c in values),
-            pad=5.0 * h,
-            max_step=h / 4.0,
-        )
-        n_values = sum(len(c) for c in values)
-        log.debug(
-            "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
-            kind, float(grid[0]), float(grid[-1]), len(grid),
-            (grid[1] - grid[0]) / h, n_values * len(grid),
-        )
-        group_sums = _map(
-            lambda pid: [densities.kernel_sum(c, h, grid) for c in by_pid[pid]], performer_ids, jobs
-        )
-        sums = dict(zip(performer_ids, group_sums))
-
-        def score_group(g):
-            others = [k for k in range(n_groups) if k != g]
-            train = {}
-            for pid in performer_ids:
-                pool_sum = np.sum([sums[pid][k] for k in others], axis=0)
-                pool_size = sum(len(by_pid[pid][k]) for k in others)
-                train[pid] = densities.kernel_density(pool_sum, pool_size, h)
-            kls = {}
-            for pid in performer_ids:
-                n_test = len(by_pid[pid][g])
-                if n_test:  # a kind with no test values is left out of the trial
-                    test = densities.kernel_density(sums[pid][g], n_test, h)
-                    kls[pid] = {
-                        c: divergence.kl_on_grid(test, train[c], grid).value for c in performer_ids
-                    }
-            return kls
-
-        for g, kls in enumerate(_map(score_group, range(n_groups), jobs)):
-            for pid, row in kls.items():
-                table[(pid, g)][kind] = row
-    return table
 
 
 def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> EvaluationReport:

@@ -89,7 +89,9 @@ class NoteEvent:
 def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ...]:
     """The four note columns as arrays, every note checked as ``NoteEvent`` checks one.
 
-    The first bad note, in the given order, raises ``NoteEvent``'s error.
+    The first bad note, in the given order, raises ``NoteEvent``'s error; a
+    column that passes that check holds in-range integers whatever its dtype
+    (an object column of ints, say), so it is cast.
     """
     columns = (
         np.asarray(onsets, dtype=np.float64),
@@ -108,7 +110,6 @@ def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ..
     ):
         for note in zip(onsets.tolist(), offsets.tolist(), pitches.tolist(), dynamics.tolist()):
             NoteEvent(*note)
-        raise ValueError("pitches and dynamics must be integers")
     return onsets, offsets, pitches.astype(np.int64), dynamics.astype(np.int64)
 
 

@@ -48,6 +48,7 @@ class TestExitCodes:
             (evaluate + ["--groups", "0"], "at least 2 groups"),
             (evaluate + ["--groups", "2", "--bins", "0"], "n_bins must be >= 1"),
             (evaluate + ["--groups", "2", "--model", "gmm", "--gmm-k", "0"], "k must be >= 1"),
+            (evaluate + ["--groups", "2", "--model", "gmm", "--gmm-k", "5"], "exceeds the component cap 3"),
             # non-finite values are rejected before any fit
             (kde + ["--weights", "nan,1,1"], "weights must be finite and non-negative"),
             (kde + ["--weights", "inf,1,1"], "weights must be finite and non-negative"),
@@ -60,6 +61,9 @@ class TestExitCodes:
         for argv, message in cases:
             assert main(argv) == 2, argv
             assert message in capsys.readouterr().err
+            # settings are checked before any file is aligned or any output written
+            assert not (tmp_path / "o" / "alignment_report.json").exists(), argv
+            assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists(), argv
 
 
     def test_malformed_performance_files_exit_2_naming_the_file(self, trio_dir, tmp_path, capsys):

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pianist_id.densities import DEFAULT_BANDWIDTHS, fit_kde, kde_pdf
-from pianist_id.divergence import kl_kde, kl_on_grid
+from pianist_id.densities import DEFAULT_BANDWIDTHS, GMM_MAX_ITER, GMM_TOL, fit_kde, kde_pdf
+from pianist_id.divergence import kl, kl_kde, kl_on_grid
 from pianist_id.evaluation import (
     DeviationDataset,
     EmptyTestSeriesError,
@@ -141,6 +141,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown feature kind in bandwidths: 'XX'"):
             ExperimentConfig(model_family="kde", bandwidths=(("XX", 0.1),))
 
+    def test_rejects_bad_groups_bins_and_gmm_k_at_construction(self):
+        cases = [
+            ({"n_groups": 1}, "need at least 2 groups, got 1"),
+            ({"n_bins": 0}, "n_bins must be >= 1, got 0"),
+            ({"gmm_k": 0}, "gmm_k must be >= 1, got 0"),
+            ({"gmm_k": 4}, "gmm_k=4 exceeds the component cap 3"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**kwargs)
+        config = ExperimentConfig(n_groups=2, n_bins=1, gmm_k=3)
+        assert (config.n_groups, config.n_bins, config.gmm_k) == (2, 1, 3)
+
+    def test_json_keeps_the_gmm_fit_settings(self):
+        d = ExperimentConfig(model_family="gmm").to_json_dict()
+        assert (d["gmm_tol"], d["gmm_max_iter"]) == (GMM_TOL, GMM_MAX_ITER)
+
 
 class TestClassify:
     def test_training_data_predicts_its_own_performer(self):
@@ -203,12 +220,15 @@ class TestRunCv:
         assert list(report.confusion.sum(axis=1)) == [4, 4]
 
     def test_reports_are_byte_identical_across_runs_and_jobs(self):
-        config = ExperimentConfig(model_family="histogram", feature_set=("OT",), n_groups=4, n_bins=8)
         dataset = self.disjoint_dataset()
-        first = run_cv(dataset, config, jobs=1).to_json()
-        second = run_cv(dataset, config, jobs=1).to_json()
-        threaded = run_cv(dataset, config, jobs=3).to_json()
-        assert first == second == threaded
+        for family in ("histogram", "gmm"):
+            config = ExperimentConfig(
+                model_family=family, feature_set=("OT",), n_groups=4, n_bins=8, gmm_k=1
+            )
+            first = run_cv(dataset, config, jobs=1).to_json()
+            second = run_cv(dataset, config, jobs=1).to_json()
+            threaded = run_cv(dataset, config, jobs=3).to_json()
+            assert first == second == threaded
 
     def test_weight_scaling_leaves_confusion_unchanged(self):
         rng = np.random.default_rng(12)
@@ -257,6 +277,46 @@ class TestRunCv:
             )
             report = run_cv(dataset, config)
             assert report.scores.macro_precision == 1.0
+
+    @pytest.mark.parametrize("family", ["histogram", "gmm"])
+    def test_values_equal_independent_fits_and_kls(self, family):
+        rng = np.random.default_rng(17)
+        n = 40
+        positions = np.arange(n)
+        by_performer = {}
+        for pid, mu in (("a", 0.0), ("b", 0.5), ("c", 1.0)):
+            # c has no DL values in group 3 (positions 30-39): that trial's DL kind is left out
+            dl_positions = positions[:30] if pid == "c" else positions
+            by_performer[pid] = {
+                "OT": point_series(pid, rng.normal(mu, 1.0, n), "OT"),
+                "DL": point_series(pid, rng.normal(-mu, 2.0, len(dl_positions)), "DL", dl_positions),
+            }
+        dataset = DeviationDataset(n_positions=n, by_performer=by_performer)
+        config = ExperimentConfig(
+            model_family=family, feature_set=("OT", "DL"), n_groups=4, n_bins=8, gmm_k=2, seed=3
+        )
+        report = run_cv(dataset, config)
+        chunks = {}
+        for pid in dataset.performer_ids:
+            for kind in config.feature_set:
+                series = dataset.by_performer[pid][kind]
+                for g in range(4):
+                    chunks[(pid, g, kind)] = series.values[series.positions // 10 == g]
+        assert list(report.skipped) == [{"performer": "c", "group": 3, "reason": "empty DL test series"}]
+        assert len(report.trials) == 3 * 4 - 1
+        for trial in report.trials:
+            pid, g = trial["performer"], trial["group"]
+            assert sorted(trial["feature_kl"]) == list(dataset.performer_ids)
+            for candidate, row in trial["feature_kl"].items():
+                assert sorted(row) == sorted(config.feature_set)
+                for kind, value in row.items():
+                    test = fit_model(chunks[(pid, g, kind)], kind, config)
+                    pool = fit_model(
+                        np.concatenate([chunks[(candidate, k, kind)] for k in range(4) if k != g]),
+                        kind,
+                        config,
+                    )
+                    assert value == kl(test, pool).value
 
     def test_needs_two_performers(self):
         dataset = make_dataset({"a": np.arange(16.0)})
@@ -347,16 +407,14 @@ class TestKdeTable:
             run_cv(dataset, config)
 
     def test_non_finite_bandwidth_is_rejected_by_kind(self):
-        dataset = self.dataset()
         for bad in (math.inf, math.nan, 0.0):
-            config = ExperimentConfig(
-                model_family="kde",
-                feature_set=("OT", "IOI"),
-                n_groups=4,
-                bandwidths=(("IOI", bad), ("OT", 1.2)),
-            )
             with pytest.raises(ValueError, match="bandwidth for IOI must be positive and finite"):
-                run_cv(dataset, config)
+                ExperimentConfig(
+                    model_family="kde",
+                    feature_set=("OT", "IOI"),
+                    n_groups=4,
+                    bandwidths=(("IOI", bad), ("OT", 1.2)),
+                )
 
     def test_partial_bandwidths_run_with_defaults_for_the_rest(self):
         dataset = self.dataset()

@@ -106,6 +106,18 @@ class TestPerformanceColumns:
         with pytest.raises(ValueError, match="equal length"):
             Performance.from_columns("p", "x", [0.0], [1.0, 2.0], [60], [64])
 
+    def test_object_columns_of_ints_are_cast_and_others_still_name_the_note(self):
+        as_ints = Performance.from_columns("p", "x", [0.0, 1.0], [1.0, 2.0], [60, 62], [64, 65])
+        as_objects = Performance.from_columns(
+            "p", "x", [0.0, 1.0], [1.0, 2.0],
+            np.array([60, 62], dtype=object), np.array([64, 65], dtype=object),
+        )
+        assert as_objects == as_ints
+        assert as_objects.pitches.dtype == as_objects.dynamics.dtype == np.int64
+        for bad in ([60.0, 62.0], [True, True], np.array([60, 62.0], dtype=object)):
+            with pytest.raises(ValueError, match="must be integers, got pitch="):
+                Performance.from_columns("p", "x", [0.0, 1.0], [1.0, 2.0], bad, [64, 65])
+
 
 class TestParse:
     def test_tick_to_seconds_example(self):
