@@ -25,6 +25,9 @@ from .midi_io import Performance
 
 log = logging.getLogger(__name__)
 
+#: Table positions matched by fewer performers than this are dropped.
+MIN_COVERAGE = 2
+
 
 @dataclass(frozen=True)
 class AlignmentCosts:
@@ -295,20 +298,17 @@ def build_table(
     *,
     reference: Performance | None = None,
     costs: AlignmentCosts = AlignmentCosts(),
-    min_coverage: int = 2,
 ) -> tuple[AlignedNoteTable, TableReport]:
     """Align every performance to the reference and assemble the note table.
 
     With ``reference=None`` the median-note-count performance is used (and is
     a table column like any other; it aligns to itself as the identity). An
     explicit reference, e.g. a score rendering, only serves as alignment
-    target. Positions matched by fewer than ``min_coverage`` performers are
+    target. Positions matched by fewer than ``MIN_COVERAGE`` performers are
     dropped and reported.
     """
     if len(performances) < 2:
         raise ValueError("need at least 2 performances to build a table")
-    if min_coverage < 2:
-        raise ValueError("min_coverage must be at least 2")
     if reference is None:
         reference = median_reference(performances)
 
@@ -339,10 +339,10 @@ def build_table(
         pitches[rows, col] = perf.pitches[picks]
 
     coverage = (~np.isnan(onsets)).sum(axis=1)
-    keep = coverage >= min_coverage
+    keep = coverage >= MIN_COVERAGE
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
     if dropped:
-        log.info("dropping %d positions below coverage %d", len(dropped), min_coverage)
+        log.info("dropping %d positions below coverage %d", len(dropped), MIN_COVERAGE)
 
     table = AlignedNoteTable(
         performer_ids=performer_ids,

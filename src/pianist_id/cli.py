@@ -1,9 +1,11 @@
 """Command-line front end: align, features, evaluate, synth.
 
-Every option can also come from a JSON config file (--config); explicit
-command-line flags win over config-file values. Commands are deterministic
-under a fixed config and seed, independent of --jobs. Exit codes: 0 success,
-2 usage or input error, 1 internal error.
+Every option can also come from a JSON config file (--config). Each key that
+names an option of the command becomes that option's flag, and one argparse
+parser converts and checks flags and config values alike; explicit flags come
+later and win. Commands are deterministic under a fixed config and seed,
+independent of --jobs. Exit codes: 0 success, 2 usage or input error, 1
+internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import densities, evaluation, synth
-from .alignment import build_table
+from .alignment import AlignedNoteTable, build_table
 from .evaluation import DeviationDataset, ExperimentConfig, run_cv
 from .features import KINDS, compute_norm, dump_features_csv, extract_deviations
 from .midi_io import (
@@ -38,6 +40,8 @@ PROG = "pianist-id"
 #: Aligned-table cells written per block.
 CSV_BLOCK = 256
 
+PERFORMANCE_SUFFIXES = (".mid", ".midi", ".csv")
+
 
 class InputError(ValueError):
     """Bad user input (missing path, unknown feature name, ...); exit code 2."""
@@ -48,17 +52,16 @@ def entry() -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[:1] + _config_flags(argv, commands) + argv[1:])
+        if not hasattr(args, "func"):
+            parser.print_help()
+            return 2
+        return args.func(args)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 2
-    try:
-        options = _merge_options(args)
-        return args.func(options)
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
@@ -67,217 +70,213 @@ def main(argv=None) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _weights(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in _comma_list(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _bandwidths(text: str) -> tuple[tuple[str, float], ...]:
+    """``KIND=VALUE`` overrides; ``ExperimentConfig`` fills in the other kinds."""
+    parsed = []
+    for part in _comma_list(text):
+        kind, _, value = part.partition("=")
+        try:
+            parsed.append((kind.strip(), float(value)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected KIND=VALUE, got {part!r}") from None
+    return tuple(parsed)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Identify pianists from MIDI performances of a shared piece.",
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def command(name, func, help, inputs=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument(
-            "--jobs", type=int,
-            help="threads for the KDE kernel sums (default: cores); results do not depend on it",
-        )
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        if inputs:
+            p.add_argument(
+                "--input", required=True, help="directory of .mid/.midi/.csv performances"
+            )
+            p.add_argument(
+                "--reference", default="median", help="'median' (default) or a reference file"
+            )
+        return p
 
-    p_align = sub.add_parser("align", help="align performances and dump the note table")
-    add_common(p_align)
-    p_align.add_argument("--input", help="directory of .mid/.midi/.csv performances")
-    p_align.add_argument("--reference", help="'median' (default) or a reference file")
-    p_align.set_defaults(func=cmd_align)
+    command("align", cmd_align, "align performances and dump the note table")
+    command("features", cmd_features, "dump per-note deviation features")
 
-    p_feat = sub.add_parser("features", help="dump per-note deviation features")
-    add_common(p_feat)
-    p_feat.add_argument("--input", help="directory of .mid/.midi/.csv performances")
-    p_feat.add_argument("--reference", help="'median' (default) or a reference file")
-    p_feat.set_defaults(func=cmd_features)
-
-    p_eval = sub.add_parser("evaluate", help="run LOGO cross-validation and report")
-    add_common(p_eval)
-    p_eval.add_argument("--input", help="directory of .mid/.midi/.csv performances")
-    p_eval.add_argument("--reference", help="'median' (default) or a reference file")
-    p_eval.add_argument("--model", help="histogram | kde | gmm (default histogram)")
-    p_eval.add_argument("--features", help="comma list from OT,IOI,OTD,DL,ND")
-    p_eval.add_argument("--weights", help="comma list of fusion weights (default all 1)")
-    p_eval.add_argument("--bins", type=int, help="histogram bin count (default 50)")
+    p_eval = command("evaluate", cmd_evaluate, "run LOGO cross-validation and report")
     p_eval.add_argument(
-        "--bandwidths", help="per-kind KDE bandwidth overrides, e.g. OT=1.2,IOI=0.01"
+        "--model", default="histogram", help="histogram | kde | gmm (default histogram)"
     )
-    p_eval.add_argument("--gmm-k", type=int, dest="gmm_k", help="GMM components (default 3)")
-    p_eval.add_argument("--groups", type=int, help="cross-validation groups (default 8)")
     p_eval.add_argument(
-        "--sweep", action="store_true", default=None,
+        "--features", type=_comma_list, default=KINDS, help="comma list from OT,IOI,OTD,DL,ND"
+    )
+    p_eval.add_argument(
+        "--weights", type=_weights, help="comma list of fusion weights (default all 1)"
+    )
+    p_eval.add_argument(
+        "--bins", type=int, default=densities.DEFAULT_N_BINS,
+        help="histogram bin count (default 50)",
+    )
+    p_eval.add_argument(
+        "--bandwidths", type=_bandwidths, default=(),
+        help="per-kind KDE bandwidth overrides, e.g. OT=1.2,IOI=0.01",
+    )
+    p_eval.add_argument(
+        "--gmm-k", type=int, dest="gmm_k", default=densities.DEFAULT_GMM_K,
+        help="GMM components (default 3)",
+    )
+    p_eval.add_argument(
+        "--groups", type=int, default=evaluation.DEFAULT_N_GROUPS,
+        help="cross-validation groups (default 8)",
+    )
+    p_eval.add_argument(
+        "--sweep", action="store_true",
         help="also evaluate every feature subset of size >= 2 for the chosen model",
     )
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
-    add_common(p_synth)
-    p_synth.add_argument("--performers", type=int, help="number of performers (default 9)")
-    p_synth.add_argument("--notes", type=int, help="notes per performance (default 2000)")
-    p_synth.add_argument(
-        "--separation", type=float, help="profile separation factor (default 1.0)"
+    p_eval.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="threads for the KDE kernel sums (default: cores); results do not depend on it",
     )
-    p_synth.set_defaults(func=cmd_synth)
 
-    return parser
-
-
-def _merge_options(args: argparse.Namespace) -> dict:
-    """Config-file values fill in flags the user did not pass."""
-    options = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise InputError(f"config file not found: {path}")
-        try:
-            from_file = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(from_file, dict):
-            raise InputError("config file must hold a JSON object")
-        for key, value in from_file.items():
-            key = key.replace("-", "_")
-            if key in options and options[key] is None:
-                options[key] = value
-    return options
+    p_synth = command("synth", cmd_synth, "generate a synthetic benchmark dataset", inputs=False)
+    p_synth.add_argument(
+        "--performers", type=int, default=9, help="number of performers (default 9)"
+    )
+    p_synth.add_argument(
+        "--notes", type=int, default=2000, help="notes per performance (default 2000)"
+    )
+    p_synth.add_argument(
+        "--separation", type=float, default=1.0, help="profile separation factor (default 1.0)"
+    )
+    return parser, sub.choices
 
 
-def _require(options: dict, key: str):
-    value = options.get(key)
-    if value is None:
-        raise InputError(f"--{key} is required (flag or config file)")
-    return value
+def _config_flags(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """The settings of ``argv``'s --config file as flags of its command.
+
+    A list becomes a comma list and an object ``KIND=VALUE`` pairs; ``true``
+    becomes the bare flag, and ``false`` and ``null`` are dropped. Keys that
+    name no option of the command are ignored.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing value is left to the full parse
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None or argv[0] not in commands:
+        return []
+    # argparse lists a parser's options only in its ``_actions``
+    flags = {
+        action.dest: action.option_strings[-1]
+        for action in commands[argv[0]]._actions
+        if action.dest not in ("help", "config")
+    }
+    config = Path(path)
+    if not config.is_file():
+        raise InputError(f"config file not found: {config}")
+    try:
+        settings = json.loads(config.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(settings, dict):
+        raise InputError("config file must hold a JSON object")
+    tokens = []
+    for key, value in settings.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None or value is None or value is False:
+            continue
+        if isinstance(value, dict):
+            value = [f"{kind}={v}" for kind, v in value.items()]
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
 
 
-def _out_dir(options: dict) -> Path:
-    out = Path(_require(options, "out"))
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _option(options: dict, key: str, default):
-    """The option's value, or ``default`` when it was not given (0 counts as given)."""
-    value = options.get(key)
-    return default if value is None else value
-
-
-def _jobs(options: dict) -> int:
-    jobs = _option(options, "jobs", os.cpu_count() or 1)
-    if jobs < 1:
-        raise InputError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _load_performance(path: Path, piece_id: str) -> Performance:
     """Read one performance file; malformed content is an input error naming the file."""
     performer_id = path.stem
     suffix = path.suffix.lower()
-    if suffix not in (".mid", ".midi", ".csv"):
+    if suffix not in PERFORMANCE_SUFFIXES:
         raise InputError(f"unsupported performance file type: {path}")
+    warnings = ()
     try:
         if suffix == ".csv":
-            return from_note_table(
+            performance = from_note_table(
                 path.read_text(encoding="utf-8"), performer_id=performer_id, piece_id=piece_id
             )
-        performance, warnings = parse_smf_with_warnings(
-            path.read_bytes(), performer_id=performer_id, piece_id=piece_id
-        )
+        else:
+            performance, warnings = parse_smf_with_warnings(
+                path.read_bytes(), performer_id=performer_id, piece_id=piece_id
+            )
     except ValueError as exc:  # SmfParseError, a bad note, or text that is not UTF-8
         raise InputError(f"{path}: {exc}") from exc
     for message in warnings:
         print(f"{PROG}: warning: {path.name}: {message}", file=sys.stderr)
+    if len(performance) == 0:
+        raise InputError(f"{path}: the performance has no notes")
     return performance
 
 
-def _load_performances(options: dict) -> list[Performance]:
-    input_dir = Path(_require(options, "input"))
+def _load_performances(args: argparse.Namespace) -> list[Performance]:
+    input_dir = Path(args.input)
     if not input_dir.exists():
         raise InputError(f"input path not found: {input_dir}")
     if input_dir.is_file():
         raise InputError("--input must be a directory of performance files")
-    files = sorted(
-        p for p in input_dir.iterdir() if p.suffix.lower() in (".mid", ".midi", ".csv")
-    )
+    files = sorted(p for p in input_dir.iterdir() if p.suffix.lower() in PERFORMANCE_SUFFIXES)
     if len(files) < 2:
         raise InputError(f"need at least 2 performance files in {input_dir}")
+    by_stem = {}
+    for path in files:
+        if by_stem.setdefault(path.stem, path) != path:
+            raise InputError(
+                f"{by_stem[path.stem]} and {path} share the performer id {path.stem!r}"
+            )
     return [_load_performance(p, input_dir.name) for p in files]
 
 
-def _load_reference(options: dict) -> Performance | None:
-    reference = options.get("reference")
-    if reference is None or reference == "median":
+def _load_reference(args: argparse.Namespace) -> Performance | None:
+    if args.reference == "median":
         return None
-    path = Path(reference)
+    path = Path(args.reference)
     if not path.is_file():
         raise InputError(f"reference file not found: {path}")
     return _load_performance(path, path.parent.name)
 
 
-def _parse_features(options: dict) -> tuple[str, ...]:
-    raw = options.get("features")
-    if raw is None:
-        return KINDS
-    if isinstance(raw, str):
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    return tuple(raw)
-
-
-def _parse_weights(options: dict) -> tuple[float, ...] | None:
-    raw = options.get("weights")
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        parts = [part.strip() for part in raw.split(",") if part.strip()]
-    else:
-        parts = list(raw)
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise InputError(f"weights must be numbers: {exc}") from exc
-
-
-def _parse_bandwidths(options: dict) -> tuple[tuple[str, float], ...]:
-    """The ``--bandwidths`` overrides; ``ExperimentConfig`` fills in the other kinds."""
-    raw = options.get("bandwidths")
-    if raw is None:
-        return ()
-    if isinstance(raw, dict):
-        overrides = raw
-    else:
-        overrides = {}
-        for part in str(raw).split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise InputError(f"bandwidth override must look like KIND=VALUE: {part!r}")
-            kind, value = part.split("=", 1)
-            overrides[kind.strip()] = value
-    parsed = []
-    for kind, value in overrides.items():
-        try:
-            parsed.append((kind, float(value)))
-        except ValueError as exc:
-            raise InputError(f"bad bandwidth for {kind}: {value!r}") from exc
-    return tuple(parsed)
-
-
-def _experiment_config(options: dict) -> ExperimentConfig:
-    """The options' ``ExperimentConfig``; the config checks every value."""
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The arguments' ``ExperimentConfig``; the config checks every value."""
     try:
         return ExperimentConfig(
-            model_family=_option(options, "model", "histogram"),
-            feature_set=_parse_features(options),
-            weights=_parse_weights(options),
-            n_groups=_option(options, "groups", evaluation.DEFAULT_N_GROUPS),
-            n_bins=_option(options, "bins", densities.DEFAULT_N_BINS),
-            bandwidths=_parse_bandwidths(options),
-            gmm_k=_option(options, "gmm_k", densities.DEFAULT_GMM_K),
-            seed=_option(options, "seed", 0),
+            model_family=args.model,
+            feature_set=args.features,
+            weights=args.weights,
+            n_groups=args.groups,
+            n_bins=args.bins,
+            bandwidths=args.bandwidths,
+            gmm_k=args.gmm_k,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -291,20 +290,22 @@ def _write(path: Path, text: str) -> None:
 # commands
 
 
-def _align(performances: list[Performance], options: dict, out: Path):
-    """The aligned note table; its alignment report goes to ``out/alignment_report.json``."""
-    table, report = build_table(performances, reference=_load_reference(options))
+def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, Path]:
+    """Read the inputs, make ``--out`` and align; the alignment report goes to
+    ``out/alignment_report.json``."""
+    performances = _load_performances(args)
+    reference = _load_reference(args)
+    out = _out_dir(args)
+    table, report = build_table(performances, reference=reference)
     _write(
         out / "alignment_report.json",
         json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
     )
-    return table
+    return table, out
 
 
-def cmd_align(options: dict) -> int:
-    performances = _load_performances(options)
-    out = _out_dir(options)
-    table = _align(performances, options, out)
+def cmd_align(args: argparse.Namespace) -> int:
+    table, out = _align(args)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -325,14 +326,15 @@ def cmd_align(options: dict) -> int:
             )
         )
     _write(out / "aligned_table.csv", buf.getvalue())
-    print(f"aligned {len(performances)} performances at {table.n_positions} positions -> {out}")
+    print(
+        f"aligned {len(table.performer_ids)} performances at {table.n_positions} positions"
+        f" -> {out}"
+    )
     return 0
 
 
-def cmd_features(options: dict) -> int:
-    performances = _load_performances(options)
-    out = _out_dir(options)
-    table = _align(performances, options, out)
+def cmd_features(args: argparse.Namespace) -> int:
+    table, out = _align(args)
     norm = compute_norm(table)
 
     by_performer = extract_deviations(table, norm)
@@ -357,25 +359,23 @@ def cmd_features(options: dict) -> int:
     return 0
 
 
-def cmd_evaluate(options: dict) -> int:
-    config = _experiment_config(options)
-    jobs = _jobs(options)
-    performances = _load_performances(options)
-    out = _out_dir(options)
-
-    table = _align(performances, options, out)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    config = _experiment_config(args)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    table, out = _align(args)
     norm = compute_norm(table)
     dataset = DeviationDataset.from_table(table, norm)
     result = None
     try:
-        if options.get("sweep"):
+        if args.sweep:
             # the sweep's KL table covers every kind, so it also yields the main report
             result = evaluation.sweep(
-                dataset, config, model_families=(config.model_family,), jobs=jobs
+                dataset, config, model_families=(config.model_family,), jobs=args.jobs
             )
             report = result.base_report
         else:
-            report = run_cv(dataset, config, jobs=jobs)
+            report = run_cv(dataset, config, jobs=args.jobs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -397,19 +397,16 @@ def cmd_evaluate(options: dict) -> int:
     return 0
 
 
-def cmd_synth(options: dict) -> int:
-    n_performers = _option(options, "performers", 9)
-    n_notes = _option(options, "notes", 2000)
-    seed = _option(options, "seed", 0)
-    separation = _option(options, "separation", 1.0)
+def cmd_synth(args: argparse.Namespace) -> int:
+    n_performers, n_notes, seed = args.performers, args.notes, args.seed
     if n_performers < 2:
         raise InputError("--performers must be at least 2")
     if n_notes < 2:
         raise InputError("--notes must be at least 2")
-    out = _out_dir(options)
+    out = _out_dir(args)
 
     score = synth.generate_score(n_notes, seed)
-    profiles = synth.default_profiles(n_performers, base_seed=seed, separation=separation)
+    profiles = synth.default_profiles(n_performers, base_seed=seed, separation=args.separation)
     width = len(str(n_performers))
 
     midi_dir = out / "performances"
@@ -431,7 +428,7 @@ def cmd_synth(options: dict) -> int:
         "n_performers": n_performers,
         "n_notes": n_notes,
         "seed": seed,
-        "separation": separation,
+        "separation": args.separation,
         "profiles": [asdict(p) for p in profiles],
     }
     _write(out / "profiles.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -2,12 +2,11 @@
 
 All fits are deterministic: the histogram and KDE have no randomness, the GMM
 uses a seeded kmeans++-style initialization followed by EM. Fitted models are
-immutable and JSON-serializable.
+immutable.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,22 +54,6 @@ class Histogram:
         if abs(float(self.masses.sum()) - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "histogram",
-            "edges": self.edges.tolist(),
-            "masses": self.masses.tolist(),
-            "smoothing_eps": self.smoothing_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Histogram":
-        return cls(
-            edges=np.asarray(d["edges"], dtype=np.float64),
-            masses=np.asarray(d["masses"], dtype=np.float64),
-            smoothing_eps=float(d["smoothing_eps"]),
-        )
-
 
 @dataclass(frozen=True)
 class KDE:
@@ -81,20 +64,6 @@ class KDE:
         check_bandwidth(self.bandwidth)
         if len(self.sample_points) == 0:
             raise ValueError("KDE needs at least one sample")
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "kde",
-            "sample_points": self.sample_points.tolist(),
-            "bandwidth": self.bandwidth,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KDE":
-        return cls(
-            sample_points=np.asarray(d["sample_points"], dtype=np.float64),
-            bandwidth=float(d["bandwidth"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,22 +84,6 @@ class GMM:
     @property
     def k(self) -> int:
         return len(self.weights)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "gmm",
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GMM":
-        return cls(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            means=np.asarray(d["means"], dtype=np.float64),
-            variances=np.asarray(d["variances"], dtype=np.float64),
-        )
 
 
 def fit_histogram(series, n_bins: int = DEFAULT_N_BINS) -> Histogram:
@@ -327,21 +280,3 @@ def gmm_pdf(model: GMM, x) -> np.ndarray | float:
     out = comp @ model.weights
     return out if np.ndim(x) else float(out[0])
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MODEL_TYPES = {"histogram": Histogram, "kde": KDE, "gmm": GMM}
-
-
-def model_to_json(model) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True)
-
-
-def model_from_json(text: str):
-    d = json.loads(text)
-    try:
-        cls = _MODEL_TYPES[d["type"]]
-    except KeyError:
-        raise ValueError(f"unknown model type {d.get('type')!r}") from None
-    return cls.from_dict(d)

@@ -65,7 +65,6 @@ class TestExitCodes:
             assert not (tmp_path / "o" / "alignment_report.json").exists(), argv
             assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists(), argv
 
-
     def test_malformed_performance_files_exit_2_naming_the_file(self, trio_dir, tmp_path, capsys):
         header = b"onset,offset,pitch,dynamic\n"
         cases = [
@@ -87,6 +86,30 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"{d / name}: " in err and message in err, err
             assert "Traceback" not in err
+
+    def test_files_that_cannot_make_a_table_exit_2_before_writing(self, trio_dir, tmp_path, capsys):
+        header = "onset,offset,pitch,dynamic\n"
+        dup, empty = tmp_path / "dup", tmp_path / "empty"
+        for d in (dup, empty):
+            d.mkdir()
+            for good in trio_dir.iterdir():
+                (d / good.name).write_bytes(good.read_bytes())
+        (dup / "p1.csv").write_text(header + "0.0,0.5,60,64\n")
+        (empty / "p4.csv").write_text(header)
+        out = tmp_path / "out"
+        cases = [
+            (["align", "--input", str(dup)],
+             f"{dup / 'p1.csv'} and {dup / 'p1.mid'} share the performer id 'p1'"),
+            (["features", "--input", str(empty)],
+             f"{empty / 'p4.csv'}: the performance has no notes"),
+            (["align", "--input", str(trio_dir), "--reference", str(empty / "p4.csv")],
+             f"{empty / 'p4.csv'}: the performance has no notes"),
+        ]
+        for argv, message in cases:
+            assert main(argv + ["--out", str(out)]) == 2, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, err
+            assert not out.exists(), argv
 
 
 class TestAlign:
@@ -240,3 +263,63 @@ class TestConfigFile:
         config = tmp_path / "broken.json"
         config.write_text("{nope")
         assert main(["align", "--config", str(config)]) == 2
+
+    def test_bad_config_values_exit_2_before_writing(self, trio_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        evaluate = {"input": str(trio_dir), "out": str(out), "groups": 2}
+        cases = [
+            ("evaluate", {**evaluate, "seed": "x"}, "--seed: invalid int value: 'x'"),
+            ("evaluate", {**evaluate, "sweep": "no"}, "--sweep: ignored explicit argument 'no'"),
+            ("evaluate", {**evaluate, "bins": 10.5}, "--bins: invalid int value: '10.5'"),
+            ("evaluate", {**evaluate, "seed": 1.5, "model": "gmm"}, "--seed: invalid int value: '1.5'"),
+            ("evaluate", {**evaluate, "groups": True}, "--groups: expected one argument"),
+            ("evaluate", {**evaluate, "bandwidths": {"IOI": "wide"}}, "got 'IOI=wide'"),
+            ("synth", {"out": str(out), "performers": 2.5}, "--performers: invalid int value: '2.5'"),
+        ]
+        for i, (command, settings, message) in enumerate(cases):
+            config = tmp_path / f"bad{i}.json"
+            config.write_text(json.dumps(settings))
+            assert main([command, "--config", str(config)]) == 2, settings
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, err
+            assert not out.exists(), settings
+
+    def test_config_values_are_parsed_as_their_flags(self, tmp_path):
+        data = tmp_path / "data"
+        argv = ["synth", "--performers", "3", "--notes", "200", "--seed", "4", "--out", str(data)]
+        assert main(argv) == 0
+        flags = ["--model", "kde", "--features", "IOI,DL", "--bandwidths", "IOI=0.02",
+                 "--weights", "0.5,2", "--groups", "4", "--jobs", "2", "--sweep"]
+        settings = {"model": "kde", "features": ["IOI", "DL"], "bandwidths": {"IOI": 0.02},
+                    "weights": [0.5, 2], "groups": "4", "jobs": "2", "sweep": True, "seed": None}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"input": str(data / "performances"), **settings}))
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        argv = ["evaluate", "--input", str(data / "performances"), "--out", str(by_flags)]
+        assert main(argv + flags) == 0
+        assert main(["evaluate", "--config", str(config), "--out", str(by_config)]) == 0
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert "sweep_kde.csv" in names and names == sorted(p.name for p in by_config.iterdir())
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
+        # a string that parses as the flag's type is accepted, as on the command line
+        config.write_text(json.dumps({"performers": "2", "notes": "50", "separation": "0.5"}))
+        synth_flags, synth_config = tmp_path / "synth_flags", tmp_path / "synth_config"
+        argv = ["synth", "--performers", "2", "--notes", "50", "--separation", "0.5"]
+        assert main(argv + ["--out", str(synth_flags)]) == 0
+        assert main(["synth", "--config", str(config), "--out", str(synth_config)]) == 0
+        assert (synth_flags / "profiles.json").read_bytes() == (
+            synth_config / "profiles.json"
+        ).read_bytes()
+
+    def test_jobs_belongs_to_evaluate(self, trio_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        inputs = ["--input", str(trio_dir)]
+        for command in (["align", *inputs], ["features", *inputs], ["synth"]):
+            assert main(command + ["--out", str(out), "--jobs", "2"]) == 2, command
+            assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+            assert not out.exists(), command
+        # a config file's keys that name no option of the command are ignored
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"input": str(trio_dir), "jobs": 2, "groups": 4}))
+        assert main(["align", "--config", str(config), "--out", str(out)]) == 0

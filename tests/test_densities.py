@@ -15,8 +15,6 @@ from pianist_id.densities import (
     histogram_pdf,
     kde_pdf,
     kernel_sum,
-    model_from_json,
-    model_to_json,
 )
 
 
@@ -164,23 +162,3 @@ class TestGmm:
     def test_variance_floor_on_degenerate_series(self):
         g = fit_gmm(np.full(10, 2.0), k=1, seed=0)
         assert g.variances[0] == pytest.approx(1e-12)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            fit_histogram(np.asarray([0.0, 0.5, 1.0, 1.5]), n_bins=4),
-            fit_kde(np.asarray([0.1, 0.2, 0.9]), bandwidth=0.05),
-            fit_gmm(np.arange(30.0), k=2, seed=1),
-        ],
-        ids=["histogram", "kde", "gmm"],
-    )
-    def test_json_round_trip(self, model):
-        restored = model_from_json(model_to_json(model))
-        assert type(restored) is type(model)
-        assert model_to_json(restored) == model_to_json(model)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            model_from_json('{"type": "mystery"}')
