@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -93,8 +94,10 @@ def _bandwidths(text: str) -> tuple[tuple[str, float], ...]:
     return tuple(parsed)
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser, and each command's subparser by name."""
+    """The parser, and each command's subparser by name; built once per process,
+    since parsing leaves both unchanged."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Identify pianists from MIDI performances of a shared piece.",
@@ -106,7 +109,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         if inputs:
             p.add_argument(
                 "--input", required=True, help="directory of .mid/.midi/.csv performances"
@@ -164,6 +166,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_synth.add_argument(
         "--separation", type=float, default=1.0, help="profile separation factor (default 1.0)"
     )
+    for p in (p_eval, p_synth):  # the commands that read it
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     return parser, sub.choices
 
 

@@ -6,11 +6,14 @@ exact kernel sums on a uniform grid whose step never exceeds a quarter of the
 bandwidth; GMMs use the variational approximation built from closed-form
 Gaussian component divergences. Divergence across model families is rejected.
 
-A pairwise KDE KL (``kl_kde``) builds its grid from the two models' samples.
-Cross-validation's one KL table (``evaluation._kl_table``) compares histograms
-and GMMs with ``kl``; for KDEs it puts every KDE of one feature kind on one
-shared grid (``kde_grid`` over all of that kind's grouped values), evaluates
-each group's kernel sum there once and integrates with the same ``kl_on_grid``.
+A pairwise KDE KL (``kl_kde``) builds its grid from the two models' samples,
+with at least ``KDE_GRID_POINTS`` points. Cross-validation's one KL table
+(``evaluation._kl_table``) compares histograms and GMMs with ``kl``; for KDEs
+it puts every KDE of one feature kind on one shared grid (``kde_grid`` over all
+of that kind's grouped values) with the fewest points that keep the step at or
+below a quarter of the bandwidth, evaluates each group's kernel sum there once
+and scores each test density against every candidate's with ``kl_rows``, the
+integrand ``kl_on_grid`` also uses.
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ class KlResult:
     grid_spec: tuple[float, float, int] | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"KL value must be finite and non-negative, got {self.value}")
+        _checked(self.value)
+
+
+def _checked(value: float) -> float:
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"KL value must be finite and non-negative, got {value}")
+    return value
 
 
 def _clamp(value: float) -> float:
@@ -76,23 +84,28 @@ def _rebin(h: Histogram, edges: np.ndarray) -> np.ndarray:
     return np.diff(cdf)
 
 
-def kde_grid(
-    lo: float, hi: float, pad: float, max_step: float, n_points: int = KDE_GRID_POINTS
-) -> np.ndarray:
-    """Uniform grid over [lo - pad, hi + pad] of at least ``n_points`` points and
-    enough more that the step never exceeds ``max_step``."""
+def kde_grid(lo: float, hi: float, pad: float, max_step: float, n_points: int = 0) -> np.ndarray:
+    """Uniform grid over [lo - pad, hi + pad] with the fewest points that keep
+    the step at or below ``max_step``, and at least ``n_points``."""
     lo, hi = lo - pad, hi + pad
     return np.linspace(lo, hi, max(n_points, math.ceil((hi - lo) / max_step) + 1))
 
 
-def kl_on_grid(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> KlResult:
-    """Trapezoid-rule estimate of the integral p(x) log(p(x)/q(x)) dx from the
-    densities on ``grid``; the denominator is floored at ``Q_FLOOR``."""
+def kl_rows(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> list[float]:
+    """Trapezoid-rule estimates of the integral p(x) log(p(x)/q(x)) dx for the
+    density ``px`` against each row of ``qx``, all on ``grid``; the denominator
+    is floored at ``Q_FLOOR``. Each value is clamped and checked as a
+    ``KlResult`` would be."""
     qx = np.maximum(qx, Q_FLOOR)
     integrand = np.where(px > 0, px * np.log(np.maximum(px, Q_FLOOR) / qx), 0.0)
-    value = float(np.trapezoid(integrand, grid))
+    return [_checked(_clamp(v)) for v in np.trapezoid(integrand, grid, axis=-1).tolist()]
+
+
+def kl_on_grid(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> KlResult:
+    """``kl_rows`` for one density ``qx``."""
+    [value] = kl_rows(px, np.asarray(qx)[None], grid)
     return KlResult(
-        value=_clamp(value), method="grid", grid_spec=(float(grid[0]), float(grid[-1]), len(grid))
+        value=value, method="grid", grid_spec=(float(grid[0]), float(grid[-1]), len(grid))
     )
 
 

@@ -349,11 +349,12 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
     Per kind, trial (pid, g) tests pid's group-g values against each
     candidate's pool of their other groups; a kind with no test values is left
     out of the trial. The model family supplies the pieces (``_family``): a
-    group's part, how parts pool, how a part becomes a model and the KL between
-    two models. Each part, model and KL is made once, so one table serves every
-    feature subset and weighting of these kinds. ``jobs`` threads compute the
-    performers' parts where a family has any (the KDE kernel sums); pools, fits
-    and KLs run one group at a time in the calling thread.
+    group's part, how parts pool, how a part becomes a model and how a test
+    model scores against every candidate's training model. Each part, model and
+    KL is made once, so one table serves every feature subset and weighting of
+    these kinds. ``jobs`` threads compute the performers' parts where a family
+    has any (the KDE kernel sums); pools, fits and KLs run one group at a time
+    in the calling thread.
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
@@ -366,42 +367,44 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
         chunks = {
             pid: _group_chunks(dataset.by_performer[pid][kind], fold) for pid in performer_ids
         }
-        part, pool, model, kl = _family(kind, chunks, config)
+        part, pool, model, against = _family(kind, chunks, config)
         if part is None:
             parts = chunks
         else:
             by_pid = _map(lambda pid: [part(c) for c in chunks[pid]], performer_ids, jobs)
             parts = dict(zip(performer_ids, by_pid))
         for g in groups:
-            train = {
-                pid: model(pool([parts[pid][k] for k in groups if k != g]))
-                for pid in performer_ids
-            }
+            score = against(
+                [model(pool([parts[pid][k] for k in groups if k != g])) for pid in performer_ids]
+            )
             for pid in performer_ids:
                 if len(chunks[pid][g]):
-                    test = model(parts[pid][g])
-                    table[(pid, g)][kind] = {c: kl(test, train[c]) for c in performer_ids}
+                    table[(pid, g)][kind] = dict(zip(performer_ids, score(model(parts[pid][g]))))
     return table
 
 
 def _family(kind: str, chunks, config: ExperimentConfig):
-    """``(part, pool, model, kl)`` for ``_kl_table``: the family's pieces for one kind.
+    """``(part, pool, model, against)`` for ``_kl_table``: the family's pieces for one kind.
 
-    Histograms and GMMs take a group's values as its part (``part`` is None),
-    pool by concatenation, fit with ``fit_model`` and compare with
-    ``divergence.kl``. KDEs work on one shared grid per kind, spanning all of
-    its grouped values widened by 5 bandwidths, so it depends on neither the
-    feature subset nor the weights. A group's part is its exact kernel sum on
-    that grid with its size; a pool is the sum of the other groups' vectors,
-    never the total minus the group, which would cancel in the tails that
-    decide the KL.
+    ``against(train)`` takes one model per candidate and returns the function
+    that maps a test model to its KL from each of them, in order. Histograms
+    and GMMs take a group's values as its part (``part`` is None), pool by
+    concatenation, fit with ``fit_model`` and compare with ``divergence.kl``.
+    KDEs work on one shared grid per kind, spanning all of its grouped values
+    widened by 5 bandwidths, with the fewest points that keep the step at or
+    below h/4; it depends on neither the feature subset nor the weights. A
+    group's part is its exact kernel sum on that grid with its size; a pool is
+    the sum of the other groups' vectors, never the total minus the group,
+    which would cancel in the tails that decide the KL. The candidates'
+    densities are stacked once per test group, and ``divergence.kl_rows``
+    scores a test density against all of them in one pass.
     """
     if config.model_family != "kde":
         return (
             None,
             np.concatenate,
             lambda values: fit_model(values, kind, config),
-            lambda p, q: divergence.kl(p, q).value,
+            lambda train: lambda test: [divergence.kl(test, q).value for q in train],
         )
     for pid_chunks in chunks.values():
         sizes = [len(c) for c in pid_chunks]
@@ -421,11 +424,16 @@ def _family(kind: str, chunks, config: ExperimentConfig):
         kind, float(grid[0]), float(grid[-1]), len(grid),
         (grid[1] - grid[0]) / h, n_values * len(grid),
     )
+
+    def against(train):
+        stacked = np.stack(train)
+        return lambda test: divergence.kl_rows(test, stacked, grid)
+
     return (
         lambda values: (densities.kernel_sum(values, h, grid), len(values)),
         lambda parts: (np.sum([s for s, _ in parts], axis=0), sum(n for _, n in parts)),
         lambda part: densities.kernel_density(*part, h),
-        lambda p, q: divergence.kl_on_grid(p, q, grid).value,
+        against,
     )
 
 

@@ -323,3 +323,49 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"input": str(trio_dir), "jobs": 2, "groups": 4}))
         assert main(["align", "--config", str(config), "--out", str(out)]) == 0
+
+    def test_seed_belongs_to_evaluate_and_synth(self, trio_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("align", "features"):
+            assert main([command, "--input", str(trio_dir), "--out", str(out), "--seed", "5"]) == 2
+            assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+            assert not out.exists(), command
+        # like any key the command lacks, a config file's seed is ignored
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"input": str(trio_dir), "seed": 5}))
+        assert main(["align", "--config", str(config), "--out", str(out)]) == 0
+
+    def test_config_values_do_not_leak_into_later_calls(self, tmp_path, capsys):
+        def help_texts():
+            capsys.readouterr()
+            texts = []
+            for argv in ([], ["evaluate"], ["align"], ["synth"]):
+                assert main(argv + ["--help"]) == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        before = help_texts()
+        data = tmp_path / "data"
+        assert main(["synth", "--performers", "3", "--notes", "200", "--out", str(data)]) == 0
+        inputs = str(data / "performances")
+        evaluate = ["evaluate", "--input", inputs, "--groups", "4"]
+        assert main(evaluate + ["--out", str(tmp_path / "first")]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "input": inputs, "out": str(tmp_path / "config"), "model": "gmm",
+            "features": ["IOI", "DL"], "weights": [1, 2], "groups": 2, "gmm_k": 2, "seed": 3,
+        }))
+        assert main(["evaluate", "--config", str(config)]) == 0
+        used = json.loads((tmp_path / "config" / "report.json").read_text())["config"]
+        assert (used["model_family"], used["gmm_k"], used["seed"]) == ("gmm", 2, 3)
+        # flags only: every setting is back at its default, and --out is required again
+        assert main(evaluate + ["--out", str(tmp_path / "again")]) == 0
+        for name in ("report.json", "metrics.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+        assert main(["align", "--input", inputs]) == 2
+        assert "required: --out" in capsys.readouterr().err
+        assert main(["align", "--input", inputs, "--out", str(tmp_path / "align")]) == 0
+        assert (tmp_path / "align" / "alignment_report.json").read_bytes() == (
+            tmp_path / "first" / "alignment_report.json"
+        ).read_bytes()
+        assert help_texts() == before

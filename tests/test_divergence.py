@@ -5,6 +5,7 @@ import pytest
 
 from pianist_id.densities import GMM, Histogram, fit_gmm, fit_histogram, fit_kde
 from pianist_id.divergence import (
+    Q_FLOOR,
     KlResult,
     fuse,
     gaussian_kl,
@@ -12,6 +13,8 @@ from pianist_id.divergence import (
     kl_gmm,
     kl_histogram,
     kl_kde,
+    kl_on_grid,
+    kl_rows,
 )
 
 
@@ -123,6 +126,45 @@ class TestKlKde:
         wide = fit_kde(np.asarray([0.0, 50.0]), bandwidth=2.0)
         lo, hi, n = kl_kde(wide, fit_kde(np.asarray([1.0]), bandwidth=0.02)).grid_spec
         assert (lo, hi) == (-10.0, 60.0) and (hi - lo) / (n - 1) <= 0.02 / 4
+
+
+class TestKlRows:
+    """``kl_rows`` scores one density against a stack of rows on one grid."""
+
+    @staticmethod
+    def one_pair(px, qx, grid):
+        # the per-pair integrand, written out as a reference
+        qx = np.maximum(qx, Q_FLOOR)
+        integrand = np.where(px > 0, px * np.log(np.maximum(px, Q_FLOOR) / qx), 0.0)
+        return max(float(np.trapezoid(integrand, grid)), 0.0)
+
+    def test_rows_equal_one_pair_at_a_time_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        grid = np.linspace(-3.0, 4.0, 157)
+        px = rng.gamma(2.0, 1.0, len(grid))
+        px[::7] = 0.0  # p = 0 entries contribute nothing
+        qx = rng.gamma(2.0, 1.0, (6, len(grid)))
+        qx[1, ::5] = 0.0  # below the floor ...
+        qx[2, 3:40] = 1e-310  # ... also as subnormals
+        qx[3] = px  # a row equal to p
+        qx[4, 10:20] = 1e-200
+        rows = kl_rows(px, qx, grid)
+        assert rows == [kl_on_grid(px, q, grid).value for q in qx]
+        assert rows == [self.one_pair(px, q, grid) for q in qx]
+        assert all(type(v) is float for v in rows)
+
+    def test_a_non_finite_row_raises_the_kl_result_error(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        px = np.full(len(grid), 1e300)
+        qx = np.vstack([np.ones(len(grid)), np.zeros(len(grid))])  # p/q overflows in row 1
+        with pytest.raises(ValueError) as expected:
+            KlResult(math.inf, "grid")
+        with pytest.raises(ValueError) as raised, np.errstate(over="ignore"):
+            kl_rows(px, qx, grid)
+        assert str(raised.value) == str(expected.value)
+        qx[1] = math.nan
+        with pytest.raises(ValueError, match="must be finite and non-negative, got nan"):
+            kl_rows(px / 1e300, qx, grid)
 
 
 class TestKlGmm:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -362,11 +363,13 @@ class TestKdeTable:
                     chunks[(pid, g, kind)] = series.values[(start == g) & (end == g)]
             grouped = np.concatenate([v for (_, _, k), v in chunks.items() if k == kind])
             lo, hi = grouped.min() - 5 * h, grouped.max() + 5 * h
-            grids[kind] = np.linspace(lo, hi, max(4096, math.ceil((hi - lo) / (h / 4)) + 1))
+            # the step rule alone sets the size: no floor on the point count
+            n_points = math.ceil((hi - lo) / (h / 4)) + 1
+            grids[kind] = np.linspace(lo, hi, n_points)
             assert grids[kind][1] - grids[kind][0] <= h / 4
             [line] = [r.getMessage() for r in caplog.records if f"KDE grid {kind}:" in r.getMessage()]
-            assert f"{len(grids[kind])} points" in line
-        assert len(grids["IOI"]) > 4096
+            assert int(re.search(r", (\d+) points,", line).group(1)) == n_points
+        assert len(grids["OT"]) < 4096 < len(grids["IOI"])
 
         assert len(report.trials) == 3 * 4
         for trial in report.trials:
