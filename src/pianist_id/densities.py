@@ -3,6 +3,15 @@
 All fits are deterministic: the histogram and KDE have no randomness, the GMM
 uses a seeded kmeans++-style initialization followed by EM. Fitted models are
 immutable.
+
+A ``Histogram`` holds one model, or a stack of models with one per row.
+``fit_histograms`` fits a stack in one pass from each row's value range and
+size and a function that counts, per row, the values below each edge; a
+value lies in bin i when ``edges[i] <= v < edges[i + 1]``, and the last bin
+also holds ``edges[-1]``, as in ``np.histogram``. ``fit_histogram`` is its
+one-model case, counting in its sorted series. Cross-validation counts in
+``RankedValues``, which ranks every value of a feature kind once and counts
+any labelled subset below many points at once.
 """
 
 from __future__ import annotations
@@ -40,18 +49,21 @@ def _as_values(series) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Histogram:
+    """One histogram (1-D ``edges`` and ``masses``) or a stack of them, one per row."""
+
     edges: np.ndarray
     masses: np.ndarray
     smoothing_eps: float
 
     def __post_init__(self):
-        if len(self.edges) != len(self.masses) + 1:
+        edges_shape, masses_shape = np.shape(self.edges), np.shape(self.masses)
+        if edges_shape != masses_shape[:-1] + (masses_shape[-1] + 1,):
             raise ValueError("need len(edges) == len(masses) + 1")
-        if np.any(np.diff(self.edges) <= 0):
+        if np.any(np.diff(self.edges, axis=-1) <= 0):
             raise ValueError("edges must be strictly increasing")
         if np.any(self.masses < 0):
             raise ValueError("masses must be non-negative")
-        if abs(float(self.masses.sum()) - 1.0) > 1e-12:
+        if np.any(np.abs(self.masses.sum(axis=-1) - 1.0) > 1e-12):
             raise ValueError("masses must sum to 1")
 
 
@@ -92,24 +104,81 @@ def fit_histogram(series, n_bins: int = DEFAULT_N_BINS) -> Histogram:
     Counts are normalized, then each bin gets 1e-9 additive mass and the
     vector is renormalized so all masses stay strictly positive (keeps KL
     against other histograms finite). A zero-variance series produces a valid
-    single-spike histogram.
+    single-spike histogram. This is ``fit_histograms`` for one model.
     """
-    values = _as_values(series)
-    if len(values) == 0:
-        raise ValueError("cannot fit a histogram to an empty series")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    lo, hi = float(values.min()), float(values.max())
-    span = hi - lo
-    if span == 0.0:
-        lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = lo - 0.001 * span, hi + 0.001 * span
-    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
-    masses = counts / len(values)
+    values = np.sort(_as_values(series))
+    ends = values[[0, -1]] if len(values) else np.zeros(2)
+    stack = fit_histograms(
+        ends[:1], ends[1:], [len(values)], lambda edges: np.searchsorted(values, edges), n_bins
+    )
+    return Histogram(edges=stack.edges[0], masses=stack.masses[0], smoothing_eps=stack.smoothing_eps)
+
+
+def fit_histograms(lo, hi, sizes, count_below, n_bins: int = DEFAULT_N_BINS) -> Histogram:
+    """A stack of ``fit_histogram`` models, one per row of ``lo``, ``hi`` and ``sizes``.
+
+    Row i models ``sizes[i]`` values spanning [lo[i], hi[i]]. Its edges are
+    ``np.histogram``'s for that span widened as in ``fit_histogram``;
+    ``count_below(edges)`` must return, per row, how many of its values lie
+    below each edge. The first row that cannot be fitted raises the error a
+    one-by-one fit would: an empty series, bad ``n_bins``, a non-finite span,
+    or ``np.histogram``'s own for too many bins in too small a span.
+    """
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    sizes = np.asarray(sizes)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN quietly, as Python floats do
+        span = hi - lo
+        pad = np.where(span == 0.0, 0.5, 0.001 * span)
+        lo, hi = lo - pad, hi + pad
+    bad = (sizes == 0) | ~(np.isfinite(lo) & np.isfinite(hi))
+    if n_bins >= 1:
+        # safe stand-ins keep linspace quiet on rows that fail anyway
+        edges = np.linspace(np.where(bad, 0.0, lo), np.where(bad, 1.0, hi), n_bins + 1, axis=-1)
+        bad |= np.any(edges[:, :-1] >= edges[:, 1:], axis=1)
+    if n_bins < 1 or bad.any():
+        i = int(np.argmax(bad)) if n_bins >= 1 else 0
+        if sizes[i] == 0:
+            raise ValueError("cannot fit a histogram to an empty series")
+        if n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+        if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+            raise ValueError(f"supplied range of [{float(lo[i])}, {float(hi[i])}] is not finite")
+        raise ValueError(
+            f"Too many bins for data range. Cannot create {n_bins} finite-sized bins."
+        )
+    below = count_below(edges)
+    below[:, -1] = sizes  # the last bin also holds the values on its right edge
+    masses = np.diff(below, axis=1) / sizes[:, None]
     eps = HISTOGRAM_SMOOTHING_EPS
     masses = (masses + eps) / (1.0 + n_bins * eps)
     return Histogram(edges=edges, masses=masses, smoothing_eps=eps)
+
+
+class RankedValues:
+    """Values ranked once, answering "how many values with this label lie below x"
+    for many (label, x) pairs in two ``np.searchsorted`` calls.
+
+    ``labels`` holds one or more arrays, each giving every value a label in
+    [0, n_labels), so a value can belong to several labelled subsets. A
+    label's values are the keys ``label * stride + rank`` in one sorted
+    integer array, so a point's rank among all values locates it among any
+    label's values exactly.
+    """
+
+    def __init__(self, values: np.ndarray, labels, n_labels: int):
+        order = np.argsort(values)  # ties may rank either way: counts below a point agree
+        self.sorted = values[order]
+        self.stride = len(values) + 1
+        ranks = np.arange(len(values))
+        self.keys = np.sort(np.concatenate([lab[order] * self.stride + ranks for lab in labels]))
+        sizes = np.bincount(np.concatenate(labels), minlength=n_labels)
+        self.starts = np.concatenate(([0], np.cumsum(sizes)))
+
+    def below(self, labels: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Per row, how many values with label ``labels[i]`` lie below each of ``points[i]``."""
+        ranks = np.searchsorted(self.sorted, points)
+        keys = labels[:, None] * self.stride + ranks
+        return np.searchsorted(self.keys, keys) - self.starts[labels][:, None]
 
 
 def histogram_pdf(model: Histogram, x) -> np.ndarray | float:

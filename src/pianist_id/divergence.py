@@ -8,12 +8,17 @@ Gaussian component divergences. Divergence across model families is rejected.
 
 A pairwise KDE KL (``kl_kde``) builds its grid from the two models' samples,
 with at least ``KDE_GRID_POINTS`` points. Cross-validation's one KL table
-(``evaluation._kl_table``) compares histograms and GMMs with ``kl``; for KDEs
-it puts every KDE of one feature kind on one shared grid (``kde_grid`` over all
-of that kind's grouped values) with the fewest points that keep the step at or
-below a quarter of the bandwidth, evaluates each group's kernel sum there once
-and scores each test density against every candidate's with ``kl_rows``, the
-integrand ``kl_on_grid`` also uses.
+(``evaluation._kl_table``) compares GMMs with ``kl``. It scores histograms in
+stacked passes with ``kl_histogram_rows``, of which ``kl_histogram`` is the
+one-pair case: union edges from one sort per pair, rebinning with
+``np.interp``'s arithmetic, and sums grouped by length so every value keeps
+the bits of a lone pair. For KDEs it puts every KDE of one feature kind on
+one shared grid (``kde_grid`` over all of that kind's grouped values) with
+the fewest points that keep the step at or below a quarter of the bandwidth,
+evaluates each group's kernel sum there once and scores each test density
+against every candidate's with ``kl_rows``, the integrand ``kl_on_grid`` also
+uses. ``fuse`` adds weighted KLs feature by feature, for single values or for
+whole arrays of them.
 """
 
 from __future__ import annotations
@@ -54,34 +59,97 @@ def _clamp(value: float) -> float:
 
 
 def kl_histogram(p: Histogram, q: Histogram) -> KlResult:
-    """Discrete KL over shared bins.
+    """Discrete KL over shared bins: ``kl_histogram_rows`` for one pair.
 
     If the edge sets differ, both histograms are rebinned onto their union by
     mass-proportional overlap; both mass vectors are then re-smoothed with the
     models' additive eps so bins outside either support stay positive.
     """
-    if np.array_equal(p.edges, q.edges):
-        edges = p.edges
-        pm, qm = p.masses.copy(), q.masses.copy()
-    else:
-        edges = np.union1d(p.edges, q.edges)
-        pm = _rebin(p, edges)
-        qm = _rebin(q, edges)
+    [value] = kl_histogram_rows(_stack(p), _stack(q))
+    return KlResult(value=value, method="discrete")
+
+
+def _stack(h: Histogram) -> Histogram:
+    return Histogram(edges=h.edges[None], masses=h.masses[None], smoothing_eps=h.smoothing_eps)
+
+
+def kl_histogram_rows(p: Histogram, q: Histogram) -> list[float]:
+    """``kl_histogram`` of each row of the histogram stack ``p`` against the
+    same row of ``q``, in stacked passes.
+
+    Rows with equal edges use the masses as they are. Other rows take their
+    union edges from one sort of both edge sets, and rebin both masses
+    onto them by differencing ``np.interp``'s cumulative masses (``_cdf``).
+    Rows are summed in groups of equal length, so each row's ``np.sum`` adds
+    its terms in the order a lone row would. Each value is clamped and
+    checked as a ``KlResult`` would be.
+    """
+    pe, qe = p.edges, q.edges
+    same = np.all(pe == qe, axis=1) if pe.shape == qe.shape else np.zeros(len(pe), dtype=bool)
+    parts = [(np.flatnonzero(same), p.masses[same], q.masses[same])]
+    apart = np.flatnonzero(~same)
+    if len(apart):
+        pe, qe = pe[apart], qe[apart]
+        both = np.concatenate((pe, qe), axis=1)
+        order = np.argsort(both, axis=1)
+        union = np.take_along_axis(both, order, axis=1)
+        # at the last of a run of equal values, every edge of either set at
+        # or below it is counted, whatever order the ties took
+        from_p = order < pe.shape[1]
+        p_cdf = _cdf(pe, p.masses[apart], union, np.cumsum(from_p, axis=1))
+        q_cdf = _cdf(qe, q.masses[apart], union, np.cumsum(~from_p, axis=1))
+        last = np.ones_like(from_p)
+        last[:, :-1] = union[:, 1:] != union[:, :-1]
+        lengths = last.sum(axis=1)
+        for n in np.unique(lengths):
+            rows = lengths == n
+            keep = last[rows]
+            parts.append((
+                apart[rows],
+                np.diff(p_cdf[rows][keep].reshape(-1, n), axis=1),
+                np.diff(q_cdf[rows][keep].reshape(-1, n), axis=1),
+            ))
     eps = max(p.smoothing_eps, q.smoothing_eps)
-    if eps > 0:
-        n_bins = len(edges) - 1
-        pm = (pm + eps) / (1.0 + n_bins * eps)
-        qm = (qm + eps) / (1.0 + n_bins * eps)
+    values = np.empty(len(same))
+    for rows, pm, qm in parts:
+        if eps > 0:
+            n_bins = pm.shape[1]
+            pm = (pm + eps) / (1.0 + n_bins * eps)
+            qm = (qm + eps) / (1.0 + n_bins * eps)
+        values[rows] = _kl_sums(pm, qm)
+    return [_checked(_clamp(v)) for v in values.tolist()]
+
+
+def _cdf(edges: np.ndarray, masses: np.ndarray, x: np.ndarray, upto: np.ndarray) -> np.ndarray:
+    """Per row, the histogram's cumulative mass at the points ``x``, assuming
+    uniform density within bins; ``upto[i, k]`` counts row i's edges at or
+    below ``x[i, k]``.
+
+    These are ``np.interp``'s values bit for bit, with its left value 0 and
+    right value the total: slopes are precomputed per bin as ``dy / dx``, and
+    a point on an edge takes that edge's value.
+    """
+    cumulative = np.concatenate((np.zeros((len(masses), 1)), np.cumsum(masses, axis=1)), axis=1)
+    slopes = np.diff(cumulative, axis=1) / np.diff(edges, axis=1)
+    rows = np.arange(len(x))[:, None]
+    j = np.clip(upto - 1, 0, edges.shape[1] - 2)
+    x0, y0 = edges[rows, j], cumulative[rows, j]
+    cdf = np.where(x == x0, y0, slopes[rows, j] * (x - x0) + y0)
+    cdf[upto == 0] = 0.0
+    return np.where(upto == edges.shape[1], cumulative[:, -1:], cdf)
+
+
+def _kl_sums(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """Per row, the sum of pm * log(pm / qm) over the bins where pm > 0."""
     mask = pm > 0
-    value = float(np.sum(pm[mask] * np.log(pm[mask] / qm[mask])))
-    return KlResult(value=_clamp(value), method="discrete")
-
-
-def _rebin(h: Histogram, edges: np.ndarray) -> np.ndarray:
-    """Masses on the target edges, assuming uniform density within source bins."""
-    cumulative = np.concatenate(([0.0], np.cumsum(h.masses)))
-    cdf = np.interp(edges, h.edges, cumulative, left=0.0, right=float(cumulative[-1]))
-    return np.diff(cdf)
+    kept = mask.sum(axis=1)
+    out = np.empty(len(pm))
+    for n in np.unique(kept):
+        rows = kept == n
+        shape = (int(rows.sum()), int(n))
+        a, b = pm[rows][mask[rows]].reshape(shape), qm[rows][mask[rows]].reshape(shape)
+        out[rows] = np.sum(a * np.log(a / b), axis=1)
+    return out
 
 
 def kde_grid(lo: float, hi: float, pad: float, max_step: float, n_points: int = 0) -> np.ndarray:
@@ -178,9 +246,14 @@ def kl(p, q) -> KlResult:
     return fn(p, q)
 
 
-def fuse(kls: Sequence, weights: Iterable[float] | None = None) -> float:
-    """Weighted linear combination of per-feature KL values (default weights 1)."""
-    values = [k.value if isinstance(k, KlResult) else float(k) for k in kls]
+def fuse(kls: Sequence, weights: Iterable[float] | None = None):
+    """Weighted linear combination of per-feature KL values (default weights 1).
+
+    A value may also be an array (all of one shape), fusing every element at
+    once. Terms are added one at a time in feature order, so each element
+    gets the bits its lone float sum would.
+    """
+    values = [np.asarray(k.value if isinstance(k, KlResult) else k, dtype=np.float64) for k in kls]
     if weights is None:
         weights = [1.0] * len(values)
     weights = [float(w) for w in weights]
@@ -188,4 +261,7 @@ def fuse(kls: Sequence, weights: Iterable[float] | None = None) -> float:
         raise ValueError(f"got {len(values)} KL values but {len(weights)} weights")
     if not all(math.isfinite(w) and w >= 0 for w in weights):
         raise ValueError("fusion weights must be finite and non-negative")
-    return float(sum(w * v for w, v in zip(weights, values)))
+    total = 0.0
+    for w, v in zip(weights, values):
+        total = total + w * v
+    return float(total) if np.ndim(total) == 0 else total

@@ -16,7 +16,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -170,39 +170,39 @@ def classify(
     Test models are fitted with the same family and hyperparameters as the
     training models; ties break to the lexicographically smallest id.
     """
+    candidates = sorted(train_models)
     kls = {}
     for kind in config.feature_set:
         values = np.asarray(getattr(test_series[kind], "values", test_series[kind]))
-        if len(values):  # a kind with no test values is left out, so _decide skips
+        row = [math.nan] * len(candidates)  # no test values: _decide skips the trial
+        if len(values):
             test = fit_model(values, kind, config)
-            kls[kind] = {
-                pid: divergence.kl(test, train_models[pid][kind]).value
-                for pid in sorted(train_models)
-            }
-    outcome = _decide(kls, config)
-    if "reason" in outcome:
-        raise EmptyTestSeriesError(outcome["reason"])
-    return outcome["predicted"]
+            row = [divergence.kl(test, train_models[pid][kind]).value for pid in candidates]
+        kls[kind] = np.asarray([row])
+    _, predicted = _decide(kls, config)
+    if predicted[0] < 0:
+        raise EmptyTestSeriesError(_skip_reason(kls, config, 0))
+    return candidates[predicted[0]]
 
 
-def _decide(kls, config) -> dict:
-    """Fused-KL argmin over ``config.feature_set`` (ties to the smallest id), or why to skip."""
-    for kind in config.feature_set:
-        if kind not in kls:
-            return {"reason": f"empty {kind} test series"}
-    per_feature = {
-        pid: {kind: kls[kind][pid] for kind in config.feature_set}
-        for pid in kls[config.feature_set[0]]
-    }
-    fused = {
-        pid: divergence.fuse(list(row.values()), config.effective_weights)
-        for pid, row in per_feature.items()
-    }
-    return {
-        "predicted": min(fused, key=lambda c: (fused[c], c)),
-        "fused_kl": fused,
-        "feature_kl": per_feature,
-    }
+def _decide(kls: Mapping[str, np.ndarray], config: ExperimentConfig):
+    """Fused KLs and the winner of every trial, for ``config``'s feature set and weights.
+
+    ``kls[kind]`` holds one row per trial and one column per candidate, NaN
+    in a trial with no test values of that kind. Returns the fused KL of
+    every (trial, candidate), summed with ``divergence.fuse``, and per trial
+    the column of the smallest, ties to the first (smallest id); -1 where a
+    kind of the set has no test values, so the trial is skipped.
+    """
+    fused = divergence.fuse([kls[kind] for kind in config.feature_set], config.effective_weights)
+    predicted = np.argmin(fused, axis=1)
+    predicted[np.isnan(fused[:, 0])] = -1
+    return fused, predicted
+
+
+def _skip_reason(kls: Mapping[str, np.ndarray], config: ExperimentConfig, trial: int) -> str:
+    kind = next(kind for kind in config.feature_set if np.isnan(kls[kind][trial, 0]))
+    return f"empty {kind} test series"
 
 
 @dataclass(frozen=True)
@@ -344,52 +344,122 @@ def run_cv(
 
 
 def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
-    """``{(pid, g): {kind: {candidate: KL}}}`` for every (performer, group) trial.
+    """``{kind: KL array}`` over every (performer, group) trial.
 
-    Per kind, trial (pid, g) tests pid's group-g values against each
-    candidate's pool of their other groups; a kind with no test values is left
-    out of the trial. The model family supplies the pieces (``_family``): a
-    group's part, how parts pool, how a part becomes a model and how a test
-    model scores against every candidate's training model. Each part, model and
-    KL is made once, so one table serves every feature subset and weighting of
-    these kinds. ``jobs`` threads compute the performers' parts where a family
-    has any (the KDE kernel sums); pools, fits and KLs run one group at a time
-    in the calling thread.
+    Row ``p * n_groups + g`` is the trial of performer p (in id order) with
+    test group g, column c the candidate c; a kind with no test values in a
+    trial leaves its row NaN. Per kind, the trial tests the performer's
+    group-g values against each candidate's pool of their other groups. Each
+    model and KL is made once, so one table serves every feature subset and
+    weighting of these kinds. Histograms are fitted and scored in stacked
+    passes (``_histogram_kls``); KDEs and GMMs go through the family's pieces
+    (``_family``), where ``jobs`` threads compute the performers' KDE kernel
+    sums and everything else runs one group at a time in the calling thread.
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
     performer_ids = dataset.performer_ids
     fold = logo_split(dataset.n_positions, config.n_groups)
-    groups = range(fold.n_groups)
-    table = {(pid, g): {} for pid in performer_ids for g in groups}
+    table = {}
     for kind in config.feature_set:
         # chunks[pid][g]: the values of trial (pid, g)'s test set
         chunks = {
             pid: _group_chunks(dataset.by_performer[pid][kind], fold) for pid in performer_ids
         }
-        part, pool, model, against = _family(kind, chunks, config)
-        if part is None:
-            parts = chunks
+        if config.model_family == "histogram":
+            table[kind] = _histogram_kls(chunks, config.n_bins)
         else:
-            by_pid = _map(lambda pid: [part(c) for c in chunks[pid]], performer_ids, jobs)
-            parts = dict(zip(performer_ids, by_pid))
-        for g in groups:
-            score = against(
-                [model(pool([parts[pid][k] for k in groups if k != g])) for pid in performer_ids]
-            )
-            for pid in performer_ids:
-                if len(chunks[pid][g]):
-                    table[(pid, g)][kind] = dict(zip(performer_ids, score(model(parts[pid][g]))))
+            table[kind] = _model_kls(kind, chunks, config, jobs)
+    return table
+
+
+def _histogram_kls(chunks, n_bins: int) -> np.ndarray:
+    """One kind's ``_kl_table`` array for the histogram family.
+
+    Every grouped value is ranked once, under its group and under its
+    performer (``densities.RankedValues``). A model's bin counts are counts of
+    values below its edges, and a pool's are its performer's total less the
+    held-out group's, exact in integers. All models are fitted in one
+    ``fit_histograms`` pass, in the order one-by-one fitting meets them (per
+    group, every pool, then every non-empty test), so the first that cannot
+    be fitted raises the same error. Every (test, candidate) pair is scored in
+    one ``divergence.kl_histogram_rows`` pass.
+    """
+    pids = list(chunks)
+    n, n_groups = len(pids), len(chunks[pids[0]])
+    sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
+    values = np.concatenate([c for pid in pids for c in chunks[pid]])
+    groups = np.arange(n * n_groups)  # label of performer p's group g: p * n_groups + g
+    ranked = densities.RankedValues(
+        values,
+        (np.repeat(groups, sizes.ravel()), np.repeat(n * n_groups + np.arange(n), sizes.sum(axis=1))),
+        n * n_groups + n,
+    )
+    lo = np.asarray([[c.min() if len(c) else np.inf for c in chunks[pid]] for pid in pids])
+    hi = np.asarray([[c.max() if len(c) else -np.inf for c in chunks[pid]] for pid in pids])
+    others = ~np.eye(n_groups, dtype=bool)  # others[g]: the groups of trial g's pools
+    pool_lo = np.where(others, lo[:, None, :], np.inf).min(axis=2)
+    pool_hi = np.where(others, hi[:, None, :], -np.inf).max(axis=2)
+
+    # one model per (group, is_test, performer) that exists, in fitting order
+    exists = np.stack((np.ones(sizes.T.shape, dtype=bool), sizes.T > 0), axis=1)
+    g, is_test, p = np.nonzero(exists)
+    is_test = is_test == 1
+    pool = ~is_test
+
+    def count_below(edges):
+        below = ranked.below(p * n_groups + g, edges)
+        below[pool] = ranked.below(n * n_groups + p[pool], edges[pool]) - below[pool]
+        return below
+
+    fitted = densities.fit_histograms(
+        np.where(is_test, lo[p, g], pool_lo[p, g]),
+        np.where(is_test, hi[p, g], pool_hi[p, g]),
+        np.where(is_test, sizes[p, g], sizes.sum(axis=1)[p] - sizes[p, g]),
+        count_below,
+        n_bins,
+    )
+    row = np.zeros(exists.shape, dtype=np.intp)
+    row[exists] = np.arange(len(g))
+    test_p, test_g = np.nonzero(sizes)  # the trials with test values, in table order
+    tests, pools = row[test_g, 1, test_p].repeat(n), row[test_g, 0].ravel()
+    kls = divergence.kl_histogram_rows(
+        replace(fitted, edges=fitted.edges[tests], masses=fitted.masses[tests]),
+        replace(fitted, edges=fitted.edges[pools], masses=fitted.masses[pools]),
+    )
+    table = np.full((n * n_groups, n), np.nan)
+    table[test_p * n_groups + test_g] = np.reshape(kls, (len(test_p), n))
+    return table
+
+
+def _model_kls(kind: str, chunks, config: ExperimentConfig, jobs: int) -> np.ndarray:
+    """One kind's ``_kl_table`` array for the KDE or GMM family, one test group at a time."""
+    performer_ids = list(chunks)
+    n_groups = len(chunks[performer_ids[0]])
+    part, pool, model, against = _family(kind, chunks, config)
+    if part is None:
+        parts = chunks
+    else:
+        by_pid = _map(lambda pid: [part(c) for c in chunks[pid]], performer_ids, jobs)
+        parts = dict(zip(performer_ids, by_pid))
+    table = np.full((len(performer_ids) * n_groups, len(performer_ids)), np.nan)
+    for g in range(n_groups):
+        score = against(
+            [model(pool([parts[pid][k] for k in range(n_groups) if k != g])) for pid in performer_ids]
+        )
+        for i, pid in enumerate(performer_ids):
+            if len(chunks[pid][g]):
+                table[i * n_groups + g] = score(model(parts[pid][g]))
     return table
 
 
 def _family(kind: str, chunks, config: ExperimentConfig):
-    """``(part, pool, model, against)`` for ``_kl_table``: the family's pieces for one kind.
+    """``(part, pool, model, against)`` for ``_model_kls``: the family's pieces for one kind.
 
     ``against(train)`` takes one model per candidate and returns the function
-    that maps a test model to its KL from each of them, in order. Histograms
-    and GMMs take a group's values as its part (``part`` is None), pool by
-    concatenation, fit with ``fit_model`` and compare with ``divergence.kl``.
+    that maps a test model to its KL from each of them, in order. GMMs take a
+    group's values as its part (``part`` is None), pool by concatenation, fit
+    with ``fit_model`` and compare with ``divergence.kl``.
     KDEs work on one shared grid per kind, spanning all of its grouped values
     widened by 5 bandwidths, with the fewest points that keep the step at or
     below h/4; it depends on neither the feature subset nor the weights. A
@@ -451,20 +521,39 @@ def _group_chunks(series: DeviationSeries, fold: FoldSpec) -> list[np.ndarray]:
     return [series.values[groups == g] for g in range(fold.n_groups)]
 
 
+def _confusion(predicted: np.ndarray, n_groups: int) -> np.ndarray:
+    """Confusion matrix of ``_decide``'s winners; row ``t // n_groups`` is trial t's performer."""
+    n = predicted.shape[0] // n_groups
+    decided = predicted >= 0
+    confusion = np.zeros((n, n), dtype=np.int64)
+    np.add.at(confusion, (np.flatnonzero(decided) // n_groups, predicted[decided]), 1)
+    return confusion
+
+
 def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> EvaluationReport:
-    """Decide every trial of a ``_kl_table`` for one feature set and weighting."""
+    """Decide every trial of a ``_kl_table`` for one feature set and weighting,
+    with one logged warning per skipped trial."""
     performer_ids = dataset.performer_ids
-    index = {pid: i for i, pid in enumerate(performer_ids)}
-    confusion = np.zeros((len(performer_ids), len(performer_ids)), dtype=np.int64)
+    fused, predicted = _decide(table, config)
     trials, skipped = [], []
-    for (pid, g), kls in table.items():
-        outcome = {"performer": pid, "group": g, **_decide(kls, config)}
-        if "predicted" in outcome:
-            confusion[index[pid], index[outcome["predicted"]]] += 1
-            trials.append(outcome)
-        else:
-            log.warning("skipping trial (%s, group %d): %s", pid, g, outcome["reason"])
-            skipped.append(outcome)
+    for t, (pid, g) in enumerate(product(performer_ids, range(config.n_groups))):
+        if predicted[t] < 0:
+            reason = _skip_reason(table, config, t)
+            log.warning("skipping trial (%s, group %d): %s", pid, g, reason)
+            skipped.append({"performer": pid, "group": g, "reason": reason})
+            continue
+        per_kind = {kind: table[kind][t].tolist() for kind in config.feature_set}
+        trials.append({
+            "performer": pid,
+            "group": g,
+            "predicted": performer_ids[predicted[t]],
+            "fused_kl": dict(zip(performer_ids, fused[t].tolist())),
+            "feature_kl": {
+                c: {kind: row[i] for kind, row in per_kind.items()}
+                for i, c in enumerate(performer_ids)
+            },
+        })
+    confusion = _confusion(predicted, config.n_groups)
     return EvaluationReport(
         performer_ids=performer_ids,
         confusion=confusion,
@@ -525,27 +614,31 @@ def sweep(
 
     Per model family, the fits and KLs of every kind the subsets use are made
     once and shared by all subsets, so a sweep costs about one CV pass per
-    family; each subset's report equals ``run_cv`` on that subset.
+    family. Each subset is decided from the table's arrays with ``_report``'s
+    rule, and its scores equal ``run_cv`` on that subset; full reports are
+    built only for the base config and the best row.
     """
     subsets = [tuple(s) for s in (feature_subsets() if subsets is None else subsets)]
     kinds = tuple(dict.fromkeys(kind for subset in subsets for kind in subset))
-    rows, reports, base_report = [], {}, None
+    rows, tables, base_report = [], {}, None
     for family in model_families:
         table_config = replace(base_config, model_family=family, feature_set=kinds, weights=None)
-        table = _kl_table(dataset, table_config, jobs)
+        table = tables[family] = _kl_table(dataset, table_config, jobs)
         if family == base_config.model_family and set(base_config.feature_set) <= set(kinds):
             base_report = _report(dataset, table, base_config)
         for subset in subsets:
-            report = _report(dataset, table, replace(table_config, feature_set=subset))
-            s = report.scores
+            _, predicted = _decide(table, replace(table_config, feature_set=subset))
+            s = metrics(_confusion(predicted, base_config.n_groups))
             rows.append(SweepRow(family, subset, s.macro_precision, s.macro_recall, s.macro_f))
-            reports[(family, subset)] = report
     rows.sort(key=lambda r: (-r.precision, r.model_family, r.feature_set))
     best = rows[0]
+    best_config = replace(
+        base_config, model_family=best.model_family, feature_set=best.feature_set, weights=None
+    )
     return SweepResult(
         rows=tuple(rows),
         best=best,
-        best_report=reports[(best.model_family, best.feature_set)],
+        best_report=_report(dataset, tables[best.model_family], best_config),
         base_report=base_report,
     )
 

@@ -467,30 +467,41 @@ class TestSweep:
         # no base report when the subsets leave out one of its kinds
         assert sweep(dataset, config, ("histogram",), subsets=[("OT",)]).base_report is None
 
-    def test_rows_equal_run_cv_per_subset_with_an_empty_test_group(self):
+    SUBSETS = [
+        ("OT",), ("DL",), ("ND",), ("OT", "DL"), ("OT", "ND"), ("DL", "ND"), ("OT", "DL", "ND")
+    ]
+
+    def empty_dl_dataset(self):
+        """b has no DL values in group 0 (positions 0-9), so that trial has no DL
+        test set; d's series are a's, so a and d tie exactly as candidates."""
         rng = np.random.default_rng(4)
         n = 40
         positions = np.arange(n)
         by_performer = {}
         for pid, mu in (("a", 0.0), ("b", 0.8), ("c", 1.6)):
-            # b has no DL values in group 0 (positions 0-9), so that trial has no DL test set
             dl_positions = positions[10:] if pid == "b" else positions
             by_performer[pid] = {
                 "OT": point_series(pid, rng.normal(mu, 1.0, n), "OT"),
                 "DL": point_series(pid, rng.normal(-mu, 1.5, len(dl_positions)), "DL", dl_positions),
                 "ND": point_series(pid, rng.normal(0.5 * mu, 1.0, n), "ND"),
             }
-        dataset = DeviationDataset(n_positions=n, by_performer=by_performer)
-        config = ExperimentConfig(feature_set=("OT",), n_groups=4, n_bins=8)
-        subsets = [
-            ("OT",), ("DL",), ("ND",), ("OT", "DL"), ("OT", "ND"), ("DL", "ND"), ("OT", "DL", "ND")
-        ]
-        families = ("histogram", "kde")
+        by_performer["d"] = {
+            kind: replace(series, performer_id="d") for kind, series in by_performer["a"].items()
+        }
+        return DeviationDataset(n_positions=n, by_performer=by_performer)
+
+    def test_rows_equal_run_cv_per_subset_with_an_empty_test_group(self):
+        dataset = self.empty_dl_dataset()
+        config = ExperimentConfig(feature_set=("OT", "DL"), weights=(0.7, 2.5), n_groups=4, n_bins=8)
+        families = ("histogram", "kde", "gmm")
         # a one-shot iterable must serve every model family
-        result = sweep(dataset, config, model_families=families, subsets=iter(subsets), jobs=2)
-        assert len(result.rows) == len(families) * len(subsets)
+        result = sweep(dataset, config, model_families=families, subsets=iter(self.SUBSETS), jobs=2)
+        assert result.base_report.to_json() == run_cv(dataset, config).to_json()
+        assert len(result.rows) == len(families) * len(self.SUBSETS)
         for row in result.rows:
-            row_config = replace(config, model_family=row.model_family, feature_set=row.feature_set)
+            row_config = replace(
+                config, model_family=row.model_family, feature_set=row.feature_set, weights=None
+            )
             report = run_cv(dataset, row_config)
             scores = report.scores
             assert (row.precision, row.recall, row.f) == (
@@ -500,6 +511,27 @@ class TestSweep:
             )
             expected_skips = [{"performer": "b", "group": 0, "reason": "empty DL test series"}]
             assert list(report.skipped) == (expected_skips if "DL" in row.feature_set else [])
-            assert len(report.trials) + len(report.skipped) == 3 * 4
+            assert len(report.trials) + len(report.skipped) == 4 * 4
+            for trial in report.trials:
+                fused = trial["fused_kl"]
+                assert fused["a"] == fused["d"]
+                assert trial["predicted"] == min(fused, key=lambda c: (fused[c], c))
+            assert report.confusion[:, 3].sum() == 0  # d always ties with a, which wins
             if row == result.best:
                 assert result.best_report.to_json() == report.to_json()
+
+    def test_a_skipped_trial_is_logged_once_per_report_built(self, caplog):
+        dataset = self.empty_dl_dataset()
+        config = ExperimentConfig(feature_set=("OT", "DL"), n_groups=4, n_bins=8)
+
+        def skip_warnings():
+            return [r for r in caplog.records if r.getMessage().startswith("skipping trial (b, group 0)")]
+
+        with caplog.at_level(logging.WARNING, logger="pianist_id.evaluation"):
+            run_cv(dataset, config)
+            assert len(skip_warnings()) == 1
+            caplog.clear()
+            result = sweep(dataset, config, ("histogram",), subsets=self.SUBSETS)
+        # the 4 DL subsets are decided without reports; only the base and best reports log
+        built = (result.base_report, result.best_report)
+        assert len(skip_warnings()) == sum(len(r.skipped) for r in built) >= 1
