@@ -6,18 +6,18 @@ exact kernel sums on a uniform grid whose step never exceeds a quarter of the
 bandwidth; GMMs use the variational approximation built from closed-form
 Gaussian component divergences. Divergence across model families is rejected.
 
-A pairwise KDE KL (``kl_kde``) builds its grid from the two models' samples,
-with at least ``KDE_GRID_POINTS`` points. Cross-validation's one KL table
+Every KDE grid comes from one rule (``kde_grid``): the fewest points that
+keep the step at or below a quarter of the bandwidth. A pairwise KDE KL
+(``kl_kde``) spans the two models' samples. Cross-validation's one KL table
 (``evaluation._kl_table``) compares GMMs with ``kl``. It scores histograms in
 stacked passes with ``kl_histogram_rows``, of which ``kl_histogram`` is the
 one-pair case: union edges from one sort per pair, rebinning with
 ``np.interp``'s arithmetic, and sums grouped by length so every value keeps
 the bits of a lone pair. For KDEs it puts every KDE of one feature kind on
-one shared grid (``kde_grid`` over all of that kind's grouped values) with
-the fewest points that keep the step at or below a quarter of the bandwidth,
-evaluates each group's kernel sum there once and scores each test density
-against every candidate's with ``kl_rows``, the integrand ``kl_on_grid`` also
-uses. ``fuse`` adds weighted KLs feature by feature, for single values or for
+one shared grid over all of that kind's grouped values, evaluates each
+group's kernel sum there once and scores each test density against every
+candidate's with ``kl_rows``, the integrand ``kl_on_grid`` also uses.
+``fuse`` adds weighted KLs feature by feature, for single values or for
 whole arrays of them.
 """
 
@@ -33,8 +33,6 @@ from .densities import GMM, KDE, Histogram, kde_pdf
 
 #: Denominator density floor; keeps the KDE integrand finite on disjoint supports.
 Q_FLOOR = 1e-300
-
-KDE_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -152,11 +150,11 @@ def _kl_sums(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
     return out
 
 
-def kde_grid(lo: float, hi: float, pad: float, max_step: float, n_points: int = 0) -> np.ndarray:
+def kde_grid(lo: float, hi: float, pad: float, max_step: float) -> np.ndarray:
     """Uniform grid over [lo - pad, hi + pad] with the fewest points that keep
-    the step at or below ``max_step``, and at least ``n_points``."""
+    the step at or below ``max_step``."""
     lo, hi = lo - pad, hi + pad
-    return np.linspace(lo, hi, max(n_points, math.ceil((hi - lo) / max_step) + 1))
+    return np.linspace(lo, hi, math.ceil((hi - lo) / max_step) + 1)
 
 
 def kl_rows(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> list[float]:
@@ -177,11 +175,11 @@ def kl_on_grid(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> KlResult:
     )
 
 
-def kl_kde(p: KDE, q: KDE, n_points: int = KDE_GRID_POINTS) -> KlResult:
+def kl_kde(p: KDE, q: KDE) -> KlResult:
     """``kl_on_grid`` for two KDEs on a grid of their own.
 
     The grid spans the union of both sample ranges widened by 5x the larger
-    bandwidth, with at least ``n_points`` points and a step of at most a
+    bandwidth, with the fewest points that keep the step at or below a
     quarter of the smaller bandwidth.
     """
     grid = kde_grid(
@@ -189,7 +187,6 @@ def kl_kde(p: KDE, q: KDE, n_points: int = KDE_GRID_POINTS) -> KlResult:
         max(float(p.sample_points.max()), float(q.sample_points.max())),
         pad=5.0 * max(p.bandwidth, q.bandwidth),
         max_step=min(p.bandwidth, q.bandwidth) / 4.0,
-        n_points=n_points,
     )
     return kl_on_grid(np.asarray(kde_pdf(p, grid)), np.asarray(kde_pdf(q, grid)), grid)
 

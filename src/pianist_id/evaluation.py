@@ -351,10 +351,10 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
     trial leaves its row NaN. Per kind, the trial tests the performer's
     group-g values against each candidate's pool of their other groups. Each
     model and KL is made once, so one table serves every feature subset and
-    weighting of these kinds. Histograms are fitted and scored in stacked
-    passes (``_histogram_kls``); KDEs and GMMs go through the family's pieces
-    (``_family``), where ``jobs`` threads compute the performers' KDE kernel
-    sums and everything else runs one group at a time in the calling thread.
+    weighting of these kinds. Each family has its own builder:
+    ``_histogram_kls`` fits and scores in stacked passes, ``_kde_kls`` works
+    on one shared grid per kind, with ``jobs`` threads computing the kernel
+    sums, and ``_gmm_kls`` fits and scores one group at a time.
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
@@ -368,8 +368,10 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
         }
         if config.model_family == "histogram":
             table[kind] = _histogram_kls(chunks, config.n_bins)
+        elif config.model_family == "kde":
+            table[kind] = _kde_kls(kind, chunks, config.bandwidth_for(kind), jobs)
         else:
-            table[kind] = _model_kls(kind, chunks, config, jobs)
+            table[kind] = _gmm_kls(kind, chunks, config)
     return table
 
 
@@ -432,79 +434,71 @@ def _histogram_kls(chunks, n_bins: int) -> np.ndarray:
     return table
 
 
-def _model_kls(kind: str, chunks, config: ExperimentConfig, jobs: int) -> np.ndarray:
-    """One kind's ``_kl_table`` array for the KDE or GMM family, one test group at a time."""
-    performer_ids = list(chunks)
-    n_groups = len(chunks[performer_ids[0]])
-    part, pool, model, against = _family(kind, chunks, config)
-    if part is None:
-        parts = chunks
-    else:
-        by_pid = _map(lambda pid: [part(c) for c in chunks[pid]], performer_ids, jobs)
-        parts = dict(zip(performer_ids, by_pid))
-    table = np.full((len(performer_ids) * n_groups, len(performer_ids)), np.nan)
-    for g in range(n_groups):
-        score = against(
-            [model(pool([parts[pid][k] for k in range(n_groups) if k != g])) for pid in performer_ids]
-        )
-        for i, pid in enumerate(performer_ids):
-            if len(chunks[pid][g]):
-                table[i * n_groups + g] = score(model(parts[pid][g]))
-    return table
+def _kde_kls(kind: str, chunks, h: float, jobs: int) -> np.ndarray:
+    """One kind's ``_kl_table`` array for the KDE family, with bandwidth ``h``.
 
-
-def _family(kind: str, chunks, config: ExperimentConfig):
-    """``(part, pool, model, against)`` for ``_model_kls``: the family's pieces for one kind.
-
-    ``against(train)`` takes one model per candidate and returns the function
-    that maps a test model to its KL from each of them, in order. GMMs take a
-    group's values as its part (``part`` is None), pool by concatenation, fit
-    with ``fit_model`` and compare with ``divergence.kl``.
-    KDEs work on one shared grid per kind, spanning all of its grouped values
-    widened by 5 bandwidths, with the fewest points that keep the step at or
-    below h/4; it depends on neither the feature subset nor the weights. A
-    group's part is its exact kernel sum on that grid with its size; a pool is
-    the sum of the other groups' vectors, never the total minus the group,
-    which would cancel in the tails that decide the KL. The candidates'
-    densities are stacked once per test group, and ``divergence.kl_rows``
-    scores a test density against all of them in one pass.
+    Every KDE of the kind lives on one shared grid, spanning all of its
+    grouped values widened by 5 bandwidths, with the fewest points that keep
+    the step at or below h/4. Each group's exact kernel sum on that grid is
+    computed once, over ``jobs`` threads. Per test group ``divergence.kl_rows``
+    scores each test density against the stacked pool densities.
     """
-    if config.model_family != "kde":
-        return (
-            None,
-            np.concatenate,
-            lambda values: fit_model(values, kind, config),
-            lambda train: lambda test: [divergence.kl(test, q).value for q in train],
-        )
-    for pid_chunks in chunks.values():
-        sizes = [len(c) for c in pid_chunks]
-        if any(n == sum(sizes) for n in sizes):  # an empty training pool
-            raise ValueError(densities.EMPTY_KDE_MESSAGE)
-    h = config.bandwidth_for(kind)
-    values = [c for pid_chunks in chunks.values() for c in pid_chunks if len(c)]
+    pids = list(chunks)
+    n_groups = len(chunks[pids[0]])
+    sizes = [[len(c) for c in chunks[pid]] for pid in pids]
+    if any(n == sum(row) for row in sizes for n in row):  # an empty training pool
+        raise ValueError(densities.EMPTY_KDE_MESSAGE)
+    values = [c for pid in pids for c in chunks[pid] if len(c)]
     grid = divergence.kde_grid(
         min(float(c.min()) for c in values),
         max(float(c.max()) for c in values),
         pad=5.0 * h,
         max_step=h / 4.0,
     )
-    n_values = sum(len(c) for c in values)
     log.debug(
         "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
         kind, float(grid[0]), float(grid[-1]), len(grid),
-        (grid[1] - grid[0]) / h, n_values * len(grid),
+        (grid[1] - grid[0]) / h, sum(len(c) for c in values) * len(grid),
     )
+    sums = _map(lambda pid: [densities.kernel_sum(c, h, grid) for c in chunks[pid]], pids, jobs)
+    table = np.full((len(pids) * n_groups, len(pids)), np.nan)
+    for g in range(n_groups):
+        # a pool is the sum of its groups' vectors, never the total minus the
+        # group, which would cancel in the tails that decide the KL
+        pools = np.stack([
+            densities.kernel_density(np.sum(s[:g] + s[g + 1:], axis=0), sum(n[:g] + n[g + 1:]), h)
+            for s, n in zip(sums, sizes)
+        ])
+        for i in range(len(pids)):
+            if sizes[i][g]:
+                test = densities.kernel_density(sums[i][g], sizes[i][g], h)
+                table[i * n_groups + g] = divergence.kl_rows(test, pools, grid)
+    return table
 
-    def against(train):
-        stacked = np.stack(train)
-        return lambda test: divergence.kl_rows(test, stacked, grid)
 
-    return (
-        lambda values: (densities.kernel_sum(values, h, grid), len(values)),
-        lambda parts: (np.sum([s for s, _ in parts], axis=0), sum(n for _, n in parts)),
-        lambda part: densities.kernel_density(*part, h),
-        against,
-    )
+def _gmm_kls(kind: str, chunks, config: ExperimentConfig) -> np.ndarray:
+    """One kind's ``_kl_table`` array for the GMM family: per test group,
+    ``fit_model`` fits every candidate's pool, then every non-empty test, and
+    ``divergence.kl`` scores each pair. A failed fit names its part."""
+    pids = list(chunks)
+    n_groups = len(chunks[pids[0]])
+
+    def fit(values, pid, part):
+        try:
+            return fit_model(values, kind, config)
+        except ValueError as err:
+            message = f"cannot fit the {kind} GMM to the {part} of performer {pid!r}: {err}"
+            raise ValueError(message) from err
+
+    table = np.full((len(pids) * n_groups, len(pids)), np.nan)
+    for g in range(n_groups):
+        pool = f"training pool for test group {g}"
+        pools = [fit(np.concatenate(c[:g] + c[g + 1:]), pid, pool) for pid, c in chunks.items()]
+        for i, pid in enumerate(pids):
+            if len(chunks[pid][g]):
+                test = fit(chunks[pid][g], pid, f"test group {g}")
+                table[i * n_groups + g] = [divergence.kl(test, q).value for q in pools]
+    return table
 
 
 def _map(fn, items, jobs: int) -> list:

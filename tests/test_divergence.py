@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pianist_id.densities import GMM, Histogram, fit_gmm, fit_histogram, fit_kde
+from pianist_id.densities import GMM, Histogram, fit_gmm, fit_histogram, fit_kde, kde_pdf
 from pianist_id.divergence import (
     Q_FLOOR,
     KlResult,
@@ -104,19 +104,23 @@ class TestKlKde:
         rng = np.random.default_rng(31)
         p = fit_kde(rng.normal(0.0, 1.0, 10_000), bandwidth=0.15)
         q = fit_kde(rng.normal(1.0, 1.0, 10_000), bandwidth=0.15)
-        coarse = kl_kde(p, q, n_points=4096).value
-        fine = kl_kde(p, q, n_points=8192).value
-        assert abs(fine - coarse) < 1e-4
+        result = kl_kde(p, q)
+        lo, hi, _ = result.grid_spec
+        # the same span at half kl_kde's largest step
+        fine = np.linspace(lo, hi, math.ceil((hi - lo) / (0.15 / 8)) + 1)
+        reference = kl_on_grid(kde_pdf(p, fine), kde_pdf(q, fine), fine).value
+        assert abs(result.value - reference) < 1e-4
 
     def test_grid_spec_recorded(self):
         p = fit_kde(np.asarray([0.0, 1.0]), bandwidth=0.5)
         result = kl_kde(p, p)
         assert result.method == "grid"
         lo, hi, n = result.grid_spec
-        assert lo == pytest.approx(-2.5) and hi == pytest.approx(3.5) and n == 4096
+        # the fewest points that keep the step at or below 0.5 / 4
+        assert lo == pytest.approx(-2.5) and hi == pytest.approx(3.5) and n == 49
 
     def test_step_never_exceeds_a_quarter_bandwidth(self):
-        # one far outlier: 4096 points would give a step of about 5 bandwidths
+        # one far outlier: the span is 20000 bandwidths wide
         p = fit_kde(np.asarray([0.0, 0.01, 0.03, 200.0]), bandwidth=0.01)
         q = fit_kde(np.asarray([0.02, 0.04]), bandwidth=0.01)
         lo, hi, n = kl_kde(p, q).grid_spec

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pianist_id.densities import DEFAULT_BANDWIDTHS, GMM_MAX_ITER, GMM_TOL, fit_kde, kde_pdf
-from pianist_id.divergence import kl, kl_kde, kl_on_grid
+from pianist_id.divergence import fuse, kl, kl_kde, kl_on_grid
 from pianist_id.evaluation import (
     DeviationDataset,
     EmptyTestSeriesError,
@@ -197,6 +197,48 @@ class TestClassify:
         with pytest.raises(EmptyTestSeriesError):
             classify({"OT": np.asarray([])}, train, config)
 
+    @pytest.mark.parametrize("family", ["kde", "gmm"])
+    def test_agrees_with_run_cv_on_every_trial(self, family):
+        rng = np.random.default_rng(23)
+        n = 48
+        dataset = DeviationDataset(
+            n_positions=n,
+            by_performer={
+                pid: {
+                    "OT": point_series(pid, rng.normal(mu, 1.0, n), "OT"),
+                    "DL": point_series(pid, rng.normal(-mu, 2.0, n), "DL"),
+                }
+                for pid, mu in (("a", 0.0), ("b", 0.4), ("c", 0.8))
+            },
+        )
+        config = ExperimentConfig(
+            model_family=family, feature_set=("OT", "DL"), n_groups=4, gmm_k=2, seed=5
+        )
+        report = run_cv(dataset, config)
+        assert len(report.trials) == 3 * 4
+        assert len({trial["predicted"] for trial in report.trials}) > 1
+        fold = logo_split(n, config.n_groups)
+        for trial in report.trials:
+            pid, g = trial["performer"], trial["group"]
+            # every series holds one value per position, in position order
+            in_test = fold.group_of(np.arange(n)) == g
+            test = {kind: dataset.by_performer[pid][kind].values[in_test] for kind in config.feature_set}
+            train = {
+                candidate: {
+                    kind: fit_model(series.values[~in_test], kind, config)
+                    for kind, series in dataset.by_performer[candidate].items()
+                }
+                for candidate in dataset.performer_ids
+            }
+            assert classify(test, train, config) == trial["predicted"]
+            if family == "gmm":
+                tests = {kind: fit_model(values, kind, config) for kind, values in test.items()}
+                fused = {
+                    candidate: fuse([kl(tests[kind], models[kind]) for kind in config.feature_set])
+                    for candidate, models in train.items()
+                }
+                assert fused == trial["fused_kl"]
+
 
 class TestRunCv:
     def disjoint_dataset(self, n=64):
@@ -318,6 +360,31 @@ class TestRunCv:
                         config,
                     )
                     assert value == kl(test, pool).value
+
+    def test_a_gmm_fit_that_fails_names_its_kind_performer_and_group(self):
+        rng = np.random.default_rng(8)
+
+        def dataset(b_positions):
+            return DeviationDataset(
+                n_positions=64,
+                by_performer={
+                    "a": {"OT": point_series("a", rng.normal(0.0, 1.0, 64), "OT")},
+                    "b": {"OT": point_series("b", rng.normal(1.0, 1.0, len(b_positions)), "OT", b_positions)},
+                },
+            )
+
+        # b has no OT values at positions 2-7: its group-0 test set holds 2
+        short_test = dataset(np.r_[0:2, 8:64])
+        for family in ("histogram", "kde"):
+            report = run_cv(short_test, ExperimentConfig(model_family=family, feature_set=("OT",)))
+            assert len(report.trials) == 16
+        config = ExperimentConfig(model_family="gmm", feature_set=("OT",), gmm_k=3)
+        message = "cannot fit the OT GMM to the {} of performer 'b': series of length 2 cannot support k=3"
+        with pytest.raises(ValueError, match=re.escape(message.format("test group 0"))):
+            run_cv(short_test, config)
+        # b's values sit at positions 0-9: the pool for its group-0 trial holds 2
+        with pytest.raises(ValueError, match=re.escape(message.format("training pool for test group 0"))):
+            run_cv(dataset(np.arange(10)), config)
 
     def test_needs_two_performers(self):
         dataset = make_dataset({"a": np.arange(16.0)})
