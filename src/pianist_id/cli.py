@@ -373,11 +373,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     result = None
     try:
         if args.sweep:
-            # the sweep's KL table covers every kind, so it also yields the main report
-            result = evaluation.sweep(
-                dataset, config, model_families=(config.model_family,), jobs=args.jobs
-            )
-            report = result.base_report
+            # one KL table serves every subset and the main report
+            result = evaluation.sweep(dataset, config, jobs=args.jobs)
+            report = result.report
         else:
             report = run_cv(dataset, config, jobs=args.jobs)
     except ValueError as exc:
@@ -390,7 +388,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if result is not None:
         _write(out / f"sweep_{config.model_family}.csv", evaluation.sweep_csv(result.rows))
-        best = result.best
+        best = result.rows[0]
         print(f"best subset: {best.feature_label} (precision {best.precision:.3f})")
 
     scores = report.scores

@@ -16,7 +16,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -117,6 +117,8 @@ class ExperimentConfig:
         if self.gmm_k > densities.GMM_K_CAP:
             raise ValueError(f"gmm_k={self.gmm_k} exceeds the component cap {densities.GMM_K_CAP}")
         bandwidths = dict(self.bandwidths)
+        if len(bandwidths) != len(self.bandwidths):
+            raise ValueError("bandwidths must not repeat kinds")
         for kind in bandwidths:
             if kind not in KINDS:
                 raise ValueError(f"unknown feature kind in bandwidths: {kind!r}")
@@ -560,7 +562,6 @@ def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> Evalu
 
 @dataclass(frozen=True)
 class SweepRow:
-    model_family: str
     feature_set: tuple[str, ...]
     precision: float
     recall: float
@@ -573,68 +574,48 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sweep rows ranked by precision, the best row's report, and the base config's report.
-
-    ``base_report`` equals ``run_cv(dataset, base_config)``. It is reduced from
-    the sweep's own KL table, so it exists only when ``base_config.model_family``
-    was swept and the subsets use every kind of ``base_config.feature_set``
-    (the default subsets use all kinds); otherwise it is None.
-    """
+    """Sweep rows ranked by precision, and the swept config's full report."""
 
     rows: tuple[SweepRow, ...]
-    best: SweepRow
-    best_report: EvaluationReport
-    base_report: EvaluationReport | None
+    report: EvaluationReport
 
 
-def feature_subsets(min_size: int = 2, include_singletons: bool = False) -> list[tuple[str, ...]]:
-    """All feature combinations in canonical order (size >= 2 by default)."""
-    lo = 1 if include_singletons else min_size
+def feature_subsets(min_size: int = 2) -> list[tuple[str, ...]]:
+    """All feature combinations of at least ``min_size`` kinds, in canonical order."""
     return [
         subset
-        for size in range(lo, len(KINDS) + 1)
+        for size in range(min_size, len(KINDS) + 1)
         for subset in combinations(KINDS, size)
     ]
 
 
 def sweep(
     dataset: DeviationDataset,
-    base_config: ExperimentConfig,
-    model_families: Iterable[str] = MODEL_FAMILIES,
+    config: ExperimentConfig,
     subsets: Iterable[tuple[str, ...]] | None = None,
     jobs: int = 1,
 ) -> SweepResult:
-    """Run CV for every feature subset x model family; rank by precision.
+    """Run CV for every feature subset of ``config``'s model family; rank by precision.
 
-    Per model family, the fits and KLs of every kind the subsets use are made
-    once and shared by all subsets, so a sweep costs about one CV pass per
-    family. Each subset is decided from the table's arrays with ``_report``'s
-    rule, and its scores equal ``run_cv`` on that subset; full reports are
-    built only for the base config and the best row.
+    The fits and KLs of every kind the subsets or ``config`` use are made once
+    and shared, so a sweep costs about one CV pass. Each subset is decided,
+    unweighted, from the table's arrays with ``_report``'s rule, and its
+    scores equal ``run_cv`` on that subset. The one full report is
+    ``run_cv(dataset, config)``.
     """
     subsets = [tuple(s) for s in (feature_subsets() if subsets is None else subsets)]
-    kinds = tuple(dict.fromkeys(kind for subset in subsets for kind in subset))
-    rows, tables, base_report = [], {}, None
-    for family in model_families:
-        table_config = replace(base_config, model_family=family, feature_set=kinds, weights=None)
-        table = tables[family] = _kl_table(dataset, table_config, jobs)
-        if family == base_config.model_family and set(base_config.feature_set) <= set(kinds):
-            base_report = _report(dataset, table, base_config)
-        for subset in subsets:
-            _, predicted = _decide(table, replace(table_config, feature_set=subset))
-            s = metrics(_confusion(predicted, base_config.n_groups))
-            rows.append(SweepRow(family, subset, s.macro_precision, s.macro_recall, s.macro_f))
-    rows.sort(key=lambda r: (-r.precision, r.model_family, r.feature_set))
-    best = rows[0]
-    best_config = replace(
-        base_config, model_family=best.model_family, feature_set=best.feature_set, weights=None
-    )
-    return SweepResult(
-        rows=tuple(rows),
-        best=best,
-        best_report=_report(dataset, tables[best.model_family], best_config),
-        base_report=base_report,
-    )
+    if not subsets:
+        raise ValueError("sweep needs at least one feature subset")
+    kinds = tuple(dict.fromkeys(chain(*subsets, config.feature_set)))
+    table_config = replace(config, feature_set=kinds, weights=None)
+    table = _kl_table(dataset, table_config, jobs)
+    rows = []
+    for subset in subsets:
+        _, predicted = _decide(table, replace(table_config, feature_set=subset))
+        s = metrics(_confusion(predicted, config.n_groups))
+        rows.append(SweepRow(subset, s.macro_precision, s.macro_recall, s.macro_f))
+    rows.sort(key=lambda r: (-r.precision, r.feature_set))
+    return SweepResult(rows=tuple(rows), report=_report(dataset, table, config))
 
 
 # ---------------------------------------------------------------------------

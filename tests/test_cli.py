@@ -55,6 +55,7 @@ class TestExitCodes:
             (kde + ["--bandwidths", "IOI=inf"], "bandwidth for IOI must be positive and finite"),
             (kde + ["--bandwidths", "DL=nan"], "bandwidth for DL must be positive and finite"),
             (kde + ["--bandwidths", "XX=0.1"], "unknown feature kind in bandwidths: 'XX'"),
+            (kde + ["--bandwidths", "IOI=0.01,IOI=0.5"], "bandwidths must not repeat kinds"),
             (synth + ["--performers", "0"], "--performers must be at least 2"),
             (synth + ["--notes", "0"], "--notes must be at least 2"),
         ]

@@ -142,6 +142,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown feature kind in bandwidths: 'XX'"):
             ExperimentConfig(model_family="kde", bandwidths=(("XX", 0.1),))
 
+    def test_rejects_a_repeated_bandwidth_kind(self):
+        with pytest.raises(ValueError, match="bandwidths must not repeat kinds"):
+            ExperimentConfig(model_family="kde", bandwidths=(("IOI", 0.01), ("IOI", 0.5)))
+
     def test_rejects_bad_groups_bins_and_gmm_k_at_construction(self):
         cases = [
             ({"n_groups": 1}, "need at least 2 groups, got 1"),
@@ -500,10 +504,10 @@ class TestSweep:
         assert len(feature_subsets()) == 2**5 - 5 - 1 == 26
 
     def test_singleton_grid_shape(self):
-        singles = [s for s in feature_subsets(include_singletons=True) if len(s) == 1]
+        singles = [s for s in feature_subsets(min_size=1) if len(s) == 1]
         assert len(singles) == 5
 
-    def test_sweep_ranks_by_precision_and_keeps_best_confusion(self):
+    def test_sweep_ranks_by_precision_and_reports_the_config(self):
         rng = np.random.default_rng(9)
         n = 48
         dataset = DeviationDataset(
@@ -519,20 +523,17 @@ class TestSweep:
         config = ExperimentConfig(
             feature_set=("DL", "OT"), weights=(2.0, 0.5), n_groups=4, n_bins=8
         )
-        result = sweep(
-            dataset,
-            config,
-            model_families=("histogram",),
-            subsets=[("OT",), ("DL",), ("OT", "DL")],
-        )
+        result = sweep(dataset, config, subsets=[("OT",), ("DL",), ("OT", "DL")])
         assert len(result.rows) == 3
         precisions = [row.precision for row in result.rows]
         assert precisions == sorted(precisions, reverse=True)
-        assert result.best_report.confusion.shape == (2, 2)
-        assert result.best.feature_label in ("OT", "DL", "OT+DL")
-        assert result.base_report.to_json() == run_cv(dataset, config).to_json()
-        # no base report when the subsets leave out one of its kinds
-        assert sweep(dataset, config, ("histogram",), subsets=[("OT",)]).base_report is None
+        assert result.rows[0].feature_label in ("OT", "DL", "OT+DL")
+        expected = run_cv(dataset, config).to_json()
+        assert result.report.to_json() == expected
+        # the report covers the config even when the subsets leave out one of its kinds
+        assert sweep(dataset, config, subsets=[("OT",)]).report.to_json() == expected
+        with pytest.raises(ValueError, match="sweep needs at least one feature subset"):
+            sweep(dataset, config, subsets=[])
 
     SUBSETS = [
         ("OT",), ("DL",), ("ND",), ("OT", "DL"), ("OT", "ND"), ("DL", "ND"), ("OT", "DL", "ND")
@@ -559,33 +560,34 @@ class TestSweep:
 
     def test_rows_equal_run_cv_per_subset_with_an_empty_test_group(self):
         dataset = self.empty_dl_dataset()
-        config = ExperimentConfig(feature_set=("OT", "DL"), weights=(0.7, 2.5), n_groups=4, n_bins=8)
-        families = ("histogram", "kde", "gmm")
-        # a one-shot iterable must serve every model family
-        result = sweep(dataset, config, model_families=families, subsets=iter(self.SUBSETS), jobs=2)
-        assert result.base_report.to_json() == run_cv(dataset, config).to_json()
-        assert len(result.rows) == len(families) * len(self.SUBSETS)
-        for row in result.rows:
-            row_config = replace(
-                config, model_family=row.model_family, feature_set=row.feature_set, weights=None
+        for family in ("histogram", "kde", "gmm"):
+            config = ExperimentConfig(
+                model_family=family,
+                feature_set=("OT", "DL"),
+                weights=(0.7, 2.5),
+                n_groups=4,
+                n_bins=8,
             )
-            report = run_cv(dataset, row_config)
-            scores = report.scores
-            assert (row.precision, row.recall, row.f) == (
-                scores.macro_precision,
-                scores.macro_recall,
-                scores.macro_f,
-            )
-            expected_skips = [{"performer": "b", "group": 0, "reason": "empty DL test series"}]
-            assert list(report.skipped) == (expected_skips if "DL" in row.feature_set else [])
-            assert len(report.trials) + len(report.skipped) == 4 * 4
-            for trial in report.trials:
-                fused = trial["fused_kl"]
-                assert fused["a"] == fused["d"]
-                assert trial["predicted"] == min(fused, key=lambda c: (fused[c], c))
-            assert report.confusion[:, 3].sum() == 0  # d always ties with a, which wins
-            if row == result.best:
-                assert result.best_report.to_json() == report.to_json()
+            # a one-shot iterable serves the table and every row
+            result = sweep(dataset, config, subsets=iter(self.SUBSETS), jobs=2)
+            assert result.report.to_json() == run_cv(dataset, config).to_json()
+            assert len(result.rows) == len(self.SUBSETS)
+            for row in result.rows:
+                report = run_cv(dataset, replace(config, feature_set=row.feature_set, weights=None))
+                scores = report.scores
+                assert (row.precision, row.recall, row.f) == (
+                    scores.macro_precision,
+                    scores.macro_recall,
+                    scores.macro_f,
+                )
+                expected_skips = [{"performer": "b", "group": 0, "reason": "empty DL test series"}]
+                assert list(report.skipped) == (expected_skips if "DL" in row.feature_set else [])
+                assert len(report.trials) + len(report.skipped) == 4 * 4
+                for trial in report.trials:
+                    fused = trial["fused_kl"]
+                    assert fused["a"] == fused["d"]
+                    assert trial["predicted"] == min(fused, key=lambda c: (fused[c], c))
+                assert report.confusion[:, 3].sum() == 0  # d always ties with a, which wins
 
     def test_a_skipped_trial_is_logged_once_per_report_built(self, caplog):
         dataset = self.empty_dl_dataset()
@@ -598,7 +600,6 @@ class TestSweep:
             run_cv(dataset, config)
             assert len(skip_warnings()) == 1
             caplog.clear()
-            result = sweep(dataset, config, ("histogram",), subsets=self.SUBSETS)
-        # the 4 DL subsets are decided without reports; only the base and best reports log
-        built = (result.base_report, result.best_report)
-        assert len(skip_warnings()) == sum(len(r.skipped) for r in built) >= 1
+            result = sweep(dataset, config, subsets=self.SUBSETS)
+        # the 4 DL subsets are decided without reports; only the config's report logs
+        assert len(skip_warnings()) == len(result.report.skipped) == 1
