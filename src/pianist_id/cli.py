@@ -436,3 +436,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write(out / "profiles.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {n_performers} synthetic performances of {n_notes} notes -> {out}")
     return 0
+
+
+if __name__ == "__main__":
+    entry()

@@ -240,41 +240,28 @@ def kde_pdf(model: KDE, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def fit_gmm(
-    series,
-    k: int = DEFAULT_GMM_K,
-    *,
-    seed: int = 0,
-    tol: float = GMM_TOL,
-    max_iter: int = GMM_MAX_ITER,
-    k_cap: int = GMM_K_CAP,
-) -> GMM:
+def fit_gmm(series, k: int = DEFAULT_GMM_K, *, seed: int = 0) -> GMM:
     """EM fit of a k-component 1-D Gaussian mixture, deterministic under seed."""
-    model, _ = fit_gmm_trace(series, k, seed=seed, tol=tol, max_iter=max_iter, k_cap=k_cap)
+    model, _ = fit_gmm_trace(series, k, seed=seed)
     return model
 
 
 def fit_gmm_trace(
-    series,
-    k: int = DEFAULT_GMM_K,
-    *,
-    seed: int = 0,
-    tol: float = GMM_TOL,
-    max_iter: int = GMM_MAX_ITER,
-    k_cap: int = GMM_K_CAP,
+    series, k: int = DEFAULT_GMM_K, *, seed: int = 0
 ) -> tuple[GMM, np.ndarray]:
     """Like fit_gmm but also returns the per-iteration log-likelihood trace.
 
     Initialization picks centers kmeans++-style from the samples, then EM runs
-    until the log-likelihood gain drops below ``tol`` or ``max_iter`` is hit.
+    until the log-likelihood gain drops below ``GMM_TOL`` or ``GMM_MAX_ITER``
+    iterations are done.
     Variances are floored at 1e-10 x the sample variance (1e-12 absolute for a
     degenerate series).
     """
     values = _as_values(series)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > k_cap:
-        raise ValueError(f"k={k} exceeds the component cap {k_cap}")
+    if k > GMM_K_CAP:
+        raise ValueError(f"k={k} exceeds the component cap {GMM_K_CAP}")
     if len(values) < k:
         raise ValueError(f"series of length {len(values)} cannot support k={k}")
 
@@ -300,7 +287,7 @@ def fit_gmm_trace(
 
     trace = []
     log_likelihood = -np.inf
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         # E step in log space
         log_comp = (
             -0.5 * (np.log(2.0 * np.pi * variances)[None, :]
@@ -321,7 +308,7 @@ def fit_gmm_trace(
             var_floor,
         )
         weights = weights / weights.sum()
-        if new_log_likelihood - log_likelihood < tol:
+        if new_log_likelihood - log_likelihood < GMM_TOL:
             break
         log_likelihood = new_log_likelihood
 

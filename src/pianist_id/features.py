@@ -5,6 +5,11 @@ duration = offset - onset), IOI (inter-onset interval to the next note) and
 OTD (gap between a note's offset and the next onset; negative means legato
 overlap). Deviations subtract the performer's quantity from the norm's: plain
 difference for OT/DL/ND, difference of absolute values for IOI/OTD.
+
+There is one path from note streams to deviations: restrict the performer and
+norm streams to their shared positions, then derive each kind from that pair
+and subtract. ``deviations`` does both for one kind; ``extract_deviations``
+restricts each performer once and derives every requested kind from it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -206,78 +211,41 @@ def derive_quantity(stream: NoteStream, kind: str) -> QuantitySeries:
     )
 
 
-def deviations(
-    performer: Union[NoteStream, QuantitySeries],
-    norm: Union[NoteStream, QuantitySeries],
-    kind: str | None = None,
-) -> DeviationSeries:
+def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
     """Deviation series of a performer from the norm for one feature kind.
 
-    With note streams, both are first restricted to their common positions so
-    IOI/OTD run between the performer's consecutive present notes and the norm
-    quantity spans the same two positions. Pre-derived QuantitySeries inputs
-    must agree on kind and are matched on identical (start, end) positions.
+    Both streams are first restricted to their common positions, so IOI/OTD
+    run between the performer's consecutive present notes and the norm
+    quantity spans the same two positions.
 
     The sign convention is norm minus performer: x - y for OT/DL/ND and
     |x| - |y| for IOI/OTD, with x the norm quantity.
     """
-    if isinstance(performer, QuantitySeries) != isinstance(norm, QuantitySeries):
-        raise ValueError("mix of derived and raw streams is not supported")
-    if isinstance(performer, QuantitySeries):
-        if performer.kind != norm.kind:
-            raise ValueError(f"kind mismatch between streams: {performer.kind} vs {norm.kind}")
-        if kind is not None and kind != performer.kind:
-            raise ValueError(f"kind mismatch: requested {kind}, streams carry {performer.kind}")
-        kind = performer.kind
-        perf_q, norm_q = performer, norm
-        keys_p = np.stack([perf_q.positions, perf_q.end_positions], axis=1)
-        keys_n = np.stack([norm_q.positions, norm_q.end_positions], axis=1)
-        # match on identical (start, end) spans
-        idx_p, idx_n = _match_rows(keys_p, keys_n)
-        x = norm_q.values[idx_n]
-        y = perf_q.values[idx_p]
-        positions = perf_q.positions[idx_p]
-        end_positions = perf_q.end_positions[idx_p]
-    else:
-        if kind is None:
-            raise ValueError("kind is required for raw note streams")
-        _check_kind(kind)
-        common = np.intersect1d(performer.positions, norm.positions, assume_unique=True)
-        perf_r = performer.restrict(common)
-        norm_r = norm.restrict(common)
-        if not np.array_equal(perf_r.segments, norm_r.segments):
-            raise ValueError("streams disagree on segment ids at shared positions")
-        perf_q = derive_quantity(perf_r, kind)
-        norm_q = derive_quantity(norm_r, kind)
-        x = norm_q.values
-        y = perf_q.values
-        positions = perf_q.positions
-        end_positions = perf_q.end_positions
+    return _deviation(*_restrict_to_shared(performer, norm), kind)
 
-    if kind in PAIR_KINDS:
-        values = np.abs(x) - np.abs(y)
-    else:
-        values = x - y
+
+def _restrict_to_shared(performer: NoteStream, norm: NoteStream) -> tuple[NoteStream, NoteStream]:
+    """Both streams on their common positions, which must agree on segment ids."""
+    common = np.intersect1d(performer.positions, norm.positions, assume_unique=True)
+    perf_r = performer.restrict(common)
+    norm_r = norm.restrict(common)
+    if not np.array_equal(perf_r.segments, norm_r.segments):
+        raise ValueError("streams disagree on segment ids at shared positions")
+    return perf_r, norm_r
+
+
+def _deviation(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
+    """Norm-minus-performer deviation of two streams on the same positions."""
+    perf_q = derive_quantity(performer, kind)
+    x = derive_quantity(norm, kind).values
+    y = perf_q.values
     return DeviationSeries(
         kind=kind,
         performer_id=performer.label,
-        values=values,
-        positions=positions,
-        end_positions=end_positions,
+        values=np.abs(x) - np.abs(y) if kind in PAIR_KINDS else x - y,
+        positions=perf_q.positions,
+        end_positions=perf_q.end_positions,
     )
-
-
-def _match_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of rows common to both (start, end) key arrays, in a's order."""
-    a_keys = {tuple(row): i for i, row in enumerate(a.tolist())}
-    idx_a, idx_b = [], []
-    for j, row in enumerate(b.tolist()):
-        i = a_keys.get(tuple(row))
-        if i is not None:
-            idx_a.append(i)
-            idx_b.append(j)
-    order = np.argsort(idx_a, kind="stable")
-    return np.asarray(idx_a, dtype=np.int64)[order], np.asarray(idx_b, dtype=np.int64)[order]
 
 
 def extract_deviations(
@@ -285,14 +253,19 @@ def extract_deviations(
     norm: NormPerformance | None = None,
     kinds: Iterable[str] = KINDS,
 ) -> dict[str, dict[str, DeviationSeries]]:
-    """All requested deviation series for every performer in the table."""
+    """All requested deviation series for every performer in the table.
+
+    Each performer stream is restricted to the norm once and every kind is
+    derived from that pair, which gives the same series as ``deviations``.
+    """
+    kinds = [_check_kind(kind) for kind in kinds]
     if norm is None:
         norm = compute_norm(table)
     norm_stream = norm.stream()
     out: dict[str, dict[str, DeviationSeries]] = {}
     for pid in table.performer_ids:
-        stream = performer_stream(table, pid)
-        out[pid] = {kind: deviations(stream, norm_stream, kind) for kind in kinds}
+        perf_r, norm_r = _restrict_to_shared(performer_stream(table, pid), norm_stream)
+        out[pid] = {kind: _deviation(perf_r, norm_r, kind) for kind in kinds}
     return out
 
 

@@ -171,18 +171,31 @@ def test_criterion_6_feature_correctness(full_scale):
         series = deviations(norm_stream, norm_stream, kind)
         assert len(series) > 0 and np.all(series.values == 0.0)
 
-    # Eq. 1 / Eq. 2 metric assignment on hand fixtures
-    from pianist_id.features import QuantitySeries
+    # Eq. 1 / Eq. 2 metric assignment on hand fixtures: two-note streams with
+    # OTD (next onset - offset) -0.05 for the norm and 0.03 for the performer,
+    # and OT 1.00 for the norm and 1.02 for the performer
+    from pianist_id.features import NoteStream
 
-    pos = np.asarray([0], dtype=np.int64)
+    def two_notes(label, onsets, offsets):
+        return NoteStream(
+            label=label,
+            positions=np.arange(2, dtype=np.int64),
+            onsets=np.asarray(onsets),
+            offsets=np.asarray(offsets),
+            dynamics=np.full(2, 64.0),
+            segments=np.zeros(2, dtype=np.int64),
+        )
+
     otd = deviations(
-        QuantitySeries("OTD", "p", pos, pos + 1, np.asarray([0.03])),
-        QuantitySeries("OTD", "norm", pos, pos + 1, np.asarray([-0.05])),
+        two_notes("p", [0.0, 1.00], [0.97, 1.5]),
+        two_notes("norm", [0.0, 1.00], [1.05, 1.5]),
+        "OTD",
     )
     assert otd.values[0] == pytest.approx(0.02, abs=1e-15)
     ot = deviations(
-        QuantitySeries("OT", "p", pos, pos, np.asarray([1.02])),
-        QuantitySeries("OT", "norm", pos, pos, np.asarray([1.00])),
+        two_notes("p", [1.02, 2.0], [1.5, 2.5]),
+        two_notes("norm", [1.00, 2.0], [1.5, 2.5]),
+        "OT",
     )
     assert ot.values[0] == pytest.approx(-0.02, abs=1e-15)
 

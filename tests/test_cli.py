@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pianist_id
 from conftest import simple_performance
 from pianist_id.cli import main
 from pianist_id.midi_io import from_note_table, parse_smf, write_smf
@@ -32,6 +37,18 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(pianist_id.__file__).parents[1]))
+
+        def run(*args):
+            cmd = [sys.executable, "-m", "pianist_id.cli", *args]
+            return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        synth = run("synth", "--performers", "2", "--notes", "4", "--out", "d")
+        assert synth.returncode == 0, synth.stderr
+        assert (tmp_path / "d" / "profiles.json").is_file()
+        assert run().returncode == 2
 
     def test_missing_input_path_exits_2(self, tmp_path, capsys):
         code = main(["align", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

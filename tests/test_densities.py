@@ -140,8 +140,6 @@ class TestGmm:
         values = np.arange(20.0)
         with pytest.raises(ValueError):
             fit_gmm(values, k=5)
-        g = fit_gmm(values, k=5, k_cap=7)
-        assert g.k == 5
 
     def test_series_shorter_than_k_rejected(self):
         with pytest.raises(ValueError):

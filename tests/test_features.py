@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import simple_performance
-from pianist_id.alignment import build_table
+from pianist_id.alignment import build_table, concat_tables
 from pianist_id.features import (
     KINDS,
     PAIR_KINDS,
     NoteStream,
-    QuantitySeries,
     UndefinedCorrelationError,
     compute_norm,
     derive_quantity,
@@ -112,19 +111,12 @@ class TestDeviations:
         assert series.performer_id == "p"
 
     def test_absolute_metric_on_otd_quantities(self):
-        pos = np.asarray([0], dtype=np.int64)
-        norm_q = QuantitySeries("OTD", "norm", pos, pos + 1, np.asarray([-0.05]))
-        perf_q = QuantitySeries("OTD", "p", pos, pos + 1, np.asarray([0.03]))
-        series = deviations(perf_q, norm_q)
-        assert series.values == pytest.approx([abs(-0.05) - abs(0.03)])
-        assert series.values == pytest.approx([0.02])
-
-    def test_quantity_kind_mismatch_rejected(self):
-        pos = np.asarray([0], dtype=np.int64)
-        a = QuantitySeries("IOI", "p", pos, pos + 1, np.asarray([0.5]))
-        b = QuantitySeries("OTD", "norm", pos, pos + 1, np.asarray([0.5]))
-        with pytest.raises(ValueError, match="kind mismatch"):
-            deviations(a, b)
+        # OTD = next onset - offset: -0.05 for the norm, 0.03 for the performer
+        norm = stream_from_notes([0.0, 1.00], [1.05, 1.5], [64] * 2, label="norm")
+        perf = stream_from_notes([0.0, 1.00], [0.97, 1.5], [64] * 2, label="p")
+        series = deviations(perf, norm, "OTD")
+        assert series.values == pytest.approx([abs(-0.05) - abs(0.03)], abs=1e-15)
+        assert series.values == pytest.approx([0.02], abs=1e-15)
 
     def test_pair_kinds_span_performer_gaps_commensurably(self):
         # performer misses position 1; IOI must run 0 -> 2 in both streams
@@ -214,6 +206,49 @@ class TestDumpCsv:
         assert lines[0] == "performer,kind,position,value"
         assert len(lines) == 1 + sum(len(s) for s in series)
         assert all(line.endswith(",0.0") for line in lines[1:])
+
+    def test_extract_deviations_equals_deviations_across_gaps_and_segments(self):
+        first = [
+            simple_performance(
+                [0.0, 0.5 + 0.02 * i, 1.0, 1.6 - 0.01 * i], [60, 62, 64, 65],
+                durations=0.3 + 0.05 * i, dynamics=60 + 3 * i, performer_id=f"p{i}",
+            )
+            for i in range(3)
+        ]
+        second = [
+            simple_performance(
+                [0.0, 0.4 - 0.01 * i, 0.9, 1.3], [67, 69, 71, 72],
+                durations=0.25, dynamics=70 - 2 * i, performer_id=f"p{i}",
+            )
+            for i in range(3)
+        ]
+        # in the second segment p1 misses the note at pitch 69
+        second[1] = simple_performance(
+            [0.0, 0.9, 1.3], [67, 71, 72], durations=0.25, dynamics=68, performer_id="p1"
+        )
+        table = concat_tables([build_table(first)[0], build_table(second)[0]])
+        assert table.n_positions == 8
+        assert table.present_mask()[:, 1].tolist() == [True] * 5 + [False] + [True] * 2
+
+        norm = compute_norm(table).stream()
+        by_performer = extract_deviations(table)
+        for pid in table.performer_ids:
+            stream = performer_stream(table, pid)
+            for kind in KINDS:
+                got, want = by_performer[pid][kind], deviations(stream, norm, kind)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.positions.tobytes() == want.positions.tobytes()
+                assert got.end_positions.tobytes() == want.end_positions.tobytes()
+        ioi = by_performer["p1"]["IOI"]
+        assert ioi.positions.tolist() == [0, 1, 2, 4, 6]
+        assert ioi.end_positions.tolist() == [1, 2, 3, 6, 7]
+
+    def test_extract_deviations_accepts_a_one_shot_kinds_iterator(self, identical_table):
+        by_performer = extract_deviations(identical_table, kinds=(k for k in ("IOI", "DL")))
+        for series in by_performer.values():
+            assert list(series) == ["IOI", "DL"]
+        with pytest.raises(ValueError, match="unknown feature kind"):
+            extract_deviations(identical_table, kinds=iter(["OT", "XX"]))
 
     def test_extract_deviations_covers_all_kinds(self, identical_table):
         by_performer = extract_deviations(identical_table)
