@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -59,23 +60,27 @@ class NoteAlignment:
     n_reference: int
     n_performance: int
     total_cost: float
+    #: ``pairs`` as two read-only index columns: reference, then performance.
+    pair_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        last_r, last_p = -1, -1
-        for r, p in self.pairs:
-            if r <= last_r or p <= last_p:
-                raise ValueError("pairs must be strictly increasing in both coordinates")
-            last_r, last_p = r, p
-        ref_used = {r for r, _ in self.pairs}
-        perf_used = {p for _, p in self.pairs}
-        if ref_used | set(self.deletions) != set(range(self.n_reference)) or ref_used & set(
-            self.deletions
-        ):
+        flat = np.fromiter(chain.from_iterable(self.pairs), dtype=np.intp, count=2 * len(self.pairs))
+        columns = flat.reshape(-1, 2).T
+        if len(flat) and (columns[:, 0].min() < 0 or (np.diff(columns) <= 0).any()):
+            raise ValueError("pairs must be strictly increasing in both coordinates")
+        if not _partitions(columns[0], self.deletions, self.n_reference):
             raise ValueError("pairs and deletions must partition reference indices")
-        if perf_used | set(self.insertions) != set(range(self.n_performance)) or perf_used & set(
-            self.insertions
-        ):
+        if not _partitions(columns[1], self.insertions, self.n_performance):
             raise ValueError("pairs and insertions must partition performance indices")
+        columns.setflags(write=False)
+        object.__setattr__(self, "pair_columns", columns)
+
+
+def _partitions(paired: np.ndarray, rest: tuple[int, ...], n: int) -> bool:
+    """Whether the sets of ``paired`` (strictly increasing) and ``rest`` are disjoint and make range(n)."""
+    if rest:
+        paired = np.sort(np.concatenate((paired, np.unique(np.array(rest, dtype=np.intp)))))
+    return len(paired) == n and np.array_equal(paired, np.arange(n))
 
 
 def _gap(k: int, costs: AlignmentCosts) -> float:
@@ -170,8 +175,7 @@ def align_pair(
     n, m = len(ref), len(perf)
 
     if ref == perf:
-        pairs = tuple((i, i) for i in range(n))
-        return NoteAlignment(pairs, (), (), (), n, m, 0.0)
+        return NoteAlignment(tuple(zip(range(n), range(n))), (), (), (), n, m, 0.0)
 
     threshold = max(_gap(m - n, costs), costs.cost_ins + costs.cost_del)
     band, passes, cells = None, 0, 0
@@ -332,7 +336,7 @@ def build_table(
             "insertions": len(al.insertions),
             "deletions": len(al.deletions),
         }
-        rows, picks = np.array(al.pairs, dtype=np.intp).reshape(-1, 2).T
+        rows, picks = al.pair_columns
         onsets[rows, col] = perf.onsets[picks]
         offsets[rows, col] = perf.offsets[picks]
         dynamics[rows, col] = perf.dynamics[picks]

@@ -233,7 +233,7 @@ def _load_performance(path: Path, piece_id: str) -> Performance:
             performance, warnings = parse_smf_with_warnings(
                 path.read_bytes(), performer_id=performer_id, piece_id=piece_id
             )
-    except ValueError as exc:  # SmfParseError, a bad note, or text that is not UTF-8
+    except (OSError, ValueError) as exc:  # unreadable, SmfParseError, a bad note, or not UTF-8
         raise InputError(f"{path}: {exc}") from exc
     for message in warnings:
         print(f"{PROG}: warning: {path.name}: {message}", file=sys.stderr)

@@ -5,9 +5,15 @@ seconds: onset, offset, pitch and dynamic level (note-on velocity). Only what
 the downstream pipeline needs is kept. Sustain pedal (CC64) is ignored, so
 offsets are key-release times.
 
-The SMF reader makes one pass per track over the raw bytes and pairs each
-note-off with its note-on as it goes; all ticks then go to seconds in one
-vectorised step, and no per-note object is made. ``NoteEvent`` is one note:
+The SMF reader decodes each track chunk as arrays (``_decode_track``): where
+the next event would start from every byte offset, the chain of events from
+the chunk's start, then every event's tick, status and note at once, with
+FIFO note pairing by a stable sort. A track that pass cannot certify (a
+malformed one, or one where running status repeats a 1-data-byte message)
+and a short one, where numpy's per-call cost outweighs the work, go through
+``_scan_track``, one Python step per event, which also gives every error its
+message and byte offset. All ticks then go to seconds in one vectorised
+step, and no per-note object is made. ``NoteEvent`` is one note:
 the element of the ``Performance.notes`` view, built on demand from the
 columns, and a way to hand a performance over note by note, which is
 converted to columns at once.
@@ -310,13 +316,13 @@ def parse_smf_with_warnings(
 
     warnings: list[str] = []
     tempo_changes: list[tuple[int, int]] = []
-    # (on tick, off tick, pitch, velocity) per note, in each track's closing order
-    paired: list[tuple[int, int, int, int]] = []
+    # (on tick, off tick, pitch, velocity) rows per track, in each track's closing order
+    tracks: list[np.ndarray] = []
+    padded = None
 
-    tracks_seen = 0
-    while tracks_seen < n_tracks:
+    while len(tracks) < n_tracks:
         if pos >= len(data):
-            raise SmfParseError(f"expected {n_tracks} tracks, found {tracks_seen}", pos)
+            raise SmfParseError(f"expected {n_tracks} tracks, found {len(tracks)}", pos)
         chunk_id = _uint(data, pos, 4)
         chunk_len = _uint(data, pos + 4, 4)
         start, end = pos + 8, pos + 8 + chunk_len
@@ -325,11 +331,23 @@ def parse_smf_with_warnings(
         elif end > len(data):
             raise SmfParseError("track chunk length runs past end of file", pos + 4)
         else:
-            _scan_track(data, start, end, tempo_changes, paired, warnings)
-            tracks_seen += 1
+            decoded = None
+            if _ARRAY_TRACK_BYTES <= chunk_len < _MAX_ARRAY_TRACK_BYTES:
+                if padded is None:
+                    padded = _padded(data)
+                decoded = _decode_track(padded, start, end)
+            if decoded is None:
+                paired: list[tuple[int, int, int, int]] = []
+                _scan_track(data, start, end, tempo_changes, paired, warnings)
+                tracks.append(np.array(paired, dtype=np.int64).reshape(-1, 4))
+            else:
+                tempos, rows, track_warnings = decoded
+                tempo_changes += tempos
+                tracks.append(rows)
+                warnings += track_warnings
         pos = end
 
-    ticks = np.array(paired, dtype=np.int64).reshape(-1, 4)
+    ticks = np.concatenate(tracks) if tracks else np.empty((0, 4), dtype=np.int64)
     # Within a track, notes close in file order at non-decreasing ticks, so a
     # stable sort by the closing note-off's tick orders them by (tick, file
     # position) across tracks.
@@ -350,20 +368,211 @@ def parse_smf_with_warnings(
     )
     log.debug(
         "parsed %s: %d tracks, %d notes, %d tempo changes, %d warnings",
-        performer_id or "<unnamed>", tracks_seen, len(performance), len(tempo_changes),
+        performer_id or "<unnamed>", len(tracks), len(performance), len(tempo_changes),
         len(warnings),
     )
     return performance, warnings
 
 
-def _scan_track(data, pos, end, tempo_changes, paired, warnings) -> None:
-    """Read the events of the track chunk ``data[pos:end]`` and pair its notes.
+#: Track chunks shorter than this many bytes go straight to ``_scan_track``:
+#: there its per-event loop beats the array pass's fixed cost of numpy calls
+#: (on synth renders the two broke even near 1.1 KB, about 120 notes).
+_ARRAY_TRACK_BYTES = 1200
+#: Positions within a track are int32; a chunk this long goes to ``_scan_track``.
+_MAX_ARRAY_TRACK_BYTES = 1 << 30
+#: Zero bytes after the data, so that the array pass reads up to this far past a
+#: track's end without bounds checks.
+_PAD = 16
 
-    Note-offs are paired FIFO per (channel, pitch) as they come; a note closed
-    at its note-on's tick is left zero-length for the caller to extend. An
-    event may read past ``end`` before it is checked against it. A byte read
-    past the end of ``data`` is "truncated data" at offset ``len(data)``,
-    where a run of single-byte reads must fail.
+# The bytes an event takes from its status byte to its end (for SysEx, to its
+# length; for meta events, to theirs), by status byte. A data byte in status
+# position is running status and assumed to begin 2 data bytes; an unsupported
+# system message sends the event past any track.
+_EVENT_SIZE = np.full(256, 1 << 30, dtype=np.int32)
+_EVENT_SIZE[:0xF0] = 3
+_EVENT_SIZE[:0x80] = 2
+_EVENT_SIZE[0xC0:0xE0] = 2
+_EVENT_SIZE[[0xF0, 0xF7]] = 1
+_EVENT_SIZE[0xFF] = 2
+_VARIABLE = np.zeros(256, dtype=bool)  # SysEx and meta events: a length follows
+_VARIABLE[[0xF0, 0xF7, 0xFF]] = True
+_TWO_DATA_BYTES = np.zeros(256, dtype=bool)  # what running status may repeat, as the table assumes
+_TWO_DATA_BYTES[0x80:0xC0] = _TWO_DATA_BYTES[0xE0:0xF0] = True
+
+
+def _padded(data: bytes) -> bytes:
+    """The SMF's bytes followed by ``_PAD`` zero bytes, for ``_decode_track``."""
+    return data + bytes(_PAD)
+
+
+def _decode_track(padded: bytes, start: int, end: int):
+    """Decode the track chunk ``padded[start:end]`` as ``_scan_track`` reads it, or return None.
+
+    ``padded`` is the whole file from ``_padded``. Returns (tempo changes,
+    rows, warnings), where rows is an int64 array of ``_scan_track``'s (on
+    tick, off tick, pitch, velocity) rows in the same order, or None for a
+    track this pass cannot certify: one that ``_scan_track`` rejects, or one
+    where running status repeats a 1-data-byte message. It works on arrays:
+
+    1. for every byte offset, where the next event would start if an event
+       started there. A data byte in status position is taken to begin 2
+       data bytes; End of Track jumps to the chunk's end; an event that is
+       malformed or runs past the chunk jumps past it.
+    2. the chain of events from the chunk's start, which must land on its end;
+    3. the ticks, statuses, notes and tempos of all its events at once, and
+       FIFO note pairing per (channel, pitch) by a stable sort on that key.
+    """
+    n_track = end - start
+    past = n_track + 1  # where a malformed event leads
+    b = np.frombuffer(padded, dtype=np.uint8, count=n_track + _PAD, offset=start)
+    # 1. next-event offsets; a delta's length follows from the high bits
+    more = b >= 0x80
+    c1 = more[:n_track]
+    c2 = c1 & more[1 : n_track + 1]
+    c3 = c2 & more[2 : n_track + 2]
+    status_at = np.arange(1, n_track + 1, dtype=np.int32)
+    status_at += c1
+    status_at += c2
+    status_at += c3
+    status = b.take(status_at)
+    nxt = _EVENT_SIZE.take(status)
+    nxt += status_at
+    # SysEx and meta events are few: their lengths are read one at a time
+    tempo_at = []  # (offset, tempo) of each well-formed tempo event
+    for p in np.flatnonzero(_VARIABLE[status]).tolist():
+        i = start + int(nxt[p])
+        meta_type = padded[i - 1] if status[p] == 0xFF else None
+        value = 0
+        for byte in padded[i : i + 4]:
+            value = value << 7 | byte & 0x7F
+            i += 1
+            if byte < 0x80:
+                break
+        else:  # a length longer than 4 bytes
+            nxt[p] = past
+            continue
+        event_end = i + value - start
+        if meta_type == 0x51:  # a tempo must carry 3 bytes, not all zero
+            tempo = int.from_bytes(padded[i : i + 3], "big")
+            if value == 3 and tempo:
+                tempo_at.append((p, tempo))
+            else:
+                event_end = past
+        elif meta_type == 0x2F and i + value <= len(padded) - _PAD:
+            event_end = n_track  # _scan_track stops here once the payload is read
+        nxt[p] = min(event_end, past)
+    nxt[c3 & more[3 : n_track + 3]] = past  # a delta longer than 4 bytes
+
+    # 2. the chain of events from the chunk's start
+    on_chain = bytearray(n_track)
+    follow = memoryview(nxt)
+    p = 0
+    while p < n_track:
+        on_chain[p] = 1
+        p = follow[p]
+    if p != n_track:
+        return None
+    at = np.flatnonzero(np.frombuffer(on_chain, dtype=np.uint8))
+
+    # 3. decode the events on the chain
+    event_at = status_at.take(at)
+    delta_length = event_at - at
+    delta = (b.take(at) & 0x7F).astype(np.int64)
+    for k in range(1, int(delta_length.max(initial=1))):
+        delta = np.where(delta_length > k, delta << 7 | b.take(at + k) & 0x7F, delta)
+    ticks = np.cumsum(delta)
+    final_tick = int(ticks[-1]) if len(ticks) else 0
+    effective = b.take(event_at)
+    explicit = effective >= 0x80
+    if not explicit.all():  # running status, cleared by SysEx and meta events
+        effective = effective.take(np.maximum.accumulate(np.where(explicit, np.arange(len(at)), 0)))
+        if not _TWO_DATA_BYTES.take(effective[~explicit]).all():
+            return None
+    tempos = []
+    tempo_at = [(p, tempo) for p, tempo in tempo_at if on_chain[p]]
+    if tempo_at:
+        offsets, values = zip(*tempo_at)
+        tempos = list(zip(ticks[np.searchsorted(at, offsets)].tolist(), values))
+    notes = np.flatnonzero((effective & 0xE0) == 0x80)
+    note_status = effective.take(notes)
+    data_at = event_at.take(notes)
+    data_at += explicit.take(notes)
+    pitches = b.take(data_at)
+    velocities = b.take(data_at + 1)
+    if ((pitches | velocities) >= 0x80).any():
+        return None
+    rows, dangling = _pair_notes(
+        (note_status & 0x0F).astype(np.int16) << 7 | pitches,
+        (note_status >= 0x90) & (velocities > 0),
+        ticks.take(notes),
+        pitches,
+        velocities,
+        final_tick,
+    )
+    warnings = [
+        f"dangling note-on (pitch {p}) closed at final tick {final_tick}" for p in dangling.tolist()
+    ]
+    return tempos, rows, warnings
+
+
+def _pair_notes(keys, on, ticks, pitches, velocities, final_tick):
+    """FIFO-pair note events, given in file order, per key; returns (rows, dangling pitches).
+
+    Rows are ``_scan_track``'s: (on tick, off tick, pitch, velocity) for each
+    note-off that closes an open note-on, in file order, then each note-on
+    left open, closed at ``final_tick``, by key and then in file order. Within
+    a key, the open count before an event is the running sum S of +1 per on
+    and -1 per off, less its lowest value so far (never above 0): an off is
+    dropped where that count is 0, and the j-th off kept closes the j-th on.
+    """
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    on = on.take(order)
+    sorted_keys = keys.take(order)
+    first = np.empty(n, dtype=bool)  # the first event of each key
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    ons_before = np.cumsum(on, dtype=np.int32)
+    ons_before -= on
+    # S before each event, summed over all keys: within one key it differs
+    # from the key's own S by a constant, and shifting each key below the keys
+    # before it keeps one running minimum from reaching back across keys
+    shifted = np.cumsum(first, dtype=np.int64)
+    shifted *= -(2 * n + 1)
+    shifted += 2 * ons_before - np.arange(n, dtype=np.int32)
+    kept = (shifted > np.minimum.accumulate(shifted)) & ~on
+    # the j-th kept off of a key closes its j-th on: the kept offs before an
+    # event plus the ons left open by the keys before it index the sorted ons
+    kept_before = np.cumsum(kept, dtype=np.int32)
+    kept_before -= kept
+    kept_before += np.maximum.accumulate(np.where(first, ons_before - kept_before, 0))
+    closed = kept_before[kept]
+    ons = order[on]
+    opener = np.full(n, -1)
+    opener[order[kept]] = ons.take(closed)
+    offs = np.flatnonzero(opener >= 0)
+    is_open = np.ones(len(ons), dtype=bool)
+    is_open[closed] = False
+    opened = np.concatenate((opener.take(offs), ons[is_open]))
+    rows = np.empty((len(opened), 4), dtype=np.int64)
+    rows[:, 0] = ticks.take(opened)
+    rows[: len(offs), 1] = ticks.take(offs)
+    rows[len(offs) :, 1] = final_tick
+    rows[:, 2] = pitches.take(opened)
+    rows[:, 3] = velocities.take(opened)
+    return rows, rows[len(offs) :, 2]
+
+
+def _scan_track(data, pos, end, tempo_changes, paired, warnings) -> None:
+    """Read the events of the track chunk ``data[pos:end]`` one at a time and pair its notes.
+
+    This reads the tracks ``_decode_track`` leaves: short ones, and any it
+    cannot certify, so a malformed track raises here with its message and
+    byte offset. Note-offs are paired FIFO per (channel, pitch) as they come;
+    a note closed at its note-on's tick is left zero-length for the caller to
+    extend. An event may read past ``end`` before it is checked against it. A
+    byte read past the end of ``data`` is "truncated data" at offset
+    ``len(data)``, where a run of single-byte reads must fail.
     """
     n = len(data)
     tick = 0

@@ -105,6 +105,18 @@ class TestExitCodes:
             assert f"{d / name}: " in err and message in err, err
             assert "Traceback" not in err
 
+    def test_unreadable_performance_file_exits_2_naming_it(self, trio_dir, tmp_path, capsys):
+        d = tmp_path / "in"
+        d.mkdir()
+        for good in trio_dir.iterdir():
+            (d / good.name).write_bytes(good.read_bytes())
+        (d / "p4.mid").mkdir()  # a directory where a file is expected
+        out = tmp_path / "out"
+        assert main(["align", "--input", str(d), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{d / 'p4.mid'}: " in err and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_files_that_cannot_make_a_table_exit_2_before_writing(self, trio_dir, tmp_path, capsys):
         header = "onset,offset,pitch,dynamic\n"
         dup, empty = tmp_path / "dup", tmp_path / "empty"

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import END_OF_TRACK, note_off, note_on, simple_performance, smf_bytes, tempo_event, vlq
 from smf_reference import reference_parse, reference_write
-from pianist_id import synth
+from pianist_id import midi_io, synth
 from pianist_id.midi_io import (
     NoteEvent,
     Performance,
@@ -317,12 +317,12 @@ class TestWriteQuantize:
         assert q.notes[0].offset > q.notes[0].onset
 
 
-def _random_track(rng: random.Random) -> bytes:
+def _random_track(rng: random.Random, n_events: int | None = None) -> bytes:
     """Events over two channels: notes (often overlapping, zero-length or left
     open), running status, tempo changes, controllers, programs, SysEx and meta
-    text, usually closed by End of Track."""
+    text, usually closed by End of Track. ``n_events`` defaults to 0 to 40."""
     events, running = [], None
-    for _ in range(rng.randint(0, 40)):
+    for _ in range(rng.randint(0, 40) if n_events is None else n_events):
         delta = rng.choice([0, 0, 1, rng.randint(0, 200), rng.randint(0, 1 << 20)])
         channel = rng.randrange(2)
         r = rng.random()
@@ -359,12 +359,13 @@ def _random_track(rng: random.Random) -> bytes:
     return b"".join(events)
 
 
-def _random_smf(rng: random.Random) -> bytes:
-    if rng.random() < 0.3:  # a synth render, as the benchmark and `synth` write them
+def _random_smf(rng: random.Random, n_events: int | None = None) -> bytes:
+    """A synth render (2 to 30 notes), or 1 to 4 random tracks of ``n_events`` each."""
+    if n_events is None and rng.random() < 0.3:  # as the benchmark and `synth` write them
         score = synth.generate_score(rng.randint(2, 30), rng.randrange(1000))
         profile = synth.default_profiles(2, base_seed=rng.randrange(100))[rng.randrange(2)]
         return write_smf(synth.render_performer(score, profile, "p"))
-    tracks = [_random_track(rng) for _ in range(rng.randint(1, 4))]
+    tracks = [_random_track(rng, n_events) for _ in range(rng.randint(1, 4))]
     data = b"MThd" + struct.pack(
         ">IHHH", 6, 1 if len(tracks) > 1 else rng.randrange(2), len(tracks), rng.choice([7, 96, 480, 960])
     )
@@ -428,6 +429,49 @@ class TestAgainstReferenceParser:
                 seen["zero-length"] += any("zero-length" in w for w in expected[1])
         assert min(seen.values()) >= 20, seen
 
+    def test_long_tracks_parse_as_the_reference_parses_them(self):
+        # tracks long enough for the array pass, intact or damaged
+        rng = random.Random(20261019)
+        array_tracks = 0
+        for _ in range(150):
+            data = _damage(rng, _random_smf(rng, n_events=rng.randint(150, 400)))
+            array_tracks += sum(
+                end - start >= midi_io._ARRAY_TRACK_BYTES for start, end in _track_chunks(data)
+            )
+            expected, got = _outcome(reference_parse, data), _outcome(_library_parse, data)
+            if got[0] is SmfParseError and got[1].startswith("tempo must be positive"):
+                assert data[got[2] : got[2] + 3] == b"\0\0\0"  # as in the fuzz test above
+                continue
+            assert got == expected, data.hex()
+        assert array_tracks >= 100
+
+    def test_running_status_on_one_data_byte_messages(self):
+        # program change and channel pressure repeated under running status, then notes
+        body = [
+            note_on(0, 60, 64),
+            vlq(0) + bytes((0xC0, 5)), vlq(10) + bytes((6,)),
+            vlq(0) + bytes((0xD1, 40)), vlq(10) + bytes((41,)), vlq(3) + bytes((42,)),
+            note_on(0, 62, 50, channel=1), note_off(120, 62, channel=1), note_off(0, 60),
+        ]
+        notes = [note_on(7, 64 + i % 5, 70) + note_off(30, 64 + i % 5) for i in range(200)]
+        for events in (body, body + notes):
+            data = smf_bytes(events + [END_OF_TRACK])
+            assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
+            assert len(parse_smf(data)) == 2 + len(events) - len(body)
+            assert midi_io._decode_track(midi_io._padded(data), 22, len(data)) is None
+        assert len(data) - 22 >= midi_io._ARRAY_TRACK_BYTES
+
+    def test_running_status_data_byte_after_a_meta_event_is_an_error(self):
+        notes = [note_on(7, 64 + i % 5, 70) + note_off(30, 64 + i % 5) for i in range(200)]
+        for events in ([], notes):
+            data = smf_bytes(
+                events + [note_on(0, 60, 64), tempo_event(0, 400_000), vlq(5) + bytes((60, 0)), END_OF_TRACK]
+            )
+            assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
+            with pytest.raises(SmfParseError, match="data byte without running status") as exc:
+                parse_smf(data)
+            assert exc.value.offset == len(data) - 6
+
     def test_huge_ticks_convert_exactly(self):
         # 0x0FFFFFFF is the longest delta; at this tempo (tick - t_i) * tempo passes
         # 2**53 after a few of them, and 2**63 after 2100 more
@@ -465,3 +509,57 @@ class TestAgainstReferenceParser:
                 assert write_smf(perf, division=division, tempo=tempo) == reference_write(
                     perf.notes, division=division, tempo=tempo
                 )
+
+
+def _track_chunks(data: bytes):
+    """(start, end) of each MTrk chunk that lies within ``data``, walking the chunks from the header on."""
+    pos = 8 + int.from_bytes(data[4:8], "big") if data[:4] == b"MThd" else 14
+    while pos + 8 <= len(data):
+        start, end = pos + 8, pos + 8 + int.from_bytes(data[pos + 4 : pos + 8], "big")
+        if end > len(data):
+            return
+        if data[pos : pos + 4] == b"MTrk":
+            yield start, end
+        pos = end
+
+
+class TestArrayTrackDecoder:
+    """``_decode_track`` against ``_scan_track``, one track chunk at a time."""
+
+    def test_fuzzed_tracks_decode_as_scan_track_reads_them(self):
+        rng = random.Random(20261018)
+        seen = {"decoded": 0, "rejected": 0, "left to the scan": 0}
+        for i in range(2400):
+            data = _damage(rng, _random_smf(rng, n_events=None if i % 2 else rng.randint(0, 150)))
+            padded = midi_io._padded(data)
+            for start, end in _track_chunks(data):
+                tempos, paired, warnings = [], [], []
+                try:
+                    midi_io._scan_track(data, start, end, tempos, paired, warnings)
+                    error = None
+                except SmfParseError as exc:
+                    error = exc
+                decoded = midi_io._decode_track(padded, start, end)
+                if decoded is None:
+                    # the scan rejects the track, or running status repeats a
+                    # program change or channel pressure in it
+                    if error is None:
+                        assert any(0xC0 <= byte < 0xE0 for byte in data[start:end]), data.hex()
+                    seen["rejected" if error else "left to the scan"] += 1
+                    continue
+                assert error is None, (str(error), data.hex())
+                assert decoded[0] == tempos, data.hex()
+                assert decoded[1].tolist() == [list(row) for row in paired], data.hex()
+                assert decoded[2] == warnings, data.hex()
+                seen["decoded"] += 1
+        assert seen["decoded"] >= 2000 and seen["rejected"] >= 300 and seen["left to the scan"] >= 5, seen
+
+    def test_short_tracks_are_left_to_the_scan(self, monkeypatch):
+        calls = []
+        decode = midi_io._decode_track
+        monkeypatch.setattr(midi_io, "_decode_track", lambda *args: calls.append(args) or decode(*args))
+        short = note_on(0, 60, 64) + note_off(480, 60) + END_OF_TRACK
+        long = b"".join(note_on(7, 64, 70) + note_off(30, 64) for _ in range(200)) + END_OF_TRACK
+        assert len(short) < midi_io._ARRAY_TRACK_BYTES <= len(long)
+        assert len(parse_smf(_format_1(short, long, short))) == 202
+        assert [end - start for _, start, end in calls] == [len(long)]
