@@ -9,14 +9,20 @@ averaged from.
 
 The DP is exact but banded (Ukkonen 1985): it fills only the diagonals a
 path of cost at most a threshold can visit, and doubles the threshold until
-the banded optimum proves itself globally optimal. Time and memory are
-O((n + m) * w) for a band of w diagonals, rather than O(n * m).
+the banded optimum proves itself globally optimal. The threshold starts just
+above a lower bound read off the two pitch multisets: at most as many pairs
+can match as the pitches the two have in common, and every other note costs
+a substitution, an insertion or a deletion. When the errors are only dropped
+or extra notes, or only wrong pitches (none undoing another in the
+multisets), that bound is the optimum and the first pass succeeds. Time and
+memory are O((n + m) * w) for a band of w diagonals, rather than O(n * m).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -40,8 +46,12 @@ class AlignmentCosts:
     cost_del: float = 0.6
 
     def __post_init__(self):
-        if min(self.cost_sub, self.cost_ins, self.cost_del) <= 0:
-            raise ValueError("alignment costs must be positive")
+        for name in ("cost_sub", "cost_ins", "cost_del"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"alignment cost {name} must be finite and positive, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,33 @@ def _band(n: int, m: int, costs: AlignmentCosts, threshold: float) -> tuple[int,
     return low, high
 
 
+def _lower_bound(ref: list[int], perf: list[int], costs: AlignmentCosts) -> float:
+    """A cost no alignment of the two pitch sequences can beat, from their pitch multisets.
+
+    At most ``c`` pairs, the sum over pitches of the smaller of the two
+    counts, can match their pitches. That leaves ``a = n - c`` reference and
+    ``b = m - c`` performance notes, paired as substitutions while those cost
+    no more than a deletion plus an insertion. The result is never below
+    ``_gap(m - n)``.
+    """
+    c = sum((Counter(ref) & Counter(perf)).values())
+    a, b = len(ref) - c, len(perf) - c
+    if costs.cost_sub > costs.cost_ins + costs.cost_del:
+        return costs.cost_del * a + costs.cost_ins * b
+    paired = min(a, b)
+    return costs.cost_sub * paired + costs.cost_del * (a - paired) + costs.cost_ins * (b - paired)
+
+
+def _margin(cost: float) -> float:
+    """Float round-off in path sums and bounds must not decide band membership."""
+    return 1e-9 * (1.0 + cost)
+
+
+def _above(cost: float) -> float:
+    """The threshold just above ``cost`` by more than its round-off margin."""
+    return max(cost * (1.0 + 1e-6), cost + 2.0 * _margin(cost))
+
+
 def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: int, high: int):
     """The DP restricted to diagonals ``low``..``high``; returns (moves, cost at (n, m), cells).
 
@@ -119,8 +156,9 @@ def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: i
     sub, ins, dele = costs.cost_sub, costs.cost_ins, costs.cost_del
     w = high - low + 1
     moves = bytearray((n + 1) * w)
-    # slot w stays infinite; it is read as p + 1 past the top diagonal and as p - 1 == -1
-    prev = [math.inf] * (w + 1)
+    # slot w stays infinite; it is read as p + 1 past the top diagonal
+    infinite = [math.inf] * (w + 1)
+    prev = infinite.copy()
     prev[-low] = 0.0
     for p in range(1 - low, min(w, m - low + 1)):
         prev[p] = prev[p - 1] + ins
@@ -128,25 +166,34 @@ def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: i
     # perf_at[j] is the pitch paired at column j; column 0 has none
     perf_at = [-1] + perf
     cells = 0
-    for i in range(1, n + 1):
-        cur = [math.inf] * (w + 1)
-        rp = ref[i - 1]
-        base = i + low  # column of slot 0
-        first, stop = max(0, -base), min(w, m - base + 1)
-        cells += stop - first
-        row = i * w
-        for p, pitch in zip(range(first, stop), perf_at[base + first : base + stop]):
-            diag = prev[p] + (0.0 if rp == pitch else sub)
+    base = low  # column of slot 0 in the current row
+    row = 0
+    for rp in ref:
+        base += 1
+        row += w
+        cur = infinite.copy()
+        # the row's slots are clamped to columns 0..m only where it meets the table edge
+        p = -base if base < 0 else 0
+        stop = m - base + 1
+        if stop > w:
+            stop = w
+        cells += stop - p
+        value = math.inf  # the cell to the left, slot p - 1; off-band or column -1 at first
+        for pitch in perf_at[base + p : base + stop]:
+            # a match adds 0.0, which leaves every cost here unchanged
+            diag = prev[p] if rp == pitch else prev[p] + sub
             up = prev[p + 1] + dele
-            left = cur[p - 1] + ins
+            left = value + ins
             if diag <= up and diag <= left:
-                cur[p] = diag
+                value = diag
             elif up <= left:
-                cur[p] = up
+                value = up
                 moves[row + p] = 1
             else:
-                cur[p] = left
+                value = left
                 moves[row + p] = 2
+            cur[p] = value
+            p += 1
         prev = cur
     return moves, prev[m - n - low], cells
 
@@ -162,11 +209,12 @@ def align_pair(
     deterministic. Identical pitch sequences short-circuit to the identity
     mapping (cost 0, which is the DP optimum).
 
-    The band starts at the diagonals every path must cross. After each pass
-    the banded optimum U bounds the true optimum from above; once it falls
-    below the threshold t (by a round-off margin), every optimal path lies in
-    the band, so moves and cost equal those of the full table. Otherwise t
-    doubles, or rises to just above U when that is less.
+    The threshold t starts just above ``_lower_bound``; a pass whose t is at
+    or below the optimum always fails, so no pass that could succeed is
+    skipped. After each pass the banded optimum U bounds the true optimum
+    from above; once it falls below t (by a round-off margin), every optimal
+    path lies in the band, so moves and cost equal those of the full table.
+    Otherwise t doubles, or rises to just above U when that is less.
     """
     if not len(reference) or not len(performance):
         raise ValueError("alignment requires non-empty performances")
@@ -177,7 +225,8 @@ def align_pair(
     if ref == perf:
         return NoteAlignment(tuple(zip(range(n), range(n))), (), (), (), n, m, 0.0)
 
-    threshold = max(_gap(m - n, costs), costs.cost_ins + costs.cost_del)
+    bound = _lower_bound(ref, perf, costs)
+    threshold = _above(bound)
     band, passes, cells = None, 0, 0
     while True:
         wanted = _band(n, m, costs, threshold)
@@ -186,16 +235,14 @@ def align_pair(
             moves, total_cost, pass_cells = _banded_moves(ref, perf, costs, *band)
             passes += 1
             cells += pass_cells
-        # float round-off in path sums and bounds must not decide band membership
-        margin = 1e-9 * (1.0 + total_cost)
-        if total_cost + margin < threshold:
+        if total_cost + _margin(total_cost) < threshold:
             break
-        threshold = min(2.0 * threshold, max(total_cost * (1.0 + 1e-6), total_cost + 2.0 * margin))
+        threshold = min(2.0 * threshold, _above(total_cost))
     low, high = band
     w = high - low + 1
     log.debug(
-        "aligned %s (%d notes) to %s (%d notes): passes=%d band=%d diagonals cells=%d",
-        performance.performer_id, m, reference.performer_id, n, passes, w, cells,
+        "aligned %s (%d notes) to %s (%d notes): bound=%g passes=%d band=%d diagonals cells=%d",
+        performance.performer_id, m, reference.performer_id, n, bound, passes, w, cells,
     )
 
     pairs: list[tuple[int, int]] = []

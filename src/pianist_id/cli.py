@@ -286,6 +286,13 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         raise InputError(str(exc)) from exc
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow((text, ""))
+    return buf.getvalue()[:-1]
+
+
 def _write(path: Path, text: str) -> None:
     path.write_bytes(text.encode("utf-8"))
 
@@ -311,25 +318,24 @@ def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, Path]:
 def cmd_align(args: argparse.Namespace) -> int:
     table, out = _align(args)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["position", "performer", "onset", "offset", "pitch", "dynamic"])
+    # the ids are the only fields csv might quote; ints and float reprs it writes as they are
+    performers = [_csv_field(pid) for pid in table.performer_ids]
+    chunks = ["position,performer,onset,offset,pitch,dynamic\n"]
     # present cells in row-major order: by position, then by performer column;
     # converted to Python values a block at a time to keep few alive at once
     positions, cols = np.nonzero(table.present_mask())
     for start in range(0, len(positions), CSV_BLOCK):
         rows, cells = positions[start : start + CSV_BLOCK], cols[start : start + CSV_BLOCK]
-        writer.writerows(
-            zip(
-                rows.tolist(),
-                map(table.performer_ids.__getitem__, cells.tolist()),
-                map(repr, table.onsets[rows, cells].tolist()),
-                map(repr, table.offsets[rows, cells].tolist()),
-                table.pitches[rows, cells].tolist(),
-                table.dynamics[rows, cells].astype(np.int64).tolist(),
-            )
+        rows_out = zip(
+            rows.tolist(),
+            map(performers.__getitem__, cells.tolist()),
+            table.onsets[rows, cells].tolist(),
+            table.offsets[rows, cells].tolist(),
+            table.pitches[rows, cells].tolist(),
+            table.dynamics[rows, cells].astype(np.int64).tolist(),
         )
-    _write(out / "aligned_table.csv", buf.getvalue())
+        chunks.append("".join(map("%d,%s,%r,%r,%d,%d\n".__mod__, rows_out)))
+    _write(out / "aligned_table.csv", "".join(chunks))
     print(
         f"aligned {len(table.performer_ids)} performances at {table.n_positions} positions"
         f" -> {out}"

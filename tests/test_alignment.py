@@ -1,4 +1,6 @@
 import itertools
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pianist_id.alignment import (
     AlignedNoteTable,
     AlignmentCosts,
     NoteAlignment,
+    _lower_bound,
     align_pair,
     build_table,
     concat_tables,
@@ -85,10 +88,12 @@ def full_matrix_alignment(ref, perf, costs):
     )
 
 
-def edited(rng, pitches):
-    """A copy with up to three random wrong, dropped or extra notes."""
+def edited(rng, pitches, edits=None):
+    """A copy with ``edits`` (default: up to three) random wrong, dropped or extra notes."""
     out = list(pitches)
-    for _ in range(int(rng.integers(0, 4))):
+    if edits is None:
+        edits = int(rng.integers(0, 4))
+    for _ in range(edits):
         kind = int(rng.integers(3))
         if kind == 0:
             out[int(rng.integers(len(out)))] = int(rng.integers(60, 66))
@@ -103,6 +108,15 @@ def perf_from_pitches(pitches, performer_id="p"):
     return simple_performance(
         [0.5 * i for i in range(len(pitches))], pitches, performer_id=performer_id
     )
+
+
+#: Cost sets the banded DP is checked under; the second has sub > ins + del.
+COST_SETS = [
+    AlignmentCosts(),
+    AlignmentCosts(2.0, 0.5, 0.5),
+    AlignmentCosts(1.0, 0.3, 0.9),
+    AlignmentCosts(0.7, 1.1, 0.4),
+]
 
 
 class TestAlignPair:
@@ -159,15 +173,24 @@ class TestAlignPair:
             expected = brute_force_cost(ref_pitches, perf_pitches, costs)
             assert al.total_cost == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "costs",
-        [
-            AlignmentCosts(),
-            AlignmentCosts(2.0, 0.5, 0.5),
-            AlignmentCosts(1.0, 0.3, 0.9),
-            AlignmentCosts(0.7, 1.1, 0.4),
-        ],
-    )
+    @pytest.mark.parametrize("costs", COST_SETS)
+    def test_lower_bound_never_exceeds_the_optimum(self, costs):
+        rng = np.random.default_rng(11)
+        exact = 0
+        for _ in range(300):
+            ref = [int(p) for p in rng.integers(60, 64, size=int(rng.integers(1, 8)))]
+            if rng.random() < 0.5:
+                perf = edited(rng, ref, int(rng.integers(1, 4)))
+            else:
+                perf = [int(p) for p in rng.integers(60, 64, size=int(rng.integers(1, 8)))]
+            bound = _lower_bound(ref, perf, costs)
+            optimum = brute_force_cost(ref, perf, costs)
+            assert bound <= optimum + 1e-12, (ref, perf)
+            exact += bound == pytest.approx(optimum)
+        # and it is no trivial bound
+        assert exact > 100
+
+    @pytest.mark.parametrize("costs", COST_SETS)
     def test_banded_dp_equals_the_full_matrix_dp(self, costs):
         rng = np.random.default_rng(7)
         cases = [
@@ -189,6 +212,10 @@ class TestAlignPair:
             else:
                 perf = [int(p) for p in rng.integers(60, 60 + alphabet, size=int(rng.integers(1, 41)))]
             cases.append((ref, perf))
+        # edit scripts: a reference and 1-5 wrong, dropped or extra notes
+        for _ in range(100):
+            ref = [int(p) for p in rng.integers(60, 66, size=int(rng.integers(2, 61)))]
+            cases.append((ref, edited(rng, ref, int(rng.integers(1, 6)))))
         for ref, perf in cases:
             if ref == perf:
                 continue
@@ -234,9 +261,32 @@ class TestAlignPair:
         )
         assert al.total_cost <= script_cost + 1e-9
 
+    @pytest.mark.parametrize("errors", ["wrong pitches", "dropped notes"])
+    def test_an_exact_lower_bound_takes_one_pass(self, errors, caplog):
+        score = generate_score(400, seed=5)
+        pitches = list(score.pitch_sequence())
+        for i in range(10, 400, 40):
+            if errors == "wrong pitches":
+                # a pitch the score never plays, so no error undoes another in the multisets
+                pitches[i] = SCORE_PITCH_RANGE[1] + 1
+            else:
+                pitches[i] = None
+        performance = perf_from_pitches([p for p in pitches if p is not None])
+        with caplog.at_level(logging.DEBUG, logger="pianist_id.alignment"):
+            al = align_pair(score, performance)
+        assert al.total_cost == pytest.approx(10 * (1.0 if errors == "wrong pitches" else 0.6))
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert " passes=1 " in message, message
+
     def test_costs_must_be_positive(self):
         with pytest.raises(ValueError):
             AlignmentCosts(cost_sub=0.0)
+
+    @pytest.mark.parametrize("field", ["cost_sub", "cost_ins", "cost_del"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
+    def test_costs_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            AlignmentCosts(**{field: value})
 
 
 class TestBuildTable:

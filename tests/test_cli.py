@@ -1,13 +1,17 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pianist_id
 from conftest import simple_performance
+from pianist_id.alignment import build_table
 from pianist_id.cli import main
 from pianist_id.midi_io import from_note_table, parse_smf, write_smf
 
@@ -170,6 +174,38 @@ class TestAlign:
         assert code == 0
         report = json.loads((out / "alignment_report.json").read_text())
         assert report["per_performer"]["extra"]["insertions"] == 1
+
+    def test_aligned_table_quotes_performer_ids_as_csv_does(self, tmp_path):
+        onsets = [0.0, 0.5, 1.0, 1.5, 2.25]
+        pitches = [60, 64, 67, 65, 62]
+        perfs = [
+            simple_performance(onsets, pitches, performer_id="p,1"),
+            simple_performance(onsets[1:], pitches[1:], dynamics=80, performer_id='p"2'),
+            simple_performance([o * 1.1 for o in onsets], pitches, performer_id="p3"),
+        ]
+        d = write_midi_dir(tmp_path, perfs)
+        out = tmp_path / "out"
+        assert main(["align", "--input", str(d), "--out", str(out)]) == 0
+
+        parsed = [
+            parse_smf(path.read_bytes(), performer_id=path.stem, piece_id=d.name)
+            for path in sorted(d.iterdir())
+        ]
+        table, _ = build_table(parsed)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["position", "performer", "onset", "offset", "pitch", "dynamic"])
+        for row in range(table.n_positions):
+            for col, pid in enumerate(table.performer_ids):
+                if not np.isnan(table.onsets[row, col]):
+                    writer.writerow([
+                        row, pid, repr(float(table.onsets[row, col])),
+                        repr(float(table.offsets[row, col])), int(table.pitches[row, col]),
+                        int(table.dynamics[row, col]),
+                    ])
+        written = (out / "aligned_table.csv").read_text()
+        assert '"p,1"' in written and '"p""2"' in written
+        assert written == expected.getvalue()
 
 
 class TestFeatures:
