@@ -14,9 +14,12 @@ stacked passes with ``kl_histogram_rows``, of which ``kl_histogram`` is the
 one-pair case: union edges from one sort per pair, rebinning with
 ``np.interp``'s arithmetic, and sums grouped by length so every value keeps
 the bits of a lone pair. For KDEs it puts every KDE of one feature kind on
-one shared grid over all of that kind's grouped values, evaluates each
-group's kernel sum there once and scores each test density against every
-candidate's with ``kl_rows``, the integrand ``kl_on_grid`` also uses.
+one shared grid over all of that kind's grouped values and evaluates each
+group's kernel sum there once. Per test group, ``kl_rows`` scores every
+test density against every candidate's pool density in stacked passes,
+whose (tests x candidates x grid) integrand stays within
+``densities.KERNEL_CHUNK`` elements; it is the integrand ``kl_on_grid`` also
+uses, and broadcasting gives each value the bits of its lone pair.
 ``fuse`` adds weighted KLs feature by feature, for single values or for
 whole arrays of them.
 """
@@ -51,9 +54,13 @@ def _checked(value: float) -> float:
     return value
 
 
-def _clamp(value: float) -> float:
-    # tiny negatives are round-off; true KL is non-negative
-    return max(float(value), 0.0)
+def _clamped(values: np.ndarray) -> list:
+    """``max(v, 0.0)`` of each value (a true KL is non-negative; -0.0 stays), as
+    (nested) lists of floats; the first that is not finite raises as ``KlResult``."""
+    values = np.where(values < 0, 0.0, values)
+    if not np.isfinite(values).all():
+        _checked(float(values[~np.isfinite(values)][0]))
+    return values.tolist()
 
 
 def kl_histogram(p: Histogram, q: Histogram) -> KlResult:
@@ -115,7 +122,7 @@ def kl_histogram_rows(p: Histogram, q: Histogram) -> list[float]:
             pm = (pm + eps) / (1.0 + n_bins * eps)
             qm = (qm + eps) / (1.0 + n_bins * eps)
         values[rows] = _kl_sums(pm, qm)
-    return [_checked(_clamp(v)) for v in values.tolist()]
+    return _clamped(values)
 
 
 def _cdf(edges: np.ndarray, masses: np.ndarray, x: np.ndarray, upto: np.ndarray) -> np.ndarray:
@@ -157,14 +164,15 @@ def kde_grid(lo: float, hi: float, pad: float, max_step: float) -> np.ndarray:
     return np.linspace(lo, hi, math.ceil((hi - lo) / max_step) + 1)
 
 
-def kl_rows(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> list[float]:
-    """Trapezoid-rule estimates of the integral p(x) log(p(x)/q(x)) dx for the
-    density ``px`` against each row of ``qx``, all on ``grid``; the denominator
-    is floored at ``Q_FLOOR``. Each value is clamped and checked as a
-    ``KlResult`` would be."""
+def kl_rows(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> list:
+    """Trapezoid-rule estimates of the integral p(x) log(p(x)/q(x)) dx on
+    ``grid`` for the densities on the last axes of ``px`` and ``qx``,
+    broadcast over their leading axes, each with the bits of its lone pair;
+    the denominator is floored at ``Q_FLOOR``. Values are clamped and checked
+    as a ``KlResult`` would be, and returned as (nested) lists of floats."""
     qx = np.maximum(qx, Q_FLOOR)
     integrand = np.where(px > 0, px * np.log(np.maximum(px, Q_FLOOR) / qx), 0.0)
-    return [_checked(_clamp(v)) for v in np.trapezoid(integrand, grid, axis=-1).tolist()]
+    return _clamped(np.trapezoid(integrand, grid, axis=-1))
 
 
 def kl_on_grid(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> KlResult:
@@ -209,7 +217,7 @@ def kl_gmm(p: GMM, q: GMM) -> KlResult:
     numerator = _log_weighted_sum_exp(p.weights, -kl_pp)
     denominator = _log_weighted_sum_exp(q.weights, -kl_pq)
     value = float(np.sum(p.weights * (numerator - denominator)))
-    return KlResult(value=_clamp(value), method="variational")
+    return KlResult(value=max(value, 0.0), method="variational")
 
 
 def _pairwise_gaussian_kl(a: GMM, b: GMM) -> np.ndarray:

@@ -356,7 +356,8 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
     weighting of these kinds. Each family has its own builder:
     ``_histogram_kls`` fits and scores in stacked passes, ``_kde_kls`` works
     on one shared grid per kind, with ``jobs`` threads computing the kernel
-    sums, and ``_gmm_kls`` fits and scores one group at a time.
+    sums, and scores each test group in chunked stacked passes, and
+    ``_gmm_kls`` fits and scores one group at a time.
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
@@ -442,39 +443,52 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int) -> np.ndarray:
     Every KDE of the kind lives on one shared grid, spanning all of its
     grouped values widened by 5 bandwidths, with the fewest points that keep
     the step at or below h/4. Each group's exact kernel sum on that grid is
-    computed once, over ``jobs`` threads. Per test group ``divergence.kl_rows``
-    scores each test density against the stacked pool densities.
+    computed once, over ``jobs`` threads, into one (performer, group, grid)
+    array. Per test group, every candidate's pool density is built at once,
+    and ``divergence.kl_rows`` scores all of the group's non-empty tests
+    against them, in calls whose (tests x candidates x grid) integrand stays
+    within ``densities.KERNEL_CHUNK`` elements. An empty training pool names
+    the kind, the performer and the group.
     """
     pids = list(chunks)
-    n_groups = len(chunks[pids[0]])
-    sizes = [[len(c) for c in chunks[pid]] for pid in pids]
-    if any(n == sum(row) for row in sizes for n in row):  # an empty training pool
-        raise ValueError(densities.EMPTY_KDE_MESSAGE)
-    values = [c for pid in pids for c in chunks[pid] if len(c)]
+    n, n_groups = len(pids), len(chunks[pids[0]])
+    sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
+    pool_sizes = sizes.sum(axis=1, keepdims=True) - sizes
+    empty = np.argwhere(pool_sizes.T == 0)  # (group, performer), in group order
+    if len(empty):
+        g, p = empty[0]
+        raise ValueError(
+            f"cannot fit the {kind} KDE to the training pool for test group {g} "
+            f"of performer {pids[p]!r}: {densities.EMPTY_KDE_MESSAGE}"
+        )
+    values = np.concatenate([c for pid in pids for c in chunks[pid]])
     grid = divergence.kde_grid(
-        min(float(c.min()) for c in values),
-        max(float(c.max()) for c in values),
-        pad=5.0 * h,
-        max_step=h / 4.0,
+        float(values.min()), float(values.max()), pad=5.0 * h, max_step=h / 4.0
     )
     log.debug(
         "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
         kind, float(grid[0]), float(grid[-1]), len(grid),
-        (grid[1] - grid[0]) / h, sum(len(c) for c in values) * len(grid),
+        (grid[1] - grid[0]) / h, len(values) * len(grid),
     )
-    sums = _map(lambda pid: [densities.kernel_sum(c, h, grid) for c in chunks[pid]], pids, jobs)
-    table = np.full((len(pids) * n_groups, len(pids)), np.nan)
+    sums = np.empty((n, n_groups, len(grid)))
+
+    def fill(i):
+        for g, c in enumerate(chunks[pids[i]]):
+            sums[i, g] = densities.kernel_sum(c, h, grid)
+
+    _map(fill, range(n), jobs)
+    table = np.full((n * n_groups, n), np.nan)
+    per_call = max(1, densities.KERNEL_CHUNK // (n * len(grid)))
     for g in range(n_groups):
-        # a pool is the sum of its groups' vectors, never the total minus the
-        # group, which would cancel in the tails that decide the KL
-        pools = np.stack([
-            densities.kernel_density(np.sum(s[:g] + s[g + 1:], axis=0), sum(n[:g] + n[g + 1:]), h)
-            for s, n in zip(sums, sizes)
-        ])
-        for i in range(len(pids)):
-            if sizes[i][g]:
-                test = densities.kernel_density(sums[i][g], sizes[i][g], h)
-                table[i * n_groups + g] = divergence.kl_rows(test, pools, grid)
+        # a pool is the sum of its groups' vectors, added in group order, never
+        # the total minus the group, which would cancel in the tails that decide the KL
+        pool_sums = np.sum(sums, axis=1, where=(np.arange(n_groups) != g)[:, None])
+        pools = densities.kernel_density(pool_sums, pool_sizes[:, g, None], h)
+        tested = np.flatnonzero(sizes[:, g])
+        tests = densities.kernel_density(sums[tested, g], sizes[tested, g, None], h)
+        for start in range(0, len(tested), per_call):
+            rows = tested[start : start + per_call] * n_groups + g
+            table[rows] = divergence.kl_rows(tests[start : start + per_call, None], pools, grid)
     return table
 
 

@@ -7,6 +7,7 @@ from pianist_id.densities import GMM, Histogram, fit_gmm, fit_histogram, fit_kde
 from pianist_id.divergence import (
     Q_FLOOR,
     KlResult,
+    _clamped,
     fuse,
     gaussian_kl,
     kl,
@@ -133,7 +134,7 @@ class TestKlKde:
 
 
 class TestKlRows:
-    """``kl_rows`` scores one density against a stack of rows on one grid."""
+    """``kl_rows`` scores one density, or a stack of them, against a stack of rows on one grid."""
 
     @staticmethod
     def one_pair(px, qx, grid):
@@ -157,6 +158,15 @@ class TestKlRows:
         assert rows == [self.one_pair(px, q, grid) for q in qx]
         assert all(type(v) is float for v in rows)
 
+        # a stack of tests, shaped (t, 1, grid): one list per test, each row
+        # with the bits of its own one-test call
+        tests = np.vstack([px, qx[1], qx[2], qx[4], rng.gamma(2.0, 1.0, len(grid))])
+        stacked = kl_rows(tests[:, None], qx, grid)
+        alone = [kl_rows(p, qx, grid) for p in tests]
+        assert np.asarray(stacked).tobytes() == np.asarray(alone).tobytes()
+        assert stacked[0] == rows
+        assert all(type(v) is float for row in stacked for v in row)
+
     def test_a_non_finite_row_raises_the_kl_result_error(self):
         grid = np.linspace(0.0, 1.0, 11)
         px = np.full(len(grid), 1e300)
@@ -166,9 +176,23 @@ class TestKlRows:
         with pytest.raises(ValueError) as raised, np.errstate(over="ignore"):
             kl_rows(px, qx, grid)
         assert str(raised.value) == str(expected.value)
+        # the same from the middle of a stack of tests that are finite elsewhere
+        tests = np.stack([px / 1e300, px, 2.0 * px / 1e300])[:, None]
+        with pytest.raises(ValueError) as raised, np.errstate(over="ignore"):
+            kl_rows(tests, qx, grid)
+        assert str(raised.value) == str(expected.value)
         qx[1] = math.nan
         with pytest.raises(ValueError, match="must be finite and non-negative, got nan"):
             kl_rows(px / 1e300, qx, grid)
+        with pytest.raises(ValueError, match="must be finite and non-negative, got nan"):
+            kl_rows(tests / 1e300, qx, grid)
+
+    def test_clamp_keeps_the_bits_of_max_with_zero(self):
+        values = [-0.0, 0.0, -1e-300, -2.5, 5e-324, 1.5, -math.inf]
+        clamped = _clamped(np.asarray([values, values[::-1]]))
+        expected = [[max(v, 0.0) for v in values], [max(v, 0.0) for v in values[::-1]]]
+        assert np.asarray(clamped).tobytes() == np.asarray(expected).tobytes()
+        assert math.copysign(1.0, clamped[0][0]) == -1.0  # max(-0.0, 0.0) keeps -0.0
 
 
 class TestKlGmm:

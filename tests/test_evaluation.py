@@ -6,13 +6,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pianist_id.densities import DEFAULT_BANDWIDTHS, GMM_MAX_ITER, GMM_TOL, fit_kde, kde_pdf
-from pianist_id.divergence import fuse, kl, kl_kde, kl_on_grid
+from pianist_id import densities
+from pianist_id.densities import (
+    DEFAULT_BANDWIDTHS,
+    GMM_MAX_ITER,
+    GMM_TOL,
+    fit_kde,
+    kde_pdf,
+    kernel_density,
+    kernel_sum,
+)
+from pianist_id.divergence import fuse, kde_grid, kl, kl_kde, kl_on_grid
 from pianist_id.evaluation import (
     DeviationDataset,
     EmptyTestSeriesError,
     ExperimentConfig,
     FoldSpec,
+    _kde_kls,
     _value_groups,
     classify,
     f_score,
@@ -460,6 +470,54 @@ class TestKdeTable:
                     assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
                     assert abs(value - kl_kde(test, pool).value) <= 1e-4
 
+    @staticmethod
+    def one_trial_at_a_time(chunks, h):
+        """``_kde_kls`` built trial by trial: a list of group kernel sums per
+        performer, each pool summed from a list of its groups' vectors, and
+        each (test, candidate) pair scored on its own."""
+        pids = list(chunks)
+        n_groups = len(chunks[pids[0]])
+        values = np.concatenate([c for pid in pids for c in chunks[pid]])
+        grid = kde_grid(float(values.min()), float(values.max()), pad=5.0 * h, max_step=h / 4.0)
+        sums = {pid: [kernel_sum(c, h, grid) for c in chunks[pid]] for pid in pids}
+        table = np.full((len(pids) * n_groups, len(pids)), np.nan)
+        for i, pid in enumerate(pids):
+            for g in range(n_groups):
+                if len(chunks[pid][g]) == 0:
+                    continue
+                test = kernel_density(sums[pid][g], len(chunks[pid][g]), h)
+                others = [k for k in range(n_groups) if k != g]
+                for c, candidate in enumerate(pids):
+                    pool = kernel_density(
+                        np.sum([sums[candidate][k] for k in others], axis=0),
+                        sum(len(chunks[candidate][k]) for k in others),
+                        h,
+                    )
+                    table[i * n_groups + g, c] = kl_on_grid(test, pool, grid).value
+        return table
+
+    def test_table_equals_one_trial_at_a_time_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        empty_tests = 0
+        for _ in range(20):
+            n_groups, h = int(rng.integers(2, 7)), float(rng.uniform(0.05, 1.0))
+            chunks = {}
+            for pid in ("a", "b", "c", "d")[: int(rng.integers(2, 5))]:
+                # some test groups are empty; two groups with values keep every pool non-empty
+                sizes = rng.integers(0, 8, n_groups)
+                sizes[rng.choice(n_groups, 2, replace=False)] += 1
+                empty_tests += int(np.sum(sizes == 0))
+                mu, sigma = rng.normal(0, 2), rng.uniform(0.05, 2)
+                chunks[pid] = [rng.normal(mu, sigma, size) for size in sizes]
+            expected = self.one_trial_at_a_time(chunks, h).tobytes()
+            assert _kde_kls("OT", chunks, h, jobs=1).tobytes() == expected
+            assert _kde_kls("OT", chunks, h, jobs=3).tobytes() == expected
+            with monkeypatch.context() as patch:
+                # one test per kl_rows call, and many kernel_sum chunks
+                patch.setattr(densities, "KERNEL_CHUNK", 1)
+                assert _kde_kls("OT", chunks, h, jobs=1).tobytes() == expected
+        assert empty_tests > 5
+
     def test_report_bytes_do_not_depend_on_jobs(self):
         dataset = self.dataset()
         config = ExperimentConfig(
@@ -477,8 +535,11 @@ class TestKdeTable:
             },
         )
         config = ExperimentConfig(model_family="kde", feature_set=("OT",), n_groups=4)
-        with pytest.raises(ValueError, match="cannot fit a KDE to an empty series"):
+        with pytest.raises(ValueError, match="cannot fit a KDE to an empty series") as raised:
             run_cv(dataset, config)
+        assert str(raised.value).startswith(
+            "cannot fit the OT KDE to the training pool for test group 0 of performer 'b': "
+        )
 
     def test_non_finite_bandwidth_is_rejected_by_kind(self):
         for bad in (math.inf, math.nan, 0.0):
