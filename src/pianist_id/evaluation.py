@@ -356,7 +356,7 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
     weighting of these kinds. Each family has its own builder:
     ``_histogram_kls`` fits and scores in stacked passes, ``_kde_kls`` works
     on one shared grid per kind, with ``jobs`` threads computing the kernel
-    sums, and scores each test group in chunked stacked passes, and
+    sums and one chunked, stacked scoring pass per test group, and
     ``_gmm_kls`` fits and scores one group at a time.
     """
     if len(dataset.performer_ids) < 2:
