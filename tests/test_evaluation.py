@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -511,7 +512,14 @@ class TestKdeTable:
                 chunks[pid] = [rng.normal(mu, sigma, size) for size in sizes]
             expected = self.one_trial_at_a_time(chunks, h).tobytes()
             assert _kde_kls("OT", chunks, h, jobs=1).tobytes() == expected
-            assert _kde_kls("OT", chunks, h, jobs=3).tobytes() == expected
+            # threads write disjoint rows of one array: switch often, and a lost
+            # write would leave that row uninitialised
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                assert _kde_kls("OT", chunks, h, jobs=3).tobytes() == expected
+            finally:
+                sys.setswitchinterval(interval)
             with monkeypatch.context() as patch:
                 # one test per kl_rows call, and many kernel_sum chunks
                 patch.setattr(densities, "KERNEL_CHUNK", 1)
