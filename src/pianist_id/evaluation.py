@@ -4,7 +4,8 @@ Each performer's aligned positions are split into contiguous chronological
 groups. For every (performer, group) trial the group's deviations form the
 test set; every candidate trains on their own remaining groups, so no aligned
 position is shared between a test set and any training pool. The candidate
-whose fused divergence from the test distribution is smallest wins.
+whose fused divergence from the test distribution is smallest wins. ``classify``
+scores a query as the held-out group of one such round, with the same builders.
 """
 
 from __future__ import annotations
@@ -164,23 +165,26 @@ def fit_model(values, kind: str, config: ExperimentConfig):
 
 def classify(
     test_series: Mapping[str, object],
-    train_models: Mapping[str, Mapping[str, object]],
+    train_series: Mapping[str, Mapping[str, object]],
     config: ExperimentConfig,
 ) -> str:
-    """Minimum fused-KL candidate for the test deviations.
+    """Minimum fused-KL candidate for the test deviations, ties to the smallest id.
 
-    Test models are fitted with the same family and hyperparameters as the
-    training models; ties break to the lexicographically smallest id.
+    Values are arrays or ``DeviationSeries``. The query is the held-out group
+    of one CV round: each candidate's chunks of a kind are its training series
+    and, for the first candidate, the query; ``_kind_kls`` scores round 1.
     """
-    candidates = sorted(train_models)
-    kls = {}
-    for kind in config.feature_set:
-        values = np.asarray(getattr(test_series[kind], "values", test_series[kind]))
-        row = [math.nan] * len(candidates)  # no test values: _decide skips the trial
-        if len(values):
-            test = fit_model(values, kind, config)
-            row = [divergence.kl(test, train_models[pid][kind]).value for pid in candidates]
-        kls[kind] = np.asarray([row])
+    def values(x):
+        return np.asarray(getattr(x, "values", x), dtype=np.float64)
+
+    candidates = sorted(train_series)
+    chunks = {kind: {} for kind in config.feature_set}
+    for kind, pid in product(config.feature_set, candidates):
+        train = values(train_series[pid][kind])
+        if not len(train):
+            raise ValueError(f"empty {kind} training series for candidate {pid!r}")
+        chunks[kind][pid] = [train, values(test_series[kind] if pid == candidates[0] else ())]
+    kls = {kind: _kind_kls(kind, c, config, 1, (1,))[1:2] for kind, c in chunks.items()}
     _, predicted = _decide(kls, config)
     if predicted[0] < 0:
         raise EmptyTestSeriesError(_skip_reason(kls, config, 0))
@@ -353,11 +357,7 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
     trial leaves its row NaN. Per kind, the trial tests the performer's
     group-g values against each candidate's pool of their other groups. Each
     model and KL is made once, so one table serves every feature subset and
-    weighting of these kinds. Each family has its own builder:
-    ``_histogram_kls`` fits and scores in stacked passes, ``_kde_kls`` works
-    on one shared grid per kind, with ``jobs`` threads computing the kernel
-    sums and one chunked, stacked scoring pass per test group, and
-    ``_gmm_kls`` fits and scores one group at a time.
+    weighting of these kinds. ``_kind_kls`` scores every group's round.
     """
     if len(dataset.performer_ids) < 2:
         raise ValueError("cross-validation needs at least 2 performers")
@@ -369,17 +369,27 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
         chunks = {
             pid: _group_chunks(dataset.by_performer[pid][kind], fold) for pid in performer_ids
         }
-        if config.model_family == "histogram":
-            table[kind] = _histogram_kls(chunks, config.n_bins)
-        elif config.model_family == "kde":
-            table[kind] = _kde_kls(kind, chunks, config.bandwidth_for(kind), jobs)
-        else:
-            table[kind] = _gmm_kls(kind, chunks, config)
+        table[kind] = _kind_kls(kind, chunks, config, jobs, range(config.n_groups))
     return table
 
 
-def _histogram_kls(chunks, n_bins: int) -> np.ndarray:
-    """One kind's ``_kl_table`` array for the histogram family.
+def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) -> np.ndarray:
+    """One kind's KL array, in ``_kl_table``'s layout, from ``chunks[pid][g]``.
+
+    Only the rounds (test groups) in ``held_out`` are scored; other rounds'
+    rows stay NaN and their pools are not fitted. ``_histogram_kls`` fits and
+    scores in stacked passes, ``_kde_kls`` on one shared grid with ``jobs``
+    threads for the kernel sums, and ``_gmm_kls`` one round at a time.
+    """
+    if config.model_family == "histogram":
+        return _histogram_kls(chunks, config.n_bins, held_out)
+    if config.model_family == "kde":
+        return _kde_kls(kind, chunks, config.bandwidth_for(kind), jobs, held_out)
+    return _gmm_kls(kind, chunks, config, held_out)
+
+
+def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
+    """One kind's ``_kind_kls`` array for the histogram family.
 
     Every grouped value is ranked once, under its group and under its
     performer (``densities.RankedValues``). A model's bin counts are counts of
@@ -406,8 +416,9 @@ def _histogram_kls(chunks, n_bins: int) -> np.ndarray:
     pool_lo = np.where(others, lo[:, None, :], np.inf).min(axis=2)
     pool_hi = np.where(others, hi[:, None, :], -np.inf).max(axis=2)
 
-    # one model per (group, is_test, performer) that exists, in fitting order
-    exists = np.stack((np.ones(sizes.T.shape, dtype=bool), sizes.T > 0), axis=1)
+    # one model per (group, is_test, performer) that exists in a scored round, in fitting order
+    scored = np.asarray([[g in held_out] for g in range(n_groups)])
+    exists = np.stack(np.broadcast_arrays(scored, (sizes.T > 0) & scored), axis=1)
     g, is_test, p = np.nonzero(exists)
     is_test = is_test == 1
     pool = ~is_test
@@ -426,7 +437,7 @@ def _histogram_kls(chunks, n_bins: int) -> np.ndarray:
     )
     row = np.zeros(exists.shape, dtype=np.intp)
     row[exists] = np.arange(len(g))
-    test_p, test_g = np.nonzero(sizes)  # the trials with test values, in table order
+    test_p, test_g = np.nonzero((sizes > 0) & scored.T)  # scored trials with test values, in order
     tests, pools = row[test_g, 1, test_p].repeat(n), row[test_g, 0].ravel()
     kls = divergence.kl_histogram_rows(
         replace(fitted, edges=fitted.edges[tests], masses=fitted.masses[tests]),
@@ -437,24 +448,24 @@ def _histogram_kls(chunks, n_bins: int) -> np.ndarray:
     return table
 
 
-def _kde_kls(kind: str, chunks, h: float, jobs: int) -> np.ndarray:
-    """One kind's ``_kl_table`` array for the KDE family, with bandwidth ``h``.
+def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
+    """One kind's ``_kind_kls`` array for the KDE family, with bandwidth ``h``.
 
     Every KDE of the kind lives on one shared grid, spanning all of its
     grouped values widened by 5 bandwidths, with the fewest points that keep
     the step at or below h/4. Each group's exact kernel sum on that grid is
     computed once, over ``jobs`` threads, into one (performer, group, grid)
-    array. Per test group, every candidate's pool density is built at once,
+    array. Per scored round, every candidate's pool density is built at once,
     and ``divergence.kl_rows`` scores all of the group's non-empty tests
     against them, in calls whose (tests x candidates x grid) integrand stays
-    within ``densities.KERNEL_CHUNK`` elements. An empty training pool names
-    the kind, the performer and the group.
+    within ``densities.KERNEL_CHUNK`` elements. An empty training pool of a
+    scored round names the kind, the performer and the group.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
     sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
     pool_sizes = sizes.sum(axis=1, keepdims=True) - sizes
-    empty = np.argwhere(pool_sizes.T == 0)  # (group, performer), in group order
+    empty = np.argwhere((pool_sizes.T == 0) & [[g in held_out] for g in range(n_groups)])
     if len(empty):
         g, p = empty[0]
         raise ValueError(
@@ -479,7 +490,7 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int) -> np.ndarray:
     _map(fill, range(n), jobs)
     table = np.full((n * n_groups, n), np.nan)
     per_call = max(1, densities.KERNEL_CHUNK // (n * len(grid)))
-    for g in range(n_groups):
+    for g in held_out:
         # a pool is the sum of its groups' vectors, added in group order, never
         # the total minus the group, which would cancel in the tails that decide the KL
         pool_sums = np.sum(sums, axis=1, where=(np.arange(n_groups) != g)[:, None])
@@ -492,8 +503,8 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int) -> np.ndarray:
     return table
 
 
-def _gmm_kls(kind: str, chunks, config: ExperimentConfig) -> np.ndarray:
-    """One kind's ``_kl_table`` array for the GMM family: per test group,
+def _gmm_kls(kind: str, chunks, config: ExperimentConfig, held_out) -> np.ndarray:
+    """One kind's ``_kind_kls`` array for the GMM family: per scored round,
     ``fit_model`` fits every candidate's pool, then every non-empty test, and
     ``divergence.kl`` scores each pair. A failed fit names its part."""
     pids = list(chunks)
@@ -507,7 +518,7 @@ def _gmm_kls(kind: str, chunks, config: ExperimentConfig) -> np.ndarray:
             raise ValueError(message) from err
 
     table = np.full((len(pids) * n_groups, len(pids)), np.nan)
-    for g in range(n_groups):
+    for g in held_out:
         pool = f"training pool for test group {g}"
         pools = [fit(np.concatenate(c[:g] + c[g + 1:]), pid, pool) for pid, c in chunks.items()]
         for i, pid in enumerate(pids):

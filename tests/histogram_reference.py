@@ -88,13 +88,15 @@ def reference_kl_table(chunks, n_bins: int) -> np.ndarray:
     return table
 
 
-def reference_classify(test_series, train_models, feature_set, weights, n_bins: int) -> str:
-    """Fused KL with Python float arithmetic, ties to the smallest id."""
+def reference_classify(test_series, train_values, feature_set, weights, n_bins: int) -> str:
+    """Fused KL with Python float arithmetic, ties to the smallest id; every
+    candidate's model is fitted to its training values here."""
     fused = {}
-    for pid in sorted(train_models):
+    for pid in sorted(train_values):
         total = 0.0
         for kind, w in zip(feature_set, weights):
             test = reference_fit_histogram(test_series[kind], n_bins)
-            total = total + w * reference_kl_histogram(test, train_models[pid][kind])
+            train = reference_fit_histogram(train_values[pid][kind], n_bins)
+            total = total + w * reference_kl_histogram(test, train)
         fused[pid] = total
     return min(fused, key=lambda pid: (fused[pid], pid))

@@ -19,11 +19,13 @@ from pianist_id.densities import (
 )
 from pianist_id.divergence import fuse, kde_grid, kl, kl_kde, kl_on_grid
 from pianist_id.evaluation import (
+    MODEL_FAMILIES,
     DeviationDataset,
     EmptyTestSeriesError,
     ExperimentConfig,
     FoldSpec,
     _kde_kls,
+    _kind_kls,
     _value_groups,
     classify,
     f_score,
@@ -184,9 +186,7 @@ class TestClassify:
             "b": rng.normal(2.0, 0.5, 300),
             "c": rng.normal(-2.0, 0.5, 300),
         }
-        train = {
-            pid: {"OT": fit_model(values, "OT", config)} for pid, values in data.items()
-        }
+        train = {pid: {"OT": values} for pid, values in data.items()}
         for pid, values in data.items():
             assert classify({"OT": values}, train, config) == pid
 
@@ -194,25 +194,40 @@ class TestClassify:
         config = ExperimentConfig(model_family="histogram", feature_set=("OT",), n_bins=2)
         test_values = np.asarray([0.25] * 88 + [0.75] * 12)
         train = {
-            "a": {"OT": fit_model(np.asarray([0.25] * 90 + [0.75] * 10), "OT", config)},
-            "b": {"OT": fit_model(np.asarray([0.25] * 50 + [0.75] * 50), "OT", config)},
+            "a": {"OT": np.asarray([0.25] * 90 + [0.75] * 10)},
+            "b": {"OT": np.asarray([0.25] * 50 + [0.75] * 50)},
         }
         assert classify({"OT": test_values}, train, config) == "a"
 
     def test_exact_tie_breaks_lexicographically(self):
         config = ExperimentConfig(model_family="histogram", feature_set=("OT",), n_bins=4)
         values = np.asarray([0.0, 0.5, 1.0, 1.5])
-        model = fit_model(values, "OT", config)
-        train = {"zeta": {"OT": model}, "alpha": {"OT": model}}
+        train = {"zeta": {"OT": values}, "alpha": {"OT": values}}
         assert classify({"OT": values}, train, config) == "alpha"
 
     def test_empty_test_series_raises(self):
         config = ExperimentConfig(model_family="histogram", feature_set=("OT",))
-        train = {"a": {"OT": fit_model(np.asarray([0.0, 1.0]), "OT", config)}}
+        train = {"a": {"OT": np.asarray([0.0, 1.0])}}
         with pytest.raises(EmptyTestSeriesError):
             classify({"OT": np.asarray([])}, train, config)
 
-    @pytest.mark.parametrize("family", ["kde", "gmm"])
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_empty_training_series_names_kind_and_candidate(self, family, monkeypatch):
+        config = ExperimentConfig(model_family=family, feature_set=("OT", "DL"), gmm_k=1)
+        values = np.linspace(0.0, 1.0, 12)
+        train = {
+            "a": {"OT": values, "DL": values},
+            "b": {"OT": point_series("b", values), "DL": point_series("b", [])},
+        }
+        fits = []
+        monkeypatch.setattr(densities, "kernel_sum", lambda *a: fits.append(a))
+        monkeypatch.setattr(densities, "fit_histograms", lambda *a: fits.append(a))
+        monkeypatch.setattr(densities, "fit_gmm", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match=r"^empty DL training series for candidate 'b'$"):
+            classify({"OT": values, "DL": values}, train, config)
+        assert fits == []  # raised before any fit
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_agrees_with_run_cv_on_every_trial(self, family):
         rng = np.random.default_rng(23)
         n = 48
@@ -240,17 +255,21 @@ class TestClassify:
             test = {kind: dataset.by_performer[pid][kind].values[in_test] for kind in config.feature_set}
             train = {
                 candidate: {
-                    kind: fit_model(series.values[~in_test], kind, config)
+                    kind: series.values[~in_test]
                     for kind, series in dataset.by_performer[candidate].items()
                 }
                 for candidate in dataset.performer_ids
             }
             assert classify(test, train, config) == trial["predicted"]
             if family == "gmm":
+                # an independent pairwise reference: fit each model on its own, score each pair
                 tests = {kind: fit_model(values, kind, config) for kind, values in test.items()}
                 fused = {
-                    candidate: fuse([kl(tests[kind], models[kind]) for kind in config.feature_set])
-                    for candidate, models in train.items()
+                    candidate: fuse([
+                        kl(tests[kind], fit_model(values[kind], kind, config))
+                        for kind in config.feature_set
+                    ])
+                    for candidate, values in train.items()
                 }
                 assert fused == trial["fused_kl"]
 
@@ -401,6 +420,25 @@ class TestRunCv:
         with pytest.raises(ValueError, match=re.escape(message.format("training pool for test group 0"))):
             run_cv(dataset(np.arange(10)), config)
 
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_only_held_out_rounds_are_scored_and_fitted(self, family):
+        rng = np.random.default_rng(9)
+        config = ExperimentConfig(model_family=family, feature_set=("OT",), gmm_k=1)
+        chunks = {pid: [rng.normal(mu, 1.0, 6) for _ in range(3)] for pid, mu in (("a", 0), ("b", 1))}
+        full = _kind_kls("OT", chunks, config, 1, range(3))
+        for g in range(3):
+            rows = _kind_kls("OT", chunks, config, 1, (g,))
+            scored = np.arange(6) % 3 == g
+            assert rows[scored].tobytes() == full[scored].tobytes()
+            assert np.isnan(rows[~scored]).all()
+        # c's values all sit in group 0, so only round 0 has a pool that cannot be fitted
+        chunks["c"] = [rng.normal(0.5, 1.0, 6), np.empty(0), np.empty(0)]
+        with pytest.raises(ValueError):
+            _kind_kls("OT", chunks, config, 1, range(3))
+        rows = _kind_kls("OT", chunks, config, 1, (1, 2))
+        assert np.isfinite(rows[[1, 2, 4, 5]]).all()
+        assert np.isnan(rows[[0, 3, 6, 7, 8]]).all()
+
     def test_needs_two_performers(self):
         dataset = make_dataset({"a": np.arange(16.0)})
         with pytest.raises(ValueError):
@@ -511,19 +549,19 @@ class TestKdeTable:
                 mu, sigma = rng.normal(0, 2), rng.uniform(0.05, 2)
                 chunks[pid] = [rng.normal(mu, sigma, size) for size in sizes]
             expected = self.one_trial_at_a_time(chunks, h).tobytes()
-            assert _kde_kls("OT", chunks, h, jobs=1).tobytes() == expected
+            assert _kde_kls("OT", chunks, h, jobs=1, held_out=range(n_groups)).tobytes() == expected
             # threads write disjoint rows of one array: switch often, and a lost
             # write would leave that row uninitialised
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                assert _kde_kls("OT", chunks, h, jobs=3).tobytes() == expected
+                assert _kde_kls("OT", chunks, h, jobs=3, held_out=range(n_groups)).tobytes() == expected
             finally:
                 sys.setswitchinterval(interval)
             with monkeypatch.context() as patch:
                 # one test per kl_rows call, and many kernel_sum chunks
                 patch.setattr(densities, "KERNEL_CHUNK", 1)
-                assert _kde_kls("OT", chunks, h, jobs=1).tobytes() == expected
+                assert _kde_kls("OT", chunks, h, jobs=1, held_out=range(n_groups)).tobytes() == expected
         assert empty_tests > 5
 
     def test_report_bytes_do_not_depend_on_jobs(self):

@@ -11,7 +11,7 @@ from histogram_reference import (
 
 from pianist_id.densities import Histogram, fit_histogram
 from pianist_id.divergence import kl_histogram, kl_histogram_rows
-from pianist_id.evaluation import ExperimentConfig, _histogram_kls, classify, fit_model
+from pianist_id.evaluation import ExperimentConfig, _histogram_kls, classify
 
 
 def outcome(fn):
@@ -171,7 +171,7 @@ class TestStackedTable:
             else:
                 chunks = random_chunks(rng, mode, n_groups, n_performers)
             expected = outcome(lambda: reference_kl_table(chunks, n_bins))
-            assert outcome(lambda: _histogram_kls(chunks, n_bins)) == expected
+            assert outcome(lambda: _histogram_kls(chunks, n_bins, range(n_groups))) == expected
             computed += isinstance(expected, bytes)
         assert computed == 80
 
@@ -181,8 +181,8 @@ class TestStackedTable:
             "b": [np.asarray([0.4, 0.6]), np.asarray([]), np.asarray([])],
         }
         with pytest.raises(ValueError, match="cannot fit a histogram to an empty series"):
-            _histogram_kls(chunks, 8)
-        assert outcome(lambda: _histogram_kls(chunks, 8)) == outcome(
+            _histogram_kls(chunks, 8, range(3))
+        assert outcome(lambda: _histogram_kls(chunks, 8, range(3))) == outcome(
             lambda: reference_kl_table(chunks, 8)
         )
 
@@ -195,16 +195,17 @@ class TestStackedTable:
         with pytest.raises(ValueError, match="cannot fit a histogram to an empty series"):
             reference_kl_table(chunks, 50)
         with pytest.raises(ValueError, match="cannot fit a histogram to an empty series"):
-            _histogram_kls(chunks, 50)
+            _histogram_kls(chunks, 50, range(2))
 
     def test_tiny_spans_raise_numpys_error_in_one_by_one_order(self):
         rng = np.random.default_rng(21)
         raised = set()
         for _ in range(60):
-            chunks = random_chunks(rng, "tiny", int(rng.integers(2, 5)), int(rng.integers(2, 4)))
+            n_groups = int(rng.integers(2, 5))
+            chunks = random_chunks(rng, "tiny", n_groups, int(rng.integers(2, 4)))
             n_bins = int(rng.integers(20, 200))
             expected = outcome(lambda: reference_kl_table(chunks, n_bins))
-            assert outcome(lambda: _histogram_kls(chunks, n_bins)) == expected
+            assert outcome(lambda: _histogram_kls(chunks, n_bins, range(n_groups))) == expected
             raised.add(isinstance(expected, str) and expected.startswith("ValueError: Too many bins"))
         assert raised == {True, False}
 
@@ -220,10 +221,6 @@ def test_classify_matches_the_reference():
             for pid in ("a", "b", "c")
         }
         train_values["d"] = train_values["a"]  # exact ties go to the smallest id
-        train = {
-            pid: {kind: fit_model(v, kind, config) for kind, v in by_kind.items()}
-            for pid, by_kind in train_values.items()
-        }
         test = {kind: np.round(rng.normal(0, 1, 15), 1) for kind in kinds}
-        expected = reference_classify(test, train, kinds, weights, config.n_bins)
-        assert classify(test, train, config) == expected
+        expected = reference_classify(test, train_values, kinds, weights, config.n_bins)
+        assert classify(test, train_values, config) == expected
