@@ -42,7 +42,7 @@ from .evaluation import (
 from .features import (
     KINDS,
     DeviationSeries,
-    NormPerformance,
+    NoteStream,
     compute_norm,
     derive_quantity,
     deviations,

@@ -30,8 +30,8 @@ from .features import KINDS, compute_norm, dump_features_csv, extract_deviations
 from .midi_io import (
     Performance,
     from_note_table,
+    parse_smf,
     parse_smf_with_warnings,
-    quantize_performance,
     to_note_table,
     write_smf,
 )
@@ -351,20 +351,15 @@ def cmd_features(args: argparse.Namespace) -> int:
     series = [by_performer[pid][kind] for pid in sorted(by_performer) for kind in KINDS]
     _write(out / "features.csv", dump_features_csv(series))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["position", "mean_onset", "mean_offset", "mean_dynamic", "coverage"])
-    for i in range(len(norm)):
-        writer.writerow(
-            [
-                int(norm.positions[i]),
-                repr(float(norm.mean_onset[i])),
-                repr(float(norm.mean_offset[i])),
-                repr(float(norm.mean_dynamic[i])),
-                int(norm.coverage[i]),
-            ]
-        )
-    _write(out / "norm.csv", buf.getvalue())
+    rows = zip(
+        norm.positions.tolist(),
+        norm.onsets.tolist(),
+        norm.offsets.tolist(),
+        norm.dynamics.tolist(),
+        table.coverage().tolist(),
+    )
+    header = "position,mean_onset,mean_offset,mean_dynamic,coverage\n"
+    _write(out / "norm.csv", header + "".join(map("%d,%r,%r,%r,%d\n".__mod__, rows)))
     print(f"wrote deviation features for {len(by_performer)} performers -> {out}")
     return 0
 
@@ -411,10 +406,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise InputError("--performers must be at least 2")
     if n_notes < 2:
         raise InputError("--notes must be at least 2")
+    try:
+        profiles = synth.default_profiles(n_performers, base_seed=seed, separation=args.separation)
+    except ValueError as exc:  # a profile out of range
+        raise InputError(f"--separation {args.separation} gives a bad profile: {exc}") from exc
     out = _out_dir(args)
 
     score = synth.generate_score(n_notes, seed)
-    profiles = synth.default_profiles(n_performers, base_seed=seed, separation=args.separation)
     width = len(str(n_performers))
 
     midi_dir = out / "performances"
@@ -422,15 +420,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     midi_dir.mkdir(exist_ok=True)
     csv_dir.mkdir(exist_ok=True)
 
-    quantized_score = quantize_performance(score)
-    (out / "score.mid").write_bytes(write_smf(score))
-    _write(out / "score.csv", to_note_table(quantized_score))
+    def write(performance: Performance, midi: Path, note_table: Path) -> None:
+        # the note table is the quantized performance: what re-reading the SMF yields
+        data = write_smf(performance)
+        midi.write_bytes(data)
+        _write(note_table, to_note_table(parse_smf(data)))
 
+    write(score, out / "score.mid", out / "score.csv")
     for i, profile in enumerate(profiles):
         pid = f"p{i + 1:0{width}d}"
         rendered = synth.render_performer(score, profile, pid)
-        (midi_dir / f"{pid}.mid").write_bytes(write_smf(rendered))
-        _write(csv_dir / f"{pid}.csv", to_note_table(quantize_performance(rendered)))
+        write(rendered, midi_dir / f"{pid}.mid", csv_dir / f"{pid}.csv")
 
     manifest = {
         "n_performers": n_performers,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import densities, divergence
 from .alignment import AlignedNoteTable
-from .features import KINDS, DeviationSeries, NormPerformance, extract_deviations
+from .features import KINDS, DeviationSeries, NoteStream, extract_deviations
 
 log = logging.getLogger(__name__)
 
@@ -271,7 +271,7 @@ class DeviationDataset:
     def from_table(
         cls,
         table: AlignedNoteTable,
-        norm: NormPerformance | None = None,
+        norm: NoteStream | None = None,
         kinds: Iterable[str] = KINDS,
     ) -> "DeviationDataset":
         return cls(

@@ -1,5 +1,9 @@
 """Norm performance and the five note-level deviation features.
 
+A table column and the norm performance (the per-position mean over all
+performers, labelled ``norm``) are both a ``NoteStream``, and a derived
+quantity and a deviation are both a ``DeviationSeries``.
+
 Quantities per note stream: OT (onset time), DL (dynamic level), ND (note
 duration = offset - onset), IOI (inter-onset interval to the next note) and
 OTD (gap between a note's offset and the next onset; negative means legato
@@ -80,55 +84,9 @@ class NoteStream:
 
 
 @dataclass(frozen=True)
-class NormPerformance:
-    """Across-performer mean onset/offset/dynamic per aligned position."""
-
-    positions: np.ndarray
-    mean_onset: np.ndarray
-    mean_offset: np.ndarray
-    mean_dynamic: np.ndarray
-    coverage: np.ndarray
-    segments: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.mean_offset <= self.mean_onset):
-            raise ValueError("norm offsets must exceed norm onsets")
-        if np.any(self.coverage < 1):
-            raise ValueError("norm coverage must be positive everywhere")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def stream(self) -> NoteStream:
-        return NoteStream(
-            label=NORM_LABEL,
-            positions=self.positions,
-            onsets=self.mean_onset,
-            offsets=self.mean_offset,
-            dynamics=self.mean_dynamic,
-            segments=self.segments,
-        )
-
-
-@dataclass(frozen=True)
-class QuantitySeries:
-    """One derived quantity over a stream; pair kinds anchor on the first note."""
-
-    kind: str
-    label: str
-    positions: np.ndarray
-    end_positions: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        if not len(self.positions) == len(self.end_positions) == len(self.values):
-            raise ValueError("positions/end_positions/values length mismatch")
-
-
-@dataclass(frozen=True)
 class DeviationSeries:
-    """Per-note deviations of one performer from the norm, for one feature."""
+    """One feature's per-note values: a stream's derived quantity, or a
+    performer's deviation from the norm; pair kinds anchor on the first note."""
 
     kind: str
     performer_id: str
@@ -141,25 +99,28 @@ class DeviationSeries:
         if not len(self.positions) == len(self.end_positions) == len(self.values):
             raise ValueError("positions/end_positions/values length mismatch")
         if len(self.values) and not np.all(np.isfinite(self.values)):
-            raise ValueError("deviation values must be finite")
+            raise ValueError("series values must be finite")
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def compute_norm(table: AlignedNoteTable) -> NormPerformance:
-    """Arithmetic mean of onset, offset and dynamic over present cells."""
-    coverage = table.coverage()
-    if np.any(coverage < 1):
+def compute_norm(table: AlignedNoteTable) -> NoteStream:
+    """The norm stream: the mean onset, offset and dynamic of each position's
+    present cells."""
+    if np.any(table.coverage() < 1):
         raise ValueError("every position needs at least one present cell")
-    return NormPerformance(
+    norm = NoteStream(
+        label=NORM_LABEL,
         positions=np.arange(table.n_positions, dtype=np.int64),
-        mean_onset=np.nanmean(table.onsets, axis=1),
-        mean_offset=np.nanmean(table.offsets, axis=1),
-        mean_dynamic=np.nanmean(table.dynamics, axis=1),
-        coverage=coverage.astype(np.int64),
+        onsets=np.nanmean(table.onsets, axis=1),
+        offsets=np.nanmean(table.offsets, axis=1),
+        dynamics=np.nanmean(table.dynamics, axis=1),
         segments=table.segments.copy(),
     )
+    if np.any(norm.offsets <= norm.onsets):
+        raise ValueError("norm offsets must exceed norm onsets")
+    return norm
 
 
 def performer_stream(table: AlignedNoteTable, performer_id: str) -> NoteStream:
@@ -177,7 +138,7 @@ def performer_stream(table: AlignedNoteTable, performer_id: str) -> NoteStream:
     )
 
 
-def derive_quantity(stream: NoteStream, kind: str) -> QuantitySeries:
+def derive_quantity(stream: NoteStream, kind: str) -> DeviationSeries:
     """Per-position quantity of one stream.
 
     IOI and OTD run between consecutive present notes of the stream and never
@@ -186,29 +147,20 @@ def derive_quantity(stream: NoteStream, kind: str) -> QuantitySeries:
     """
     _check_kind(kind)
     if kind in POINT_KINDS:
+        starts = ends = stream.positions
         if kind == "OT":
             values = stream.onsets
         elif kind == "DL":
             values = stream.dynamics
         else:
             values = stream.offsets - stream.onsets
-        return QuantitySeries(kind, stream.label, stream.positions, stream.positions, values)
-
-    if len(stream) < 2:
-        empty = np.empty(0)
-        return QuantitySeries(kind, stream.label, empty.astype(np.int64), empty.astype(np.int64), empty)
-    same_segment = stream.segments[1:] == stream.segments[:-1]
-    if kind == "IOI":
-        values = (stream.onsets[1:] - stream.onsets[:-1])[same_segment]
-    else:  # OTD
-        values = (stream.onsets[1:] - stream.offsets[:-1])[same_segment]
-    return QuantitySeries(
-        kind,
-        stream.label,
-        stream.positions[:-1][same_segment],
-        stream.positions[1:][same_segment],
-        values,
-    )
+    else:
+        same_segment = stream.segments[1:] == stream.segments[:-1]
+        starts = stream.positions[:-1][same_segment]
+        ends = stream.positions[1:][same_segment]
+        earlier = stream.onsets if kind == "IOI" else stream.offsets  # IOI or OTD
+        values = (stream.onsets[1:] - earlier[:-1])[same_segment]
+    return DeviationSeries(kind, stream.label, values, starts, ends)
 
 
 def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
@@ -250,7 +202,7 @@ def _deviation(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationS
 
 def extract_deviations(
     table: AlignedNoteTable,
-    norm: NormPerformance | None = None,
+    norm: NoteStream | None = None,
     kinds: Iterable[str] = KINDS,
 ) -> dict[str, dict[str, DeviationSeries]]:
     """All requested deviation series for every performer in the table.
@@ -261,10 +213,9 @@ def extract_deviations(
     kinds = [_check_kind(kind) for kind in kinds]
     if norm is None:
         norm = compute_norm(table)
-    norm_stream = norm.stream()
     out: dict[str, dict[str, DeviationSeries]] = {}
     for pid in table.performer_ids:
-        perf_r, norm_r = _restrict_to_shared(performer_stream(table, pid), norm_stream)
+        perf_r, norm_r = _restrict_to_shared(performer_stream(table, pid), norm)
         out[pid] = {kind: _deviation(perf_r, norm_r, kind) for kind in kinds}
     return out
 

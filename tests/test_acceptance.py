@@ -164,7 +164,7 @@ def test_criterion_6_feature_correctness(full_scale):
     table, _report = build_table(
         [render_performer(score, p, f"p{i+1}") for i, p in enumerate(profiles)]
     )
-    norm_stream = compute_norm(table).stream()
+    norm_stream = compute_norm(table)
 
     # zero-deviation identity
     for kind in KINDS:

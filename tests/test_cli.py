@@ -252,6 +252,15 @@ class TestSynthAndEvaluate:
             )
             assert from_midi.notes == from_csv.notes
 
+    @pytest.mark.parametrize("separation", ["4", "-5", "nan"])
+    def test_separation_out_of_range_exits_2_before_writing(self, tmp_path, capsys, separation):
+        out = tmp_path / "s"
+        args = ["synth", "--performers", "3", "--notes", "20", "--separation", separation]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pianist-id: error: --separation ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_evaluate_outputs_and_jobs_independence(self, tmp_path):
         data = tmp_path / "data"
         assert main(

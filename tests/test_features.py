@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import simple_performance
-from pianist_id.alignment import build_table, concat_tables
+from pianist_id.alignment import AlignedNoteTable, build_table, concat_tables
 from pianist_id.features import (
     KINDS,
     PAIR_KINDS,
@@ -36,7 +36,7 @@ class TestComputeNorm:
         b = simple_performance([2.0, 4.0], [60, 62], performer_id="b")
         table, _ = build_table([a, b], reference=a)
         norm = compute_norm(table)
-        assert norm.mean_onset[0] == pytest.approx(1.5)
+        assert norm.onsets[0] == pytest.approx(1.5)
 
     def test_duplicated_performer_norm_equals_the_performance(self):
         base = simple_performance([0.0, 0.4, 1.1], [60, 64, 67], durations=0.25, dynamics=80)
@@ -46,9 +46,9 @@ class TestComputeNorm:
         ]
         table, _ = build_table(copies)
         norm = compute_norm(table)
-        assert np.array_equal(norm.mean_onset, [n.onset for n in base.notes])
-        assert np.array_equal(norm.mean_offset, [n.offset for n in base.notes])
-        assert np.array_equal(norm.mean_dynamic, [n.dynamic for n in base.notes])
+        assert np.array_equal(norm.onsets, [n.onset for n in base.notes])
+        assert np.array_equal(norm.offsets, [n.offset for n in base.notes])
+        assert np.array_equal(norm.dynamics, [n.dynamic for n in base.notes])
 
     def test_nine_performer_dynamic_mean(self):
         dynamics = [60, 64, 62, 70, 58, 66, 64, 61, 63]
@@ -58,9 +58,40 @@ class TestComputeNorm:
         ]
         table, _ = build_table(perfs)
         norm = compute_norm(table)
-        assert norm.mean_dynamic[0] == pytest.approx(sum(dynamics) / 9)
-        assert norm.mean_dynamic[0] == pytest.approx(63.111, abs=5e-4)
-        assert list(norm.coverage) == [9, 9]
+        assert norm.dynamics[0] == pytest.approx(sum(dynamics) / 9)
+        assert norm.dynamics[0] == pytest.approx(63.111, abs=5e-4)
+        assert list(table.coverage()) == [9, 9]
+
+    def test_norm_is_a_stream_labelled_norm(self, identical_table):
+        norm = compute_norm(identical_table)
+        assert isinstance(norm, NoteStream) and norm.label == "norm"
+        assert norm.positions.tolist() == list(range(identical_table.n_positions))
+        assert np.array_equal(norm.segments, identical_table.segments)
+
+    @staticmethod
+    def two_by_two_table(onsets, offsets):
+        shape = (2, 2)
+        return AlignedNoteTable(
+            performer_ids=("a", "b"),
+            onsets=np.asarray(onsets, dtype=np.float64),
+            offsets=np.asarray(offsets, dtype=np.float64),
+            dynamics=np.full(shape, 64.0),
+            pitches=np.full(shape, 60, dtype=np.int64),
+            segments=np.zeros(2, dtype=np.int64),
+        )
+
+    def test_position_with_no_present_cell_is_rejected(self):
+        nan = np.nan
+        table = self.two_by_two_table([[0.0, 0.1], [nan, nan]], [[0.5, 0.6], [nan, nan]])
+        with pytest.raises(ValueError, match="every position needs at least one present cell"):
+            compute_norm(table)
+
+    def test_norm_offset_at_its_onset_is_rejected(self):
+        nan = np.nan
+        # position 1 holds one cell, whose offset equals its onset
+        table = self.two_by_two_table([[0.0, 0.1], [1.0, nan]], [[0.5, 0.6], [1.0, nan]])
+        with pytest.raises(ValueError, match="norm offsets must exceed norm onsets"):
+            compute_norm(table)
 
 
 class TestDeriveQuantity:
@@ -88,6 +119,8 @@ class TestDeriveQuantity:
         ioi = derive_quantity(s, "IOI")
         assert ioi.values == pytest.approx([0.5, 0.6])
         assert list(ioi.positions) == [0, 2]
+        assert list(ioi.end_positions) == [1, 3]
+        assert ioi.performer_id == "s"  # the stream's label
 
     def test_unknown_kind_rejected(self):
         s = stream_from_notes([0.0], [0.4], [64])
@@ -97,7 +130,7 @@ class TestDeriveQuantity:
 
 class TestDeviations:
     def test_identical_streams_give_zero_for_every_kind(self, identical_table):
-        norm = compute_norm(identical_table).stream()
+        norm = compute_norm(identical_table)
         for kind in KINDS:
             series = deviations(norm, norm, kind)
             assert len(series) > 0
@@ -171,7 +204,7 @@ class TestDeviations:
         streams = [performer_stream(table, pid) for pid in table.performer_ids]
         for kind in ("IOI", "OTD", "ND"):
             per_performer = np.stack([derive_quantity(s, kind).values for s in streams])
-            from_norm = derive_quantity(norm.stream(), kind).values
+            from_norm = derive_quantity(norm, kind).values
             assert np.max(np.abs(per_performer.mean(axis=0) - from_norm)) < 1e-12
 
 
@@ -199,7 +232,7 @@ class TestPearson:
 
 class TestDumpCsv:
     def test_norm_vs_itself_dump_is_all_zeros(self, identical_table):
-        norm = compute_norm(identical_table).stream()
+        norm = compute_norm(identical_table)
         series = [deviations(norm, norm, kind) for kind in KINDS]
         text = dump_features_csv(series)
         lines = text.splitlines()
@@ -230,7 +263,7 @@ class TestDumpCsv:
         assert table.n_positions == 8
         assert table.present_mask()[:, 1].tolist() == [True] * 5 + [False] + [True] * 2
 
-        norm = compute_norm(table).stream()
+        norm = compute_norm(table)
         by_performer = extract_deviations(table)
         for pid in table.performer_ids:
             stream = performer_stream(table, pid)

@@ -209,7 +209,7 @@ class TestDeviationGroundTruth:
             render_performer(score, late, "late"),
         ]
         table, _ = build_table(perfs, reference=score)
-        norm = compute_norm(table).stream()
+        norm = compute_norm(table)
         dev_early = deviations(performer_stream(table, "early"), norm, "OT").values
         dev_late = deviations(performer_stream(table, "late"), norm, "OT").values
         gap = abs(dev_early.mean() - dev_late.mean())
@@ -230,7 +230,7 @@ class TestDeviationGroundTruth:
         ]
         perfs = [render_performer(score, p, f"p{i}") for i, p in enumerate(profiles)]
         table, _ = build_table(perfs, reference=score)
-        norm = compute_norm(table).stream()
+        norm = compute_norm(table)
         n_onset_groups = len({n.onset for n in score.notes})
         for i, pid in enumerate(("p0", "p1")):
             stream = performer_stream(table, pid)
