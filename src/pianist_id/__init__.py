@@ -56,7 +56,6 @@ from .midi_io import (
     from_note_table,
     parse_smf,
     parse_smf_with_warnings,
-    quantize_performance,
     to_note_table,
     write_smf,
 )

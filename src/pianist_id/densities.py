@@ -37,8 +37,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Grid x sample elements per ``kernel_sum`` chunk.
 KERNEL_CHUNK = 2**18
 
-EMPTY_KDE_MESSAGE = "cannot fit a KDE to an empty series"
-
 
 def _as_values(series) -> np.ndarray:
     values = np.asarray(getattr(series, "values", series), dtype=np.float64)
@@ -208,7 +206,7 @@ def fit_kde(series, bandwidth: float) -> KDE:
     """Gaussian-kernel KDE with a fixed bandwidth."""
     values = _as_values(series)
     if len(values) == 0:
-        raise ValueError(EMPTY_KDE_MESSAGE)
+        raise ValueError("cannot fit a KDE to an empty series")
     return KDE(sample_points=values.copy(), bandwidth=float(bandwidth))
 
 

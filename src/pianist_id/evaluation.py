@@ -272,12 +272,8 @@ class DeviationDataset:
         cls,
         table: AlignedNoteTable,
         norm: NoteStream | None = None,
-        kinds: Iterable[str] = KINDS,
     ) -> "DeviationDataset":
-        return cls(
-            n_positions=table.n_positions,
-            by_performer=extract_deviations(table, norm, kinds),
-        )
+        return cls(n_positions=table.n_positions, by_performer=extract_deviations(table, norm))
 
     @property
     def performer_ids(self) -> tuple[str, ...]:
@@ -377,10 +373,22 @@ def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) 
     """One kind's KL array, in ``_kl_table``'s layout, from ``chunks[pid][g]``.
 
     Only the rounds (test groups) in ``held_out`` are scored; other rounds'
-    rows stay NaN and their pools are not fitted. ``_histogram_kls`` fits and
-    scores in stacked passes, ``_kde_kls`` on one shared grid with ``jobs``
-    threads for the kernel sums, and ``_gmm_kls`` one round at a time.
+    rows stay NaN and their pools are not fitted. An empty training pool of a
+    scored round is reported first, with the family's own reason, naming the
+    kind, the performer and the group. ``_histogram_kls`` fits and scores in
+    stacked passes, ``_kde_kls`` on one shared grid with ``jobs`` threads for
+    the kernel sums, and ``_gmm_kls`` one round at a time.
     """
+    for g, (pid, c) in product(sorted(held_out), chunks.items()):
+        if len(c[g]) == sum(map(len, c)):
+            family = {"histogram": "histogram", "kde": "KDE", "gmm": "GMM"}[config.model_family]
+            try:
+                fit_model(np.empty(0), kind, config)
+            except ValueError as err:
+                raise ValueError(
+                    f"cannot fit the {kind} {family} to the training pool for test group {g} "
+                    f"of performer {pid!r}: {err}"
+                ) from err
     if config.model_family == "histogram":
         return _histogram_kls(chunks, config.n_bins, held_out)
     if config.model_family == "kde":
@@ -458,20 +466,12 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
     array. Per scored round, every candidate's pool density is built at once,
     and ``divergence.kl_rows`` scores all of the group's non-empty tests
     against them, in calls whose (tests x candidates x grid) integrand stays
-    within ``densities.KERNEL_CHUNK`` elements. An empty training pool of a
-    scored round names the kind, the performer and the group.
+    within ``densities.KERNEL_CHUNK`` elements.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
     sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
     pool_sizes = sizes.sum(axis=1, keepdims=True) - sizes
-    empty = np.argwhere((pool_sizes.T == 0) & [[g in held_out] for g in range(n_groups)])
-    if len(empty):
-        g, p = empty[0]
-        raise ValueError(
-            f"cannot fit the {kind} KDE to the training pool for test group {g} "
-            f"of performer {pids[p]!r}: {densities.EMPTY_KDE_MESSAGE}"
-        )
     values = np.concatenate([c for pid in pids for c in chunks[pid]])
     grid = divergence.kde_grid(
         float(values.min()), float(values.max()), pad=5.0 * h, max_step=h / 4.0

@@ -12,11 +12,16 @@ FIFO note pairing by a stable sort. A track that pass cannot certify (a
 malformed one, or one where running status repeats a 1-data-byte message)
 and a short one, where numpy's per-call cost outweighs the work, go through
 ``_scan_track``, one Python step per event, which also gives every error its
-message and byte offset. All ticks then go to seconds in one vectorised
-step, and no per-note object is made. ``NoteEvent`` is one note:
-the element of the ``Performance.notes`` view, built on demand from the
-columns, and a way to hand a performance over note by note, which is
-converted to columns at once.
+message and byte offset. Both decoders return the same value: the track's
+tempo changes, its (on tick, off tick, pitch, velocity) rows in closing order,
+and how many of the last rows are note-ons left open and closed at the final
+tick. The reader merges every track the same way and words both warnings:
+the dangling note-ons, per track, then the zero-length notes. All ticks then
+go to seconds in one vectorised step, and no per-note object is made.
+
+``NoteEvent`` is one note: the element of the ``Performance.notes`` view,
+built on demand from the columns, and a way to hand a performance over note
+by note, which is converted to columns at once.
 """
 
 from __future__ import annotations
@@ -316,8 +321,7 @@ def parse_smf_with_warnings(
 
     warnings: list[str] = []
     tempo_changes: list[tuple[int, int]] = []
-    # (on tick, off tick, pitch, velocity) rows per track, in each track's closing order
-    tracks: list[np.ndarray] = []
+    tracks: list[np.ndarray] = []  # each track's rows, as its decoder returns them
     padded = None
 
     while len(tracks) < n_tracks:
@@ -333,18 +337,15 @@ def parse_smf_with_warnings(
         else:
             decoded = None
             if _ARRAY_TRACK_BYTES <= chunk_len < _MAX_ARRAY_TRACK_BYTES:
-                if padded is None:
-                    padded = _padded(data)
+                padded = padded or _padded(data)
                 decoded = _decode_track(padded, start, end)
-            if decoded is None:
-                paired: list[tuple[int, int, int, int]] = []
-                _scan_track(data, start, end, tempo_changes, paired, warnings)
-                tracks.append(np.array(paired, dtype=np.int64).reshape(-1, 4))
-            else:
-                tempos, rows, track_warnings = decoded
-                tempo_changes += tempos
-                tracks.append(rows)
-                warnings += track_warnings
+            tempos, rows, n_open = decoded or _scan_track(data, start, end)
+            tempo_changes += tempos
+            tracks.append(rows)
+            warnings += [
+                f"dangling note-on (pitch {pitch}) closed at final tick {tick}"
+                for tick, pitch in rows[len(rows) - n_open :, 1:3].tolist()
+            ]
         pos = end
 
     ticks = np.concatenate(tracks) if tracks else np.empty((0, 4), dtype=np.int64)
@@ -408,11 +409,10 @@ def _padded(data: bytes) -> bytes:
 def _decode_track(padded: bytes, start: int, end: int):
     """Decode the track chunk ``padded[start:end]`` as ``_scan_track`` reads it, or return None.
 
-    ``padded`` is the whole file from ``_padded``. Returns (tempo changes,
-    rows, warnings), where rows is an int64 array of ``_scan_track``'s (on
-    tick, off tick, pitch, velocity) rows in the same order, or None for a
-    track this pass cannot certify: one that ``_scan_track`` rejects, or one
-    where running status repeats a 1-data-byte message. It works on arrays:
+    ``padded`` is the whole file from ``_padded``. Returns ``_scan_track``'s
+    (tempo changes, rows, n_open), equal to it, or None for a track this pass
+    cannot certify: one that ``_scan_track`` rejects, or one where running
+    status repeats a 1-data-byte message. It works on arrays:
 
     1. for every byte offset, where the next event would start if an event
        started there. A data byte in status position is taken to begin 2
@@ -501,7 +501,7 @@ def _decode_track(padded: bytes, start: int, end: int):
     velocities = b.take(data_at + 1)
     if ((pitches | velocities) >= 0x80).any():
         return None
-    rows, dangling = _pair_notes(
+    return tempos, *_pair_notes(
         (note_status & 0x0F).astype(np.int16) << 7 | pitches,
         (note_status >= 0x90) & (velocities > 0),
         ticks.take(notes),
@@ -509,21 +509,18 @@ def _decode_track(padded: bytes, start: int, end: int):
         velocities,
         final_tick,
     )
-    warnings = [
-        f"dangling note-on (pitch {p}) closed at final tick {final_tick}" for p in dangling.tolist()
-    ]
-    return tempos, rows, warnings
 
 
 def _pair_notes(keys, on, ticks, pitches, velocities, final_tick):
-    """FIFO-pair note events, given in file order, per key; returns (rows, dangling pitches).
+    """FIFO-pair note events, given in file order, per key; returns (rows, n_open).
 
-    Rows are ``_scan_track``'s: (on tick, off tick, pitch, velocity) for each
-    note-off that closes an open note-on, in file order, then each note-on
-    left open, closed at ``final_tick``, by key and then in file order. Within
-    a key, the open count before an event is the running sum S of +1 per on
-    and -1 per off, less its lowest value so far (never above 0): an off is
-    dropped where that count is 0, and the j-th off kept closes the j-th on.
+    Both are ``_scan_track``'s: (on tick, off tick, pitch, velocity) for each
+    note-off that closes an open note-on, in file order, then each of the
+    n_open note-ons left open, closed at ``final_tick``, by key and then in
+    file order. Within a key, the open count before an event is the running
+    sum S of +1 per on and -1 per off, less its lowest value so far (never
+    above 0): an off is dropped where that count is 0, and the j-th off kept
+    closes the j-th on.
     """
     n = len(keys)
     order = np.argsort(keys, kind="stable")
@@ -560,24 +557,32 @@ def _pair_notes(keys, on, ticks, pitches, velocities, final_tick):
     rows[len(offs) :, 1] = final_tick
     rows[:, 2] = pitches.take(opened)
     rows[:, 3] = velocities.take(opened)
-    return rows, rows[len(offs) :, 2]
+    return rows, len(opened) - len(offs)
 
 
-def _scan_track(data, pos, end, tempo_changes, paired, warnings) -> None:
+def _scan_track(data: bytes, pos: int, end: int):
     """Read the events of the track chunk ``data[pos:end]`` one at a time and pair its notes.
+
+    Returns (tempo changes, rows, n_open): the (tick, tempo) pairs in file
+    order; an int64 (k, 4) array of (on tick, off tick, pitch, velocity), one
+    row per note-off that closes an open note-on, in file order, then one per
+    note-on left open, closed at the final tick, by (channel, pitch) and then
+    in file order; and the number of those last rows. Note-offs are paired
+    FIFO per (channel, pitch) as they come; a note closed at its note-on's tick
+    is left zero-length. The reader extends it and words both warnings.
 
     This reads the tracks ``_decode_track`` leaves: short ones, and any it
     cannot certify, so a malformed track raises here with its message and
-    byte offset. Note-offs are paired FIFO per (channel, pitch) as they come;
-    a note closed at its note-on's tick is left zero-length for the caller to
-    extend. An event may read past ``end`` before it is checked against it. A
-    byte read past the end of ``data`` is "truncated data" at offset
+    byte offset. An event may read past ``end`` before it is checked against
+    it. A byte read past the end of ``data`` is "truncated data" at offset
     ``len(data)``, where a run of single-byte reads must fail.
     """
     n = len(data)
     tick = 0
     running = 0  # running status; 0 while there is none
     pending: dict[int, deque] = {}  # channel << 7 | pitch -> open (on tick, velocity)
+    tempo_changes = []
+    paired = []
     append = paired.append
     try:
         while pos < end:
@@ -643,11 +648,11 @@ def _scan_track(data, pos, end, tempo_changes, paired, warnings) -> None:
         raise SmfParseError("truncated data", n) from None
 
     # note-ons still open at the end close at the final tick, by (channel, pitch)
+    n_closed = len(paired)
     for key in sorted(key for key, queue in pending.items() if queue):
-        pitch = key & 0x7F
         for on_tick, velocity in pending[key]:
-            warnings.append(f"dangling note-on (pitch {pitch}) closed at final tick {tick}")
-            append((on_tick, tick, pitch, velocity))
+            append((on_tick, tick, key & 0x7F, velocity))
+    return tempo_changes, np.array(paired, dtype=np.int64).reshape(-1, 4), len(paired) - n_closed
 
 
 # ---------------------------------------------------------------------------
@@ -761,20 +766,3 @@ def write_smf(
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, division)
     return header + b"MTrk" + struct.pack(">I", len(body)) + body
 
-
-def quantize_performance(
-    performance: Performance,
-    *,
-    division: int = DEFAULT_DIVISION,
-    tempo: int = DEFAULT_TEMPO,
-) -> Performance:
-    """Snap a performance to the SMF tick grid.
-
-    Defined as write-then-parse so the result is exactly what re-reading the
-    written file yields.
-    """
-    return parse_smf(
-        write_smf(performance, division=division, tempo=tempo),
-        performer_id=performance.performer_id,
-        piece_id=performance.piece_id,
-    )

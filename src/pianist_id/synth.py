@@ -13,7 +13,6 @@ in ``tests/synth_reference.py``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,7 +192,6 @@ class BenchmarkResult:
     performances: tuple[Performance, ...]
     score: Performance
     separability: dict
-    elapsed_seconds: float
 
 
 def benchmark(
@@ -210,7 +208,6 @@ def benchmark(
     separability statistics (per-feature deviation means/stddevs and the
     pooled correlation between the duration-linked features).
     """
-    started = time.monotonic()
     if profiles is None:
         profiles = default_profiles(n_performers, base_seed=seed)
     if len(profiles) != n_performers:
@@ -237,7 +234,6 @@ def benchmark(
         performances=tuple(performances),
         score=score,
         separability=separability,
-        elapsed_seconds=time.monotonic() - started,
     )
 
 

@@ -421,6 +421,29 @@ class TestRunCv:
             run_cv(dataset(np.arange(10)), config)
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_empty_training_pool_raises(self, family):
+        # the reason is the family's own, for an empty series
+        model, reason = {
+            "histogram": ("histogram", "cannot fit a histogram to an empty series"),
+            "kde": ("KDE", "cannot fit a KDE to an empty series"),
+            "gmm": ("GMM", "series of length 0 cannot support k=1"),
+        }[family]
+        # b's OT values all sit in group 0, so b's training pool for group 0 is empty
+        dataset = DeviationDataset(
+            n_positions=16,
+            by_performer={
+                "a": {"OT": point_series("a", np.linspace(0.0, 1.0, 16), "OT")},
+                "b": {"OT": point_series("b", [0.2, 0.4, 0.6], "OT", positions=[0, 1, 2])},
+            },
+        )
+        config = ExperimentConfig(model_family=family, feature_set=("OT",), n_groups=4, gmm_k=1)
+        with pytest.raises(ValueError) as raised:
+            run_cv(dataset, config)
+        assert str(raised.value) == (
+            f"cannot fit the OT {model} to the training pool for test group 0 of performer 'b': {reason}"
+        )
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_only_held_out_rounds_are_scored_and_fitted(self, family):
         rng = np.random.default_rng(9)
         config = ExperimentConfig(model_family=family, feature_set=("OT",), gmm_k=1)
@@ -570,22 +593,6 @@ class TestKdeTable:
             model_family="kde", feature_set=("IOI", "OT"), weights=(0.5, 2.0), n_groups=4
         )
         assert run_cv(dataset, config, jobs=1).to_json() == run_cv(dataset, config, jobs=3).to_json()
-
-    def test_empty_training_pool_raises(self):
-        # b's OT values all sit in group 0, so b's training pool for group 0 is empty
-        dataset = DeviationDataset(
-            n_positions=16,
-            by_performer={
-                "a": {"OT": point_series("a", np.linspace(0.0, 1.0, 16), "OT")},
-                "b": {"OT": point_series("b", [0.2, 0.4, 0.6], "OT", positions=[0, 1, 2])},
-            },
-        )
-        config = ExperimentConfig(model_family="kde", feature_set=("OT",), n_groups=4)
-        with pytest.raises(ValueError, match="cannot fit a KDE to an empty series") as raised:
-            run_cv(dataset, config)
-        assert str(raised.value).startswith(
-            "cannot fit the OT KDE to the training pool for test group 0 of performer 'b': "
-        )
 
     def test_non_finite_bandwidth_is_rejected_by_kind(self):
         for bad in (math.inf, math.nan, 0.0):
