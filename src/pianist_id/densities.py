@@ -101,8 +101,10 @@ def fit_histogram(series, n_bins: int = DEFAULT_N_BINS) -> Histogram:
 
     Counts are normalized, then each bin gets 1e-9 additive mass and the
     vector is renormalized so all masses stay strictly positive (keeps KL
-    against other histograms finite). A zero-variance series produces a valid
-    single-spike histogram. This is ``fit_histograms`` for one model.
+    against other histograms finite). A zero-variance series, or one whose
+    span is too small for ``n_bins`` distinct edges at 0.1%, is widened by 0.5
+    per side instead, so it too gives a valid single-spike histogram. This is
+    ``fit_histograms`` for one model.
     """
     values = np.sort(_as_values(series))
     ends = values[[0, -1]] if len(values) else np.zeros(2)
@@ -120,18 +122,22 @@ def fit_histograms(lo, hi, sizes, count_below, n_bins: int = DEFAULT_N_BINS) -> 
     ``count_below(edges)`` must return, per row, how many of its values lie
     below each edge. The first row that cannot be fitted raises the error a
     one-by-one fit would: an empty series, bad ``n_bins``, a non-finite span,
-    or ``np.histogram``'s own for too many bins in too small a span.
+    or ``np.histogram``'s own for too many bins in a span that even 0.5 of
+    padding per side cannot split.
     """
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     sizes = np.asarray(sizes)
     with np.errstate(invalid="ignore"):  # inf - inf gives NaN quietly, as Python floats do
         span = hi - lo
         pad = np.where(span == 0.0, 0.5, 0.001 * span)
-        lo, hi = lo - pad, hi + pad
-    bad = (sizes == 0) | ~(np.isfinite(lo) & np.isfinite(hi))
+        first, last = lo - pad, hi + pad
+    bad = (sizes == 0) | ~(np.isfinite(first) & np.isfinite(last))
     if n_bins >= 1:
         # safe stand-ins keep linspace quiet on rows that fail anyway
-        edges = np.linspace(np.where(bad, 0.0, lo), np.where(bad, 1.0, hi), n_bins + 1, axis=-1)
+        edges = np.linspace(np.where(bad, 0.0, first), np.where(bad, 1.0, last), n_bins + 1, axis=-1)
+        # a span too small for n_bins edges at 0.1% padding is widened by 0.5, as a zero span is
+        narrow = np.flatnonzero(~bad & np.any(edges[:, :-1] >= edges[:, 1:], axis=1))
+        edges[narrow] = np.linspace(lo[narrow] - 0.5, hi[narrow] + 0.5, n_bins + 1, axis=-1)
         bad |= np.any(edges[:, :-1] >= edges[:, 1:], axis=1)
     if n_bins < 1 or bad.any():
         i = int(np.argmax(bad)) if n_bins >= 1 else 0
@@ -139,8 +145,8 @@ def fit_histograms(lo, hi, sizes, count_below, n_bins: int = DEFAULT_N_BINS) -> 
             raise ValueError("cannot fit a histogram to an empty series")
         if n_bins < 1:
             raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-        if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
-            raise ValueError(f"supplied range of [{float(lo[i])}, {float(hi[i])}] is not finite")
+        if not (math.isfinite(first[i]) and math.isfinite(last[i])):
+            raise ValueError(f"supplied range of [{float(first[i])}, {float(last[i])}] is not finite")
         raise ValueError(
             f"Too many bins for data range. Cannot create {n_bins} finite-sized bins."
         )

@@ -373,22 +373,29 @@ def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) 
     """One kind's KL array, in ``_kl_table``'s layout, from ``chunks[pid][g]``.
 
     Only the rounds (test groups) in ``held_out`` are scored; other rounds'
-    rows stay NaN and their pools are not fitted. An empty training pool of a
-    scored round is reported first, with the family's own reason, naming the
-    kind, the performer and the group. ``_histogram_kls`` fits and scores in
+    rows stay NaN and their pools are not fitted. Before any fit, every
+    scored round's pools, then its non-empty tests, are checked against the
+    family's least series size (``gmm_k`` for GMM, 1 otherwise); the first too
+    small is reported with the family's own reason, naming the kind, the
+    part, the performer and the group. ``_histogram_kls`` fits and scores in
     stacked passes, ``_kde_kls`` on one shared grid with ``jobs`` threads for
     the kernel sums, and ``_gmm_kls`` one round at a time.
     """
-    for g, (pid, c) in product(sorted(held_out), chunks.items()):
-        if len(c[g]) == sum(map(len, c)):
-            family = {"histogram": "histogram", "kde": "KDE", "gmm": "GMM"}[config.model_family]
-            try:
-                fit_model(np.empty(0), kind, config)
-            except ValueError as err:
-                raise ValueError(
-                    f"cannot fit the {kind} {family} to the training pool for test group {g} "
-                    f"of performer {pid!r}: {err}"
-                ) from err
+    least = config.gmm_k if config.model_family == "gmm" else 1
+    for g in sorted(held_out):
+        pools = [("training pool for test group", pid, sum(map(len, c)) - len(c[g]))
+                 for pid, c in chunks.items()]
+        tests = [("test group", pid, len(c[g])) for pid, c in chunks.items() if len(c[g])]
+        for part, pid, size in pools + tests:
+            if size < least:
+                family = {"histogram": "histogram", "kde": "KDE", "gmm": "GMM"}[config.model_family]
+                try:
+                    fit_model(np.zeros(size), kind, config)
+                except ValueError as err:
+                    raise ValueError(
+                        f"cannot fit the {kind} {family} to the {part} {g} "
+                        f"of performer {pid!r}: {err}"
+                    ) from err
     if config.model_family == "histogram":
         return _histogram_kls(chunks, config.n_bins, held_out)
     if config.model_family == "kde":
@@ -506,24 +513,15 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
 def _gmm_kls(kind: str, chunks, config: ExperimentConfig, held_out) -> np.ndarray:
     """One kind's ``_kind_kls`` array for the GMM family: per scored round,
     ``fit_model`` fits every candidate's pool, then every non-empty test, and
-    ``divergence.kl`` scores each pair. A failed fit names its part."""
+    ``divergence.kl`` scores each pair."""
     pids = list(chunks)
     n_groups = len(chunks[pids[0]])
-
-    def fit(values, pid, part):
-        try:
-            return fit_model(values, kind, config)
-        except ValueError as err:
-            message = f"cannot fit the {kind} GMM to the {part} of performer {pid!r}: {err}"
-            raise ValueError(message) from err
-
     table = np.full((len(pids) * n_groups, len(pids)), np.nan)
     for g in held_out:
-        pool = f"training pool for test group {g}"
-        pools = [fit(np.concatenate(c[:g] + c[g + 1:]), pid, pool) for pid, c in chunks.items()]
+        pools = [fit_model(np.concatenate(c[:g] + c[g + 1:]), kind, config) for c in chunks.values()]
         for i, pid in enumerate(pids):
             if len(chunks[pid][g]):
-                test = fit(chunks[pid][g], pid, f"test group {g}")
+                test = fit_model(chunks[pid][g], kind, config)
                 table[i * n_groups + g] = [divergence.kl(test, q).value for q in pools]
     return table
 

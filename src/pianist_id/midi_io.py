@@ -19,9 +19,9 @@ tick. The reader merges every track the same way and words both warnings:
 the dangling note-ons, per track, then the zero-length notes. All ticks then
 go to seconds in one vectorised step, and no per-note object is made.
 
-``NoteEvent`` is one note: the element of the ``Performance.notes`` view,
-built on demand from the columns, and a way to hand a performance over note
-by note, which is converted to columns at once.
+``NoteEvent`` is one note, a plain named tuple checked when it enters a
+``Performance``: the element of the ``.notes`` view, built on demand from the
+columns, and a way to hand a performance over note by note.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 import numbers
+import operator
 import struct
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,47 +63,37 @@ class SmfParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, slots=True)
-class NoteEvent:
-    """One performed note: times in seconds, pitch and dynamic as MIDI ints."""
+class NoteEvent(NamedTuple):
+    """One performed note, a plain record checked only where it enters a ``Performance``."""
 
     onset: float
     offset: float
     pitch: int
     dynamic: int
 
-    def __post_init__(self):
-        if not 0 <= self.onset < math.inf:
-            raise ValueError(f"onset must be finite and non-negative, got {self.onset}")
-        if not self.offset > self.onset:
-            raise ValueError(
-                f"offset must exceed onset, got onset={self.onset} offset={self.offset}"
-            )
-        if self.offset == math.inf:
-            raise ValueError(f"offset must be finite, got {self.offset}")
-        if type(self.pitch) is not int or type(self.dynamic) is not int:  # numpy ints pass
-            for value in (self.pitch, self.dynamic):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(
-                        "pitches and dynamics must be integers, "
-                        f"got pitch={self.pitch!r} dynamic={self.dynamic!r}"
-                    )
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch out of MIDI range 0..127: {self.pitch}")
-        if not 1 <= self.dynamic <= 127:
-            raise ValueError(f"dynamic out of range 1..127: {self.dynamic}")
-
     @property
     def duration(self) -> float:
         return self.offset - self.onset
 
 
-def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ...]:
-    """The four note columns as arrays, every note checked as ``NoteEvent`` checks one.
+def _integers(column: np.ndarray) -> tuple[np.ndarray | bool, np.ndarray]:
+    """Which entries are integers (a bool is not), True for an integer dtype, and
+    the column with every other entry read as 1, so that it can be range-checked."""
+    if column.dtype.kind in "iu":
+        return True, column
+    values = column.tolist()
+    integral = [not isinstance(v, bool) and isinstance(v, numbers.Integral) for v in values]
+    values = [v if ok else 1 for v, ok in zip(values, integral)]
+    return np.array(integral, dtype=bool), np.array(values, dtype=object)
 
-    The first bad note, in the given order, raises ``NoteEvent``'s error; a
-    column that passes that check holds in-range integers whatever its dtype
-    (an object column of ints, say), so it is cast.
+
+def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ...]:
+    """The four note columns as arrays, once every note is valid.
+
+    ``rules`` is the one statement of a valid note: vectorised conditions in
+    order, each with its message. The first bad note, in the given order,
+    raises the first rule it breaks, worded from its own values. Pitches and
+    dynamics that pass are in-range integers whatever their dtype, so are cast.
     """
     columns = (
         np.asarray(onsets, dtype=np.float64),
@@ -114,13 +105,21 @@ def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ..
     if any(column.shape != (n,) for column in columns):
         raise ValueError("note columns must be one-dimensional and of equal length")
     onsets, offsets, pitches, dynamics = columns
-    integral = not n or (pitches.dtype.kind in "iu" and dynamics.dtype.kind in "iu")
-    if not integral or not np.all(
-        (0 <= onsets) & (onsets < offsets) & (offsets < np.inf)
-        & (0 <= pitches) & (pitches <= 127) & (1 <= dynamics) & (dynamics <= 127)
-    ):
-        for note in zip(onsets.tolist(), offsets.tolist(), pitches.tolist(), dynamics.tolist()):
-            NoteEvent(*note)
+    (pitch_ok, pitch_values), (dynamic_ok, dynamic_values) = map(_integers, (pitches, dynamics))
+    rules = (
+        ((0 <= onsets) & (onsets < np.inf), "onset must be finite and non-negative, got {0}"),
+        (onsets < offsets, "offset must exceed onset, got onset={0} offset={1}"),
+        (offsets < np.inf, "offset must be finite, got {1}"),
+        (pitch_ok & dynamic_ok,
+         "pitches and dynamics must be integers, got pitch={2!r} dynamic={3!r}"),
+        ((0 <= pitch_values) & (pitch_values <= 127), "pitch out of MIDI range 0..127: {2}"),
+        ((1 <= dynamic_values) & (dynamic_values <= 127), "dynamic out of range 1..127: {3}"),
+    )
+    valid = reduce(operator.and_, (condition for condition, _ in rules))
+    if not valid.all():
+        i = int(np.argmin(valid))
+        message = next(m for c, m in rules if not np.broadcast_to(c, valid.shape)[i])
+        raise ValueError(message.format(*(column[i : i + 1].tolist()[0] for column in columns)))
     return onsets, offsets, pitches.astype(np.int64), dynamics.astype(np.int64)
 
 
@@ -137,11 +136,11 @@ class Performance:
     given in.
 
     Both constructors take the same path: every note is checked in one
-    vectorised pass, as ``NoteEvent`` checks one, and the columns are sorted
-    with one stable ``np.lexsort``. :meth:`from_columns` takes four
-    equal-length columns; ``Performance(performer_id, piece_id, notes)`` takes
-    ``NoteEvent``s and converts them to columns at once. ``notes`` is a view:
-    a new tuple of ``NoteEvent`` built from the columns on each access.
+    vectorised pass (``_checked_columns``), and the columns are sorted with
+    one stable ``np.lexsort``. :meth:`from_columns` takes four equal-length
+    columns; ``Performance(performer_id, piece_id, notes)`` takes
+    ``NoteEvent``s and unzips them into columns at once. ``notes`` is a view:
+    a new tuple of ``NoteEvent`` built from the checked columns on each access.
     """
 
     performer_id: str
@@ -152,8 +151,7 @@ class Performance:
     dynamics: np.ndarray
 
     def __init__(self, performer_id: str, piece_id: str, notes: Iterable[NoteEvent] = ()):
-        rows = [(note.onset, note.offset, note.pitch, note.dynamic) for note in notes]
-        self._set_columns(performer_id, piece_id, *(zip(*rows) if rows else ((),) * 4))
+        self._set_columns(performer_id, piece_id, *(tuple(zip(*notes)) or ((),) * 4))
 
     @classmethod
     def from_columns(
@@ -179,7 +177,8 @@ class Performance:
     @property
     def notes(self) -> tuple[NoteEvent, ...]:
         """The notes as ``NoteEvent``s in (onset, pitch) order, built on each access."""
-        return tuple(map(NoteEvent, *(getattr(self, name).tolist() for name in _COLUMNS)))
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return tuple(map(NoteEvent._make, zip(*columns)))
 
     def __len__(self) -> int:
         return len(self.onsets)

@@ -188,9 +188,6 @@ def default_profiles(
 class BenchmarkResult:
     report: EvaluationReport
     dataset: DeviationDataset
-    profiles: tuple[PerformerProfile, ...]
-    performances: tuple[Performance, ...]
-    score: Performance
     separability: dict
 
 
@@ -226,15 +223,7 @@ def benchmark(
     dataset = DeviationDataset.from_table(table, norm)
     report = run_cv(dataset, config, jobs=jobs)
 
-    separability = _separability_stats(dataset)
-    return BenchmarkResult(
-        report=report,
-        dataset=dataset,
-        profiles=tuple(profiles),
-        performances=tuple(performances),
-        score=score,
-        separability=separability,
-    )
+    return BenchmarkResult(report=report, dataset=dataset, separability=_separability_stats(dataset))
 
 
 def _separability_stats(dataset: DeviationDataset) -> dict:

@@ -28,11 +28,12 @@ def reference_fit_histogram(values, n_bins: int) -> Histogram:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo
-    if span == 0.0:
-        lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = lo - 0.001 * span, hi + 0.001 * span
-    counts, edges = np.histogram(values, bins=n_bins, range=(lo, hi))
+    pad = 0.5 if span == 0.0 else 0.001 * span
+    if math.isfinite(lo - pad) and math.isfinite(hi + pad):
+        edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
+        if np.any(edges[:-1] >= edges[1:]):  # too small a span for n_bins edges at 0.1% padding
+            pad = 0.5
+    counts, edges = np.histogram(values, bins=n_bins, range=(lo - pad, hi + pad))
     masses = counts / len(values)
     eps = HISTOGRAM_SMOOTHING_EPS
     masses = (masses + eps) / (1.0 + n_bins * eps)

@@ -11,12 +11,21 @@ microseconds per quarter note, which the library rejects as an
 
 ``reference_write`` is the oracle for ``pianist_id.midi_io.write_smf``: the
 same bytes for the same notes.
+
+``reference_checked_columns`` checks note columns one note at a time, with
+scalar comparisons (``reference_check_note``). It is the oracle for the
+vectorised rule in ``Performance.from_columns``: the same error message for
+the first bad note, or the same columns.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from collections import deque
+
+import numpy as np
 
 from pianist_id.midi_io import NoteEvent, SmfParseError, TempoMap
 
@@ -232,3 +241,38 @@ def reference_write(notes, *, division: int = 480, tempo: int = 500_000) -> byte
     body += b"\x00\xff\x2f\x00"
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, division)
     return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+
+
+def reference_check_note(onset, offset, pitch, dynamic) -> None:
+    """Raise the error of the first rule the note breaks."""
+    if not 0 <= onset < math.inf:
+        raise ValueError(f"onset must be finite and non-negative, got {onset}")
+    if not offset > onset:
+        raise ValueError(f"offset must exceed onset, got onset={onset} offset={offset}")
+    if offset == math.inf:
+        raise ValueError(f"offset must be finite, got {offset}")
+    for value in (pitch, dynamic):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(
+                f"pitches and dynamics must be integers, got pitch={pitch!r} dynamic={dynamic!r}"
+            )
+    if not 0 <= pitch <= 127:
+        raise ValueError(f"pitch out of MIDI range 0..127: {pitch}")
+    if not 1 <= dynamic <= 127:
+        raise ValueError(f"dynamic out of range 1..127: {dynamic}")
+
+
+def reference_checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ...]:
+    """The columns in the given order, pitches and dynamics as int64, once
+    every note has passed ``reference_check_note``; the first bad note raises."""
+    columns = (
+        np.asarray(onsets, dtype=np.float64),
+        np.asarray(offsets, dtype=np.float64),
+        np.asarray(pitches),
+        np.asarray(dynamics),
+    )
+    if any(column.shape != (len(columns[0]),) for column in columns):
+        raise ValueError("note columns must be one-dimensional and of equal length")
+    for note in zip(*(column.tolist() for column in columns)):
+        reference_check_note(*note)
+    return columns[0], columns[1], columns[2].astype(np.int64), columns[3].astype(np.int64)

@@ -315,6 +315,22 @@ class TestSynthAndEvaluate:
         for name in ("report.json", "alignment_report.json"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_histogram_of_a_round_off_span_is_widened(self, tmp_path):
+        # p1's DL deviations are 10.333333333333329 and ...336, 4 ulps apart: too small a
+        # span for 50 bins at 0.1% padding, so the histogram widens it by 0.5 per side
+        d = tmp_path / "in"
+        d.mkdir()
+        for pid, louder in (("p1", 0), ("p2", 0), ("p3", 31)):
+            rows = [
+                f"{0.5 * i!r},{0.5 * i + 0.3!r},{60 + i % 12},{40 + 7 * i % 50 + louder}\n"
+                for i in range(40)
+            ]
+            (d / f"{pid}.csv").write_text("onset,offset,pitch,dynamic\n" + "".join(rows))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--input", str(d), "--out", str(out), "--features", "DL",
+                     "--groups", "2"]) == 0
+        assert len(json.loads((out / "report.json").read_text())["trials"]) == 6
+
 
 class TestConfigFile:
     def test_config_file_supplies_missing_flags(self, trio_dir, tmp_path):

@@ -88,9 +88,16 @@ class TestFitHistogram:
             lambda: reference_fit_histogram(values, n_bins)
         )
 
-    def test_tiny_span_raises_numpys_too_many_bins(self):
+    def test_a_span_too_small_for_the_bins_is_widened_by_half(self):
+        # 0.1% padding gives no 50 distinct edges here, so each side widens by 0.5
+        for values in ([1e6 - 1e-9, 1e6 + 1e-9], [10.333333333333329, 10.333333333333336]):
+            values = np.asarray(values)
+            fitted = fit_histogram(values)
+            assert outcome(lambda: fitted) == outcome(lambda: reference_fit_histogram(values, 50))
+            assert (fitted.edges[0], fitted.edges[-1]) == (values[0] - 0.5, values[1] + 0.5)
+        # a span that 0.5 per side still cannot split keeps numpy's error
         with pytest.raises(ValueError, match="Too many bins for data range. Cannot create 50"):
-            fit_histogram(np.asarray([1e6 - 1e-9, 1e6 + 1e-9]))
+            fit_histogram(np.asarray([1e20] * 3))
 
 
 class TestKlHistogram:
@@ -197,13 +204,17 @@ class TestStackedTable:
         with pytest.raises(ValueError, match="cannot fit a histogram to an empty series"):
             _histogram_kls(chunks, 50, range(2))
 
-    def test_tiny_spans_raise_numpys_error_in_one_by_one_order(self):
+    def test_tiny_spans_match_the_reference_in_one_by_one_order(self):
+        # tiny spans are widened and fit; a test chunk at 1e20 cannot be split even so
         rng = np.random.default_rng(21)
         raised = set()
         for _ in range(60):
             n_groups = int(rng.integers(2, 5))
             chunks = random_chunks(rng, "tiny", n_groups, int(rng.integers(2, 4)))
-            n_bins = int(rng.integers(20, 200))
+            if rng.random() < 0.3:
+                pid = f"p{rng.integers(len(chunks))}"
+                chunks[pid][int(rng.integers(n_groups))] = np.full(int(rng.integers(1, 4)), 1e20)
+            n_bins = int(rng.integers(20, 2000))  # most spans need widening for this many bins
             expected = outcome(lambda: reference_kl_table(chunks, n_bins))
             assert outcome(lambda: _histogram_kls(chunks, n_bins, range(n_groups))) == expected
             raised.add(isinstance(expected, str) and expected.startswith("ValueError: Too many bins"))

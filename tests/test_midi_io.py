@@ -2,12 +2,13 @@ import logging
 import math
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import END_OF_TRACK, note_off, note_on, simple_performance, smf_bytes, tempo_event, vlq
-from smf_reference import reference_parse, reference_write
+from smf_reference import reference_checked_columns, reference_parse, reference_write
 from pianist_id import midi_io, synth
 from pianist_id.midi_io import (
     NoteEvent,
@@ -22,27 +23,36 @@ from pianist_id.midi_io import (
 )
 
 
+def one_note(*fields) -> Performance:
+    return Performance("p", "x", [NoteEvent(*fields)])
+
+
 class TestNoteEvent:
     def test_rejects_offset_before_onset(self):
-        with pytest.raises(ValueError):
-            NoteEvent(1.0, 1.0, 60, 64)
+        with pytest.raises(ValueError, match=r"^offset must exceed onset, got onset=1\.0 offset=1\.0$"):
+            one_note(1.0, 1.0, 60, 64)
 
     def test_rejects_out_of_range_fields(self):
-        with pytest.raises(ValueError):
-            NoteEvent(0.0, 1.0, 128, 64)
-        with pytest.raises(ValueError):
-            NoteEvent(0.0, 1.0, 60, 0)
-        with pytest.raises(ValueError):
-            NoteEvent(-0.1, 1.0, 60, 64)
+        with pytest.raises(ValueError, match=r"^pitch out of MIDI range 0\.\.127: 128$"):
+            one_note(0.0, 1.0, 128, 64)
+        with pytest.raises(ValueError, match=r"^dynamic out of range 1\.\.127: 0$"):
+            one_note(0.0, 1.0, 60, 0)
+        with pytest.raises(ValueError, match=r"^onset must be finite and non-negative, got -0\.1$"):
+            one_note(-0.1, 1.0, 60, 64)
 
     def test_rejects_non_integral_or_bool_pitch_and_dynamic(self):
         for pitch, dynamic in ((60.0, 64), (60, 64.5), (True, 64), (60, np.bool_(True))):
             with pytest.raises(ValueError, match="pitches and dynamics must be integers"):
-                NoteEvent(0.0, 1.0, pitch, dynamic)
-        assert NoteEvent(0.0, 1.0, np.int64(60), np.uint8(64)).pitch == 60
+                one_note(0.0, 1.0, pitch, dynamic)
+        assert one_note(0.0, 1.0, np.int64(60), np.uint8(64)).notes == ((0.0, 1.0, 60, 64),)
         # a column of floats is refused at construction, naming the first note
         with pytest.raises(ValueError, match=r"got pitch=60\.0 dynamic=64"):
             Performance.from_columns("p", "x", [0.0, 1.0], [0.5, 1.5], [60.0, 62.0], [64, 64])
+
+    def test_is_a_plain_record(self):
+        note = NoteEvent(1.0, 1.0, 128, True)  # checked only where it enters a Performance
+        assert note == (1.0, 1.0, 128, True) and note.duration == 0.0
+        assert NoteEvent(0.5, 0.75, 60, 64).duration == 0.25
 
     def test_performance_sorts_by_onset_then_pitch(self):
         notes = (
@@ -57,7 +67,7 @@ class TestNoteEvent:
     def test_rejects_non_finite_times(self):
         for onset, offset in ((math.inf, math.inf), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError):
-                NoteEvent(onset, offset, 60, 64)
+                one_note(onset, offset, 60, 64)
             with pytest.raises(ValueError):
                 Performance.from_columns("p", "x", [0.0, onset], [1.0, offset], [60, 60], [64, 64])
         with pytest.raises(ValueError, match="offset must be finite"):
@@ -116,6 +126,42 @@ class TestPerformanceColumns:
         for bad in ([60.0, 62.0], [True, True], np.array([60, 62.0], dtype=object)):
             with pytest.raises(ValueError, match="must be integers, got pitch="):
                 Performance.from_columns("p", "x", [0.0, 1.0], [1.0, 2.0], bad, [64, 65])
+
+    def test_note_rule_matches_the_per_note_reference(self):
+        # 0-4 notes a set, mostly valid, so that later notes and later rules are reached
+        rng = random.Random(20261020)
+        times = (0.0, 0.5, 1.0, 2.0), (-0.1, math.inf, -math.inf, math.nan, 1e308)
+        valid = (0, 1, 60, 64, 127, np.int64(60), np.uint8(64))
+        other = (128, -1, np.uint8(200), 2**70, 60.0, 64.5, True, False, np.bool_(True), "60", None)
+
+        def outcome(fn):
+            try:
+                return [column.tobytes() + str(column.dtype).encode() for column in fn()]
+            except Exception as exc:
+                return type(exc).__name__, str(exc)
+
+        def library(*columns):
+            perf = Performance.from_columns("p", "x", *columns)
+            return perf.onsets, perf.offsets, perf.pitches, perf.dynamics
+
+        def reference(*columns):
+            checked = reference_checked_columns(*columns)
+            order = np.lexsort((checked[2], checked[0]))  # the stable (onset, pitch) order
+            return [column[order] for column in checked]
+
+        seen = Counter()
+        for _ in range(20000):
+            n = rng.randint(0, 4)
+            onsets, offsets = ([rng.choice(times[rng.random() < 0.15]) for _ in range(n)] for _ in range(2))
+            offsets = [t + rng.choice((0.25, 1.0)) if rng.random() < 0.85 else u for t, u in zip(onsets, offsets)]
+            columns = [onsets, offsets]
+            for _ in range(2):
+                values = [rng.choice(valid if rng.random() < 0.85 else valid + other) for _ in range(n)]
+                columns.append(np.array(values, dtype=object) if rng.random() < 0.5 else values)
+            expected = outcome(lambda: reference(*columns))
+            assert outcome(lambda: library(*columns)) == expected, columns
+            seen[expected[1].split(",")[0].split(":")[0] if isinstance(expected, tuple) else "valid"] += 1
+        assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
 class TestParse:
