@@ -93,14 +93,7 @@ class ExperimentConfig:
         """Reject every bad setting here, before any input is read."""
         if self.model_family not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family {self.model_family!r}")
-        if not self.feature_set:
-            raise ValueError("feature_set must be non-empty")
-        if len(set(self.feature_set)) != len(self.feature_set):
-            raise ValueError("feature_set must not repeat kinds")
-        for kind in self.feature_set:
-            if kind not in KINDS:
-                raise ValueError(f"unknown feature kind {kind!r}; choose from {','.join(KINDS)}")
-        object.__setattr__(self, "feature_set", tuple(self.feature_set))
+        object.__setattr__(self, "feature_set", _checked_feature_set(self.feature_set))
         if self.weights is not None:
             if len(self.weights) != len(self.feature_set):
                 raise ValueError(
@@ -149,6 +142,18 @@ class ExperimentConfig:
         }
 
 
+def _checked_feature_set(kinds) -> tuple[str, ...]:
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("feature_set must be non-empty")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("feature_set must not repeat kinds")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown feature kind {kind!r}; choose from {','.join(KINDS)}")
+    return kinds
+
+
 def _model_seed(seed: int, kind: str) -> int:
     state = np.random.SeedSequence([seed, KINDS.index(kind)]).generate_state(1)
     return int(state[0])
@@ -185,29 +190,40 @@ def classify(
             raise ValueError(f"empty {kind} training series for candidate {pid!r}")
         chunks[kind][pid] = [train, values(test_series[kind] if pid == candidates[0] else ())]
     kls = {kind: _kind_kls(kind, c, config, 1, (1,))[1:2] for kind, c in chunks.items()}
-    _, predicted = _decide(kls, config)
-    if predicted[0] < 0:
-        raise EmptyTestSeriesError(_skip_reason(kls, config, 0))
-    return candidates[predicted[0]]
+    _, predicted = _decide(kls, [config.feature_set], [config.effective_weights])
+    if predicted[0, 0] < 0:
+        raise EmptyTestSeriesError(_skip_reason(kls, config.feature_set, 0))
+    return candidates[predicted[0, 0]]
 
 
-def _decide(kls: Mapping[str, np.ndarray], config: ExperimentConfig):
-    """Fused KLs and the winner of every trial, for ``config``'s feature set and weights.
+def _decide(kls: Mapping[str, np.ndarray], subsets, weights=None):
+    """Fused KLs and the winner of every trial for each feature subset, in one pass.
 
     ``kls[kind]`` holds one row per trial and one column per candidate, NaN
-    in a trial with no test values of that kind. Returns the fused KL of
-    every (trial, candidate), summed with ``divergence.fuse``, and per trial
-    the column of the smallest, ties to the first (smallest id); -1 where a
-    kind of the set has no test values, so the trial is skipped.
+    in a trial with no test values of that kind. Subset s's kinds, weighted by
+    ``weights[s]`` (1 when None), are added in its order from 0.0, as
+    ``divergence.fuse`` adds them. Returns the fused KL per (subset, trial,
+    candidate), and per (subset, trial) the column of the smallest, ties to
+    the first (smallest id); -1 where a kind of the subset has no test values.
     """
-    fused = divergence.fuse([kls[kind] for kind in config.feature_set], config.effective_weights)
-    predicted = np.argmin(fused, axis=1)
-    predicted[np.isnan(fused[:, 0])] = -1
+    kinds = list(kls)
+    terms = np.stack([kls[kind] for kind in kinds] + [np.zeros_like(kls[kinds[0]])])
+    # subset s's j-th term: kind index[s, j] times factor[s, j]; a shorter subset adds 1 * 0.0
+    index = np.full((len(subsets), max(map(len, subsets))), len(kinds))
+    factor = np.ones(index.shape)
+    for s, subset in enumerate(subsets):
+        index[s, : len(subset)] = [kinds.index(kind) for kind in subset]
+        factor[s, : len(subset)] = 1.0 if weights is None else weights[s]
+    fused = np.zeros((len(subsets),) + terms.shape[1:])
+    for j in range(index.shape[1]):
+        fused = fused + factor[:, j, None, None] * terms[index[:, j]]
+    predicted = np.argmin(fused, axis=2)
+    predicted[np.isnan(fused[:, :, 0])] = -1
     return fused, predicted
 
 
-def _skip_reason(kls: Mapping[str, np.ndarray], config: ExperimentConfig, trial: int) -> str:
-    kind = next(kind for kind in config.feature_set if np.isnan(kls[kind][trial, 0]))
+def _skip_reason(kls: Mapping[str, np.ndarray], feature_set, trial: int) -> str:
+    kind = next(kind for kind in feature_set if np.isnan(kls[kind][trial, 0]))
     return f"empty {kind} test series"
 
 
@@ -221,43 +237,42 @@ class Metrics:
     macro_f: float
 
 
-def f_score(precision: float, recall: float) -> float:
-    """Harmonic mean; 0 when both inputs are 0."""
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def f_score(precision, recall):
+    """Harmonic mean, elementwise over arrays; 0 where both inputs are 0."""
+    p, r = np.asarray(precision, dtype=np.float64), np.asarray(recall, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        f = np.where(p + r == 0, 0.0, 2.0 * p * r / (p + r))
+    return f if f.ndim else float(f)
 
 
-def metrics(confusion) -> Metrics:
-    """Per-class and macro precision/recall/F from a confusion matrix.
+def metrics(confusion):
+    """Per-class and macro precision/recall/F from a confusion matrix, or from
+    each matrix of a stack along a leading axis (a list of ``Metrics``).
 
     Rows are true labels, columns predictions. Per-class precision divides by
     the column sum, recall by the row sum (0 when the denominator is 0); macro
     scores are unweighted class means and the macro F is the harmonic mean of
-    macro precision and macro recall.
+    macro precision and macro recall. Every score is a Python float.
     """
     cm = np.asarray(confusion)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
+    if cm.ndim not in (2, 3) or cm.shape[-2] != cm.shape[-1]:
         raise ValueError(f"confusion matrix must be square, got shape {cm.shape}")
     if np.any(cm < 0) or not np.issubdtype(cm.dtype, np.integer):
         raise ValueError("confusion matrix must hold non-negative integers")
-    tp = np.diag(cm).astype(np.float64)
-    col = cm.sum(axis=0).astype(np.float64)
-    row = cm.sum(axis=1).astype(np.float64)
+    stack = cm.reshape((-1,) + cm.shape[-2:])
+    tp = np.diagonal(stack, axis1=1, axis2=2).astype(np.float64)
+    col = stack.sum(axis=1).astype(np.float64)
+    row = stack.sum(axis=2).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(col > 0, tp / col, 0.0)
         recall = np.where(row > 0, tp / row, 0.0)
-    per_f = tuple(f_score(p, r) for p, r in zip(precision, recall))
-    macro_p = float(precision.mean())
-    macro_r = float(recall.mean())
-    return Metrics(
-        per_class_precision=tuple(float(p) for p in precision),
-        per_class_recall=tuple(float(r) for r in recall),
-        per_class_f=per_f,
-        macro_precision=macro_p,
-        macro_recall=macro_r,
-        macro_f=f_score(macro_p, macro_r),
-    )
+    macro = (precision.mean(axis=1), recall.mean(axis=1))
+    columns = (precision, recall, f_score(precision, recall), *macro, f_score(*macro))
+    scores = [
+        Metrics(tuple(p), tuple(r), tuple(f), *macro_scores)
+        for p, r, f, *macro_scores in zip(*(column.tolist() for column in columns))
+    ]
+    return scores if cm.ndim == 3 else scores[0]
 
 
 @dataclass(frozen=True)
@@ -322,7 +337,34 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
+
+        Every other key sorts before ``"trials"`` and goes through ``json``. Each
+        trial fills one format string, which ``json`` lays out once per report,
+        with ``json``'s own text of its KLs, so inf and NaN read Infinity and NaN.
+        """
+        head = {key: value for key, value in self.to_json_dict().items() if key != "trials"}
+        text = json.dumps(head, sort_keys=True, indent=2)[:-2] + ',\n  "trials": '
+        if not self.trials:
+            return text + "[]\n}\n"
+        ids, kinds = sorted(self.performer_ids), sorted(self.config.feature_set)
+        blank = "\0"  # a value's place, which json writes as "\u0000"
+        skeleton = {
+            "feature_kl": {c: dict.fromkeys(kinds, blank) for c in ids},
+            "fused_kl": dict.fromkeys(ids, blank),
+            **dict.fromkeys(("group", "performer", "predicted"), blank),
+        }
+        template = json.dumps(skeleton, sort_keys=True, indent=2).replace("%", "%%")
+        template = "    " + template.replace("\n", "\n    ").replace(': "\\u0000"', ": %s")
+        trials = ",\n".join(
+            template % (
+                *json.dumps([t["feature_kl"][c][kind] for c in ids for kind in kinds]
+                            + [t["fused_kl"][c] for c in ids], separators=(",", ":"))[1:-1].split(","),
+                t["group"], json.dumps(t["performer"]), json.dumps(t["predicted"]),
+            )
+            for t in self.trials
+        )
+        return text + "[\n" + trials + "\n  ]\n}\n"
 
 
 def _value_groups(series: DeviationSeries, fold: FoldSpec) -> np.ndarray:
@@ -541,11 +583,11 @@ def _group_chunks(series: DeviationSeries, fold: FoldSpec) -> list[np.ndarray]:
 
 
 def _confusion(predicted: np.ndarray, n_groups: int) -> np.ndarray:
-    """Confusion matrix of ``_decide``'s winners; row ``t // n_groups`` is trial t's performer."""
-    n = predicted.shape[0] // n_groups
-    decided = predicted >= 0
-    confusion = np.zeros((n, n), dtype=np.int64)
-    np.add.at(confusion, (np.flatnonzero(decided) // n_groups, predicted[decided]), 1)
+    """Each subset's confusion matrix of ``_decide``'s winners; trial t is in row t // n_groups."""
+    n = predicted.shape[1] // n_groups
+    subset, trial = np.nonzero(predicted >= 0)
+    confusion = np.zeros((len(predicted), n, n), dtype=np.int64)
+    np.add.at(confusion, (subset, trial // n_groups, predicted[subset, trial]), 1)
     return confusion
 
 
@@ -553,11 +595,11 @@ def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> Evalu
     """Decide every trial of a ``_kl_table`` for one feature set and weighting,
     with one logged warning per skipped trial."""
     performer_ids = dataset.performer_ids
-    fused, predicted = _decide(table, config)
+    (fused,), (predicted,) = _decide(table, [config.feature_set], [config.effective_weights])
     trials, skipped = [], []
     for t, (pid, g) in enumerate(product(performer_ids, range(config.n_groups))):
         if predicted[t] < 0:
-            reason = _skip_reason(table, config, t)
+            reason = _skip_reason(table, config.feature_set, t)
             log.warning("skipping trial (%s, group %d): %s", pid, g, reason)
             skipped.append({"performer": pid, "group": g, "reason": reason})
             continue
@@ -572,7 +614,7 @@ def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> Evalu
                 for i, c in enumerate(performer_ids)
             },
         })
-    confusion = _confusion(predicted, config.n_groups)
+    confusion = _confusion(predicted[None], config.n_groups)[0]
     return EvaluationReport(
         performer_ids=performer_ids,
         confusion=confusion,
@@ -621,22 +663,22 @@ def sweep(
     """Run CV for every feature subset of ``config``'s model family; rank by precision.
 
     The fits and KLs of every kind the subsets or ``config`` use are made once
-    and shared, so a sweep costs about one CV pass. Each subset is decided,
-    unweighted, from the table's arrays with ``_report``'s rule, and its
-    scores equal ``run_cv`` on that subset. The one full report is
-    ``run_cv(dataset, config)``.
+    and shared, so a sweep costs about one CV pass. Every subset is decided,
+    unweighted, with ``_report``'s rule in one stacked ``_decide`` and
+    ``metrics`` pass, and its scores equal ``run_cv`` on that subset. The one
+    full report is ``run_cv(dataset, config)``.
     """
-    subsets = [tuple(s) for s in (feature_subsets() if subsets is None else subsets)]
+    subsets = [_checked_feature_set(s) for s in (feature_subsets() if subsets is None else subsets)]
     if not subsets:
         raise ValueError("sweep needs at least one feature subset")
     kinds = tuple(dict.fromkeys(chain(*subsets, config.feature_set)))
     table_config = replace(config, feature_set=kinds, weights=None)
     table = _kl_table(dataset, table_config, jobs)
-    rows = []
-    for subset in subsets:
-        _, predicted = _decide(table, replace(table_config, feature_set=subset))
-        s = metrics(_confusion(predicted, config.n_groups))
-        rows.append(SweepRow(subset, s.macro_precision, s.macro_recall, s.macro_f))
+    _, predicted = _decide(table, subsets)
+    rows = [
+        SweepRow(subset, s.macro_precision, s.macro_recall, s.macro_f)
+        for subset, s in zip(subsets, metrics(_confusion(predicted, config.n_groups)))
+    ]
     rows.sort(key=lambda r: (-r.precision, r.feature_set))
     return SweepResult(rows=tuple(rows), report=_report(dataset, table, config))
 

@@ -697,7 +697,10 @@ def from_note_table(
             continue
         if len(row) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        notes.append((float(row[0]), float(row[1]), int(row[2]), int(row[3])))
+        try:
+            notes.append((float(row[0]), float(row[1]), int(row[2]), int(row[3])))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     columns = zip(*notes) if notes else ((),) * 4
     return Performance.from_columns(performer_id, piece_id, *columns)
 

@@ -94,6 +94,8 @@ class TestExitCodes:
              "track chunk length runs past end of file (byte offset 18)"),
             ("align", "p4.csv", header + b"0.5,0.25,60,64\n", "offset must exceed onset"),
             ("align", "p4.csv", header + b"0.5,0.75,60\n", "line 2: expected 4 fields"),
+            ("align", "p4.csv", header + b"0.0,0.5,60,64\n0.5,0.75,62.0,64\n",
+             "line 3: invalid literal for int() with base 10: '62.0'"),
             ("align", "p4.csv", b"\xff\xfe\x00", "codec can't decode"),
             # a non-finite time used to pass the parser and fail in the features
             ("features", "p4.csv", header + b"0.5,inf,60,64\n", "offset must be finite"),
@@ -314,6 +316,20 @@ class TestSynthAndEvaluate:
         assert main(args + ["--out", str(plain)]) == 0
         for name in ("report.json", "alignment_report.json"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+    @pytest.mark.parametrize("model", ["histogram", "kde", "gmm"])
+    def test_metrics_cells_are_numbers_and_the_report_is_jsons_indent_form(self, tmp_path, model):
+        data = tmp_path / "data"
+        assert main(["synth", "--performers", "3", "--notes", "120", "--seed", "3", "--out", str(data)]) == 0
+        out = tmp_path / "out"
+        assert main(["evaluate", "--input", str(data / "performances"), "--out", str(out),
+                     "--model", model, "--features", "IOI,ND", "--groups", "3", "--sweep"]) == 0
+        text = (out / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        rows = list(csv.reader(io.StringIO((out / "metrics.csv").read_text())))
+        assert [row[0] for row in rows] == ["class", "p1", "p2", "p3", "macro"]
+        cells = [float(cell) for row in rows[1:] for cell in row[1:]]
+        assert len(cells) == 12 and any(cells)
 
     def test_histogram_of_a_round_off_span_is_widened(self, tmp_path):
         # p1's DL deviations are 10.333333333333329 and ...336, 4 ulps apart: too small a

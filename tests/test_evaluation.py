@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -119,6 +120,33 @@ class TestMetrics:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             metrics(np.asarray([[1, -1], [0, 1]]))
+
+    def test_a_stack_gives_each_matrix_its_scores_as_python_floats(self):
+        rng = np.random.default_rng(2)
+        stack = rng.integers(0, 4, size=(6, 9, 9))
+        stack[0] = 0
+        stack[1, :, 2] = 0  # a class never predicted
+        scores = metrics(stack)
+        assert scores == [metrics(m) for m in stack]
+        for m, cm in zip(scores, stack):
+            # the one-matrix rule in scalars: column and row sums, class means, harmonic means
+            tp, col, row = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
+            precision = [float(t / c) if c else 0.0 for t, c in zip(tp, col)]
+            recall = [float(t / r) if r else 0.0 for t, r in zip(tp, row)]
+            macro_p, macro_r = float(np.mean(precision)), float(np.mean(recall))
+
+            def f(p, r):
+                return 2.0 * p * r / (p + r) if p + r else 0.0
+
+            assert m.per_class_precision == tuple(precision)
+            assert m.per_class_recall == tuple(recall)
+            assert m.per_class_f == tuple(map(f, precision, recall))
+            assert (m.macro_precision, m.macro_recall) == (macro_p, macro_r)
+            assert m.macro_f == f(macro_p, macro_r)
+            fields = m.per_class_precision + m.per_class_recall + m.per_class_f
+            fields += (m.macro_precision, m.macro_recall, m.macro_f)
+            assert {type(x) for x in fields} == {float}
+        assert all(f == 0.0 for f in scores[0].per_class_f)
 
 
 class TestConfig:
@@ -703,6 +731,33 @@ class TestSweep:
                     assert trial["predicted"] == min(fused, key=lambda c: (fused[c], c))
                 assert report.confusion[:, 3].sum() == 0  # d always ties with a, which wins
 
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_stacked_rows_are_bit_equal_to_run_cv_per_subset(self, family):
+        dataset = self.empty_dl_dataset()
+        config = ExperimentConfig(model_family=family, feature_set=("ND",), n_groups=4, n_bins=8)
+        # out of canonical order, of every size, and with the skipped DL trial
+        subsets = [("ND", "OT"), ("DL",), ("ND", "DL", "OT"), ("OT",), ("DL", "OT"), ("ND",)]
+        rows = {row.feature_set: row for row in sweep(dataset, config, subsets=subsets).rows}
+        assert sorted(rows) == sorted(subsets)
+        for subset in subsets:
+            scores = run_cv(dataset, replace(config, feature_set=subset)).scores
+            got = (rows[subset].precision, rows[subset].recall, rows[subset].f)
+            expected = (scores.macro_precision, scores.macro_recall, scores.macro_f)
+            assert [type(x) for x in got] == [float] * 3
+            assert [x.hex() for x in got] == [x.hex() for x in expected], subset
+
+    def test_a_bad_subset_raises_the_configs_error(self):
+        dataset = self.empty_dl_dataset()
+        config = ExperimentConfig(feature_set=("OT",), n_groups=4, n_bins=8)
+        cases = [
+            ([("OT",), ("DL", "XX")], "unknown feature kind 'XX'; choose from OT,IOI,OTD,DL,ND"),
+            ([("OT",), ()], "feature_set must be non-empty"),
+            ([("OT",), ("DL", "OT", "DL")], "feature_set must not repeat kinds"),
+        ]
+        for subsets, message in cases:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                sweep(dataset, config, subsets=subsets)
+
     def test_a_skipped_trial_is_logged_once_per_report_built(self, caplog):
         dataset = self.empty_dl_dataset()
         config = ExperimentConfig(feature_set=("OT", "DL"), n_groups=4, n_bins=8)
@@ -717,3 +772,88 @@ class TestSweep:
             result = sweep(dataset, config, subsets=self.SUBSETS)
         # the 4 DL subsets are decided without reports; only the config's report logs
         assert len(skip_warnings()) == len(result.report.skipped) == 1
+
+
+class TestReportJson:
+    """``to_json`` writes its trials with a format string; ``json`` is the oracle."""
+
+    # json escapes, % signs for the format string, and the text json gives a value's place
+    IDS = ('a"q', "b\\s", "c%d%%", "d%(x)s", "é", "Ω\n", "\0")
+
+    @staticmethod
+    def oracle(report):
+        return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+    def dataset(self, ids=IDS, n=40):
+        rng = np.random.default_rng(12)
+        return DeviationDataset(
+            n_positions=n,
+            by_performer={
+                pid: {
+                    kind: point_series(pid, rng.normal(0.3 * i + j, 1.0, n), kind)
+                    for j, kind in enumerate(("ND", "OT", "DL"))
+                }
+                for i, pid in enumerate(ids)
+            },
+        )
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_every_family_with_zero_and_explicit_weights(self, family):
+        config = ExperimentConfig(
+            model_family=family, feature_set=("ND", "OT", "DL"), weights=(0.0, 1.5, 0.25),
+            n_groups=4, n_bins=6, gmm_k=2,
+        )
+        report = run_cv(self.dataset(), config)
+        assert len(report.trials) == len(self.IDS) * 4
+        assert report.to_json() == self.oracle(report)
+
+    def test_skipped_trials(self):
+        dataset = TestSweep().empty_dl_dataset()
+        config = ExperimentConfig(feature_set=("OT", "DL"), n_groups=4, n_bins=8)
+        report = run_cv(dataset, config)
+        assert len(report.skipped) == 1
+        assert report.to_json() == self.oracle(report)
+
+    def test_a_report_whose_trials_are_all_skipped(self):
+        # OT only in groups 0-1 and DL only in groups 2-3: every trial lacks one test set
+        positions = np.arange(40)
+        dataset = DeviationDataset(
+            n_positions=40,
+            by_performer={
+                pid: {
+                    "OT": point_series(pid, np.linspace(0, 1, 20) + i, "OT", positions[:20]),
+                    "DL": point_series(pid, np.linspace(0, 1, 20) - i, "DL", positions[20:]),
+                }
+                for i, pid in enumerate(("x%y", "z"))
+            },
+        )
+        report = run_cv(dataset, ExperimentConfig(feature_set=("OT", "DL"), n_groups=4, n_bins=4))
+        assert report.trials == () and len(report.skipped) == 8
+        assert report.to_json() == self.oracle(report)
+        assert json.loads(report.to_json())["trials"] == []
+
+    def test_fused_kls_that_overflow_are_written_as_json_writes_them(self):
+        config = ExperimentConfig(
+            feature_set=("ND", "OT", "DL"), weights=(1e308, 0.0, 1e308), n_groups=4, n_bins=6
+        )
+        with np.errstate(over="ignore"):  # the overflow is the point
+            report = run_cv(self.dataset(), config)
+        fused = [v for t in report.trials for v in t["fused_kl"].values()]
+        assert math.inf in fused
+        text = report.to_json()
+        assert text == self.oracle(report)
+        assert "Infinity" in text and ": inf" not in text
+
+    def test_signed_zero_and_non_finite_kls(self):
+        report = run_cv(self.dataset(self.IDS[:3]), ExperimentConfig(
+            feature_set=("OT", "DL"), n_groups=4, n_bins=6
+        ))
+        trials = json.loads(json.dumps(report.trials))  # a deep copy
+        values = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-7)
+        for t, value in zip(trials, values):
+            t["fused_kl"][self.IDS[1]] = value
+            t["feature_kl"][self.IDS[2]]["DL"] = value
+        edited = replace(report, trials=tuple(trials))
+        text = edited.to_json()
+        assert text == self.oracle(edited)
+        assert '": -0.0,' in text and "NaN" in text and "-Infinity" in text

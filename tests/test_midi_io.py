@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 import struct
 from collections import Counter
 
@@ -340,6 +341,22 @@ class TestNoteTable:
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             from_note_table("a,b,c,d\n1,2,3,4\n")
+
+    def test_a_value_that_does_not_convert_names_its_line(self):
+        header = "onset,offset,pitch,dynamic\n"
+        cases = [
+            ("0.0,0.5,60,64\n0.5,0.75,62.0,64\n",
+             "line 3: invalid literal for int() with base 10: '62.0'"),
+            ("0.0,0.5,60,64\n\n0.5,0.75,62,loud\n",
+             "line 4: invalid literal for int() with base 10: 'loud'"),
+            ("0.0,x,60,64\n", "line 2: could not convert string to float: 'x'"),
+        ]
+        for body, message in cases:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                from_note_table(header + body)
+        # the conversion rules are Python's: padded integers and exponents still read
+        perf = from_note_table(header + "0,5e-1, 62 ,64\n")
+        assert perf.notes == ((0.0, 0.5, 62, 64),)
 
 
 class TestWriteQuantize:
