@@ -9,7 +9,6 @@ minimum fused KL divergence under leave-one-group-out cross-validation.
 
 from .alignment import (
     AlignedNoteTable,
-    AlignmentCosts,
     NoteAlignment,
     align_pair,
     build_table,

@@ -3,9 +3,10 @@
 A global dynamic program over pitch sequences (Needleman-Wunsch style,
 minimizing cost) yields matched pairs plus inserted/deleted notes; wrong-pitch
 matches are kept as pairs but flagged as substitutions, which is how
-performance errors are marked. Aligning every performance to one reference
-produces the position-by-performer note table the norm performance is
-averaged from.
+performance errors are marked. The costs are fixed: a pitch match is free, a
+substitution costs ``COST_SUB`` and an insertion or a deletion ``COST_GAP``.
+Aligning every performance to one reference produces the position-by-performer
+note table the norm performance is averaged from.
 
 The DP is exact but banded (Ukkonen 1985): it fills only the diagonals a
 path of cost at most a threshold can visit, and doubles the threshold until
@@ -35,23 +36,10 @@ log = logging.getLogger(__name__)
 #: Table positions matched by fewer performers than this are dropped.
 MIN_COVERAGE = 2
 
-
-@dataclass(frozen=True)
-class AlignmentCosts:
-    """DP costs; a pitch match is free. Defaults prefer marking a wrong-pitch
-    note as a substitution pair over an insertion+deletion (1.0 < 0.6 + 0.6)."""
-
-    cost_sub: float = 1.0
-    cost_ins: float = 0.6
-    cost_del: float = 0.6
-
-    def __post_init__(self):
-        for name in ("cost_sub", "cost_ins", "cost_del"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"alignment cost {name} must be finite and positive, got {value!r}"
-                )
+#: DP cost of a wrong-pitch pair, and of an inserted or a deleted note. A
+#: wrong-pitch note is marked as a substitution pair, since 1.0 < 0.6 + 0.6.
+COST_SUB = 1.0
+COST_GAP = 0.6
 
 
 @dataclass(frozen=True)
@@ -93,12 +81,12 @@ def _partitions(paired: np.ndarray, rest: tuple[int, ...], n: int) -> bool:
     return len(paired) == n and np.array_equal(paired, np.arange(n))
 
 
-def _gap(k: int, costs: AlignmentCosts) -> float:
+def _gap(k: int) -> float:
     """Cheapest way to move k diagonals: k insertions, or -k deletions."""
-    return k * costs.cost_ins if k >= 0 else -k * costs.cost_del
+    return abs(k) * COST_GAP
 
 
-def _band(n: int, m: int, costs: AlignmentCosts, threshold: float) -> tuple[int, int]:
+def _band(n: int, m: int, threshold: float) -> tuple[int, int]:
     """Diagonals k = j - i (lowest, highest) that a path of cost <= ``threshold`` can visit.
 
     A path through diagonal k must move |k| diagonals from (0, 0) and then
@@ -106,7 +94,7 @@ def _band(n: int, m: int, costs: AlignmentCosts, threshold: float) -> tuple[int,
     """
 
     def bound(k: int) -> float:
-        return _gap(k, costs) + _gap(m - n - k, costs)
+        return _gap(k) + _gap(m - n - k)
 
     low, high = min(0, m - n), max(0, m - n)
     while low > -n and bound(low - 1) <= threshold:
@@ -116,21 +104,19 @@ def _band(n: int, m: int, costs: AlignmentCosts, threshold: float) -> tuple[int,
     return low, high
 
 
-def _lower_bound(ref: list[int], perf: list[int], costs: AlignmentCosts) -> float:
+def _lower_bound(ref: list[int], perf: list[int]) -> float:
     """A cost no alignment of the two pitch sequences can beat, from their pitch multisets.
 
     At most ``c`` pairs, the sum over pitches of the smaller of the two
     counts, can match their pitches. That leaves ``a = n - c`` reference and
-    ``b = m - c`` performance notes, paired as substitutions while those cost
-    no more than a deletion plus an insertion. The result is never below
-    ``_gap(m - n)``.
+    ``b = m - c`` performance notes, paired as substitutions (which cost less
+    than a deletion plus an insertion) as far as they go. The result is never
+    below ``_gap(m - n)``.
     """
     c = sum((Counter(ref) & Counter(perf)).values())
     a, b = len(ref) - c, len(perf) - c
-    if costs.cost_sub > costs.cost_ins + costs.cost_del:
-        return costs.cost_del * a + costs.cost_ins * b
     paired = min(a, b)
-    return costs.cost_sub * paired + costs.cost_del * (a - paired) + costs.cost_ins * (b - paired)
+    return COST_SUB * paired + COST_GAP * (a - paired) + COST_GAP * (b - paired)
 
 
 def _margin(cost: float) -> float:
@@ -143,7 +129,7 @@ def _above(cost: float) -> float:
     return max(cost * (1.0 + 1e-6), cost + 2.0 * _margin(cost))
 
 
-def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: int, high: int):
+def _banded_moves(ref: list[int], perf: list[int], low: int, high: int):
     """The DP restricted to diagonals ``low``..``high``; returns (moves, cost at (n, m), cells).
 
     Cell (i, j) sits at slot p = j - i - low of row i, so its pair, deletion
@@ -153,7 +139,7 @@ def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: i
     1 (deletion) or 2 (insertion); ties prefer them in that order.
     """
     n, m = len(ref), len(perf)
-    sub, ins, dele = costs.cost_sub, costs.cost_ins, costs.cost_del
+    sub, gap = COST_SUB, COST_GAP
     w = high - low + 1
     moves = bytearray((n + 1) * w)
     # slot w stays infinite; it is read as p + 1 past the top diagonal
@@ -161,7 +147,7 @@ def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: i
     prev = infinite.copy()
     prev[-low] = 0.0
     for p in range(1 - low, min(w, m - low + 1)):
-        prev[p] = prev[p - 1] + ins
+        prev[p] = prev[p - 1] + gap
         moves[p] = 2
     # perf_at[j] is the pitch paired at column j; column 0 has none
     perf_at = [-1] + perf
@@ -182,8 +168,8 @@ def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: i
         for pitch in perf_at[base + p : base + stop]:
             # a match adds 0.0, which leaves every cost here unchanged
             diag = prev[p] if rp == pitch else prev[p] + sub
-            up = prev[p + 1] + dele
-            left = value + ins
+            up = prev[p + 1] + gap
+            left = value + gap
             if diag <= up and diag <= left:
                 value = diag
             elif up <= left:
@@ -198,16 +184,14 @@ def _banded_moves(ref: list[int], perf: list[int], costs: AlignmentCosts, low: i
     return moves, prev[m - n - low], cells
 
 
-def align_pair(
-    reference: Performance,
-    performance: Performance,
-    costs: AlignmentCosts = AlignmentCosts(),
-) -> NoteAlignment:
+def align_pair(reference: Performance, performance: Performance) -> NoteAlignment:
     """Globally optimal monotone alignment of the two pitch sequences.
 
-    Ties prefer pairing over deletion over insertion, which makes the result
-    deterministic. Identical pitch sequences short-circuit to the identity
-    mapping (cost 0, which is the DP optimum).
+    A pitch match is free, a wrong-pitch pair costs ``COST_SUB`` (1.0) and an
+    inserted or a deleted note ``COST_GAP`` (0.6). Ties prefer pairing over
+    deletion over insertion, which makes the result deterministic. Identical
+    pitch sequences short-circuit to the identity mapping (cost 0, which is
+    the DP optimum).
 
     The threshold t starts just above ``_lower_bound``; a pass whose t is at
     or below the optimum always fails, so no pass that could succeed is
@@ -218,21 +202,21 @@ def align_pair(
     """
     if not len(reference) or not len(performance):
         raise ValueError("alignment requires non-empty performances")
-    ref = reference.pitch_sequence()
-    perf = performance.pitch_sequence()
+    ref = reference.pitches.tolist()
+    perf = performance.pitches.tolist()
     n, m = len(ref), len(perf)
 
     if ref == perf:
         return NoteAlignment(tuple(zip(range(n), range(n))), (), (), (), n, m, 0.0)
 
-    bound = _lower_bound(ref, perf, costs)
+    bound = _lower_bound(ref, perf)
     threshold = _above(bound)
     band, passes, cells = None, 0, 0
     while True:
-        wanted = _band(n, m, costs, threshold)
+        wanted = _band(n, m, threshold)
         if wanted != band:  # a threshold that adds no diagonal would give the same pass
             band = wanted
-            moves, total_cost, pass_cells = _banded_moves(ref, perf, costs, *band)
+            moves, total_cost, pass_cells = _banded_moves(ref, perf, *band)
             passes += 1
             cells += pass_cells
         if total_cost + _margin(total_cost) < threshold:
@@ -348,7 +332,6 @@ def build_table(
     performances: list[Performance],
     *,
     reference: Performance | None = None,
-    costs: AlignmentCosts = AlignmentCosts(),
 ) -> tuple[AlignedNoteTable, TableReport]:
     """Align every performance to the reference and assemble the note table.
 
@@ -376,7 +359,7 @@ def build_table(
     per_performer: dict[str, dict[str, int]] = {}
 
     for col, perf in enumerate(performances):
-        al = align_pair(reference, perf, costs)
+        al = align_pair(reference, perf)
         per_performer[perf.performer_id] = {
             "pairs": len(al.pairs),
             "substitutions": len(al.substitutions),

@@ -205,6 +205,7 @@ def _decide(kls: Mapping[str, np.ndarray], subsets, weights=None):
     ``divergence.fuse`` adds them. Returns the fused KL per (subset, trial,
     candidate), and per (subset, trial) the column of the smallest, ties to
     the first (smallest id); -1 where a kind of the subset has no test values.
+    KLs are finite, so a fused KL that overflows to inf raises ``ValueError``.
     """
     kinds = list(kls)
     terms = np.stack([kls[kind] for kind in kinds] + [np.zeros_like(kls[kinds[0]])])
@@ -215,8 +216,14 @@ def _decide(kls: Mapping[str, np.ndarray], subsets, weights=None):
         index[s, : len(subset)] = [kinds.index(kind) for kind in subset]
         factor[s, : len(subset)] = 1.0 if weights is None else weights[s]
     fused = np.zeros((len(subsets),) + terms.shape[1:])
-    for j in range(index.shape[1]):
-        fused = fused + factor[:, j, None, None] * terms[index[:, j]]
+    with np.errstate(over="ignore"):
+        for j in range(index.shape[1]):
+            fused = fused + factor[:, j, None, None] * terms[index[:, j]]
+    if np.isinf(fused).any():
+        raise ValueError(
+            "fusion weights overflow the fused KL to inf; only the weights' ratios"
+            " matter, so scale them down"
+        )
     predicted = np.argmin(fused, axis=2)
     predicted[np.isnan(fused[:, :, 0])] = -1
     return fused, predicted

@@ -197,9 +197,6 @@ class Performance:
     def __repr__(self) -> str:
         return f"Performance({self.performer_id!r}, {self.piece_id!r}, {len(self)} notes)"
 
-    def pitch_sequence(self) -> list[int]:
-        return self.pitches.tolist()
-
 
 class TempoMap:
     """Piecewise-linear, monotone tick-to-seconds conversion.

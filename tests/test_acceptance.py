@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from pianist_id.alignment import AlignmentCosts, align_pair
+from pianist_id.alignment import COST_GAP, COST_SUB, align_pair
 from pianist_id.cli import main
 from pianist_id.densities import (
     GMM,
@@ -221,15 +221,15 @@ def test_criterion_6_feature_correctness(full_scale):
     )
 
 
-def brute_force_cost(ref, perf, costs):
+def brute_force_cost(ref, perf):
     n, m = len(ref), len(perf)
-    best = costs.cost_del * n + costs.cost_ins * m
+    best = COST_GAP * n + COST_GAP * m
     for k in range(1, min(n, m) + 1):
-        gap_cost = costs.cost_del * (n - k) + costs.cost_ins * (m - k)
+        gap_cost = COST_GAP * (n - k) + COST_GAP * (m - k)
         for ref_idx in itertools.combinations(range(n), k):
             for perf_idx in itertools.combinations(range(m), k):
                 pair_cost = sum(
-                    0.0 if ref[r] == perf[p] else costs.cost_sub
+                    0.0 if ref[r] == perf[p] else COST_SUB
                     for r, p in zip(ref_idx, perf_idx)
                 )
                 best = min(best, pair_cost + gap_cost)
@@ -243,19 +243,18 @@ def test_criterion_7_alignment_optimality():
         )
         return Performance(pid, "x", notes)
 
-    costs = AlignmentCosts()
     rng = np.random.default_rng(4242)
     for _ in range(500):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, 9))
         ref = [int(p) for p in rng.integers(60, 65, size=n)]
         perf = [int(p) for p in rng.integers(60, 65, size=m)]
-        al = align_pair(as_perf(ref, "r"), as_perf(perf, "p"), costs)
-        assert al.total_cost == pytest.approx(brute_force_cost(ref, perf, costs), abs=1e-9)
+        al = align_pair(as_perf(ref, "r"), as_perf(perf, "p"))
+        assert al.total_cost == pytest.approx(brute_force_cost(ref, perf), abs=1e-9)
 
     identity = as_perf([60, 62, 64, 65, 67], "r")
     same = as_perf([60, 62, 64, 65, 67], "p")
-    al = align_pair(identity, same, costs)
+    al = align_pair(identity, same)
     assert al.pairs == tuple((i, i) for i in range(5))
     assert al.total_cost == 0.0
     report_pass(7, "DP cost equals brute-force optimum on 500 seeded pairs; identity aligns as identity")

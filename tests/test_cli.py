@@ -331,6 +331,20 @@ class TestSynthAndEvaluate:
         cells = [float(cell) for row in rows[1:] for cell in row[1:]]
         assert len(cells) == 12 and any(cells)
 
+    def test_weights_that_overflow_the_fused_kl_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--performers", "5", "--notes", "600", "--seed", "7", "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--input", str(data / "performances"), "--out", str(tmp_path / "out"),
+                     "--features", "IOI,DL,ND", "--weights", "1e308,1e308,1e308", "--groups", "4"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (
+            "pianist-id: error: fusion weights overflow the fused KL to inf;"
+            " only the weights' ratios matter, so scale them down\n"
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_histogram_of_a_round_off_span_is_widened(self, tmp_path):
         # p1's DL deviations are 10.333333333333329 and ...336, 4 ulps apart: too small a
         # span for 50 bins at 0.1% padding, so the histogram widens it by 0.5 per side

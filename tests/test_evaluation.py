@@ -233,6 +233,18 @@ class TestClassify:
         train = {"zeta": {"OT": values}, "alpha": {"OT": values}}
         assert classify({"OT": values}, train, config) == "alpha"
 
+    def test_weights_that_overflow_the_fused_kl_raise(self):
+        rng = np.random.default_rng(2)
+        config = ExperimentConfig(feature_set=("OT", "DL"), weights=(1e308, 1e308), n_bins=10)
+        train = {
+            pid: {kind: rng.normal(centre, 0.5, 200) for kind in ("OT", "DL")}
+            for pid, centre in (("a", 0.0), ("b", 3.0))
+        }
+        test = {kind: rng.normal(0.0, 0.5, 200) for kind in ("OT", "DL")}
+        with pytest.raises(ValueError, match="overflow the fused KL to inf"):
+            classify(test, train, config)
+        assert classify(test, train, replace(config, weights=(1.0, 1.0))) == "a"
+
     def test_empty_test_series_raises(self):
         config = ExperimentConfig(model_family="histogram", feature_set=("OT",))
         train = {"a": {"OT": np.asarray([0.0, 1.0])}}
@@ -832,17 +844,15 @@ class TestReportJson:
         assert report.to_json() == self.oracle(report)
         assert json.loads(report.to_json())["trials"] == []
 
-    def test_fused_kls_that_overflow_are_written_as_json_writes_them(self):
+    def test_weights_that_overflow_the_fused_kl_raise(self):
         config = ExperimentConfig(
             feature_set=("ND", "OT", "DL"), weights=(1e308, 0.0, 1e308), n_groups=4, n_bins=6
         )
-        with np.errstate(over="ignore"):  # the overflow is the point
-            report = run_cv(self.dataset(), config)
-        fused = [v for t in report.trials for v in t["fused_kl"].values()]
-        assert math.inf in fused
-        text = report.to_json()
-        assert text == self.oracle(report)
-        assert "Infinity" in text and ": inf" not in text
+        with pytest.raises(ValueError, match="overflow the fused KL to inf; only the weights' ratios"):
+            run_cv(self.dataset(), config)
+        # the same ratios, scaled down, decide every trial
+        scaled = replace(config, weights=(1.0, 0.0, 1.0))
+        assert len(run_cv(self.dataset(), scaled).trials) == len(self.IDS) * 4
 
     def test_signed_zero_and_non_finite_kls(self):
         report = run_cv(self.dataset(self.IDS[:3]), ExperimentConfig(

@@ -92,8 +92,6 @@ class TestPerformanceColumns:
         assert not perf.offsets.flags.writeable
         with pytest.raises(ValueError):
             perf.offsets[0] = 9.0
-        assert perf.pitch_sequence() == [60, 60, 60, 64]
-        assert all(type(p) is int for p in perf.pitch_sequence())
         assert len(perf) == 4
 
     def test_notes_view_is_rebuilt_from_columns_on_each_access(self):
