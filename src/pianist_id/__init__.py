@@ -3,17 +3,11 @@
 Pipeline: parse performances, align them note-to-note against a reference,
 average the aligned notes into a norm performance, extract per-note deviation
 features (OT, IOI, OTD, DL, ND), model each performer's deviation
-distributions (histogram / KDE / GMM), and classify unknown segments by
+distributions (histogram / KDE / GMM), and classify held-out groups by
 minimum fused KL divergence under leave-one-group-out cross-validation.
 """
 
-from .alignment import (
-    AlignedNoteTable,
-    NoteAlignment,
-    align_pair,
-    build_table,
-    concat_tables,
-)
+from .alignment import AlignedNoteTable, NoteAlignment, align_pair, build_table
 from .densities import (
     DEFAULT_BANDWIDTHS,
     GMM,

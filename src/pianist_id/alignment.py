@@ -260,38 +260,28 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
 
 @dataclass(frozen=True)
 class AlignedNoteTable:
-    """Dense position-by-performer note table; NaN/-1 mark missing cells.
-
-    ``segments`` tags each position with the piece/movement it came from;
-    successor-based features never straddle a segment boundary.
-    """
+    """Dense position-by-performer note table of one piece; NaN/-1 mark
+    missing cells."""
 
     performer_ids: tuple[str, ...]
     onsets: np.ndarray
     offsets: np.ndarray
     dynamics: np.ndarray
     pitches: np.ndarray
-    segments: np.ndarray
 
     def __post_init__(self):
         n, k = self.onsets.shape
         if len(self.performer_ids) != k:
             raise ValueError("performer_ids must match table width")
-        for name in ("offsets", "dynamics"):
+        for name in ("offsets", "dynamics", "pitches"):
             if getattr(self, name).shape != (n, k):
                 raise ValueError(f"{name} shape mismatch")
-        if self.pitches.shape != (n, k) or self.segments.shape != (n,):
-            raise ValueError("pitches/segments shape mismatch")
         present = ~np.isnan(self.onsets)
         for col in range(k):
-            # monotone within each segment; segments restart the clock
-            for seg in np.unique(self.segments):
-                rows = present[:, col] & (self.segments == seg)
-                onsets = self.onsets[rows, col]
-                if np.any(np.diff(onsets) < 0):
-                    raise ValueError(
-                        f"column {self.performer_ids[col]} onsets decrease with position"
-                    )
+            if np.any(np.diff(self.onsets[present[:, col], col]) < 0):
+                raise ValueError(
+                    f"column {self.performer_ids[col]} onsets decrease with position"
+                )
 
     @property
     def n_positions(self) -> int:
@@ -384,7 +374,6 @@ def build_table(
         offsets=offsets[keep],
         dynamics=dynamics[keep],
         pitches=pitches[keep],
-        segments=np.zeros(int(keep.sum()), dtype=np.int64),
     )
     report = TableReport(
         reference_id=reference.performer_id,
@@ -394,29 +383,3 @@ def build_table(
     )
     return table, report
 
-
-def concat_tables(tables: list[AlignedNoteTable]) -> AlignedNoteTable:
-    """Stack tables of the same performers (e.g. movements of one sonata).
-
-    Positions are renumbered sequentially and each input table gets fresh
-    segment ids, so successor-based features reset at the joins.
-    """
-    if not tables:
-        raise ValueError("need at least one table")
-    ids = tables[0].performer_ids
-    for t in tables[1:]:
-        if t.performer_ids != ids:
-            raise ValueError("all tables must list the same performers in the same order")
-    segments = []
-    offset = 0
-    for t in tables:
-        segments.append(t.segments + offset)
-        offset += (int(t.segments.max()) + 1) if t.n_positions else 1
-    return AlignedNoteTable(
-        performer_ids=ids,
-        onsets=np.vstack([t.onsets for t in tables]),
-        offsets=np.vstack([t.offsets for t in tables]),
-        dynamics=np.vstack([t.dynamics for t in tables]),
-        pitches=np.vstack([t.pitches for t in tables]),
-        segments=np.concatenate(segments),
-    )

@@ -301,22 +301,27 @@ def _write(path: Path, text: str) -> None:
 # commands
 
 
-def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, Path]:
-    """Read the inputs, make ``--out`` and align; the alignment report goes to
-    ``out/alignment_report.json``."""
+def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, dict[str, str]]:
+    """Read the inputs and align them; the outputs, by file name, start with
+    ``alignment_report.json``."""
     performances = _load_performances(args)
     reference = _load_reference(args)
-    out = _out_dir(args)
     table, report = build_table(performances, reference=reference)
-    _write(
-        out / "alignment_report.json",
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
-    )
-    return table, out
+    report_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return table, {"alignment_report.json": report_text}
+
+
+def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> Path:
+    """Make ``--out`` and write ``files`` into it, once every output is
+    computed, so a run that fails leaves no ``--out``."""
+    out = _out_dir(args)
+    for name, text in files.items():
+        _write(out / name, text)
+    return out
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    table, out = _align(args)
+    table, files = _align(args)
 
     # the ids are the only fields csv might quote; ints and float reprs it writes as they are
     performers = [_csv_field(pid) for pid in table.performer_ids]
@@ -335,7 +340,8 @@ def cmd_align(args: argparse.Namespace) -> int:
             table.dynamics[rows, cells].astype(np.int64).tolist(),
         )
         chunks.append("".join(map("%d,%s,%r,%r,%d,%d\n".__mod__, rows_out)))
-    _write(out / "aligned_table.csv", "".join(chunks))
+    files["aligned_table.csv"] = "".join(chunks)
+    out = _write_outputs(args, files)
     print(
         f"aligned {len(table.performer_ids)} performances at {table.n_positions} positions"
         f" -> {out}"
@@ -344,12 +350,12 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    table, out = _align(args)
+    table, files = _align(args)
     norm = compute_norm(table)
 
     by_performer = extract_deviations(table, norm)
     series = [by_performer[pid][kind] for pid in sorted(by_performer) for kind in KINDS]
-    _write(out / "features.csv", dump_features_csv(series))
+    files["features.csv"] = dump_features_csv(series)
 
     rows = zip(
         norm.positions.tolist(),
@@ -359,7 +365,8 @@ def cmd_features(args: argparse.Namespace) -> int:
         table.coverage().tolist(),
     )
     header = "position,mean_onset,mean_offset,mean_dynamic,coverage\n"
-    _write(out / "norm.csv", header + "".join(map("%d,%r,%r,%r,%d\n".__mod__, rows)))
+    files["norm.csv"] = header + "".join(map("%d,%r,%r,%r,%d\n".__mod__, rows))
+    out = _write_outputs(args, files)
     print(f"wrote deviation features for {len(by_performer)} performers -> {out}")
     return 0
 
@@ -368,7 +375,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    table, out = _align(args)
+    table, files = _align(args)
     norm = compute_norm(table)
     dataset = DeviationDataset.from_table(table, norm)
     result = None
@@ -382,15 +389,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    _write(out / "report.json", report.to_json())
-    _write(out / "confusion.csv", evaluation.confusion_csv(report))
-    _write(out / "confusion_normalized.csv", evaluation.confusion_csv(report, normalized=True))
-    _write(out / "metrics.csv", evaluation.metrics_csv(report))
+    files["report.json"] = report.to_json()
+    files["confusion.csv"] = evaluation.confusion_csv(report)
+    files["confusion_normalized.csv"] = evaluation.confusion_csv(report, normalized=True)
+    files["metrics.csv"] = evaluation.metrics_csv(report)
 
     if result is not None:
-        _write(out / f"sweep_{config.model_family}.csv", evaluation.sweep_csv(result.rows))
+        files[f"sweep_{config.model_family}.csv"] = evaluation.sweep_csv(result.rows)
         best = result.rows[0]
         print(f"best subset: {best.feature_label} (precision {best.precision:.3f})")
+    out = _write_outputs(args, files)
 
     scores = report.scores
     print(

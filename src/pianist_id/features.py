@@ -54,11 +54,10 @@ class NoteStream:
     onsets: np.ndarray
     offsets: np.ndarray
     dynamics: np.ndarray
-    segments: np.ndarray
 
     def __post_init__(self):
         n = len(self.positions)
-        for name in ("onsets", "offsets", "dynamics", "segments"):
+        for name in ("onsets", "offsets", "dynamics"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
         if np.any(np.diff(self.positions) <= 0):
@@ -79,7 +78,6 @@ class NoteStream:
             onsets=self.onsets[idx],
             offsets=self.offsets[idx],
             dynamics=self.dynamics[idx],
-            segments=self.segments[idx],
         )
 
 
@@ -116,7 +114,6 @@ def compute_norm(table: AlignedNoteTable) -> NoteStream:
         onsets=np.nanmean(table.onsets, axis=1),
         offsets=np.nanmean(table.offsets, axis=1),
         dynamics=np.nanmean(table.dynamics, axis=1),
-        segments=table.segments.copy(),
     )
     if np.any(norm.offsets <= norm.onsets):
         raise ValueError("norm offsets must exceed norm onsets")
@@ -134,16 +131,14 @@ def performer_stream(table: AlignedNoteTable, performer_id: str) -> NoteStream:
         onsets=table.onsets[mask, col],
         offsets=table.offsets[mask, col],
         dynamics=table.dynamics[mask, col],
-        segments=table.segments[mask],
     )
 
 
 def derive_quantity(stream: NoteStream, kind: str) -> DeviationSeries:
     """Per-position quantity of one stream.
 
-    IOI and OTD run between consecutive present notes of the stream and never
-    across a segment boundary; streams with fewer than 2 notes yield an empty
-    result for those kinds.
+    IOI and OTD run between consecutive present notes of the stream; streams
+    with fewer than 2 notes yield an empty result for those kinds.
     """
     _check_kind(kind)
     if kind in POINT_KINDS:
@@ -155,11 +150,9 @@ def derive_quantity(stream: NoteStream, kind: str) -> DeviationSeries:
         else:
             values = stream.offsets - stream.onsets
     else:
-        same_segment = stream.segments[1:] == stream.segments[:-1]
-        starts = stream.positions[:-1][same_segment]
-        ends = stream.positions[1:][same_segment]
+        starts, ends = stream.positions[:-1], stream.positions[1:]
         earlier = stream.onsets if kind == "IOI" else stream.offsets  # IOI or OTD
-        values = (stream.onsets[1:] - earlier[:-1])[same_segment]
+        values = stream.onsets[1:] - earlier[:-1]
     return DeviationSeries(kind, stream.label, values, starts, ends)
 
 
@@ -177,13 +170,9 @@ def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationS
 
 
 def _restrict_to_shared(performer: NoteStream, norm: NoteStream) -> tuple[NoteStream, NoteStream]:
-    """Both streams on their common positions, which must agree on segment ids."""
+    """Both streams on their common positions."""
     common = np.intersect1d(performer.positions, norm.positions, assume_unique=True)
-    perf_r = performer.restrict(common)
-    norm_r = norm.restrict(common)
-    if not np.array_equal(perf_r.segments, norm_r.segments):
-        raise ValueError("streams disagree on segment ids at shared positions")
-    return perf_r, norm_r
+    return performer.restrict(common), norm.restrict(common)
 
 
 def _deviation(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:

@@ -183,7 +183,6 @@ def test_criterion_6_feature_correctness(full_scale):
             onsets=np.asarray(onsets),
             offsets=np.asarray(offsets),
             dynamics=np.full(2, 64.0),
-            segments=np.zeros(2, dtype=np.int64),
         )
 
     otd = deviations(

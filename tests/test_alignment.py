@@ -13,7 +13,6 @@ from pianist_id.alignment import (
     _lower_bound,
     align_pair,
     build_table,
-    concat_tables,
     median_reference,
 )
 from pianist_id.midi_io import NoteEvent, Performance
@@ -327,33 +326,19 @@ class TestBuildTable:
         ]
         assert median_reference(perfs).performer_id == "p5"
 
-    def test_table_1_movement_counts_concatenate_to_16980(self):
-        # four movements of 7582, 2005, 2717 and 4676 notes, all performers matching fully
-        rng = np.random.default_rng(0)
-        tables = []
-        for count in (7582, 2005, 2717, 4676):
-            pitches = [int(p) for p in rng.integers(40, 90, size=count)]
-            perfs = [perf_from_pitches(pitches, f"p{i}") for i in range(1, 3)]
-            tables.append(build_table(perfs)[0])
-        combined = concat_tables(tables)
-        assert combined.n_positions == 7582 + 2005 + 2717 + 4676 == 16980
-        assert len(np.unique(combined.segments)) == 4
-
-    def test_concat_requires_same_performers(self, identical_table):
-        other, _ = build_table(
-            [perf_from_pitches([60, 62], "x1"), perf_from_pitches([60, 62], "x2")]
-        )
-        with pytest.raises(ValueError):
-            concat_tables([identical_table, other])
-
     def test_column_monotonicity_enforced(self):
-        onsets = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.25]])
-        with pytest.raises(ValueError):
-            AlignedNoteTable(
+        def table(column_b):
+            onsets = np.column_stack([[0.0, 1.0, 2.0], column_b])
+            return AlignedNoteTable(
                 performer_ids=("a", "b"),
                 onsets=onsets,
                 offsets=onsets + 0.1,
                 dynamics=np.full((3, 2), 64.0),
                 pitches=np.full((3, 2), 60, dtype=np.int16),
-                segments=np.zeros(3, dtype=np.int64),
             )
+
+        for column_b in ([0.0, 0.5, 0.25], [1.0, np.nan, 0.5]):
+            with pytest.raises(ValueError, match="column b onsets decrease with position"):
+                table(column_b)
+        # the check runs over the present cells only
+        assert table([0.0, np.nan, 1.0]).present_mask()[:, 1].tolist() == [True, False, True]

@@ -345,6 +345,29 @@ class TestSynthAndEvaluate:
         )
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_evaluate_that_fails_after_aligning_leaves_no_out_directory(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--performers", "3", "--notes", "120", "--seed", "3", "--out", str(data)]) == 0
+        # p3 plays only the first 3 of 16 notes, so its training pool for test group 0 is empty
+        short = tmp_path / "short"
+        short.mkdir()
+        for pid, n in (("p1", 16), ("p2", 16), ("p3", 3)):
+            rows = [f"{0.5 * i!r},{0.5 * i + 0.3!r},{60 + i},{64 + 7 * i % 20}\n" for i in range(n)]
+            (short / f"{pid}.csv").write_text("onset,offset,pitch,dynamic\n" + "".join(rows))
+        cases = [
+            (["--input", str(data / "performances"), "--groups", "3", "--features", "IOI,DL,ND",
+              "--weights", "1e308,1e308,1e308"], "fusion weights overflow the fused KL to inf"),
+            (["--input", str(short), "--groups", "4"],
+             "cannot fit the OT histogram to the training pool for test group 0 of performer 'p3'"),
+        ]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for argv, message in cases:
+            assert main(["evaluate", "--out", str(out)] + argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"pianist-id: error: {message}") and err.count("\n") == 1, err
+            assert not out.exists(), argv
+
     def test_histogram_of_a_round_off_span_is_widened(self, tmp_path):
         # p1's DL deviations are 10.333333333333329 and ...336, 4 ulps apart: too small a
         # span for 50 bins at 0.1% padding, so the histogram widens it by 0.5 per side

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import simple_performance
-from pianist_id.alignment import AlignedNoteTable, build_table, concat_tables
+from pianist_id.alignment import AlignedNoteTable, build_table
 from pianist_id.features import (
     KINDS,
     PAIR_KINDS,
@@ -18,7 +18,7 @@ from pianist_id.features import (
 )
 
 
-def stream_from_notes(onsets, offsets, dynamics, label="s", positions=None, segments=None):
+def stream_from_notes(onsets, offsets, dynamics, label="s", positions=None):
     n = len(onsets)
     return NoteStream(
         label=label,
@@ -26,7 +26,6 @@ def stream_from_notes(onsets, offsets, dynamics, label="s", positions=None, segm
         onsets=np.asarray(onsets, dtype=np.float64),
         offsets=np.asarray(offsets, dtype=np.float64),
         dynamics=np.asarray(dynamics, dtype=np.float64),
-        segments=np.asarray(segments if segments is not None else [0] * n, dtype=np.int64),
     )
 
 
@@ -66,7 +65,6 @@ class TestComputeNorm:
         norm = compute_norm(identical_table)
         assert isinstance(norm, NoteStream) and norm.label == "norm"
         assert norm.positions.tolist() == list(range(identical_table.n_positions))
-        assert np.array_equal(norm.segments, identical_table.segments)
 
     @staticmethod
     def two_by_two_table(onsets, offsets):
@@ -77,7 +75,6 @@ class TestComputeNorm:
             offsets=np.asarray(offsets, dtype=np.float64),
             dynamics=np.full(shape, 64.0),
             pitches=np.full(shape, 60, dtype=np.int64),
-            segments=np.zeros(2, dtype=np.int64),
         )
 
     def test_position_with_no_present_cell_is_rejected(self):
@@ -102,6 +99,8 @@ class TestDeriveQuantity:
         assert derive_quantity(s, "ND").values == pytest.approx([0.4, 0.5])
         assert derive_quantity(s, "OT").values == pytest.approx([0.0, 0.5])
         assert derive_quantity(s, "DL").values == pytest.approx([64, 70])
+        ioi = derive_quantity(s, "IOI")
+        assert (ioi.positions.tolist(), ioi.end_positions.tolist(), ioi.performer_id) == ([0], [1], "s")
 
     def test_legato_overlap_gives_negative_otd(self):
         s = stream_from_notes([0.0, 0.5], [0.6, 1.0], [64, 64])
@@ -111,16 +110,6 @@ class TestDeriveQuantity:
         s = stream_from_notes([0.0], [0.4], [64])
         assert len(derive_quantity(s, "IOI").values) == 0
         assert len(derive_quantity(s, "OTD").values) == 0
-
-    def test_pair_kinds_reset_at_segment_boundaries(self):
-        s = stream_from_notes(
-            [0.0, 0.5, 0.0, 0.6], [0.3, 0.8, 0.4, 0.9], [64] * 4, segments=[0, 0, 1, 1]
-        )
-        ioi = derive_quantity(s, "IOI")
-        assert ioi.values == pytest.approx([0.5, 0.6])
-        assert list(ioi.positions) == [0, 2]
-        assert list(ioi.end_positions) == [1, 3]
-        assert ioi.performer_id == "s"  # the stream's label
 
     def test_unknown_kind_rejected(self):
         s = stream_from_notes([0.0], [0.4], [64])
@@ -240,26 +229,21 @@ class TestDumpCsv:
         assert len(lines) == 1 + sum(len(s) for s in series)
         assert all(line.endswith(",0.0") for line in lines[1:])
 
-    def test_extract_deviations_equals_deviations_across_gaps_and_segments(self):
-        first = [
+    def test_extract_deviations_equals_deviations_across_gaps(self):
+        pitches = [60, 62, 64, 65, 67, 69, 71, 72]
+        perfs = [
             simple_performance(
-                [0.0, 0.5 + 0.02 * i, 1.0, 1.6 - 0.01 * i], [60, 62, 64, 65],
+                [0.0, 0.5 + 0.02 * i, 1.0, 1.6 - 0.01 * i, 2.0, 2.4 - 0.01 * i, 2.9, 3.3], pitches,
                 durations=0.3 + 0.05 * i, dynamics=60 + 3 * i, performer_id=f"p{i}",
             )
             for i in range(3)
         ]
-        second = [
-            simple_performance(
-                [0.0, 0.4 - 0.01 * i, 0.9, 1.3], [67, 69, 71, 72],
-                durations=0.25, dynamics=70 - 2 * i, performer_id=f"p{i}",
-            )
-            for i in range(3)
-        ]
-        # in the second segment p1 misses the note at pitch 69
-        second[1] = simple_performance(
-            [0.0, 0.9, 1.3], [67, 71, 72], durations=0.25, dynamics=68, performer_id="p1"
+        # p1 misses the note at pitch 69
+        perfs[1] = simple_performance(
+            [0.0, 0.52, 1.0, 1.59, 2.0, 2.9, 3.3], pitches[:5] + pitches[6:],
+            durations=0.35, dynamics=63, performer_id="p1",
         )
-        table = concat_tables([build_table(first)[0], build_table(second)[0]])
+        table = build_table(perfs)[0]
         assert table.n_positions == 8
         assert table.present_mask()[:, 1].tolist() == [True] * 5 + [False] + [True] * 2
 
@@ -272,9 +256,11 @@ class TestDumpCsv:
                 assert got.values.tobytes() == want.values.tobytes()
                 assert got.positions.tobytes() == want.positions.tobytes()
                 assert got.end_positions.tobytes() == want.end_positions.tobytes()
-        ioi = by_performer["p1"]["IOI"]
-        assert ioi.positions.tolist() == [0, 1, 2, 4, 6]
-        assert ioi.end_positions.tolist() == [1, 2, 3, 6, 7]
+        # p1's IOI and OTD span the gap at position 5
+        for kind in PAIR_KINDS:
+            series = by_performer["p1"][kind]
+            assert series.positions.tolist() == [0, 1, 2, 3, 4, 6]
+            assert series.end_positions.tolist() == [1, 2, 3, 4, 6, 7]
 
     def test_extract_deviations_accepts_a_one_shot_kinds_iterator(self, identical_table):
         by_performer = extract_deviations(identical_table, kinds=(k for k in ("IOI", "DL")))
