@@ -198,7 +198,8 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
     skipped. After each pass the banded optimum U bounds the true optimum
     from above; once it falls below t (by a round-off margin), every optimal
     path lies in the band, so moves and cost equal those of the full table.
-    Otherwise t doubles, or rises to just above U when that is less.
+    Otherwise t rises to just above U, whose pass then succeeds, when that
+    band is at most twice as wide as the doubled threshold's; else t doubles.
     """
     if not len(reference) or not len(performance):
         raise ValueError("alignment requires non-empty performances")
@@ -221,7 +222,8 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
             cells += pass_cells
         if total_cost + _margin(total_cost) < threshold:
             break
-        threshold = min(2.0 * threshold, _above(total_cost))
+        (dlow, dhigh), (alow, ahigh) = _band(n, m, 2.0 * threshold), _band(n, m, _above(total_cost))
+        threshold = _above(total_cost) if ahigh - alow + 1 <= 2 * (dhigh - dlow + 1) else 2.0 * threshold
     low, high = band
     w = high - low + 1
     log.debug(

@@ -160,7 +160,7 @@ def fit_histograms(lo, hi, sizes, count_below, n_bins: int = DEFAULT_N_BINS) -> 
 
 class RankedValues:
     """Values ranked once, answering "how many values with this label lie below x"
-    for many (label, x) pairs in two ``np.searchsorted`` calls.
+    for many (label, x) pairs from x's rank among all values (``sorted``).
 
     ``labels`` holds one or more arrays, each giving every value a label in
     [0, n_labels), so a value can belong to several labelled subsets. A
@@ -178,9 +178,8 @@ class RankedValues:
         sizes = np.bincount(np.concatenate(labels), minlength=n_labels)
         self.starts = np.concatenate(([0], np.cumsum(sizes)))
 
-    def below(self, labels: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Per row, how many values with label ``labels[i]`` lie below each of ``points[i]``."""
-        ranks = np.searchsorted(self.sorted, points)
+    def below(self, labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Per row, how many values with label ``labels[i]`` lie below the points ranked ``ranks[i]``."""
         keys = labels[:, None] * self.stride + ranks
         return np.searchsorted(self.keys, keys) - self.starts[labels][:, None]
 
@@ -222,12 +221,15 @@ def kernel_sum(samples: np.ndarray, bandwidth: float, xs: np.ndarray) -> np.ndar
     Exact (no binning); zero everywhere for an empty sample.
     """
     out = np.empty(len(xs))
-    # each grid x sample temporary stays near KERNEL_CHUNK elements (2 MiB of
-    # float64); every row is summed on its own, so chunking changes no bit
+    # two grid x sample buffers of about KERNEL_CHUNK elements serve every chunk (each
+    # ufunc writes to its last argument); rows are summed alone, so chunks change no bit
     chunk = max(1, KERNEL_CHUNK // max(len(samples), 1))
+    buffers = np.empty((2, min(chunk, len(xs)), len(samples)))
     for start in range(0, len(xs), chunk):
-        z = (xs[start : start + chunk, None] - samples[None, :]) / bandwidth
-        out[start : start + chunk] = np.exp(-0.5 * z * z).sum(axis=1)
+        z, e = buffers[0, : len(xs) - start], buffers[1, : len(xs) - start]
+        np.divide(np.subtract(xs[start : start + chunk, None], samples, z), bandwidth, z)
+        np.multiply(np.multiply(-0.5, z, e), z, e)
+        out[start : start + chunk] = np.exp(e, e).sum(axis=1)
     return out
 
 

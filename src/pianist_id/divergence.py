@@ -1,33 +1,29 @@
 """KL divergence between fitted models of the same family, plus linear fusion.
 
 Values are reported in nats. Histograms use the exact discrete sum after
-rebinning onto shared edges; KDEs use deterministic trapezoid integration of
-exact kernel sums on a uniform grid whose step never exceeds a quarter of the
-bandwidth; GMMs use the variational approximation built from closed-form
-Gaussian component divergences. Divergence across model families is rejected.
+rebinning both models onto the union of their edges; KDEs use deterministic
+trapezoid integration of exact kernel sums on a uniform grid whose step never
+exceeds a quarter of the bandwidth (``kde_grid``); GMMs use the variational
+approximation built from closed-form Gaussian component divergences.
+Divergence across model families is rejected.
 
-Every KDE grid comes from one rule (``kde_grid``): the fewest points that
-keep the step at or below a quarter of the bandwidth. A pairwise KDE KL
-(``kl_kde``) spans the two models' samples. Cross-validation's one KL table
-(``evaluation._kl_table``) compares GMMs with ``kl``. It scores histograms in
-stacked passes with ``kl_histogram_rows``, of which ``kl_histogram`` is the
-one-pair case: union edges from one sort per pair, rebinning with
-``np.interp``'s arithmetic, and sums grouped by length so every value keeps
-the bits of a lone pair. For KDEs it puts every KDE of one feature kind on
-one shared grid over all of that kind's grouped values and evaluates each
-group's kernel sum there once. Per test group, ``kl_rows`` scores every
-test density against every candidate's pool density in stacked passes,
-whose (tests x candidates x grid) integrand stays within
-``densities.KERNEL_CHUNK`` elements; it is the integrand ``kl_on_grid`` also
-uses, and broadcasting gives each value the bits of its lone pair.
-``fuse`` adds weighted KLs feature by feature, for single values or for
-whole arrays of them.
+Cross-validation's one KL table (``evaluation._kl_table``) compares GMMs with
+``kl``. It scores histograms in stacked passes with ``kl_histogram_rows``, of
+which ``kl_histogram`` is the one-pair case: a pair's edges are merged by one
+stable sort, each model's cumulative mass is exact at its own edges and
+interpolated with ``np.interp``'s arithmetic at the other's, and differences
+over the merged edges give both rebinned mass vectors. For KDEs, ``kl_rows``
+scores the tests of a group against every candidate's pool density, all on
+one shared grid per feature kind, in stacked passes of at most
+``densities.KERNEL_CHUNK`` integrand elements. Every value keeps the bits of
+its lone pair. ``fuse`` adds weighted KLs feature by feature, for single
+values or for whole arrays of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,89 +66,87 @@ def kl_histogram(p: Histogram, q: Histogram) -> KlResult:
     mass-proportional overlap; both mass vectors are then re-smoothed with the
     models' additive eps so bins outside either support stay positive.
     """
-    [value] = kl_histogram_rows(_stack(p), _stack(q))
+    [value] = kl_histogram_rows(*[replace(h, edges=h.edges[None], masses=h.masses[None]) for h in (p, q)])
     return KlResult(value=value, method="discrete")
 
 
-def _stack(h: Histogram) -> Histogram:
-    return Histogram(edges=h.edges[None], masses=h.masses[None], smoothing_eps=h.smoothing_eps)
+def kl_histogram_rows(p: Histogram, q: Histogram, p_rows=None, q_rows=None) -> list[float]:
+    """``kl_histogram`` of row ``p_rows[i]`` of the histogram stack ``p``
+    against row ``q_rows[i]`` of ``q`` (by default, row i of each).
 
-
-def kl_histogram_rows(p: Histogram, q: Histogram) -> list[float]:
-    """``kl_histogram`` of each row of the histogram stack ``p`` against the
-    same row of ``q``, in stacked passes.
-
-    Rows with equal edges use the masses as they are. Other rows take their
-    union edges from one sort of both edge sets, and rebin both masses
-    onto them by differencing ``np.interp``'s cumulative masses (``_cdf``).
-    Rows are summed in groups of equal length, so each row's ``np.sum`` adds
-    its terms in the order a lone row would. Each value is clamped and
-    checked as a ``KlResult`` would be.
+    Pairs with equal edges keep their masses. Other pairs merge both edge
+    sets by one stable sort, keep the last of each run of equal edges, and
+    difference each model's cumulative mass there (``_other_cdf``). Rows are
+    summed in groups of equal length, so each row's ``np.sum`` adds its terms
+    in the order a lone row would. Values are clamped and checked as a
+    ``KlResult`` would be.
     """
-    pe, qe = p.edges, q.edges
+    p_rows, q_rows = (np.arange(len(p.edges)),) * 2 if p_rows is None else (p_rows, q_rows)
+    pe, qe = p.edges[p_rows], q.edges[q_rows]
     same = np.all(pe == qe, axis=1) if pe.shape == qe.shape else np.zeros(len(pe), dtype=bool)
-    parts = [(np.flatnonzero(same), p.masses[same], q.masses[same])]
+    parts = []  # (rows, stacked p and q masses)
+    if same.any():
+        parts.append((np.flatnonzero(same), np.stack((p.masses[p_rows[same]], q.masses[q_rows[same]]))))
     apart = np.flatnonzero(~same)
     if len(apart):
-        pe, qe = pe[apart], qe[apart]
-        both = np.concatenate((pe, qe), axis=1)
-        order = np.argsort(both, axis=1)
-        union = np.take_along_axis(both, order, axis=1)
-        # at the last of a run of equal values, every edge of either set at
-        # or below it is counted, whatever order the ties took
-        from_p = order < pe.shape[1]
-        p_cdf = _cdf(pe, p.masses[apart], union, np.cumsum(from_p, axis=1))
-        q_cdf = _cdf(qe, q.masses[apart], union, np.cumsum(~from_p, axis=1))
-        last = np.ones_like(from_p)
-        last[:, :-1] = union[:, 1:] != union[:, :-1]
+        r, a, b = len(apart), pe.shape[1], pe.shape[1] + qe.shape[1]
+        edges = np.concatenate((pe[apart], qe[apart]), axis=1)  # row i: p's a edges, then q's
+        order = np.argsort(edges, axis=1, kind="stable")  # a p edge sorts before an equal q edge
+        flat = order + np.arange(0, r * b, b)[:, None]
+        # per edge, the other model's edges the merge puts before it: for a q
+        # edge those at or below it, for a p edge those below it
+        before = np.empty(r * b, dtype=np.intp)
+        before[flat] = np.arange(b)
+        before = before.reshape(r, b) - np.r_[np.arange(a), np.arange(b - a)]
+        cumulative = np.zeros((r, b))  # each model's cumulative mass at its own edges
+        np.cumsum(p.masses[p_rows[apart]], axis=1, out=cumulative[:, 1:a])
+        np.cumsum(q.masses[q_rows[apart]], axis=1, out=cumulative[:, a + 1 :])
+        own_other = np.stack((cumulative, _other_cdf(edges, cumulative, before, a)))
+        # at each merged edge, p's and q's cumulative masses: its own model's, and the other's
+        swap = (order >= a) * (r * b)
+        cdf = own_other.take(np.stack((flat + swap, flat + r * b - swap)))
+        union = edges.take(flat)
+        last = np.c_[union[:, 1:] != union[:, :-1], np.ones(r, dtype=bool)]  # last of each equal run
         lengths = last.sum(axis=1)
         for n in np.unique(lengths):
             rows = lengths == n
-            keep = last[rows]
-            parts.append((
-                apart[rows],
-                np.diff(p_cdf[rows][keep].reshape(-1, n), axis=1),
-                np.diff(q_cdf[rows][keep].reshape(-1, n), axis=1),
-            ))
+            kept = cdf if rows.all() else cdf[:, rows]
+            kept = kept if n == b else kept[:, last[rows]].reshape(2, -1, n)
+            parts.append((apart[rows], np.diff(kept, axis=-1)))
     eps = max(p.smoothing_eps, q.smoothing_eps)
     values = np.empty(len(same))
-    for rows, pm, qm in parts:
-        if eps > 0:
-            n_bins = pm.shape[1]
-            pm = (pm + eps) / (1.0 + n_bins * eps)
-            qm = (qm + eps) / (1.0 + n_bins * eps)
-        values[rows] = _kl_sums(pm, qm)
+    for rows, masses in parts:
+        if eps > 0:  # in place: a fresh array per op would fault in its pages each time
+            np.divide(np.add(masses, eps, out=masses), 1.0 + masses.shape[-1] * eps, out=masses)
+        values[rows] = _kl_sums(*masses)
     return _clamped(values)
 
 
-def _cdf(edges: np.ndarray, masses: np.ndarray, x: np.ndarray, upto: np.ndarray) -> np.ndarray:
-    """Per row, the histogram's cumulative mass at the points ``x``, assuming
-    uniform density within bins; ``upto[i, k]`` counts row i's edges at or
-    below ``x[i, k]``.
-
-    These are ``np.interp``'s values bit for bit, with its left value 0 and
-    right value the total: slopes are precomputed per bin as ``dy / dx``, and
-    a point on an edge takes that edge's value.
-    """
-    cumulative = np.concatenate((np.zeros((len(masses), 1)), np.cumsum(masses, axis=1)), axis=1)
-    slopes = np.diff(cumulative, axis=1) / np.diff(edges, axis=1)
-    rows = np.arange(len(x))[:, None]
-    j = np.clip(upto - 1, 0, edges.shape[1] - 2)
-    x0, y0 = edges[rows, j], cumulative[rows, j]
-    cdf = np.where(x == x0, y0, slopes[rows, j] * (x - x0) + y0)
-    cdf[upto == 0] = 0.0
-    return np.where(upto == edges.shape[1], cumulative[:, -1:], cdf)
+def _other_cdf(edges: np.ndarray, cumulative: np.ndarray, before: np.ndarray, a: int) -> np.ndarray:
+    """Per row of pair edges (p's ``a``, then q's) with their own models'
+    cumulative masses, the other model's cumulative mass at each edge, where
+    ``before`` counts the other's edges at or below it: ``np.interp``'s
+    values bit for bit, 0 on the left and the total on the right."""
+    r, b = edges.shape
+    n = np.r_[np.full(a, b - a), np.full(b - a, a)]  # the other model's edge count
+    j = np.clip(before - 1, 0, n - 2) + np.r_[np.full(a, a), np.zeros(b - a, int)]
+    j += np.arange(0, r * b, b)[:, None]
+    x0, y0, y1 = edges.take(j), cumulative.take(j), cumulative.take(j + 1)
+    cdf = np.where(edges == x0, y0, (y1 - y0) / (edges.take(j + 1) - x0) * (edges - x0) + y0)
+    cdf[before == 0] = 0.0
+    return np.where(before == n, y1, cdf)
 
 
 def _kl_sums(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
     """Per row, the sum of pm * log(pm / qm) over the bins where pm > 0."""
     mask = pm > 0
+    if mask.all():
+        return np.sum(pm * np.log(pm / qm), axis=1)
     kept = mask.sum(axis=1)
     out = np.empty(len(pm))
     for n in np.unique(kept):
         rows = kept == n
-        shape = (int(rows.sum()), int(n))
-        a, b = pm[rows][mask[rows]].reshape(shape), qm[rows][mask[rows]].reshape(shape)
+        a, b = (m[rows][mask[rows]].reshape(-1, n) for m in (pm, qm))
         out[rows] = np.sum(a * np.log(a / b), axis=1)
     return out
 

@@ -458,11 +458,12 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
     Every grouped value is ranked once, under its group and under its
     performer (``densities.RankedValues``). A model's bin counts are counts of
     values below its edges, and a pool's are its performer's total less the
-    held-out group's, exact in integers. All models are fitted in one
-    ``fit_histograms`` pass, in the order one-by-one fitting meets them (per
-    group, every pool, then every non-empty test), so the first that cannot
-    be fitted raises the same error. Every (test, candidate) pair is scored in
-    one ``divergence.kl_histogram_rows`` pass.
+    held-out group's, exact in integers; each edge is ranked among all values
+    once for both. All models are fitted in one ``fit_histograms`` pass, in
+    the order one-by-one fitting meets them (per group, every pool, then
+    every non-empty test), so the first that cannot be fitted raises the same
+    error. The ranking is released before every (test, candidate) pair is
+    scored in one ``divergence.kl_histogram_rows`` pass over the fitted stack.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
@@ -474,22 +475,25 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
         (np.repeat(groups, sizes.ravel()), np.repeat(n * n_groups + np.arange(n), sizes.sum(axis=1))),
         n * n_groups + n,
     )
-    lo = np.asarray([[c.min() if len(c) else np.inf for c in chunks[pid]] for pid in pids])
-    hi = np.asarray([[c.max() if len(c) else -np.inf for c in chunks[pid]] for pid in pids])
+    filled = sizes > 0
+    starts = (np.cumsum(sizes) - sizes.ravel())[filled.ravel()]
+    lo, hi = np.full(sizes.shape, np.inf), np.full(sizes.shape, -np.inf)
+    lo[filled], hi[filled] = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
     others = ~np.eye(n_groups, dtype=bool)  # others[g]: the groups of trial g's pools
     pool_lo = np.where(others, lo[:, None, :], np.inf).min(axis=2)
     pool_hi = np.where(others, hi[:, None, :], -np.inf).max(axis=2)
 
     # one model per (group, is_test, performer) that exists in a scored round, in fitting order
     scored = np.asarray([[g in held_out] for g in range(n_groups)])
-    exists = np.stack(np.broadcast_arrays(scored, (sizes.T > 0) & scored), axis=1)
+    exists = np.stack(np.broadcast_arrays(scored, filled.T & scored), axis=1)
     g, is_test, p = np.nonzero(exists)
     is_test = is_test == 1
     pool = ~is_test
 
     def count_below(edges):
-        below = ranked.below(p * n_groups + g, edges)
-        below[pool] = ranked.below(n * n_groups + p[pool], edges[pool]) - below[pool]
+        ranks = np.searchsorted(ranked.sorted, edges)
+        below = ranked.below(p * n_groups + g, ranks)
+        below[pool] = ranked.below(n * n_groups + p[pool], ranks[pool]) - below[pool]
         return below
 
     fitted = densities.fit_histograms(
@@ -499,14 +503,12 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
         count_below,
         n_bins,
     )
+    del ranked, values  # freed before the KL pass, whose temporaries set the peak
     row = np.zeros(exists.shape, dtype=np.intp)
     row[exists] = np.arange(len(g))
-    test_p, test_g = np.nonzero((sizes > 0) & scored.T)  # scored trials with test values, in order
+    test_p, test_g = np.nonzero(filled & scored.T)  # scored trials with test values, in order
     tests, pools = row[test_g, 1, test_p].repeat(n), row[test_g, 0].ravel()
-    kls = divergence.kl_histogram_rows(
-        replace(fitted, edges=fitted.edges[tests], masses=fitted.masses[tests]),
-        replace(fitted, edges=fitted.edges[pools], masses=fitted.masses[pools]),
-    )
+    kls = divergence.kl_histogram_rows(fitted, fitted, tests, pools)
     table = np.full((n * n_groups, n), np.nan)
     table[test_p * n_groups + test_g] = np.reshape(kls, (len(test_p), n))
     return table

@@ -9,7 +9,7 @@ from histogram_reference import (
     reference_kl_table,
 )
 
-from pianist_id.densities import Histogram, fit_histogram
+from pianist_id.densities import HISTOGRAM_SMOOTHING_EPS, Histogram, fit_histogram
 from pianist_id.divergence import kl_histogram, kl_histogram_rows
 from pianist_id.evaluation import ExperimentConfig, _histogram_kls, classify
 
@@ -23,6 +23,15 @@ def outcome(fn):
     if isinstance(result, Histogram):
         return result.edges.tobytes() + result.masses.tobytes()
     return np.asarray(result, dtype=np.float64).tobytes()
+
+
+def stack(hs):
+    """One histogram stack of the models ``hs``, which share a bin count."""
+    return Histogram(
+        edges=np.stack([h.edges for h in hs]),
+        masses=np.stack([h.masses for h in hs]),
+        smoothing_eps=hs[0].smoothing_eps,
+    )
 
 
 def random_chunks(rng, mode, n_groups, n_performers):
@@ -147,16 +156,74 @@ class TestKlHistogram:
         pairs = [(p, q) for p, q in pairs if len(q.edges) == len(pairs[0][1].edges)]
         pairs.append(pairs[0][:1] * 2)  # equal edges take the copy branch
 
-        def stack(hs):
-            return Histogram(
-                edges=np.stack([h.edges for h in hs]),
-                masses=np.stack([h.masses for h in hs]),
-                smoothing_eps=hs[0].smoothing_eps,
-            )
-
         rows = kl_histogram_rows(stack([p for p, _ in pairs]), stack([q for _, q in pairs]))
         assert rows == [reference_kl_histogram(p, q) for p, q in pairs]
         assert rows[-1] == 0.0
+
+
+class TestTiedEdges:
+    """Pairs whose edge sets partly coincide: a merged edge set then holds
+    runs of equal edges, of which only one point may count."""
+
+    GRID = np.linspace(-3.1, 7.3, 41)  # slices of one array coincide exactly
+
+    @staticmethod
+    def model(rng, edges):
+        # masses of many magnitudes: interpolating up to an equal edge then
+        # misses that edge's cumulative mass often enough to show
+        masses = np.exp(rng.normal(0.0, 3.0, len(edges) - 1))
+        return Histogram(edges=edges, masses=masses / masses.sum(), smoothing_eps=HISTOGRAM_SMOOTHING_EPS)
+
+    def edge_pairs(self):
+        """(p edges, q edges, whether any edge is shared)."""
+        grid = self.GRID
+        p = grid[:11]
+        ten_bins = [(p, np.linspace(grid[0] + 0.005, grid[10] + 0.3, 11), False)]
+        ten_bins += [(p, grid[k : k + 11], True) for k in range(1, 10)]  # shifted by whole bins
+        ten_bins += [
+            (p, np.linspace(grid[0], grid[10] + 0.37, 11), True),  # only the first edge shared
+            (p, np.linspace(grid[0] - 0.41, grid[10], 11), True),  # only the last edge shared
+            (p, grid[10:21], True),  # p's last edge is q's first
+        ]
+        other_counts = [
+            (grid[:21], grid[4:9], True),  # q inside p, on p's edges
+            (grid[:21], np.linspace(grid[4] + 0.013, grid[9] - 0.029, 7), False),  # inside, apart
+            (grid[:21], grid[:21:4], True),  # every fourth edge shared, 5 bins against 20
+            (grid[:21], grid[2:40:4], True),  # overlapping, 9 bins against 20
+            (grid[:21], np.linspace(grid[0], grid[20], 8), True),  # only both ends shared
+        ]
+        return ten_bins, other_counts
+
+    def test_pairs_equal_the_reference(self):
+        rng = np.random.default_rng(41)
+        ten_bins, other_counts = self.edge_pairs()
+        for pe, qe, shared in ten_bins + other_counts:
+            assert shared == bool(np.intersect1d(pe, qe).size)
+            for _ in range(10):
+                p, q = self.model(rng, pe), self.model(rng, qe)
+                for a, b in [(p, q), (q, p)]:
+                    assert outcome(lambda: kl_histogram(a, b).value) == outcome(
+                        lambda: reference_kl_histogram(a, b)
+                    )
+
+    def test_stacks_mixing_tied_tie_free_and_equal_edges_equal_the_reference(self):
+        rng = np.random.default_rng(42)
+        grid = self.GRID
+        ten_bins, _ = self.edge_pairs()
+        equal = [(pe, pe, True) for pe, _, _ in ten_bins[:3]]
+        p20 = grid[:21]
+        twenty_against_five = [
+            (p20, np.linspace(grid[1] + 0.013, grid[30] - 0.029, 6)),
+            (p20, grid[:21:4]),
+            (p20, grid[4:10]),
+            (p20, grid[12:33:4]),
+        ]
+        for edges in (ten_bins + equal, twenty_against_five):
+            pairs = [(self.model(rng, e[0]), self.model(rng, e[1])) for e in edges * 40]
+            rows = kl_histogram_rows(stack([p for p, _ in pairs]), stack([q for _, q in pairs]))
+            assert outcome(lambda: rows) == outcome(
+                lambda: [reference_kl_histogram(p, q) for p, q in pairs]
+            )
 
 
 class TestStackedTable:
