@@ -376,8 +376,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     table, files = _align(args)
-    norm = compute_norm(table)
-    dataset = DeviationDataset.from_table(table, norm)
+    dataset = DeviationDataset.from_table(table)
     result = None
     try:
         if args.sweep:

@@ -271,7 +271,8 @@ def fit_gmm_trace(
     if len(values) < k:
         raise ValueError(f"series of length {len(values)} cannot support k={k}")
 
-    sample_var = float(values.var())
+    # a constant series is degenerate even where round-off leaves its variance above 0
+    sample_var = float(values.var()) if values.min() < values.max() else 0.0
     var_floor = 1e-10 * sample_var if sample_var > 0 else 1e-12
 
     centers = _kmeanspp_centers(values, k, np.random.default_rng(seed))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import densities, divergence
 from .alignment import AlignedNoteTable
-from .features import KINDS, DeviationSeries, NoteStream, extract_deviations
+from .features import KINDS, DeviationSeries, extract_deviations
 
 log = logging.getLogger(__name__)
 
@@ -290,12 +290,8 @@ class DeviationDataset:
     by_performer: Mapping[str, Mapping[str, DeviationSeries]]
 
     @classmethod
-    def from_table(
-        cls,
-        table: AlignedNoteTable,
-        norm: NoteStream | None = None,
-    ) -> "DeviationDataset":
-        return cls(n_positions=table.n_positions, by_performer=extract_deviations(table, norm))
+    def from_table(cls, table: AlignedNoteTable) -> "DeviationDataset":
+        return cls(n_positions=table.n_positions, by_performer=extract_deviations(table))
 
     @property
     def performer_ids(self) -> tuple[str, ...]:

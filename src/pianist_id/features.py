@@ -13,7 +13,7 @@ difference for OT/DL/ND, difference of absolute values for IOI/OTD.
 There is one path from note streams to deviations: restrict the performer and
 norm streams to their shared positions, then derive each kind from that pair
 and subtract. ``deviations`` does both for one kind; ``extract_deviations``
-restricts each performer once and derives every requested kind from it.
+restricts each performer once and derives every kind from it.
 """
 
 from __future__ import annotations
@@ -65,20 +65,6 @@ class NoteStream:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def restrict(self, positions: np.ndarray) -> "NoteStream":
-        idx = np.searchsorted(self.positions, positions)
-        if np.any(idx >= len(self.positions)) or np.any(
-            self.positions[idx] != positions
-        ):
-            raise ValueError("stream does not cover the requested positions")
-        return NoteStream(
-            label=self.label,
-            positions=self.positions[idx],
-            onsets=self.onsets[idx],
-            offsets=self.offsets[idx],
-            dynamics=self.dynamics[idx],
-        )
 
 
 @dataclass(frozen=True)
@@ -171,8 +157,13 @@ def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationS
 
 def _restrict_to_shared(performer: NoteStream, norm: NoteStream) -> tuple[NoteStream, NoteStream]:
     """Both streams on their common positions."""
-    common = np.intersect1d(performer.positions, norm.positions, assume_unique=True)
-    return performer.restrict(common), norm.restrict(common)
+    common, *indices = np.intersect1d(
+        performer.positions, norm.positions, assume_unique=True, return_indices=True
+    )
+    return tuple(
+        NoteStream(stream.label, common, stream.onsets[i], stream.offsets[i], stream.dynamics[i])
+        for stream, i in zip((performer, norm), indices)
+    )
 
 
 def _deviation(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
@@ -190,22 +181,20 @@ def _deviation(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationS
 
 
 def extract_deviations(
-    table: AlignedNoteTable,
-    norm: NoteStream | None = None,
-    kinds: Iterable[str] = KINDS,
+    table: AlignedNoteTable, norm: NoteStream | None = None
 ) -> dict[str, dict[str, DeviationSeries]]:
-    """All requested deviation series for every performer in the table.
+    """Every kind's deviation series for every performer in the table, from
+    ``norm`` or else from ``compute_norm(table)``.
 
     Each performer stream is restricted to the norm once and every kind is
     derived from that pair, which gives the same series as ``deviations``.
     """
-    kinds = [_check_kind(kind) for kind in kinds]
     if norm is None:
         norm = compute_norm(table)
     out: dict[str, dict[str, DeviationSeries]] = {}
     for pid in table.performer_ids:
         perf_r, norm_r = _restrict_to_shared(performer_stream(table, pid), norm)
-        out[pid] = {kind: _deviation(perf_r, norm_r, kind) for kind in kinds}
+        out[pid] = {kind: _deviation(perf_r, norm_r, kind) for kind in KINDS}
     return out
 
 

@@ -735,6 +735,8 @@ def write_smf(
     Onsets/offsets are rounded to the tick grid (half to even); zero-length
     notes after rounding are extended by one tick. At equal ticks note-offs
     precede note-ons so FIFO pairing on re-parse reconstructs the same notes.
+    A gap between events longer than a 4-byte delta time (0x0FFFFFFF ticks)
+    raises ``ValueError``.
     """
     ticks_per_second = division * 1_000_000 / tempo
     on_ticks = np.rint(performance.onsets * ticks_per_second)
@@ -749,6 +751,9 @@ def write_smf(
     is_off = np.tile(np.array([0, 1]), len(performance))
     pitches = np.repeat(performance.pitches, 2)
     order = np.lexsort((pitches, 1 - is_off, ticks))
+    deltas = np.diff(ticks[order], prepend=0)
+    if len(deltas) and deltas.max() > 0x0FFFFFFF:
+        raise ValueError("a gap between notes runs past the SMF delta-time range")
     payloads = np.column_stack(
         (
             np.where(is_off, 0x80, 0x90),
@@ -759,7 +764,7 @@ def write_smf(
     body = (
         b"\x00\xff\x51\x03"
         + tempo.to_bytes(3, "big")
-        + _vlq_events(np.diff(ticks[order], prepend=0), payloads)
+        + _vlq_events(deltas, payloads)
         + b"\x00\xff\x2f\x00"  # End of Track
     )
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, division)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alignment import build_table
 from .evaluation import DeviationDataset, EvaluationReport, ExperimentConfig, run_cv
-from .features import UndefinedCorrelationError, compute_norm, pearson_r
+from .features import UndefinedCorrelationError, pearson_r
 from .midi_io import Performance
 
 SCORE_PITCH_RANGE = (36, 96)
@@ -219,8 +219,7 @@ def benchmark(
         for i, profile in enumerate(profiles)
     ]
     table, _ = build_table(performances)
-    norm = compute_norm(table)
-    dataset = DeviationDataset.from_table(table, norm)
+    dataset = DeviationDataset.from_table(table)
     report = run_cv(dataset, config, jobs=jobs)
 
     return BenchmarkResult(report=report, dataset=dataset, separability=_separability_stats(dataset))

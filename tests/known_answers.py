@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from pianist_id import DeviationDataset, ExperimentConfig, build_table, compute_norm, run_cv, synth
+from pianist_id import DeviationDataset, ExperimentConfig, build_table, run_cv, synth
 
 PATH = Path(__file__).with_name("known_answers.json")
 
@@ -41,7 +41,7 @@ def dataset() -> DeviationDataset:
         synth.render_performer(score, profile, f"p{i + 1}") for i, profile in enumerate(profiles)
     ]
     table, _ = build_table(performances)
-    return DeviationDataset.from_table(table, compute_norm(table))
+    return DeviationDataset.from_table(table)
 
 
 def answers(data: DeviationDataset, family: str) -> dict:

@@ -87,6 +87,38 @@ class TestExitCodes:
             assert not (tmp_path / "o" / "alignment_report.json").exists(), argv
             assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists(), argv
 
+    @pytest.mark.parametrize(
+        "case",
+        ["missing config", "config not an object", "reference type", "missing reference",
+         "input is a file", "one performance", "jobs 0"],
+    )
+    def test_input_errors_exit_2_with_one_line_and_no_out(self, case, trio_dir, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "ref.txt").write_text("60\n")
+        (tmp_path / "solo").mkdir()
+        (tmp_path / "solo" / "p1.mid").write_bytes((trio_dir / "p1.mid").read_bytes())
+        align = ["align", "--input", str(trio_dir)]
+        argv, message = {
+            "missing config": (align + ["--config", str(tmp_path / "nope.json")],
+                               f"config file not found: {tmp_path / 'nope.json'}"),
+            "config not an object": (align + ["--config", str(tmp_path / "list.json")],
+                                     "config file must hold a JSON object"),
+            "reference type": (align + ["--reference", str(tmp_path / "ref.txt")],
+                               f"unsupported performance file type: {tmp_path / 'ref.txt'}"),
+            "missing reference": (align + ["--reference", str(tmp_path / "nope.mid")],
+                                  f"reference file not found: {tmp_path / 'nope.mid'}"),
+            "input is a file": (["align", "--input", str(trio_dir / "p1.mid")],
+                                "--input must be a directory of performance files"),
+            "one performance": (["align", "--input", str(tmp_path / "solo")],
+                                f"need at least 2 performance files in {tmp_path / 'solo'}"),
+            "jobs 0": (["evaluate", "--input", str(trio_dir), "--groups", "2", "--jobs", "0"],
+                       "--jobs must be >= 1, got 0"),
+        }[case]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"pianist-id: error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_performance_files_exit_2_naming_the_file(self, trio_dir, tmp_path, capsys):
         header = b"onset,offset,pitch,dynamic\n"
         cases = [

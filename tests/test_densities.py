@@ -127,6 +127,25 @@ class TestGmm:
         _, trace = fit_gmm_trace(values, k=3, seed=2)
         assert np.all(np.diff(trace) >= -1e-10)
 
+    @pytest.mark.parametrize(
+        "values, k",
+        [
+            (np.full(20, 0.7), 2),
+            (np.full(20, 0.7), 3),
+            (np.asarray([1.0, 1.0, 1.0, 5.0]), 3),
+            (np.repeat([0.0, 1.0], [50, 2]), 3),
+        ],
+    )
+    def test_degenerate_series_fit_deterministically(self, values, k):
+        # kmeans++ runs out of distinct values to pick, so some centers repeat
+        # and leave their components empty when the samples are assigned
+        (a, trace), (b, again) = (fit_gmm_trace(values, k=k, seed=5) for _ in range(2))
+        for field in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(trace, again)
+        assert np.all(a.weights > 0)
+        assert np.all(np.diff(trace) >= -1e-10)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(33)
         values = rng.normal(0, 1, 500)

@@ -262,13 +262,6 @@ class TestDumpCsv:
             assert series.positions.tolist() == [0, 1, 2, 3, 4, 6]
             assert series.end_positions.tolist() == [1, 2, 3, 4, 6, 7]
 
-    def test_extract_deviations_accepts_a_one_shot_kinds_iterator(self, identical_table):
-        by_performer = extract_deviations(identical_table, kinds=(k for k in ("IOI", "DL")))
-        for series in by_performer.values():
-            assert list(series) == ["IOI", "DL"]
-        with pytest.raises(ValueError, match="unknown feature kind"):
-            extract_deviations(identical_table, kinds=iter(["OT", "XX"]))
-
     def test_extract_deviations_covers_all_kinds(self, identical_table):
         by_performer = extract_deviations(identical_table)
         assert set(by_performer) == set(identical_table.performer_ids)

@@ -287,6 +287,13 @@ class TestParseErrors:
             parse_smf(data)
         assert exc.value.offset == 8
 
+    def test_zero_division_rejected(self):
+        data = smf_bytes([note_on(0, 60, 64), END_OF_TRACK], division=0)
+        message = r"^time division must be positive \(byte offset 12\)$"
+        with pytest.raises(SmfParseError, match=message) as exc:
+            parse_smf(data)
+        assert exc.value.offset == 12
+
     def test_smpte_division_rejected(self):
         data = b"MThd" + struct.pack(">IHHh", 6, 0, 1, -25 * 256 + 40)
         with pytest.raises(SmfParseError):
@@ -311,6 +318,10 @@ class TestTempoMap:
         tm = TempoMap(480, [(0, 500_000), (480, 250_000)])
         assert tm.to_seconds(480) == pytest.approx(0.5)
         assert tm.to_seconds(960) == pytest.approx(0.75)
+
+    def test_division_must_be_positive(self):
+        with pytest.raises(ValueError, match="division must be positive, got 0"):
+            TempoMap(0)
 
     def test_monotone_in_tick(self):
         tm = TempoMap(96, [(0, 600_000), (100, 100_000), (500, 1_200_000)])
@@ -375,6 +386,17 @@ class TestWriteQuantize:
         perf = Performance("p", "x", (NoteEvent(0.5, 0.5 + 1e-5, 60, 64),))
         q = parse_smf(write_smf(perf), performer_id="p", piece_id="x")
         assert q.notes[0].offset > q.notes[0].onset
+
+    def test_times_past_the_smf_ranges_raise_before_writing(self):
+        # a delta time holds at most 0x0FFFFFFF ticks: 279,620.3 s at 480 ticks
+        # per quarter and 120 BPM, so a gap of 279,000 s fits and 279,700 s does not
+        fits = simple_performance([0.0, 279_000.0], [60, 62], durations=0.5)
+        assert parse_smf(write_smf(fits), performer_id="p", piece_id="piece") == fits
+        with pytest.raises(ValueError, match="runs past the SMF delta-time range"):
+            write_smf(simple_performance([0.0, 279_700.0], [60, 62], durations=0.5))
+        # absolute ticks from 2**62 on would overflow the int64 cast
+        with pytest.raises(ValueError, match="note times run past the SMF tick range"):
+            write_smf(simple_performance([1e16], [60], durations=1e3))
 
 
 def _random_track(rng: random.Random, n_events: int | None = None) -> bytes:
