@@ -12,6 +12,9 @@ also holds ``edges[-1]``, as in ``np.histogram``. ``fit_histogram`` is its
 one-model case, counting in its sorted series. Cross-validation counts in
 ``RankedValues``, which ranks every value of a feature kind once and counts
 any labelled subset below many points at once.
+
+``kernel_sum`` sums Gaussian kernels exactly on a grid, for one sample or a
+stack of equal-length samples, whose rows keep the bits of their lone sums.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ GMM_MAX_ITER = 500
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Grid x sample elements per ``kernel_sum`` chunk.
+#: Grid x sample elements per ``kernel_sum`` pass: whole rows while one fits
+#: ``KERNEL_BATCH``, else a longer row's grid in chunks of ``KERNEL_CHUNK``.
+KERNEL_BATCH = 2**13
 KERNEL_CHUNK = 2**18
 
 
@@ -218,24 +223,31 @@ def fit_kde(series, bandwidth: float) -> KDE:
 def kernel_sum(samples: np.ndarray, bandwidth: float, xs: np.ndarray) -> np.ndarray:
     """Unnormalised Gaussian kernel sum, sum over s of exp(-((x - s)/h)^2 / 2), at each x.
 
-    Exact (no binning); zero everywhere for an empty sample.
+    Exact (no binning); zero everywhere for an empty sample. ``samples`` may
+    also be a (rows, n) stack, giving one row of sums per row of samples, with
+    the bits of that row's lone sum.
     """
-    out = np.empty(len(xs))
-    # two grid x sample buffers of about KERNEL_CHUNK elements serve every chunk (each
-    # ufunc writes to its last argument); rows are summed alone, so chunks change no bit
-    chunk = max(1, KERNEL_CHUNK // max(len(samples), 1))
-    buffers = np.empty((2, min(chunk, len(xs)), len(samples)))
-    for start in range(0, len(xs), chunk):
-        z, e = buffers[0, : len(xs) - start], buffers[1, : len(xs) - start]
-        np.divide(np.subtract(xs[start : start + chunk, None], samples, z), bandwidth, z)
-        np.multiply(np.multiply(-0.5, z, e), z, e)
-        out[start : start + chunk] = np.exp(e, e).sum(axis=1)
-    return out
+    stack = np.atleast_2d(samples)
+    k, n = stack.shape
+    out = np.empty((k, len(xs)))
+    # two buffers serve every pass, filled first so that no ufunc buffers a broadcast
+    # input; each (row, x) is summed alone, so passes and chunks change no bit
+    rows, chunk = max(1, KERNEL_BATCH // max(len(xs) * n, 1)), max(1, KERNEL_CHUNK // max(n, 1))
+    buffers = np.empty((2, min(rows, k), min(chunk, len(xs)), n))
+    for r in range(0, k, rows):
+        for start in range(0, len(xs), chunk):
+            z, e = buffers[0, : k - r, : len(xs) - start], buffers[1, : k - r, : len(xs) - start]
+            np.copyto(z, xs[start : start + chunk, None])
+            np.copyto(e, stack[r : r + rows, None])
+            np.divide(np.subtract(z, e, z), bandwidth, z)
+            np.multiply(np.multiply(-0.5, z, e), z, e)
+            out[r : r + rows, start : start + chunk] = np.exp(e, e).sum(axis=2)
+    return out if np.ndim(samples) == 2 else out[0]
 
 
-def kernel_density(sums: np.ndarray, n_samples: int, bandwidth: float) -> np.ndarray:
-    """KDE density from a ``kernel_sum`` over ``n_samples`` samples."""
-    return sums / (n_samples * bandwidth * _SQRT_2PI)
+def kernel_density(sums: np.ndarray, n_samples: int, bandwidth: float, out=None) -> np.ndarray:
+    """KDE density from a ``kernel_sum`` over ``n_samples`` samples, into ``out`` if given."""
+    return np.divide(sums, n_samples * bandwidth * _SQRT_2PI, out=out)
 
 
 def kde_pdf(model: KDE, x) -> np.ndarray | float:

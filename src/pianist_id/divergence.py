@@ -13,11 +13,11 @@ which ``kl_histogram`` is the one-pair case: a pair's edges are merged by one
 stable sort, each model's cumulative mass is exact at its own edges and
 interpolated with ``np.interp``'s arithmetic at the other's, and differences
 over the merged edges give both rebinned mass vectors. For KDEs, ``kl_rows``
-scores the tests of a group against every candidate's pool density, all on
-one shared grid per feature kind, in stacked passes of at most
-``densities.KERNEL_CHUNK`` integrand elements. Every value keeps the bits of
-its lone pair. ``fuse`` adds weighted KLs feature by feature, for single
-values or for whole arrays of them.
+scores the tests of every round against that round's candidate pool
+densities, all on one shared grid per feature kind, in stacked passes of at
+most ``densities.KERNEL_BATCH`` integrand elements. Every value keeps the
+bits of its lone pair. ``fuse`` adds weighted KLs feature by feature, for
+single values or for whole arrays of them.
 """
 
 from __future__ import annotations

@@ -423,8 +423,8 @@ def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) 
     family's least series size (``gmm_k`` for GMM, 1 otherwise); the first too
     small is reported with the family's own reason, naming the kind, the
     part, the performer and the group. ``_histogram_kls`` fits and scores in
-    stacked passes, ``_kde_kls`` on one shared grid with ``jobs`` threads for
-    the kernel sums, and ``_gmm_kls`` one round at a time.
+    stacked passes, ``_kde_kls`` too, on one shared grid with ``jobs``
+    threads for the kernel sums, and ``_gmm_kls`` one round at a time.
     """
     least = config.gmm_k if config.model_family == "gmm" else 1
     for g in sorted(held_out):
@@ -515,18 +515,19 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
 
     Every KDE of the kind lives on one shared grid, spanning all of its
     grouped values widened by 5 bandwidths, with the fewest points that keep
-    the step at or below h/4. Each group's exact kernel sum on that grid is
-    computed once, over ``jobs`` threads, into one (performer, group, grid)
-    array. Per scored round, every candidate's pool density is built at once,
-    and ``divergence.kl_rows`` scores all of the group's non-empty tests
-    against them, in calls whose (tests x candidates x grid) integrand stays
-    within ``densities.KERNEL_CHUNK`` elements.
+    the step at or below h/4. The exact kernel sums of all groups of one size
+    are one stacked ``densities.kernel_sum``, whose batches ``jobs`` threads
+    split between them. One masked sum over the group axis builds every
+    scored round's pools, and ``divergence.kl_rows`` scores each non-empty
+    test against its round's pools, in calls whose (tests x candidates x
+    grid) integrand stays within ``densities.KERNEL_BATCH`` elements, or
+    holds one test.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
     sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
-    pool_sizes = sizes.sum(axis=1, keepdims=True) - sizes
-    values = np.concatenate([c for pid in pids for c in chunks[pid]])
+    flat = [c for pid in pids for c in chunks[pid]]
+    values = np.concatenate(flat)
     grid = divergence.kde_grid(
         float(values.min()), float(values.max()), pad=5.0 * h, max_step=h / 4.0
     )
@@ -537,23 +538,25 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
     )
     sums = np.empty((n, n_groups, len(grid)))
 
-    def fill(i):
-        for g, c in enumerate(chunks[pids[i]]):
-            sums[i, g] = densities.kernel_sum(c, h, grid)
+    def fill(rows):
+        sums.reshape(-1, len(grid))[rows] = densities.kernel_sum(np.stack([flat[i] for i in rows]), h, grid)
 
-    _map(fill, range(n), jobs)
+    by_size = [np.flatnonzero(sizes == size) for size in sorted(set(sizes.flat))]
+    _map(fill, [part for rows in by_size for part in np.array_split(rows, min(jobs, len(rows)))], jobs)
+    rounds = np.asarray(held_out)
+    # a pool is the sum of its groups' vectors, added in group order, never
+    # the total minus the group, which would cancel in the tails that decide the KL
+    others = np.arange(n_groups)[:, None] != rounds[:, None, None, None]
+    pools = np.sum(np.broadcast_to(sums, (len(rounds),) + sums.shape), axis=2, where=others)
+    densities.kernel_density(pools, (sizes.sum(axis=1) - sizes[:, rounds].T)[..., None], h, out=pools)
+    test_r, test_p = np.nonzero(sizes[:, rounds].T)  # every non-empty test, round by round
     table = np.full((n * n_groups, n), np.nan)
-    per_call = max(1, densities.KERNEL_CHUNK // (n * len(grid)))
-    for g in held_out:
-        # a pool is the sum of its groups' vectors, added in group order, never
-        # the total minus the group, which would cancel in the tails that decide the KL
-        pool_sums = np.sum(sums, axis=1, where=(np.arange(n_groups) != g)[:, None])
-        pools = densities.kernel_density(pool_sums, pool_sizes[:, g, None], h)
-        tested = np.flatnonzero(sizes[:, g])
-        tests = densities.kernel_density(sums[tested, g], sizes[tested, g, None], h)
-        for start in range(0, len(tested), per_call):
-            rows = tested[start : start + per_call] * n_groups + g
-            table[rows] = divergence.kl_rows(tests[start : start + per_call, None], pools, grid)
+    per_call = max(1, densities.KERNEL_BATCH // (n * len(grid)))
+    for start in range(0, len(test_r), per_call):
+        r, p = test_r[start : start + per_call], test_p[start : start + per_call]
+        g = rounds[r]
+        tests = densities.kernel_density(sums[p, g], sizes[p, g, None], h)
+        table[p * n_groups + g] = divergence.kl_rows(tests[:, None], pools[r], grid)
     return table
 
 

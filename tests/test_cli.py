@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pianist_id
-from conftest import simple_performance
+from conftest import END_OF_TRACK, note_off, note_on, simple_performance, smf_bytes
+from pianist_id import cli
 from pianist_id.alignment import build_table
 from pianist_id.cli import main
 from pianist_id.midi_io import from_note_table, parse_smf, write_smf
@@ -58,6 +59,38 @@ class TestExitCodes:
         code = main(["align", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_dangling_note_on_warns_once_and_align_succeeds(self, trio_dir, tmp_path, capsys):
+        (trio_dir / "p4.mid").write_bytes(
+            smf_bytes([note_on(0, 60, 64), note_on(240, 64, 60), note_off(240, 64), END_OF_TRACK])
+        )
+        assert main(["align", "--input", str(trio_dir), "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert err == "pianist-id: warning: p4.mid: dangling note-on (pitch 60) closed at final tick 480\n"
+        assert (tmp_path / "out" / "aligned_table.csv").is_file()
+
+    def test_unexpected_error_exits_1_with_a_traceback(self, trio_dir, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("an unexpected failure")
+
+        monkeypatch.setattr(cli, "build_table", fail)
+        out = tmp_path / "out"
+        assert main(["align", "--input", str(trio_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n"), err
+        assert err.endswith("RuntimeError: an unexpected failure\n"), err
+        assert not out.exists()
+
+    def test_weights_that_are_not_numbers_exit_2_with_the_argparse_message(self, trio_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["evaluate", "--input", str(trio_dir), "--out", str(out), "--weights", "1,x,1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pianist-id evaluate"), err
+        assert err.endswith(
+            "pianist-id evaluate: error: argument --weights: could not convert string to float: 'x'\n"
+        ), err
+        assert not out.exists()
 
     def test_bad_option_values_exit_2(self, trio_dir, tmp_path, capsys):
         evaluate = ["evaluate", "--input", str(trio_dir), "--out", str(tmp_path / "o")]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pianist_id import densities
 from pianist_id.densities import (
     DEFAULT_BANDWIDTHS,
     GMM,
@@ -100,6 +101,23 @@ class TestKde:
         xs = np.linspace(-4.0, 4.0, 700)  # 2.1M grid x sample elements: several chunks
         z = (xs[:, None] - samples[None, :]) / 0.3
         assert np.array_equal(kernel_sum(samples, 0.3, xs), np.exp(-0.5 * z * z).sum(axis=1))
+
+    @pytest.mark.parametrize("bounds", [None, (400, 100)])
+    def test_each_stacked_row_equals_its_lone_kernel_sum_bit_for_bit(self, monkeypatch, bounds):
+        if bounds:  # 50-point rows: a 3-sample row batches, a 20-sample row's grid is chunked
+            monkeypatch.setattr(densities, "KERNEL_BATCH", bounds[0])
+            monkeypatch.setattr(densities, "KERNEL_CHUNK", bounds[1])
+        rng = np.random.default_rng(3)
+        xs = np.linspace(-3.0, 3.0, 50)
+        for n in (0, 1, 3, 8, 20, 200):  # 200 samples exceed the default batch bound
+            stack = rng.normal(size=(7, n))
+            sums = kernel_sum(stack, 0.4, xs)
+            assert sums.shape == (7, 50)
+            for row, lone in zip(stack, sums):
+                z = (xs[:, None] - row[None, :]) / 0.4
+                assert lone.tobytes() == kernel_sum(row, 0.4, xs).tobytes()
+                assert lone.tobytes() == np.exp(-0.5 * z * z).sum(axis=1).tobytes()
+        assert not kernel_sum(np.empty((2, 0)), 0.4, xs).any()
 
 
 class TestGmm:

@@ -573,7 +573,7 @@ class TestKdeTable:
                     assert abs(value - kl_kde(test, pool).value) <= 1e-4
 
     @staticmethod
-    def one_trial_at_a_time(chunks, h):
+    def one_trial_at_a_time(chunks, h, held_out=None):
         """``_kde_kls`` built trial by trial: a list of group kernel sums per
         performer, each pool summed from a list of its groups' vectors, and
         each (test, candidate) pair scored on its own."""
@@ -584,7 +584,7 @@ class TestKdeTable:
         sums = {pid: [kernel_sum(c, h, grid) for c in chunks[pid]] for pid in pids}
         table = np.full((len(pids) * n_groups, len(pids)), np.nan)
         for i, pid in enumerate(pids):
-            for g in range(n_groups):
+            for g in range(n_groups) if held_out is None else held_out:
                 if len(chunks[pid][g]) == 0:
                     continue
                 test = kernel_density(sums[pid][g], len(chunks[pid][g]), h)
@@ -623,9 +623,37 @@ class TestKdeTable:
                 sys.setswitchinterval(interval)
             with monkeypatch.context() as patch:
                 # one test per kl_rows call, and many kernel_sum chunks
+                patch.setattr(densities, "KERNEL_BATCH", 1)
                 patch.setattr(densities, "KERNEL_CHUNK", 1)
                 assert _kde_kls("OT", chunks, h, jobs=1, held_out=range(n_groups)).tobytes() == expected
         assert empty_tests > 5
+
+    def test_stacked_layouts_equal_one_trial_at_a_time_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        h = 0.3
+
+        def check(chunks, held_out=None):
+            n_groups = len(next(iter(chunks.values())))
+            expected = self.one_trial_at_a_time(chunks, h, held_out).tobytes()
+            for jobs in (1, 3):
+                rounds = range(n_groups) if held_out is None else held_out
+                assert _kde_kls("OT", chunks, h, jobs, rounds).tobytes() == expected
+
+        # every chunk of the kind has one length, as in kde_cv: one stacked class
+        check({pid: [rng.normal(i, 1.0, 10) for _ in range(8)] for i, pid in enumerate("abcd")})
+        # held out as a single round, as classify scores its query
+        train = {pid: rng.normal(i, 1.0, 30) for i, pid in enumerate("abc")}
+        check({pid: [t, rng.normal(0.5, 1.0, 6) if pid == "a" else np.empty(0)]
+               for pid, t in train.items()}, held_out=(1,))
+        # a bound so small that six 3-value rows take three passes while each
+        # 7-value row exceeds it and its grid is chunked; kl_rows takes 2 tests a call
+        sizes = {"a": [3, 3, 7, 3], "b": [3, 7, 3, 7], "c": [7, 3, 3, 0]}
+        chunks = {pid: [rng.normal(i, 1.0, k) for k in ks] for i, (pid, ks) in enumerate(sizes.items())}
+        values = np.concatenate([c for cs in chunks.values() for c in cs])
+        n_points = len(kde_grid(values.min(), values.max(), pad=5.0 * h, max_step=h / 4.0))
+        monkeypatch.setattr(densities, "KERNEL_BATCH", 6 * n_points)
+        monkeypatch.setattr(densities, "KERNEL_CHUNK", 7 * 10)
+        check(chunks)
 
     def test_report_bytes_do_not_depend_on_jobs(self):
         dataset = self.dataset()
