@@ -49,6 +49,7 @@ from .midi_io import (
     from_note_table,
     parse_smf,
     parse_smf_with_warnings,
+    parse_smfs,
     to_note_table,
     write_smf,
 )

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,29 +40,32 @@ COST_SUB = 1.0
 COST_GAP = 0.6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoteAlignment:
     """Monotone correspondence between reference and performance note indices.
 
-    Every reference index lands in exactly one of pairs/deletions, every
-    performance index in exactly one of pairs/insertions. ``substitutions``
-    is the subset of pairs whose pitches differ (the marked errors).
+    The matched pairs are the data: ``pair_columns``, a read-only (2, k)
+    array of indices, reference then performance, both strictly increasing;
+    ``pairs`` is a tuple view of them, built on each access. Every reference
+    index lands in exactly one of pairs/deletions, every performance index in
+    exactly one of pairs/insertions. ``substitutions`` is the subset of pairs
+    whose pitches differ (the marked errors). The four hold the same
+    alignment and are checked against each other when it is built.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    pair_columns: np.ndarray
     insertions: tuple[int, ...]
     deletions: tuple[int, ...]
     substitutions: tuple[tuple[int, int], ...]
     n_reference: int
     n_performance: int
     total_cost: float
-    #: ``pairs`` as two read-only index columns: reference, then performance.
-    pair_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        flat = np.fromiter(chain.from_iterable(self.pairs), dtype=np.intp, count=2 * len(self.pairs))
-        columns = flat.reshape(-1, 2).T
-        if len(flat) and (columns[:, 0].min() < 0 or (np.diff(columns) <= 0).any()):
+        columns = np.array(self.pair_columns, dtype=np.intp)
+        if columns.ndim != 2 or len(columns) != 2:
+            raise ValueError("pair_columns must be two index columns: reference, then performance")
+        if columns.shape[1] and (columns[:, 0].min() < 0 or (np.diff(columns) <= 0).any()):
             raise ValueError("pairs must be strictly increasing in both coordinates")
         if not _partitions(columns[0], self.deletions, self.n_reference):
             raise ValueError("pairs and deletions must partition reference indices")
@@ -73,11 +74,28 @@ class NoteAlignment:
         columns.setflags(write=False)
         object.__setattr__(self, "pair_columns", columns)
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The matched (reference, performance) index pairs, in order."""
+        return tuple(zip(*self.pair_columns.tolist()))
+
+    def _fields(self) -> tuple:
+        return (self.insertions, self.deletions, self.substitutions,
+                self.n_reference, self.n_performance, self.total_cost)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NoteAlignment):
+            return NotImplemented
+        return self._fields() == other._fields() and np.array_equal(self.pair_columns, other.pair_columns)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
 
 def _partitions(paired: np.ndarray, rest: tuple[int, ...], n: int) -> bool:
     """Whether the sets of ``paired`` (strictly increasing) and ``rest`` are disjoint and make range(n)."""
     if rest:
-        paired = np.sort(np.concatenate((paired, np.unique(np.array(rest, dtype=np.intp)))))
+        paired = np.sort(np.concatenate((paired, np.array(rest, dtype=np.intp))))
     return len(paired) == n and np.array_equal(paired, np.arange(n))
 
 
@@ -104,16 +122,16 @@ def _band(n: int, m: int, threshold: float) -> tuple[int, int]:
     return low, high
 
 
-def _lower_bound(ref: list[int], perf: list[int]) -> float:
-    """A cost no alignment of the two pitch sequences can beat, from their pitch multisets.
+def _lower_bound(ref, perf) -> float:
+    """A cost no alignment of the two pitch sequences (0..127) can beat, from their pitch multisets.
 
     At most ``c`` pairs, the sum over pitches of the smaller of the two
     counts, can match their pitches. That leaves ``a = n - c`` reference and
     ``b = m - c`` performance notes, paired as substitutions (which cost less
     than a deletion plus an insertion) as far as they go. The result is never
-    below ``_gap(m - n)``.
+    below ``_gap(m - n)``. The counts are two ``np.bincount`` calls.
     """
-    c = sum((Counter(ref) & Counter(perf)).values())
+    c = int(np.minimum(*(np.bincount(p, minlength=128) for p in (ref, perf))).sum())
     a, b = len(ref) - c, len(perf) - c
     paired = min(a, b)
     return COST_SUB * paired + COST_GAP * (a - paired) + COST_GAP * (b - paired)
@@ -190,8 +208,8 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
     A pitch match is free, a wrong-pitch pair costs ``COST_SUB`` (1.0) and an
     inserted or a deleted note ``COST_GAP`` (0.6). Ties prefer pairing over
     deletion over insertion, which makes the result deterministic. Identical
-    pitch sequences short-circuit to the identity mapping (cost 0, which is
-    the DP optimum).
+    pitch sequences (``np.array_equal`` on the pitch columns) short-circuit
+    to the identity mapping (cost 0, which is the DP optimum).
 
     The threshold t starts just above ``_lower_bound``; a pass whose t is at
     or below the optimum always fails, so no pass that could succeed is
@@ -200,17 +218,20 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
     path lies in the band, so moves and cost equal those of the full table.
     Otherwise t rises to just above U, whose pass then succeeds, when that
     band is at most twice as wide as the doubled threshold's; else t doubles.
+
+    The backtrace records only the moves; the index columns of the pairs,
+    deletions and insertions then follow from running counts of the moves.
     """
     if not len(reference) or not len(performance):
         raise ValueError("alignment requires non-empty performances")
-    ref = reference.pitches.tolist()
-    perf = performance.pitches.tolist()
-    n, m = len(ref), len(perf)
+    ref_pitches, perf_pitches = reference.pitches, performance.pitches
+    n, m = len(ref_pitches), len(perf_pitches)
+    if np.array_equal(ref_pitches, perf_pitches):
+        identity = np.arange(n)
+        return NoteAlignment(np.stack((identity, identity)), (), (), (), n, m, 0.0)
 
-    if ref == perf:
-        return NoteAlignment(tuple(zip(range(n), range(n))), (), (), (), n, m, 0.0)
-
-    bound = _lower_bound(ref, perf)
+    bound = _lower_bound(ref_pitches, perf_pitches)
+    ref, perf = ref_pitches.tolist(), perf_pitches.tolist()
     threshold = _above(bound)
     band, passes, cells = None, 0, 0
     while True:
@@ -231,29 +252,26 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
         performance.performer_id, m, reference.performer_id, n, bound, passes, w, cells,
     )
 
-    pairs: list[tuple[int, int]] = []
-    insertions: list[int] = []
-    deletions: list[int] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        move = moves[i * w + j - i - low]
-        if move == 0:
-            i -= 1
-            j -= 1
-            pairs.append((i, j))
-        elif move == 1:
-            i -= 1
-            deletions.append(i)
-        else:
-            j -= 1
-            insertions.append(j)
-    pairs.reverse()
-    substitutions = tuple((r, p) for r, p in pairs if ref[r] != perf[p])
+    # the backtrace: from (n, m), each move's slot steps back one row, one
+    # column or both
+    steps = (w, w - 1, 1)
+    k, origin = n * w + m - n - low, -low
+    path = bytearray()
+    while k != origin:
+        move = moves[k]
+        path.append(move)
+        k -= steps[move]
+    path = np.frombuffer(path, dtype=np.uint8)[::-1]
+    rows = np.cumsum(path != 2) - 1  # the reference index each move pairs or deletes
+    cols = np.cumsum(path != 1) - 1  # the performance index each move pairs or inserts
+    paired = path == 0
+    columns = np.stack((rows[paired], cols[paired]))
+    wrong = np.flatnonzero(ref_pitches[columns[0]] != perf_pitches[columns[1]])
     return NoteAlignment(
-        tuple(pairs),
-        tuple(reversed(insertions)),
-        tuple(reversed(deletions)),
-        substitutions,
+        columns,
+        tuple(cols[path == 2].tolist()),
+        tuple(rows[path == 1].tolist()),
+        tuple(zip(*columns[:, wrong].tolist())),
         n,
         m,
         float(total_cost),
@@ -353,7 +371,7 @@ def build_table(
     for col, perf in enumerate(performances):
         al = align_pair(reference, perf)
         per_performer[perf.performer_id] = {
-            "pairs": len(al.pairs),
+            "pairs": al.pair_columns.shape[1],
             "substitutions": len(al.substitutions),
             "insertions": len(al.insertions),
             "deletions": len(al.deletions),

@@ -20,6 +20,7 @@ import sys
 import traceback
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .midi_io import (
     Performance,
     from_note_table,
     parse_smf,
-    parse_smf_with_warnings,
+    parse_smf_with_warnings,  # noqa: F401  perfbench/tracing.py wraps this name
+    parse_smfs,
     to_note_table,
     write_smf,
 )
@@ -41,7 +43,8 @@ PROG = "pianist-id"
 #: Aligned-table cells written per block.
 CSV_BLOCK = 256
 
-PERFORMANCE_SUFFIXES = (".mid", ".midi", ".csv")
+SMF_SUFFIXES = (".mid", ".midi")
+PERFORMANCE_SUFFIXES = SMF_SUFFIXES + (".csv",)
 
 
 class InputError(ValueError):
@@ -217,21 +220,44 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _load_performance(path: Path, piece_id: str) -> Performance:
-    """Read one performance file; malformed content is an input error naming the file."""
-    performer_id = path.stem
+def _read_smfs(files: list[tuple[Path, str]]) -> Iterator:
+    """Read the (path, piece id) SMFs as ``parse_smfs`` asks for them, and parse them in its batches.
+
+    Yields each file's outcome in turn: its (performance, warnings), the
+    ``SmfParseError`` parsing it raised, or, for the first file that cannot
+    be read, the ``OSError`` reading it raised; no file after that is read.
+    """
+    unreadable = []
+
+    def read():
+        for path, piece_id in files:
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                unreadable.append(exc)
+                return
+            yield data, path.stem, piece_id
+
+    yield from parse_smfs(read())
+    yield from unreadable
+
+
+def _load_performance(path: Path, piece_id: str, smfs: Iterator) -> Performance:
+    """Read one performance file, or take its outcome from ``smfs`` if it is an SMF;
+    malformed content is an input error naming the file."""
     suffix = path.suffix.lower()
     if suffix not in PERFORMANCE_SUFFIXES:
         raise InputError(f"unsupported performance file type: {path}")
     warnings = ()
     try:
-        if suffix == ".csv":
-            performance = from_note_table(
-                path.read_text(encoding="utf-8"), performer_id=performer_id, piece_id=piece_id
-            )
+        if suffix in SMF_SUFFIXES:
+            outcome = next(smfs)
+            if isinstance(outcome, Exception):
+                raise outcome
+            performance, warnings = outcome
         else:
-            performance, warnings = parse_smf_with_warnings(
-                path.read_bytes(), performer_id=performer_id, piece_id=piece_id
+            performance = from_note_table(
+                path.read_text(encoding="utf-8"), performer_id=path.stem, piece_id=piece_id
             )
     except (OSError, ValueError) as exc:  # unreadable, SmfParseError, a bad note, or not UTF-8
         raise InputError(f"{path}: {exc}") from exc
@@ -242,7 +268,13 @@ def _load_performance(path: Path, piece_id: str) -> Performance:
     return performance
 
 
-def _load_performances(args: argparse.Namespace) -> list[Performance]:
+def _load_inputs(args: argparse.Namespace) -> tuple[list[Performance], Performance | None]:
+    """The performances of ``--input``, then ``--reference``'s (None for the median).
+
+    Every SMF among them goes to one ``parse_smfs`` call. The files are then
+    taken in order, performances first, so the first bad one is the error,
+    reported after the warnings of the files before it.
+    """
     input_dir = Path(args.input)
     if not input_dir.exists():
         raise InputError(f"input path not found: {input_dir}")
@@ -257,16 +289,17 @@ def _load_performances(args: argparse.Namespace) -> list[Performance]:
             raise InputError(
                 f"{by_stem[path.stem]} and {path} share the performer id {path.stem!r}"
             )
-    return [_load_performance(p, input_dir.name) for p in files]
-
-
-def _load_reference(args: argparse.Namespace) -> Performance | None:
-    if args.reference == "median":
-        return None
-    path = Path(args.reference)
-    if not path.is_file():
-        raise InputError(f"reference file not found: {path}")
-    return _load_performance(path, path.parent.name)
+    inputs = [(path, input_dir.name) for path in files]
+    reference = None if args.reference == "median" else Path(args.reference)
+    if reference is not None and reference.is_file():
+        inputs.append((reference, reference.parent.name))
+    smfs = _read_smfs([item for item in inputs if item[0].suffix.lower() in SMF_SUFFIXES])
+    performances = [_load_performance(path, piece_id, smfs) for path, piece_id in inputs[: len(files)]]
+    if reference is None:
+        return performances, None
+    if len(inputs) == len(files):
+        raise InputError(f"reference file not found: {reference}")
+    return performances, _load_performance(*inputs[-1], smfs)
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -304,8 +337,7 @@ def _write(path: Path, text: str) -> None:
 def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, dict[str, str]]:
     """Read the inputs and align them; the outputs, by file name, start with
     ``alignment_report.json``."""
-    performances = _load_performances(args)
-    reference = _load_reference(args)
+    performances, reference = _load_inputs(args)
     table, report = build_table(performances, reference=reference)
     report_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     return table, {"alignment_report.json": report_text}

@@ -5,19 +5,23 @@ seconds: onset, offset, pitch and dynamic level (note-on velocity). Only what
 the downstream pipeline needs is kept. Sustain pedal (CC64) is ignored, so
 offsets are key-release times.
 
-The SMF reader decodes each track chunk as arrays (``_decode_track``): where
-the next event would start from every byte offset, the chain of events from
-the chunk's start, then every event's tick, status and note at once, with
-FIFO note pairing by a stable sort. A track that pass cannot certify (a
-malformed one, or one where running status repeats a 1-data-byte message)
-and a short one, where numpy's per-call cost outweighs the work, go through
+The SMF reader takes many files at once (``parse_smfs``; a one-file parse is
+the batch of one), in groups of at most ``_BATCH_BYTES`` (32 KiB) of track
+chunks. One array pass decodes every track of a group (``_decode_tracks``):
+where the next event would start from every byte offset of all its chunks,
+the chain of events from each chunk's start, then every event's tick, status
+and note at once, with FIFO note pairing by one stable sort keyed by (track,
+channel, pitch). A track that pass cannot certify (a malformed one, or one
+where running status repeats a 1-data-byte message), and every track of a
+group too short in all for numpy's per-call cost to pay off, go through
 ``_scan_track``, one Python step per event, which also gives every error its
-message and byte offset. Both decoders return the same value: the track's
+message and byte offset. Both decoders return the same value per track: its
 tempo changes, its (on tick, off tick, pitch, velocity) rows in closing order,
 and how many of the last rows are note-ons left open and closed at the final
-tick. The reader merges every track the same way and words both warnings:
-the dangling note-ons, per track, then the zero-length notes. All ticks then
-go to seconds in one vectorised step, and no per-note object is made.
+tick. The reader then stacks the notes of a group's files and words both
+warnings of each file: the dangling note-ons, per track, then the zero-length
+notes. All ticks go to seconds in one vectorised step, every note is checked
+in one pass, and no per-note object is made.
 
 ``NoteEvent`` is one note, a plain named tuple checked when it enters a
 ``Performance``: the element of the ``.notes`` view, built on demand from the
@@ -36,7 +40,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,12 +140,16 @@ class Performance:
     note-on velocities). Notes tied in (onset, pitch) keep the order they were
     given in.
 
-    Both constructors take the same path: every note is checked in one
-    vectorised pass (``_checked_columns``), and the columns are sorted with
-    one stable ``np.lexsort``. :meth:`from_columns` takes four equal-length
-    columns; ``Performance(performer_id, piece_id, notes)`` takes
-    ``NoteEvent``s and unzips them into columns at once. ``notes`` is a view:
-    a new tuple of ``NoteEvent`` built from the checked columns on each access.
+    Every constructor takes the same path, ``_stacked``: every note is
+    checked in one vectorised pass (``_checked_columns``), and each
+    performance's columns are sorted with one stable ``np.lexsort``, on its
+    own, where near-sorted input keeps it fast. :meth:`from_columns` takes four
+    equal-length columns; ``Performance(performer_id, piece_id, notes)`` takes
+    ``NoteEvent``s and unzips them into columns at once; the SMF reader stacks
+    the notes of every file it reads and builds all their performances in one
+    such pass, each holding its slice of the sorted columns. ``notes`` is a
+    view: a new tuple of ``NoteEvent`` built from the checked columns on each
+    access.
     """
 
     performer_id: str
@@ -151,28 +160,44 @@ class Performance:
     dynamics: np.ndarray
 
     def __init__(self, performer_id: str, piece_id: str, notes: Iterable[NoteEvent] = ()):
-        self._set_columns(performer_id, piece_id, *(tuple(zip(*notes)) or ((),) * 4))
+        columns = tuple(zip(*notes)) or ((),) * 4
+        (built,) = self._stacked([(performer_id, piece_id)], None, *columns)
+        self.__dict__.update(built.__dict__)  # the instance is frozen once built
 
     @classmethod
     def from_columns(
         cls, performer_id: str, piece_id: str, onsets, offsets, pitches, dynamics
     ) -> Performance:
         """A performance from four equal-length note columns, in any note order."""
-        performance = cls.__new__(cls)
-        performance._set_columns(performer_id, piece_id, onsets, offsets, pitches, dynamics)
+        (performance,) = cls._stacked([(performer_id, piece_id)], None, onsets, offsets, pitches, dynamics)
         return performance
 
-    def _set_columns(self, performer_id, piece_id, *columns) -> None:
+    @classmethod
+    def _stacked(cls, ids, sizes, *columns) -> list[Performance]:
+        """A performance for each (performer id, piece id), from the next ``sizes`` notes
+        of the stacked columns (all of them when ``sizes`` is None).
+
+        Raises the ``ValueError`` of the first bad note in stack order.
+        """
         columns = _checked_columns(*columns)
-        order = np.lexsort((columns[2], columns[0]))  # stable: by onset, then pitch
+        bounds = list(accumulate([len(columns[0])] if sizes is None else sizes, initial=0))
+        # stable: by onset, then pitch, within each performance
+        order = np.concatenate(
+            [np.lexsort((columns[2][a:b], columns[0][a:b])) + a for a, b in zip(bounds, bounds[1:])]
+        )
         sorted_columns = [column[order] for column in columns]
         for column in sorted_columns:
             column.setflags(write=False)
-        self.__dict__.update(  # the instance is frozen once built
-            zip(_COLUMNS, sorted_columns),
-            performer_id=performer_id,
-            piece_id=piece_id,
-        )
+        performances = []
+        for (performer_id, piece_id), start, end in zip(ids, bounds, bounds[1:]):
+            performance = cls.__new__(cls)
+            performance.__dict__.update(  # the instance is frozen once built
+                zip(_COLUMNS, (column[start:end] for column in sorted_columns)),
+                performer_id=performer_id,
+                piece_id=piece_id,
+            )
+            performances.append(performance)
+        return performances
 
     @property
     def notes(self) -> tuple[NoteEvent, ...]:
@@ -231,24 +256,36 @@ class TempoMap:
             self.division * 1_000_000
         )
 
-    def to_seconds_array(self, ticks: np.ndarray) -> np.ndarray:
-        """``to_seconds`` of every tick, bit for bit.
 
-        Python divides the exact integer (tick - t_i) * tempo_i with one
-        rounding; float64 does the same only while that product is below
-        2**53. A file whose products may reach it (one spanning months) is
-        converted one tick at a time.
-        """
-        ticks = np.asarray(ticks, dtype=np.int64)
-        if len(ticks) and int(ticks.max()) * max(self._tempos) >= _EXACT_INT:
-            return np.array([self.to_seconds(t) for t in ticks.tolist()], dtype=np.float64)
-        i = np.searchsorted(self._ticks, ticks, side="right") - 1
-        product = (ticks - np.asarray(self._ticks, dtype=np.int64)[i]) * np.asarray(
-            self._tempos, dtype=np.int64
-        )[i]
-        return np.asarray(self._seconds)[i] + product.astype(np.float64) / (
-            self.division * 1_000_000
-        )
+def _seconds(maps: list[TempoMap], sizes: list[int], ticks: np.ndarray) -> np.ndarray:
+    """``to_seconds`` of every tick of the (rows, k) ``ticks``, ``sizes`` rows for each
+    tempo map in turn, bit for bit.
+
+    Python divides the exact integer (tick - t_i) * tempo_i with one
+    rounding; float64 does the same only while that product is below
+    2**53. The ticks of a map whose products may reach it (a file spanning
+    months) are converted one at a time.
+    """
+    bounds = list(accumulate(sizes, initial=0))
+    firsts = list(accumulate((len(m._ticks) for m in maps), initial=0))
+    # each tick's tempo segment, indexing the breakpoints of every map in turn
+    segment = np.repeat(np.array(firsts[:-1], dtype=np.intp), sizes)[:, None].repeat(ticks.shape[1], axis=1)
+    for tempo_map, start, end in zip(maps, bounds, bounds[1:]):
+        if len(tempo_map._ticks) > 1:
+            segment[start:end] += np.searchsorted(tempo_map._ticks, ticks[start:end], side="right") - 1
+    since = ticks - np.array([t for m in maps for t in m._ticks], dtype=np.int64).take(segment)
+    since *= np.array([tempo for m in maps for tempo in m._tempos], dtype=np.int64).take(segment)
+    seconds = since.astype(np.float64)
+    unit = np.array([m.division * 1_000_000 for m in maps for _ in m._ticks], dtype=np.float64)
+    seconds /= unit.take(segment)
+    seconds += np.array([s for m in maps for s in m._seconds], dtype=np.float64).take(segment)
+    if len(ticks) and int(ticks.max()) * max(t for m in maps for t in m._tempos) >= _EXACT_INT:
+        for tempo_map, start, end in zip(maps, bounds, bounds[1:]):
+            block = ticks[start:end]
+            if len(block) and int(block.max()) * max(tempo_map._tempos) >= _EXACT_INT:
+                # products above may have wrapped around, and are replaced
+                seconds[start:end] = [[tempo_map.to_seconds(t) for t in row] for row in block.tolist()]
+    return seconds
 
 
 def _need(data: bytes, pos: int, size: int) -> None:
@@ -297,88 +334,188 @@ def parse_smf_with_warnings(
     final tick and reported as a warning. A note-off at its note-on's tick is
     moved one tick later, with a warning. Notes tied in (onset, pitch) keep the
     order of the note-offs that closed them, by (tick, position in the file).
+    This is :func:`parse_smfs` on a batch of one, raising its error.
     """
-    if _uint(data, 0, 4) != _MTHD:
-        raise SmfParseError("missing MThd header", 0)
-    header_len = _uint(data, 4, 4)
-    if header_len < 6:
-        raise SmfParseError(f"header chunk too short ({header_len} bytes)", 4)
-    smf_format = _uint(data, 8, 2)
-    n_tracks = _uint(data, 10, 2)
-    division = _uint(data, 12, 2)
-    if smf_format not in (0, 1):
-        raise SmfParseError(f"unsupported SMF format {smf_format}", 8)
-    if division & 0x8000:
-        raise SmfParseError("SMPTE time division is not supported", 12)
-    if division == 0:
-        raise SmfParseError("time division must be positive", 12)
-    _need(data, 14, header_len - 6)  # any header extension bytes are ignored
-    pos = 8 + header_len
+    (outcome,) = parse_smfs([(data, performer_id, piece_id)])
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
-    warnings: list[str] = []
-    tempo_changes: list[tuple[int, int]] = []
-    tracks: list[np.ndarray] = []  # each track's rows, as its decoder returns them
-    padded = None
 
-    while len(tracks) < n_tracks:
-        if pos >= len(data):
-            raise SmfParseError(f"expected {n_tracks} tracks, found {len(tracks)}", pos)
-        chunk_id = _uint(data, pos, 4)
-        chunk_len = _uint(data, pos + 4, 4)
-        start, end = pos + 8, pos + 8 + chunk_len
-        if chunk_id != _MTRK:
-            _need(data, start, chunk_len)  # alien chunks are skipped per the SMF spec
-        elif end > len(data):
-            raise SmfParseError("track chunk length runs past end of file", pos + 4)
-        else:
-            decoded = None
-            if _ARRAY_TRACK_BYTES <= chunk_len < _MAX_ARRAY_TRACK_BYTES:
-                padded = padded or _padded(data)
-                decoded = _decode_track(padded, start, end)
-            tempos, rows, n_open = decoded or _scan_track(data, start, end)
-            tempo_changes += tempos
-            tracks.append(rows)
-            warnings += [
-                f"dangling note-on (pitch {pitch}) closed at final tick {tick}"
-                for tick, pitch in rows[len(rows) - n_open :, 1:3].tolist()
+def parse_smfs(
+    files: Iterable[tuple[bytes, str, str]],
+) -> Iterator[tuple[Performance, list[str]] | ValueError]:
+    """Parse every (data, performer id, piece id) SMF as :func:`parse_smf_with_warnings` does.
+
+    Yields each file's outcome in turn: its (performance, warnings) or the
+    error it raises (an ``SmfParseError``, or the ``ValueError`` of a note a
+    ``Performance`` refuses), so a caller can report the files in its own
+    order. Files are read from ``files`` as they are needed, in groups whose
+    track chunks, each with its ``_PAD``, come to at most ``_BATCH_BYTES`` (a
+    file with more is a group of its own). A group's chunks are decoded in
+    one array pass (``_decode_tracks``), and its notes become performances in
+    one more (``_performances``), so the memory a call holds is bounded by
+    the budget as well as by its outputs.
+    """
+    group: list = []
+    size = 0
+    for data, performer_id, piece_id in files:
+        chunks = _chunks(data)
+        file_size = sum(end - start + _PAD for start, end in chunks[1])
+        if group and size + file_size > _BATCH_BYTES:
+            yield from _parse_group(group)
+            group, size = [], 0
+        group.append((data, performer_id, piece_id, chunks))
+        size += file_size
+    yield from _parse_group(group)
+
+
+def _parse_group(group: list) -> list[tuple[Performance, list[str]] | ValueError]:
+    """The outcomes of the (data, performer id, piece id, ``_chunks``) files of one group."""
+    tracks = [(data, start, end) for data, _, _, (_, spans, _) in group for start, end in spans]
+    decoded = iter(_decode_batches(tracks))
+    outcomes: list = []
+    parsed = []  # (index, performer id, piece id, time division, decoded tracks) of each good file
+    for index, (data, performer_id, piece_id, (division, spans, error)) in enumerate(group):
+        results = [next(decoded) for _ in spans]
+        try:
+            # a track's error comes before the error of any chunk after it
+            results = [
+                result or _scan_track(data, start, end) for result, (start, end) in zip(results, spans)
             ]
-        pos = end
+            if error is not None:
+                raise error
+        except SmfParseError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(None)
+        parsed.append((index, performer_id, piece_id, division, results))
+    for (index, *_), outcome in zip(parsed, _performances(parsed)):
+        outcomes[index] = outcome
+    return outcomes
 
-    ticks = np.concatenate(tracks) if tracks else np.empty((0, 4), dtype=np.int64)
+
+def _chunks(data: bytes) -> tuple[int, list[tuple[int, int]], SmfParseError | None]:
+    """The SMF's time division, the (start, end) of its track chunks in file
+    order, and the error that ends the walk over its chunks early, if any."""
+    try:
+        if _uint(data, 0, 4) != _MTHD:
+            raise SmfParseError("missing MThd header", 0)
+        header_len = _uint(data, 4, 4)
+        if header_len < 6:
+            raise SmfParseError(f"header chunk too short ({header_len} bytes)", 4)
+        smf_format = _uint(data, 8, 2)
+        n_tracks = _uint(data, 10, 2)
+        division = _uint(data, 12, 2)
+        if smf_format not in (0, 1):
+            raise SmfParseError(f"unsupported SMF format {smf_format}", 8)
+        if division & 0x8000:
+            raise SmfParseError("SMPTE time division is not supported", 12)
+        if division == 0:
+            raise SmfParseError("time division must be positive", 12)
+        _need(data, 14, header_len - 6)  # any header extension bytes are ignored
+    except SmfParseError as exc:
+        return 0, [], exc
+    pos = 8 + header_len
+    spans: list[tuple[int, int]] = []
+    try:
+        while len(spans) < n_tracks:
+            if pos >= len(data):
+                raise SmfParseError(f"expected {n_tracks} tracks, found {len(spans)}", pos)
+            chunk_id = _uint(data, pos, 4)
+            chunk_len = _uint(data, pos + 4, 4)
+            start, end = pos + 8, pos + 8 + chunk_len
+            if chunk_id != _MTRK:
+                _need(data, start, chunk_len)  # alien chunks are skipped per the SMF spec
+            elif end > len(data):
+                raise SmfParseError("track chunk length runs past end of file", pos + 4)
+            else:
+                spans.append((start, end))
+            pos = end
+    except SmfParseError as exc:
+        return division, spans, exc
+    return division, spans, None
+
+
+def _performances(parsed: list) -> list[tuple[Performance, list[str]] | ValueError]:
+    """Each parsed file's (performance, warnings), from its decoded tracks in file
+    order, or the ``ValueError`` of a note its performance refuses.
+
+    The notes of all the files are stacked: one tick to seconds conversion
+    and one ``Performance._stacked`` pass serve them all, and only the sorts
+    go file by file. Each file's warnings are the dangling note-ons, per
+    track, then the zero-length notes.
+    """
+    if not parsed:
+        return []
+    ids, sizes, maps, warnings, rows = [], [], [], [], []
+    for _, performer_id, piece_id, division, results in parsed:
+        tempo_changes, file_warnings = [], []
+        for tempos, track_rows, n_open in results:
+            tempo_changes += tempos
+            if n_open:
+                file_warnings += [
+                    f"dangling note-on (pitch {pitch}) closed at final tick {tick}"
+                    for tick, pitch in track_rows[len(track_rows) - n_open :, 1:3].tolist()
+                ]
+            rows.append(track_rows)
+        ids.append((performer_id, piece_id))
+        sizes.append(sum(len(track_rows) for _, track_rows, _ in results))
+        maps.append(TempoMap(division, tempo_changes))
+        warnings.append(file_warnings)
+    rows = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
+    bounds = list(accumulate(sizes, initial=0))
     # Within a track, notes close in file order at non-decreasing ticks, so a
-    # stable sort by the closing note-off's tick orders them by (tick, file
-    # position) across tracks.
-    ticks = ticks[np.argsort(ticks[:, 1], kind="stable")]
-    zero_length = np.flatnonzero(ticks[:, 1] == ticks[:, 0])
-    for on_tick, pitch in ticks[zero_length][:, [0, 2]].tolist():
-        warnings.append(f"zero-length note (pitch {pitch}) at tick {on_tick} extended by one tick")
-    ticks[zero_length, 1] += 1
+    # stable sort by the closing note-off's tick orders a file's notes by
+    # (tick, file position) across its tracks.
+    rows = rows[
+        np.concatenate([np.argsort(rows[a:b, 1], kind="stable") + a for a, b in zip(bounds, bounds[1:])])
+    ]
+    zero_length = np.flatnonzero(rows[:, 1] == rows[:, 0])
+    files = np.searchsorted(bounds, zero_length, side="right") - 1
+    for file, on_tick, pitch in zip(files.tolist(), *rows[zero_length][:, [0, 2]].T.tolist()):
+        warnings[file].append(f"zero-length note (pitch {pitch}) at tick {on_tick} extended by one tick")
+    rows[zero_length, 1] += 1
 
-    tempo_map = TempoMap(division, tempo_changes)
-    performance = Performance.from_columns(
-        performer_id,
-        piece_id,
-        tempo_map.to_seconds_array(ticks[:, 0]),
-        tempo_map.to_seconds_array(ticks[:, 1]),
-        ticks[:, 2],
-        ticks[:, 3],
-    )
-    log.debug(
-        "parsed %s: %d tracks, %d notes, %d tempo changes, %d warnings",
-        performer_id or "<unnamed>", len(tracks), len(performance), len(tempo_changes),
-        len(warnings),
-    )
-    return performance, warnings
+    seconds = _seconds(maps, sizes, rows[:, :2])
+    columns = (seconds[:, 0], seconds[:, 1], rows[:, 2], rows[:, 3])
+    try:
+        performances = Performance._stacked(ids, sizes, *columns)
+    except ValueError:  # a note is refused: each file alone, for its own outcome
+        performances = []
+        for file_id, start, end in zip(ids, bounds, bounds[1:]):
+            try:
+                performances += Performance._stacked([file_id], None, *(c[start:end] for c in columns))
+            except ValueError as exc:
+                performances.append(exc)
+    for performance, file_warnings, (_, performer_id, _, _, results) in zip(performances, warnings, parsed):
+        if isinstance(performance, Performance):
+            log.debug(
+                "parsed %s: %d tracks, %d notes, %d tempo changes, %d warnings",
+                performer_id or "<unnamed>", len(results), len(performance),
+                sum(len(tempos) for tempos, _, _ in results), len(file_warnings),
+            )
+    return [
+        performance if isinstance(performance, ValueError) else (performance, file_warnings)
+        for performance, file_warnings in zip(performances, warnings)
+    ]
 
 
-#: Track chunks shorter than this many bytes go straight to ``_scan_track``:
-#: there its per-event loop beats the array pass's fixed cost of numpy calls
-#: (on synth renders the two broke even near 1.1 KB, about 120 notes).
+#: A batch whose track chunks add up to fewer bytes than this goes straight to
+#: ``_scan_track``: there its per-event loop beats the array pass's fixed cost
+#: of numpy calls (on synth renders the two broke even near 1.1 KB, about 120
+#: notes).
 _ARRAY_TRACK_BYTES = 1200
-#: Positions within a track are int32; a chunk this long goes to ``_scan_track``.
-_MAX_ARRAY_TRACK_BYTES = 1 << 30
-#: Zero bytes after the data, so that the array pass reads up to this far past a
-#: track's end without bounds checks.
+#: One array pass takes consecutive track chunks until their bytes, each with
+#: its ``_PAD``, would pass this; a longer chunk goes alone. Measured on 52
+#: synth renders (113 KB in all): a pass per 4, 8, 16, 32, 64 and 128 KiB took
+#: 12.8, 8.2, 6.3, 5.7, 6.2 and 7.4 ms, since from 64 KiB on its int32
+#: temporaries outgrow malloc's heap and fault in fresh pages on every pass.
+_BATCH_BYTES = 1 << 15
+#: Positions in a pass are int32; a chunk this long goes to ``_scan_track``.
+_MAX_ARRAY_TRACK_BYTES = 1 << 29
+#: The bytes of its file copied after each chunk, zeros past the file's end:
+#: the array pass reads up to this far past an offset without bounds checks.
 _PAD = 16
 
 # The bytes an event takes from its status byte to its end (for SysEx, to its
@@ -397,36 +534,64 @@ _TWO_DATA_BYTES = np.zeros(256, dtype=bool)  # what running status may repeat, a
 _TWO_DATA_BYTES[0x80:0xC0] = _TWO_DATA_BYTES[0xE0:0xF0] = True
 
 
-def _padded(data: bytes) -> bytes:
-    """The SMF's bytes followed by ``_PAD`` zero bytes, for ``_decode_track``."""
-    return data + bytes(_PAD)
+def _decode_batches(tracks: Sequence[tuple[bytes, int, int]]) -> list:
+    """``_decode_tracks`` of the (data, start, end) track chunks, in passes of at most
+    ``_BATCH_BYTES``; None for every chunk of a pass shorter than ``_ARRAY_TRACK_BYTES``."""
+    decoded: list = []
+    i = 0
+    while i < len(tracks):
+        j, size = i + 1, tracks[i][2] - tracks[i][1] + _PAD
+        while j < len(tracks) and size + tracks[j][2] - tracks[j][1] + _PAD <= _BATCH_BYTES:
+            size += tracks[j][2] - tracks[j][1] + _PAD
+            j += 1
+        if _ARRAY_TRACK_BYTES <= size - (j - i) * _PAD < _MAX_ARRAY_TRACK_BYTES:
+            decoded += _decode_tracks(tracks[i:j])
+        else:
+            decoded += [None] * (j - i)
+        i = j
+    return decoded
 
 
-def _decode_track(padded: bytes, start: int, end: int):
-    """Decode the track chunk ``padded[start:end]`` as ``_scan_track`` reads it, or return None.
+def _decode_tracks(tracks: Sequence[tuple[bytes, int, int]]) -> list:
+    """Decode every track chunk ``data[start:end]`` as ``_scan_track`` reads it, in one array pass.
 
-    ``padded`` is the whole file from ``_padded``. Returns ``_scan_track``'s
-    (tempo changes, rows, n_open), equal to it, or None for a track this pass
-    cannot certify: one that ``_scan_track`` rejects, or one where running
-    status repeats a 1-data-byte message. It works on arrays:
+    Returns, per track, ``_scan_track``'s (tempo changes, rows, n_open),
+    equal to it, or None for a track this pass cannot certify: one that
+    ``_scan_track`` rejects, or one where running status repeats a
+    1-data-byte message. The chunks are copied into one buffer, each followed
+    by the next ``_PAD`` bytes of its file, and the pass works on arrays:
 
-    1. for every byte offset, where the next event would start if an event
-       started there. A data byte in status position is taken to begin 2
-       data bytes; End of Track jumps to the chunk's end; an event that is
-       malformed or runs past the chunk jumps past it.
-    2. the chain of events from the chunk's start, which must land on its end;
-    3. the ticks, statuses, notes and tempos of all its events at once, and
-       FIFO note pairing per (channel, pitch) by a stable sort on that key.
+    1. for every byte offset of the buffer, where the next event would start
+       if an event started there. A data byte in status position is taken to
+       begin 2 data bytes; End of Track jumps to its chunk's end; an event
+       that is malformed or runs past its chunk jumps past every chunk.
+    2. per chunk, the chain of events from its start, which must land on its end;
+    3. the ticks, statuses, notes and tempos of the events on every chain at
+       once: tick sums and running status start afresh at each chunk, a chunk
+       with a bad event is left out, and FIFO note pairing goes per (chunk,
+       channel, pitch) by one stable sort on that key.
     """
-    n_track = end - start
-    past = n_track + 1  # where a malformed event leads
-    b = np.frombuffer(padded, dtype=np.uint8, count=n_track + _PAD, offset=start)
+    k = len(tracks)
+    starts, ends, file_ends = [], [], []
+    size = 0
+    for data, start, end in tracks:
+        starts.append(size)
+        ends.append(size + end - start)
+        file_ends.append(size + len(data) - start)  # for End of Track's payload
+        size += end - start + _PAD
+    buffer = bytearray(size)
+    for (data, start, end), at in zip(tracks, starts):
+        tail = memoryview(data)[start : end + _PAD]
+        buffer[at : at + len(tail)] = tail
+    n = size - _PAD
+    past = size  # where a malformed event leads
+    b = np.frombuffer(buffer, dtype=np.uint8)
     # 1. next-event offsets; a delta's length follows from the high bits
     more = b >= 0x80
-    c1 = more[:n_track]
-    c2 = c1 & more[1 : n_track + 1]
-    c3 = c2 & more[2 : n_track + 2]
-    status_at = np.arange(1, n_track + 1, dtype=np.int32)
+    c1 = more[:n]
+    c2 = c1 & more[1 : n + 1]
+    c3 = c2 & more[2 : n + 2]
+    status_at = np.arange(1, n + 1, dtype=np.int32)
     status_at += c1
     status_at += c2
     status_at += c3
@@ -435,11 +600,14 @@ def _decode_track(padded: bytes, start: int, end: int):
     nxt += status_at
     # SysEx and meta events are few: their lengths are read one at a time
     tempo_at = []  # (offset, tempo) of each well-formed tempo event
-    for p in np.flatnonzero(_VARIABLE[status]).tolist():
-        i = start + int(nxt[p])
-        meta_type = padded[i - 1] if status[p] == 0xFF else None
+    variable = np.flatnonzero(_VARIABLE.take(status))
+    owners = np.searchsorted(starts, variable, side="right") - 1
+    for p, i, event_status, owner in zip(
+        variable.tolist(), nxt.take(variable).tolist(), status.take(variable).tolist(), owners.tolist()
+    ):
+        meta_type = buffer[i - 1] if event_status == 0xFF else None
         value = 0
-        for byte in padded[i : i + 4]:
+        for byte in buffer[i : i + 4]:
             value = value << 7 | byte & 0x7F
             i += 1
             if byte < 0x80:
@@ -447,72 +615,106 @@ def _decode_track(padded: bytes, start: int, end: int):
         else:  # a length longer than 4 bytes
             nxt[p] = past
             continue
-        event_end = i + value - start
+        event_end = i + value
         if meta_type == 0x51:  # a tempo must carry 3 bytes, not all zero
-            tempo = int.from_bytes(padded[i : i + 3], "big")
+            tempo = int.from_bytes(buffer[i : i + 3], "big")
             if value == 3 and tempo:
                 tempo_at.append((p, tempo))
             else:
                 event_end = past
-        elif meta_type == 0x2F and i + value <= len(padded) - _PAD:
-            event_end = n_track  # _scan_track stops here once the payload is read
+        elif meta_type == 0x2F and event_end <= file_ends[owner]:
+            event_end = ends[owner]  # _scan_track stops here once the payload is read
         nxt[p] = min(event_end, past)
-    nxt[c3 & more[3 : n_track + 3]] = past  # a delta longer than 4 bytes
+    nxt[c3 & more[3 : n + 3]] = past  # a delta longer than 4 bytes
 
-    # 2. the chain of events from the chunk's start
-    on_chain = bytearray(n_track)
+    # 2. the chain of events from each chunk's start
+    on_chain = bytearray(n)
     follow = memoryview(nxt)
-    p = 0
-    while p < n_track:
-        on_chain[p] = 1
-        p = follow[p]
-    if p != n_track:
-        return None
+    rejected = np.zeros(k, dtype=bool)
+    for t, (start, end) in enumerate(zip(starts, ends)):
+        p = start
+        while p < end:
+            on_chain[p] = 1
+            p = follow[p]
+        if p != end:
+            on_chain[start:end] = bytes(end - start)
+            rejected[t] = True
     at = np.flatnonzero(np.frombuffer(on_chain, dtype=np.uint8))
-
-    # 3. decode the events on the chain
     event_at = status_at.take(at)
+    del follow, nxt, status, status_at, more, c1, c2, c3  # step 3 needs none of them, and sets the peak
+
+    # 3. decode the events on the chains
+    first = np.searchsorted(at, starts)  # each chunk's first event
+    counts = np.searchsorted(at, ends) - first
+    # each event's chunk, and below each note's pairing key, in the smallest
+    # unsigned type that holds them: numpy sorts those of 8 and 16 bits stably by radix
+    track = np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), counts)
     delta_length = event_at - at
     delta = (b.take(at) & 0x7F).astype(np.int64)
-    for k in range(1, int(delta_length.max(initial=1))):
-        delta = np.where(delta_length > k, delta << 7 | b.take(at + k) & 0x7F, delta)
-    ticks = np.cumsum(delta)
-    final_tick = int(ticks[-1]) if len(ticks) else 0
+    for q in range(1, int(delta_length.max(initial=1))):
+        delta = np.where(delta_length > q, delta << 7 | b.take(at + q) & 0x7F, delta)
+    summed = np.zeros(len(at) + 1, dtype=np.int64)
+    np.cumsum(delta, out=summed[1:])
+    before = summed.take(first)  # the ticks of the chunks before each one
+    final_ticks = summed.take(first + counts) - before
+    ticks = summed[1:]
+    ticks -= np.repeat(before, counts)
     effective = b.take(event_at)
     explicit = effective >= 0x80
-    if not explicit.all():  # running status, cleared by SysEx and meta events
-        effective = effective.take(np.maximum.accumulate(np.where(explicit, np.arange(len(at)), 0)))
-        if not _TWO_DATA_BYTES.take(effective[~explicit]).all():
-            return None
-    tempos = []
-    tempo_at = [(p, tempo) for p, tempo in tempo_at if on_chain[p]]
-    if tempo_at:
-        offsets, values = zip(*tempo_at)
-        tempos = list(zip(ticks[np.searchsorted(at, offsets)].tolist(), values))
+    if not explicit.all():  # running status, cleared by SysEx and meta events and at a chunk's start
+        starting = explicit.copy()
+        starting[first[counts > 0]] = True
+        effective = effective.take(np.maximum.accumulate(np.where(starting, np.arange(len(at)), 0)))
+        rejected[track[~explicit & ~_TWO_DATA_BYTES.take(effective)]] = True
     notes = np.flatnonzero((effective & 0xE0) == 0x80)
-    note_status = effective.take(notes)
     data_at = event_at.take(notes)
     data_at += explicit.take(notes)
     pitches = b.take(data_at)
     velocities = b.take(data_at + 1)
-    if ((pitches | velocities) >= 0x80).any():
-        return None
-    return tempos, *_pair_notes(
-        (note_status & 0x0F).astype(np.int16) << 7 | pitches,
+    note_track = track.take(notes)
+    out_of_range = (pitches | velocities) >= 0x80
+    if out_of_range.any():
+        rejected[note_track[out_of_range]] = True
+    if rejected.any():
+        kept = ~rejected.take(note_track)
+        notes, pitches, velocities, note_track = (a[kept] for a in (notes, pitches, velocities, note_track))
+    note_status = effective.take(notes)
+    key_type = np.min_scalar_type((k << 11) - 1)
+    rows, n_rows, n_open = _pair_notes(
+        note_track.astype(key_type) << 11 | (note_status & 0x0F).astype(key_type) << 7 | pitches,
         (note_status >= 0x90) & (velocities > 0),
         ticks.take(notes),
         pitches,
         velocities,
-        final_tick,
+        note_track,
+        final_ticks,
     )
 
+    tempos: list[list] = [[] for _ in range(k)]
+    tempo_at = [(p, tempo) for p, tempo in tempo_at if on_chain[p]]
+    if tempo_at:
+        offsets, values = zip(*tempo_at)
+        events = np.searchsorted(at, offsets)
+        for owner, tick, tempo in zip(track[events].tolist(), ticks[events].tolist(), values):
+            tempos[owner].append((tick, tempo))
+    bounds = np.cumsum(n_rows).tolist()
+    return [
+        None if bad else (tempos[t], rows[bound - n_rows_t : bound], n_open_t)
+        for t, (bad, bound, n_rows_t, n_open_t) in enumerate(
+            zip(rejected.tolist(), bounds, n_rows.tolist(), n_open.tolist())
+        )
+    ]
 
-def _pair_notes(keys, on, ticks, pitches, velocities, final_tick):
-    """FIFO-pair note events, given in file order, per key; returns (rows, n_open).
 
-    Both are ``_scan_track``'s: (on tick, off tick, pitch, velocity) for each
-    note-off that closes an open note-on, in file order, then each of the
-    n_open note-ons left open, closed at ``final_tick``, by key and then in
+def _pair_notes(keys, on, ticks, pitches, velocities, tracks, final_ticks):
+    """FIFO-pair note events, given in file order, per key; returns (rows, n_rows, n_open).
+
+    ``tracks`` gives each event's chunk, which ``keys`` must keep apart, and
+    ``final_ticks`` each chunk's final tick. The rows are every chunk's
+    ``_scan_track`` rows in turn, and ``n_rows`` and ``n_open`` count them
+    and their open ones per chunk: (on tick, off tick, pitch, velocity) for
+    each note-off that closes an open note-on, in file order, then each
+    note-on left open, closed at its chunk's final tick, by key and then in
     file order. Within a key, the open count before an event is the running
     sum S of +1 per on and -1 per off, less its lowest value so far (never
     above 0): an off is dropped where that count is 0, and the j-th off kept
@@ -546,14 +748,23 @@ def _pair_notes(keys, on, ticks, pitches, velocities, final_tick):
     offs = np.flatnonzero(opener >= 0)
     is_open = np.ones(len(ons), dtype=bool)
     is_open[closed] = False
-    opened = np.concatenate((opener.take(offs), ons[is_open]))
+    left_open = ons[is_open]
+    open_tracks = tracks.take(left_open)
+    opened = np.concatenate((opener.take(offs), left_open))
+    closing = np.concatenate((ticks.take(offs), final_ticks.take(open_tracks)))
+    row_tracks = np.concatenate((tracks.take(offs), open_tracks))
+    k = len(final_ticks)
+    if len(left_open) and k > 1:
+        # closing offs in file order, then open ons by key: each group runs by
+        # chunk, and a stable sort by chunk puts a chunk's open ons after its offs
+        by_track = np.argsort(row_tracks, kind="stable")
+        opened, closing = opened.take(by_track), closing.take(by_track)
     rows = np.empty((len(opened), 4), dtype=np.int64)
     rows[:, 0] = ticks.take(opened)
-    rows[: len(offs), 1] = ticks.take(offs)
-    rows[len(offs) :, 1] = final_tick
+    rows[:, 1] = closing
     rows[:, 2] = pitches.take(opened)
     rows[:, 3] = velocities.take(opened)
-    return rows, len(opened) - len(offs)
+    return rows, np.bincount(row_tracks, minlength=k), np.bincount(open_tracks, minlength=k)
 
 
 def _scan_track(data: bytes, pos: int, end: int):

@@ -77,7 +77,7 @@ def full_matrix_alignment(ref, perf):
             insertions.append(j)
     pairs.reverse()
     return NoteAlignment(
-        tuple(pairs),
+        np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
         tuple(reversed(insertions)),
         tuple(reversed(deletions)),
         tuple((r, p) for r, p in pairs if ref[r] != perf[p]),
@@ -107,6 +107,32 @@ def perf_from_pitches(pitches, performer_id="p"):
     return simple_performance(
         [0.5 * i for i in range(len(pitches))], pitches, performer_id=performer_id
     )
+
+
+class TestNoteAlignment:
+    def test_pairs_are_a_tuple_view_of_the_index_columns(self):
+        given = np.array([[0, 2, 3], [1, 2, 4]])
+        al = NoteAlignment(given, (0, 3), (1,), ((2, 2),), 4, 5, 2.2)
+        given[0, 0] = 1  # the alignment keeps its own read-only copy
+        assert al.pairs == ((0, 1), (2, 2), (3, 4))
+        assert al.pair_columns.dtype == np.intp and not al.pair_columns.flags.writeable
+        same = NoteAlignment([[0, 2, 3], [1, 2, 4]], (0, 3), (1,), ((2, 2),), 4, 5, 2.2)
+        assert al == same and hash(al) == hash(same)
+        assert al != NoteAlignment([[0, 2, 3], [1, 2, 4]], (0, 3), (1,), (), 4, 5, 2.2)
+        empty = NoteAlignment(np.empty((2, 0), dtype=int), (0,), (0,), (), 1, 1, 1.2)
+        assert empty.pairs == () and empty.pair_columns.shape == (2, 0)
+
+    def test_rejects_columns_that_are_not_a_partition(self):
+        cases = [
+            ((np.array([[0, 1], [1, 2], [2, 3]]), (), (), 3, 4), "two index columns"),  # pairs as rows
+            ((np.array([[0, 0], [1, 2]]), (1, 2), (), 3, 3), "strictly increasing"),
+            ((np.array([[0, 2], [0, 1]]), (2,), (), 3, 3), "deletions must partition"),  # a gap
+            ((np.array([[0, 2], [0, 1]]), (2,), (1, 1), 3, 4), "deletions must partition"),  # a duplicate
+            ((np.array([[0, 1], [0, 1]]), (1,), (), 2, 3), "insertions must partition"),
+        ]
+        for (columns, insertions, deletions, n, m), message in cases:
+            with pytest.raises(ValueError, match=message):
+                NoteAlignment(columns, insertions, deletions, (), n, m, 0.0)
 
 
 class TestAlignPair:

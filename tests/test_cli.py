@@ -176,6 +176,43 @@ class TestExitCodes:
             assert f"{d / name}: " in err and message in err, err
             assert "Traceback" not in err
 
+    def test_the_first_bad_file_is_the_error_after_earlier_warnings(self, trio_dir, tmp_path, capsys):
+        good = (trio_dir / "p1.mid").read_bytes()
+        dangling = smf_bytes([note_on(0, 60, 64), note_on(240, 64, 60), note_off(240, 64), END_OF_TRACK])
+        bad_csv = b"onset,offset,pitch,dynamic\n0.5,0.25,60,64\n"
+        warning = "pianist-id: warning: p1.mid: dangling note-on (pitch 60) closed at final tick 480\n"
+        truncated = "track chunk length runs past end of file (byte offset 18)"
+        d = tmp_path / "in"
+        d.mkdir()
+        # the SMFs are p1 (warns), p2 (bad), p4 and p5 (bad); the note table p3 is bad too
+        for name, content in (("p1.mid", dangling), ("p2.mid", good[:30]), ("p3.csv", bad_csv),
+                              ("p4.mid", good), ("p5.mid", b"RIFF" + good[4:])):
+            (d / name).write_bytes(content)
+        bad_reference = tmp_path / "score.mid"
+        bad_reference.write_bytes(good[:40])
+        out = tmp_path / "out"
+        cases = [
+            ([], f"pianist-id: error: {d / 'p2.mid'}: {truncated}\n"),
+            # performances fail before a bad reference
+            (["--reference", str(bad_reference)], f"pianist-id: error: {d / 'p2.mid'}: {truncated}\n"),
+        ]
+        for argv, error in cases:
+            assert main(["align", "--input", str(d), "--out", str(out)] + argv) == 2
+            assert capsys.readouterr().err == warning + error
+            assert not out.exists()
+        # with p2 mended, the note table before p5 is the error
+        (d / "p2.mid").write_bytes(good)
+        assert main(["align", "--input", str(d), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == warning + (
+            f"pianist-id: error: {d / 'p3.csv'}: offset must exceed onset, got onset=0.5 offset=0.25\n"
+        )
+        # and with every performance mended, the reference fails after their warnings
+        (d / "p3.csv").unlink()
+        (d / "p5.mid").write_bytes(good)
+        assert main(["align", "--input", str(d), "--out", str(out), "--reference", str(bad_reference)]) == 2
+        assert capsys.readouterr().err == warning + f"pianist-id: error: {bad_reference}: {truncated}\n"
+        assert not out.exists()
+
     def test_unreadable_performance_file_exits_2_naming_it(self, trio_dir, tmp_path, capsys):
         d = tmp_path / "in"
         d.mkdir()

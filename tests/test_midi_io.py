@@ -540,7 +540,7 @@ class TestAgainstReferenceParser:
             data = smf_bytes(events + [END_OF_TRACK])
             assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
             assert len(parse_smf(data)) == 2 + len(events) - len(body)
-            assert midi_io._decode_track(midi_io._padded(data), 22, len(data)) is None
+            assert midi_io._decode_tracks([(data, 22, len(data))]) == [None]
         assert len(data) - 22 >= midi_io._ARRAY_TRACK_BYTES
 
     def test_running_status_data_byte_after_a_meta_event_is_an_error(self):
@@ -573,7 +573,7 @@ class TestAgainstReferenceParser:
         assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
         tempo_map = TempoMap(7, [(0, 0xFFFFFF)])
         exact = [tempo_map.to_seconds(t) for t in ticks]
-        assert tempo_map.to_seconds_array(np.array(ticks)).tolist() == exact
+        assert midi_io._seconds([tempo_map], [len(ticks)], np.array(ticks)[:, None])[:, 0].tolist() == exact
         # a plain float64 division of the products would miss some of them
         rounded = (np.array(ticks) * 0xFFFFFF).astype(np.float64) / 7_000_000
         assert rounded.tolist() != exact
@@ -606,42 +606,109 @@ def _track_chunks(data: bytes):
 
 
 class TestArrayTrackDecoder:
-    """``_decode_track`` against ``_scan_track``, one track chunk at a time."""
+    """``_decode_tracks`` against ``_scan_track``, on one track chunk and on many at once."""
 
     def test_fuzzed_tracks_decode_as_scan_track_reads_them(self):
         rng = random.Random(20261018)
-        seen = {"decoded": 0, "rejected": 0, "left to the scan": 0}
+        seen = {"decoded": 0, "rejected": 0, "left to the scan": 0, "uncertified between certified": 0}
+        tracks = []
         for i in range(2400):
             data = _damage(rng, _random_smf(rng, n_events=None if i % 2 else rng.randint(0, 150)))
-            padded = midi_io._padded(data)
-            for start, end in _track_chunks(data):
-                try:
-                    scanned = midi_io._scan_track(data, start, end)
-                    error = None
-                except SmfParseError as exc:
-                    error = exc
-                decoded = midi_io._decode_track(padded, start, end)
-                if decoded is None:
-                    # the scan rejects the track, or running status repeats a
-                    # program change or channel pressure in it
-                    if error is None:
-                        assert any(0xC0 <= byte < 0xE0 for byte in data[start:end]), data.hex()
-                    seen["rejected" if error else "left to the scan"] += 1
-                    continue
-                assert error is None, (str(error), data.hex())
-                assert decoded[1].dtype == scanned[1].dtype == np.int64, data.hex()
-                assert (decoded[0], decoded[1].tolist(), decoded[2]) == (
+            tracks += [(data, start, end) for start, end in _track_chunks(data)]
+        # every track alone, and all of them in one pass, where a track the
+        # pass cannot certify sits between tracks it decodes
+        batched = midi_io._decode_tracks(tracks)
+        for t, ((data, start, end), in_batch) in enumerate(zip(tracks, batched)):
+            try:
+                scanned = midi_io._scan_track(data, start, end)
+                error = None
+            except SmfParseError as exc:
+                error = exc
+            (decoded,) = midi_io._decode_tracks([(data, start, end)])
+            if decoded is None:
+                # the scan rejects the track, or running status repeats a
+                # program change or channel pressure in it
+                if error is None:
+                    assert any(0xC0 <= byte < 0xE0 for byte in data[start:end]), data.hex()
+                assert in_batch is None, data.hex()
+                seen["rejected" if error else "left to the scan"] += 1
+                neighbours = batched[t - 1 : t + 2 : 2]
+                seen["uncertified between certified"] += len(neighbours) == 2 and None not in neighbours
+                continue
+            assert error is None, (str(error), data.hex())
+            for got in (decoded, in_batch):
+                assert got[1].dtype == scanned[1].dtype == np.int64, data.hex()
+                assert (got[0], got[1].tolist(), got[2]) == (
                     scanned[0], scanned[1].tolist(), scanned[2]
                 ), data.hex()
-                seen["decoded"] += 1
+            seen["decoded"] += 1
         assert seen["decoded"] >= 2000 and seen["rejected"] >= 300 and seen["left to the scan"] >= 5, seen
+        assert seen["uncertified between certified"] >= 100, seen
 
     def test_short_tracks_are_left_to_the_scan(self, monkeypatch):
+        # the threshold applies to all the track bytes of a pass
         calls = []
-        decode = midi_io._decode_track
-        monkeypatch.setattr(midi_io, "_decode_track", lambda *args: calls.append(args) or decode(*args))
+        decode = midi_io._decode_tracks
+        monkeypatch.setattr(midi_io, "_decode_tracks", lambda tracks: calls.append(tracks) or decode(tracks))
         short = note_on(0, 60, 64) + note_off(480, 60) + END_OF_TRACK
         long = b"".join(note_on(7, 64, 70) + note_off(30, 64) for _ in range(200)) + END_OF_TRACK
-        assert len(short) < midi_io._ARRAY_TRACK_BYTES <= len(long)
+        assert 3 * len(short) < midi_io._ARRAY_TRACK_BYTES <= len(long)
+        assert len(parse_smf(_format_1(short, short, short))) == 3
+        assert calls == []
         assert len(parse_smf(_format_1(short, long, short))) == 202
-        assert [end - start for _, start, end in calls] == [len(long)]
+        assert [[end - start for _, start, end in tracks] for tracks in calls] == [
+            [len(short), len(long), len(short)]
+        ]
+
+    def test_passes_are_capped_by_the_byte_budget(self, monkeypatch):
+        calls = []
+        decode = midi_io._decode_tracks
+        monkeypatch.setattr(midi_io, "_decode_tracks", lambda tracks: calls.append(tracks) or decode(tracks))
+        rng = random.Random(3)
+        files = [(_random_smf(rng, n_events=rng.randint(0, 300)), f"p{i}", "x") for i in range(10)]
+        files.append((b"MThd", "bad", "x"))
+        one_at_a_time = [_outcome(_library_parse, data) for data, _, _ in files]
+        total = sum(end - start + midi_io._PAD for data, _, _ in files for start, end in _track_chunks(data))
+        default = midi_io._BATCH_BYTES
+        assert 4000 < total <= default
+        for budget in (default, 4000, 1):
+            monkeypatch.setattr(midi_io, "_BATCH_BYTES", budget)
+            calls.clear()
+            outcomes = list(midi_io.parse_smfs(files))
+            got = [
+                (type(o), str(o), o.offset) if isinstance(o, ValueError)
+                else ([(n.onset.hex(), n.offset.hex(), n.pitch, n.dynamic) for n in o[0].notes], o[1])
+                for o in outcomes
+            ]
+            assert got == one_at_a_time
+            for (_, performer_id, _), outcome in zip(files, outcomes):
+                assert isinstance(outcome, ValueError) or outcome[0].performer_id == performer_id
+            sizes = [sum(end - start + midi_io._PAD for _, start, end in tracks) for tracks in calls]
+            assert all(size <= budget or len(tracks) == 1 for size, tracks in zip(sizes, calls))
+            if budget == default:
+                assert len(calls) == 1
+            elif budget == 1:  # each track a pass of its own, decoded if long enough
+                long_tracks = [
+                    end - start >= midi_io._ARRAY_TRACK_BYTES
+                    for data, _, _ in files
+                    for start, end in _track_chunks(data)
+                ]
+                assert len(calls) == sum(long_tracks) > 0
+            else:
+                assert len(calls) > 1
+
+    def test_a_refused_note_is_the_outcome_of_its_file_alone(self, monkeypatch):
+        # no real tick converts a note-off onto its note-on, so the conversion is patched to
+        seconds = midi_io._seconds
+
+        def collapsed(maps, sizes, ticks):  # the second file's offsets fall on its onsets
+            out = seconds(maps, sizes, ticks)
+            second = slice(sizes[0], sizes[0] + sizes[1])
+            out[second, 1] = out[second, 0]
+            return out
+
+        monkeypatch.setattr(midi_io, "_seconds", collapsed)
+        data = write_smf(simple_performance([0.0, 0.5], [60, 62]))
+        first, second, third = midi_io.parse_smfs([(data, "a", "x"), (data, "b", "x"), (data, "c", "x")])
+        assert (first[0].performer_id, len(first[0]), third[0].performer_id, len(third[0])) == ("a", 2, "c", 2)
+        assert isinstance(second, ValueError) and str(second).startswith("offset must exceed onset")
