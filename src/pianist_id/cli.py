@@ -221,24 +221,20 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _read_smfs(files: list[tuple[Path, str]]) -> Iterator:
-    """Read the (path, piece id) SMFs as ``parse_smfs`` asks for them, and parse them in its batches.
+    """Read the (path, piece id) SMFs and parse them in one ``parse_smfs`` call.
 
     Yields each file's outcome in turn: its (performance, warnings), the
-    ``SmfParseError`` parsing it raised, or, for the first file that cannot
-    be read, the ``OSError`` reading it raised; no file after that is read.
+    ``ValueError`` parsing it raised, or, for the first file that cannot be
+    read, the ``OSError`` reading it raised; no file after that is read.
     """
-    unreadable = []
-
-    def read():
-        for path, piece_id in files:
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                unreadable.append(exc)
-                return
-            yield data, path.stem, piece_id
-
-    yield from parse_smfs(read())
+    read, unreadable = [], []
+    for path, piece_id in files:
+        try:
+            read.append((path.read_bytes(), path.stem, piece_id))
+        except OSError as exc:
+            unreadable.append(exc)
+            break
+    yield from parse_smfs(read)
     yield from unreadable
 
 

@@ -6,22 +6,21 @@ the downstream pipeline needs is kept. Sustain pedal (CC64) is ignored, so
 offsets are key-release times.
 
 The SMF reader takes many files at once (``parse_smfs``; a one-file parse is
-the batch of one), in groups of at most ``_BATCH_BYTES`` (32 KiB) of track
-chunks. One array pass decodes every track of a group (``_decode_tracks``):
+the batch of one). One array pass decodes the track chunks of all of them,
+or as many as fit in ``_BATCH_BYTES`` (32 KiB), together (``_decode_tracks``):
 where the next event would start from every byte offset of all its chunks,
 the chain of events from each chunk's start, then every event's tick, status
 and note at once, with FIFO note pairing by one stable sort keyed by (track,
 channel, pitch). A track that pass cannot certify (a malformed one, or one
 where running status repeats a 1-data-byte message), and every track of a
-group too short in all for numpy's per-call cost to pay off, go through
+pass too short in all for numpy's per-call cost to pay off, go through
 ``_scan_track``, one Python step per event, which also gives every error its
 message and byte offset. Both decoders return the same value per track: its
 tempo changes, its (on tick, off tick, pitch, velocity) rows in closing order,
 and how many of the last rows are note-ons left open and closed at the final
-tick. The reader then stacks the notes of a group's files and words both
-warnings of each file: the dangling note-ons, per track, then the zero-length
-notes. All ticks go to seconds in one vectorised step, every note is checked
-in one pass, and no per-note object is made.
+tick. The reader then merges each file's tracks and words both warnings: the
+dangling note-ons, per track, then the zero-length notes. All ticks of a file
+go to seconds in one vectorised step, and no per-note object is made.
 
 ``NoteEvent`` is one note, a plain named tuple checked when it enters a
 ``Performance``: the element of the ``.notes`` view, built on demand from the
@@ -40,7 +39,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -140,16 +138,12 @@ class Performance:
     note-on velocities). Notes tied in (onset, pitch) keep the order they were
     given in.
 
-    Every constructor takes the same path, ``_stacked``: every note is
-    checked in one vectorised pass (``_checked_columns``), and each
-    performance's columns are sorted with one stable ``np.lexsort``, on its
-    own, where near-sorted input keeps it fast. :meth:`from_columns` takes four
-    equal-length columns; ``Performance(performer_id, piece_id, notes)`` takes
-    ``NoteEvent``s and unzips them into columns at once; the SMF reader stacks
-    the notes of every file it reads and builds all their performances in one
-    such pass, each holding its slice of the sorted columns. ``notes`` is a
-    view: a new tuple of ``NoteEvent`` built from the checked columns on each
-    access.
+    Both constructors take the same path: every note is checked in one
+    vectorised pass (``_checked_columns``), and the columns are sorted with
+    one stable ``np.lexsort``. :meth:`from_columns` takes four equal-length
+    columns; ``Performance(performer_id, piece_id, notes)`` takes
+    ``NoteEvent``s and unzips them into columns at once. ``notes`` is a view:
+    a new tuple of ``NoteEvent`` built from the checked columns on each access.
     """
 
     performer_id: str
@@ -160,44 +154,28 @@ class Performance:
     dynamics: np.ndarray
 
     def __init__(self, performer_id: str, piece_id: str, notes: Iterable[NoteEvent] = ()):
-        columns = tuple(zip(*notes)) or ((),) * 4
-        (built,) = self._stacked([(performer_id, piece_id)], None, *columns)
-        self.__dict__.update(built.__dict__)  # the instance is frozen once built
+        self._set_columns(performer_id, piece_id, *(tuple(zip(*notes)) or ((),) * 4))
 
     @classmethod
     def from_columns(
         cls, performer_id: str, piece_id: str, onsets, offsets, pitches, dynamics
     ) -> Performance:
         """A performance from four equal-length note columns, in any note order."""
-        (performance,) = cls._stacked([(performer_id, piece_id)], None, onsets, offsets, pitches, dynamics)
+        performance = cls.__new__(cls)
+        performance._set_columns(performer_id, piece_id, onsets, offsets, pitches, dynamics)
         return performance
 
-    @classmethod
-    def _stacked(cls, ids, sizes, *columns) -> list[Performance]:
-        """A performance for each (performer id, piece id), from the next ``sizes`` notes
-        of the stacked columns (all of them when ``sizes`` is None).
-
-        Raises the ``ValueError`` of the first bad note in stack order.
-        """
+    def _set_columns(self, performer_id, piece_id, *columns) -> None:
         columns = _checked_columns(*columns)
-        bounds = list(accumulate([len(columns[0])] if sizes is None else sizes, initial=0))
-        # stable: by onset, then pitch, within each performance
-        order = np.concatenate(
-            [np.lexsort((columns[2][a:b], columns[0][a:b])) + a for a, b in zip(bounds, bounds[1:])]
-        )
+        order = np.lexsort((columns[2], columns[0]))  # stable: by onset, then pitch
         sorted_columns = [column[order] for column in columns]
         for column in sorted_columns:
             column.setflags(write=False)
-        performances = []
-        for (performer_id, piece_id), start, end in zip(ids, bounds, bounds[1:]):
-            performance = cls.__new__(cls)
-            performance.__dict__.update(  # the instance is frozen once built
-                zip(_COLUMNS, (column[start:end] for column in sorted_columns)),
-                performer_id=performer_id,
-                piece_id=piece_id,
-            )
-            performances.append(performance)
-        return performances
+        self.__dict__.update(  # the instance is frozen once built
+            zip(_COLUMNS, sorted_columns),
+            performer_id=performer_id,
+            piece_id=piece_id,
+        )
 
     @property
     def notes(self) -> tuple[NoteEvent, ...]:
@@ -256,36 +234,24 @@ class TempoMap:
             self.division * 1_000_000
         )
 
+    def to_seconds_array(self, ticks: np.ndarray) -> np.ndarray:
+        """``to_seconds`` of every tick, bit for bit.
 
-def _seconds(maps: list[TempoMap], sizes: list[int], ticks: np.ndarray) -> np.ndarray:
-    """``to_seconds`` of every tick of the (rows, k) ``ticks``, ``sizes`` rows for each
-    tempo map in turn, bit for bit.
-
-    Python divides the exact integer (tick - t_i) * tempo_i with one
-    rounding; float64 does the same only while that product is below
-    2**53. The ticks of a map whose products may reach it (a file spanning
-    months) are converted one at a time.
-    """
-    bounds = list(accumulate(sizes, initial=0))
-    firsts = list(accumulate((len(m._ticks) for m in maps), initial=0))
-    # each tick's tempo segment, indexing the breakpoints of every map in turn
-    segment = np.repeat(np.array(firsts[:-1], dtype=np.intp), sizes)[:, None].repeat(ticks.shape[1], axis=1)
-    for tempo_map, start, end in zip(maps, bounds, bounds[1:]):
-        if len(tempo_map._ticks) > 1:
-            segment[start:end] += np.searchsorted(tempo_map._ticks, ticks[start:end], side="right") - 1
-    since = ticks - np.array([t for m in maps for t in m._ticks], dtype=np.int64).take(segment)
-    since *= np.array([tempo for m in maps for tempo in m._tempos], dtype=np.int64).take(segment)
-    seconds = since.astype(np.float64)
-    unit = np.array([m.division * 1_000_000 for m in maps for _ in m._ticks], dtype=np.float64)
-    seconds /= unit.take(segment)
-    seconds += np.array([s for m in maps for s in m._seconds], dtype=np.float64).take(segment)
-    if len(ticks) and int(ticks.max()) * max(t for m in maps for t in m._tempos) >= _EXACT_INT:
-        for tempo_map, start, end in zip(maps, bounds, bounds[1:]):
-            block = ticks[start:end]
-            if len(block) and int(block.max()) * max(tempo_map._tempos) >= _EXACT_INT:
-                # products above may have wrapped around, and are replaced
-                seconds[start:end] = [[tempo_map.to_seconds(t) for t in row] for row in block.tolist()]
-    return seconds
+        Python divides the exact integer (tick - t_i) * tempo_i with one
+        rounding; float64 does the same only while that product is below
+        2**53. A file whose products may reach it (one spanning months) is
+        converted one tick at a time.
+        """
+        ticks = np.asarray(ticks, dtype=np.int64)
+        if len(ticks) and int(ticks.max()) * max(self._tempos) >= _EXACT_INT:
+            return np.array([self.to_seconds(t) for t in ticks.tolist()], dtype=np.float64)
+        i = np.searchsorted(self._ticks, ticks, side="right") - 1
+        product = (ticks - np.asarray(self._ticks, dtype=np.int64)[i]) * np.asarray(
+            self._tempos, dtype=np.int64
+        )[i]
+        return np.asarray(self._seconds)[i] + product.astype(np.float64) / (
+            self.division * 1_000_000
+        )
 
 
 def _need(data: bytes, pos: int, size: int) -> None:
@@ -350,49 +316,24 @@ def parse_smfs(
     Yields each file's outcome in turn: its (performance, warnings) or the
     error it raises (an ``SmfParseError``, or the ``ValueError`` of a note a
     ``Performance`` refuses), so a caller can report the files in its own
-    order. Files are read from ``files`` as they are needed, in groups whose
-    track chunks, each with its ``_PAD``, come to at most ``_BATCH_BYTES`` (a
-    file with more is a group of its own). A group's chunks are decoded in
-    one array pass (``_decode_tracks``), and its notes become performances in
-    one more (``_performances``), so the memory a call holds is bounded by
-    the budget as well as by its outputs.
+    order. The track chunks of all the files are decoded in array passes of
+    at most ``_BATCH_BYTES`` (``_decode_batches``), each when the first file
+    with a chunk in it is reached; each file's performance is then built from
+    its own tracks.
     """
-    group: list = []
-    size = 0
-    for data, performer_id, piece_id in files:
-        chunks = _chunks(data)
-        file_size = sum(end - start + _PAD for start, end in chunks[1])
-        if group and size + file_size > _BATCH_BYTES:
-            yield from _parse_group(group)
-            group, size = [], 0
-        group.append((data, performer_id, piece_id, chunks))
-        size += file_size
-    yield from _parse_group(group)
-
-
-def _parse_group(group: list) -> list[tuple[Performance, list[str]] | ValueError]:
-    """The outcomes of the (data, performer id, piece id, ``_chunks``) files of one group."""
-    tracks = [(data, start, end) for data, _, _, (_, spans, _) in group for start, end in spans]
-    decoded = iter(_decode_batches(tracks))
-    outcomes: list = []
-    parsed = []  # (index, performer id, piece id, time division, decoded tracks) of each good file
-    for index, (data, performer_id, piece_id, (division, spans, error)) in enumerate(group):
+    files = [(data, performer_id, piece_id, *_chunks(data)) for data, performer_id, piece_id in files]
+    decoded = _decode_batches([(data, start, end) for data, _, _, _, spans, _ in files for start, end in spans])
+    for data, performer_id, piece_id, division, spans, error in files:
         results = [next(decoded) for _ in spans]
         try:
             # a track's error comes before the error of any chunk after it
-            results = [
-                result or _scan_track(data, start, end) for result, (start, end) in zip(results, spans)
-            ]
+            results = [result or _scan_track(data, start, end) for result, (start, end) in zip(results, spans)]
             if error is not None:
                 raise error
-        except SmfParseError as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append(None)
-        parsed.append((index, performer_id, piece_id, division, results))
-    for (index, *_), outcome in zip(parsed, _performances(parsed)):
-        outcomes[index] = outcome
-    return outcomes
+            outcome = _performance(performer_id, piece_id, division, results)
+        except ValueError as exc:
+            outcome = exc
+        yield outcome
 
 
 def _chunks(data: bytes) -> tuple[int, list[tuple[int, int]], SmfParseError | None]:
@@ -437,71 +378,47 @@ def _chunks(data: bytes) -> tuple[int, list[tuple[int, int]], SmfParseError | No
     return division, spans, None
 
 
-def _performances(parsed: list) -> list[tuple[Performance, list[str]] | ValueError]:
-    """Each parsed file's (performance, warnings), from its decoded tracks in file
-    order, or the ``ValueError`` of a note its performance refuses.
+def _performance(performer_id: str, piece_id: str, division: int, results: list):
+    """The (performance, warnings) of an SMF from its decoded tracks in file order.
 
-    The notes of all the files are stacked: one tick to seconds conversion
-    and one ``Performance._stacked`` pass serve them all, and only the sorts
-    go file by file. Each file's warnings are the dangling note-ons, per
-    track, then the zero-length notes.
+    The warnings are the dangling note-ons, per track, then the zero-length notes.
     """
-    if not parsed:
-        return []
-    ids, sizes, maps, warnings, rows = [], [], [], [], []
-    for _, performer_id, piece_id, division, results in parsed:
-        tempo_changes, file_warnings = [], []
-        for tempos, track_rows, n_open in results:
-            tempo_changes += tempos
-            if n_open:
-                file_warnings += [
-                    f"dangling note-on (pitch {pitch}) closed at final tick {tick}"
-                    for tick, pitch in track_rows[len(track_rows) - n_open :, 1:3].tolist()
-                ]
-            rows.append(track_rows)
-        ids.append((performer_id, piece_id))
-        sizes.append(sum(len(track_rows) for _, track_rows, _ in results))
-        maps.append(TempoMap(division, tempo_changes))
-        warnings.append(file_warnings)
-    rows = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
-    bounds = list(accumulate(sizes, initial=0))
+    warnings: list[str] = []
+    tempo_changes: list[tuple[int, int]] = []
+    for tempos, rows, n_open in results:
+        tempo_changes += tempos
+        warnings += [
+            f"dangling note-on (pitch {pitch}) closed at final tick {tick}"
+            for tick, pitch in rows[len(rows) - n_open :, 1:3].tolist()
+        ]
+    ticks = np.concatenate([rows for _, rows, _ in results]) if results else np.empty((0, 4), dtype=np.int64)
     # Within a track, notes close in file order at non-decreasing ticks, so a
-    # stable sort by the closing note-off's tick orders a file's notes by
-    # (tick, file position) across its tracks.
-    rows = rows[
-        np.concatenate([np.argsort(rows[a:b, 1], kind="stable") + a for a, b in zip(bounds, bounds[1:])])
-    ]
-    zero_length = np.flatnonzero(rows[:, 1] == rows[:, 0])
-    files = np.searchsorted(bounds, zero_length, side="right") - 1
-    for file, on_tick, pitch in zip(files.tolist(), *rows[zero_length][:, [0, 2]].T.tolist()):
-        warnings[file].append(f"zero-length note (pitch {pitch}) at tick {on_tick} extended by one tick")
-    rows[zero_length, 1] += 1
+    # stable sort by the closing note-off's tick orders them by (tick, file
+    # position) across tracks.
+    ticks = ticks[np.argsort(ticks[:, 1], kind="stable")]
+    zero_length = np.flatnonzero(ticks[:, 1] == ticks[:, 0])
+    for on_tick, pitch in ticks[zero_length][:, [0, 2]].tolist():
+        warnings.append(f"zero-length note (pitch {pitch}) at tick {on_tick} extended by one tick")
+    ticks[zero_length, 1] += 1
 
-    seconds = _seconds(maps, sizes, rows[:, :2])
-    columns = (seconds[:, 0], seconds[:, 1], rows[:, 2], rows[:, 3])
-    try:
-        performances = Performance._stacked(ids, sizes, *columns)
-    except ValueError:  # a note is refused: each file alone, for its own outcome
-        performances = []
-        for file_id, start, end in zip(ids, bounds, bounds[1:]):
-            try:
-                performances += Performance._stacked([file_id], None, *(c[start:end] for c in columns))
-            except ValueError as exc:
-                performances.append(exc)
-    for performance, file_warnings, (_, performer_id, _, _, results) in zip(performances, warnings, parsed):
-        if isinstance(performance, Performance):
-            log.debug(
-                "parsed %s: %d tracks, %d notes, %d tempo changes, %d warnings",
-                performer_id or "<unnamed>", len(results), len(performance),
-                sum(len(tempos) for tempos, _, _ in results), len(file_warnings),
-            )
-    return [
-        performance if isinstance(performance, ValueError) else (performance, file_warnings)
-        for performance, file_warnings in zip(performances, warnings)
-    ]
+    tempo_map = TempoMap(division, tempo_changes)
+    performance = Performance.from_columns(
+        performer_id,
+        piece_id,
+        tempo_map.to_seconds_array(ticks[:, 0]),
+        tempo_map.to_seconds_array(ticks[:, 1]),
+        ticks[:, 2],
+        ticks[:, 3],
+    )
+    log.debug(
+        "parsed %s: %d tracks, %d notes, %d tempo changes, %d warnings",
+        performer_id or "<unnamed>", len(results), len(performance), len(tempo_changes),
+        len(warnings),
+    )
+    return performance, warnings
 
 
-#: A batch whose track chunks add up to fewer bytes than this goes straight to
+#: A pass whose track chunks add up to fewer bytes than this goes straight to
 #: ``_scan_track``: there its per-event loop beats the array pass's fixed cost
 #: of numpy calls (on synth renders the two broke even near 1.1 KB, about 120
 #: notes).
@@ -512,8 +429,10 @@ _ARRAY_TRACK_BYTES = 1200
 #: 12.8, 8.2, 6.3, 5.7, 6.2 and 7.4 ms, since from 64 KiB on its int32
 #: temporaries outgrow malloc's heap and fault in fresh pages on every pass.
 _BATCH_BYTES = 1 << 15
-#: Positions in a pass are int32; a chunk this long goes to ``_scan_track``.
-_MAX_ARRAY_TRACK_BYTES = 1 << 29
+#: Positions in a pass are int32, and an unsupported status byte sends its
+#: event ``1 << 30`` on: a pass whose bytes, pads included, reach this goes to
+#: ``_scan_track``.
+_MAX_ARRAY_TRACK_BYTES = 1 << 30
 #: The bytes of its file copied after each chunk, zeros past the file's end:
 #: the array pass reads up to this far past an offset without bounds checks.
 _PAD = 16
@@ -534,22 +453,21 @@ _TWO_DATA_BYTES = np.zeros(256, dtype=bool)  # what running status may repeat, a
 _TWO_DATA_BYTES[0x80:0xC0] = _TWO_DATA_BYTES[0xE0:0xF0] = True
 
 
-def _decode_batches(tracks: Sequence[tuple[bytes, int, int]]) -> list:
-    """``_decode_tracks`` of the (data, start, end) track chunks, in passes of at most
-    ``_BATCH_BYTES``; None for every chunk of a pass shorter than ``_ARRAY_TRACK_BYTES``."""
-    decoded: list = []
+def _decode_batches(tracks: Sequence[tuple[bytes, int, int]]) -> Iterator:
+    """``_decode_tracks`` of each of the (data, start, end) track chunks in turn, one pass
+    of at most ``_BATCH_BYTES`` at a time; None for every chunk of a pass that has fewer
+    than ``_ARRAY_TRACK_BYTES`` track bytes."""
     i = 0
     while i < len(tracks):
         j, size = i + 1, tracks[i][2] - tracks[i][1] + _PAD
         while j < len(tracks) and size + tracks[j][2] - tracks[j][1] + _PAD <= _BATCH_BYTES:
             size += tracks[j][2] - tracks[j][1] + _PAD
             j += 1
-        if _ARRAY_TRACK_BYTES <= size - (j - i) * _PAD < _MAX_ARRAY_TRACK_BYTES:
-            decoded += _decode_tracks(tracks[i:j])
+        if _ARRAY_TRACK_BYTES <= size - (j - i) * _PAD and size < _MAX_ARRAY_TRACK_BYTES:
+            yield from _decode_tracks(tracks[i:j])
         else:
-            decoded += [None] * (j - i)
+            yield from [None] * (j - i)
         i = j
-    return decoded
 
 
 def _decode_tracks(tracks: Sequence[tuple[bytes, int, int]]) -> list:
@@ -778,9 +696,10 @@ def _scan_track(data: bytes, pos: int, end: int):
     FIFO per (channel, pitch) as they come; a note closed at its note-on's tick
     is left zero-length. The reader extends it and words both warnings.
 
-    This reads the tracks ``_decode_track`` leaves: short ones, and any it
-    cannot certify, so a malformed track raises here with its message and
-    byte offset. An event may read past ``end`` before it is checked against
+    This reads the tracks ``_decode_tracks`` leaves: those of a pass with
+    fewer than ``_ARRAY_TRACK_BYTES`` track bytes, and any the pass cannot
+    certify, so a malformed track raises here with its message and byte
+    offset. An event may read past ``end`` before it is checked against
     it. A byte read past the end of ``data`` is "truncated data" at offset
     ``len(data)``, where a run of single-byte reads must fail.
     """

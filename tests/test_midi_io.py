@@ -573,7 +573,7 @@ class TestAgainstReferenceParser:
         assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
         tempo_map = TempoMap(7, [(0, 0xFFFFFF)])
         exact = [tempo_map.to_seconds(t) for t in ticks]
-        assert midi_io._seconds([tempo_map], [len(ticks)], np.array(ticks)[:, None])[:, 0].tolist() == exact
+        assert tempo_map.to_seconds_array(np.array(ticks)).tolist() == exact
         # a plain float64 division of the products would miss some of them
         rounded = (np.array(ticks) * 0xFFFFFF).astype(np.float64) / 7_000_000
         assert rounded.tolist() != exact
@@ -696,19 +696,3 @@ class TestArrayTrackDecoder:
                 assert len(calls) == sum(long_tracks) > 0
             else:
                 assert len(calls) > 1
-
-    def test_a_refused_note_is_the_outcome_of_its_file_alone(self, monkeypatch):
-        # no real tick converts a note-off onto its note-on, so the conversion is patched to
-        seconds = midi_io._seconds
-
-        def collapsed(maps, sizes, ticks):  # the second file's offsets fall on its onsets
-            out = seconds(maps, sizes, ticks)
-            second = slice(sizes[0], sizes[0] + sizes[1])
-            out[second, 1] = out[second, 0]
-            return out
-
-        monkeypatch.setattr(midi_io, "_seconds", collapsed)
-        data = write_smf(simple_performance([0.0, 0.5], [60, 62]))
-        first, second, third = midi_io.parse_smfs([(data, "a", "x"), (data, "b", "x"), (data, "c", "x")])
-        assert (first[0].performer_id, len(first[0]), third[0].performer_id, len(third[0])) == ("a", 2, "c", 2)
-        assert isinstance(second, ValueError) and str(second).startswith("offset must exceed onset")
