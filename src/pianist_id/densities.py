@@ -9,9 +9,8 @@ A ``Histogram`` holds one model, or a stack of models with one per row.
 size and a function that counts, per row, the values below each edge; a
 value lies in bin i when ``edges[i] <= v < edges[i + 1]``, and the last bin
 also holds ``edges[-1]``, as in ``np.histogram``. ``fit_histogram`` is its
-one-model case, counting in its sorted series. Cross-validation counts in
-``RankedValues``, which ranks every value of a feature kind once and counts
-any labelled subset below many points at once.
+one-model case, counting in its sorted series; cross-validation counts in
+each sorted chunk and performer's values.
 
 ``kernel_sum`` sums Gaussian kernels exactly on a grid, for one sample or a
 stack of equal-length samples, whose rows keep the bits of their lone sums.
@@ -161,32 +160,6 @@ def fit_histograms(lo, hi, sizes, count_below, n_bins: int = DEFAULT_N_BINS) -> 
     eps = HISTOGRAM_SMOOTHING_EPS
     masses = (masses + eps) / (1.0 + n_bins * eps)
     return Histogram(edges=edges, masses=masses, smoothing_eps=eps)
-
-
-class RankedValues:
-    """Values ranked once, answering "how many values with this label lie below x"
-    for many (label, x) pairs from x's rank among all values (``sorted``).
-
-    ``labels`` holds one or more arrays, each giving every value a label in
-    [0, n_labels), so a value can belong to several labelled subsets. A
-    label's values are the keys ``label * stride + rank`` in one sorted
-    integer array, so a point's rank among all values locates it among any
-    label's values exactly.
-    """
-
-    def __init__(self, values: np.ndarray, labels, n_labels: int):
-        order = np.argsort(values)  # ties may rank either way: counts below a point agree
-        self.sorted = values[order]
-        self.stride = len(values) + 1
-        ranks = np.arange(len(values))
-        self.keys = np.sort(np.concatenate([lab[order] * self.stride + ranks for lab in labels]))
-        sizes = np.bincount(np.concatenate(labels), minlength=n_labels)
-        self.starts = np.concatenate(([0], np.cumsum(sizes)))
-
-    def below(self, labels: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """Per row, how many values with label ``labels[i]`` lie below the points ranked ``ranks[i]``."""
-        keys = labels[:, None] * self.stride + ranks
-        return np.searchsorted(self.keys, keys) - self.starts[labels][:, None]
 
 
 def histogram_pdf(model: Histogram, x) -> np.ndarray | float:

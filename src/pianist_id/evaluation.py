@@ -182,6 +182,8 @@ def classify(
     def values(x):
         return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
+    if not train_series:
+        raise ValueError("classification needs at least 1 candidate")
     candidates = sorted(train_series)
     chunks = {kind: {} for kind in config.feature_set}
     for kind, pid in product(config.feature_set, candidates):
@@ -451,26 +453,22 @@ def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) 
 def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
     """One kind's ``_kind_kls`` array for the histogram family.
 
-    Every grouped value is ranked once, under its group and under its
-    performer (``densities.RankedValues``). A model's bin counts are counts of
-    values below its edges, and a pool's are its performer's total less the
-    held-out group's, exact in integers; each edge is ranked among all values
-    once for both. All models are fitted in one ``fit_histograms`` pass, in
-    the order one-by-one fitting meets them (per group, every pool, then
-    every non-empty test), so the first that cannot be fitted raises the same
-    error. The ranking is released before every (test, candidate) pair is
-    scored in one ``divergence.kl_histogram_rows`` pass over the fitted stack.
+    Each (performer, group) chunk and each performer's values are sorted
+    once. A model's bin counts are counts of values below its edges: a
+    test's are one ``np.searchsorted`` in its sorted chunk, and a pool's are
+    its performer's less the held-out chunk's, exact in integers. All models
+    are fitted in one ``fit_histograms`` pass, in the order one-by-one
+    fitting meets them (per group, every pool, then every non-empty test), so
+    the first that cannot be fitted raises the same error. The sorted copies
+    are released before every (test, candidate) pair is scored in one
+    ``divergence.kl_histogram_rows`` pass over the fitted stack.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
     sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
     values = np.concatenate([c for pid in pids for c in chunks[pid]])
-    groups = np.arange(n * n_groups)  # label of performer p's group g: p * n_groups + g
-    ranked = densities.RankedValues(
-        values,
-        (np.repeat(groups, sizes.ravel()), np.repeat(n * n_groups + np.arange(n), sizes.sum(axis=1))),
-        n * n_groups + n,
-    )
+    sorted_chunks = [[np.sort(c) for c in chunks[pid]] for pid in pids]
+    sorted_totals = [np.sort(np.concatenate(chunks[pid])) for pid in pids]
     filled = sizes > 0
     starts = (np.cumsum(sizes) - sizes.ravel())[filled.ravel()]
     lo, hi = np.full(sizes.shape, np.inf), np.full(sizes.shape, -np.inf)
@@ -487,9 +485,11 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
     pool = ~is_test
 
     def count_below(edges):
-        ranks = np.searchsorted(ranked.sorted, edges)
-        below = ranked.below(p * n_groups + g, ranks)
-        below[pool] = ranked.below(n * n_groups + p[pool], ranks[pool]) - below[pool]
+        below = np.empty(edges.shape, dtype=np.intp)
+        for i, (pi, gi, in_pool) in enumerate(zip(p.tolist(), g.tolist(), pool.tolist())):
+            below[i] = np.searchsorted(sorted_chunks[pi][gi], edges[i])
+            if in_pool:
+                below[i] = np.searchsorted(sorted_totals[pi], edges[i]) - below[i]
         return below
 
     fitted = densities.fit_histograms(
@@ -499,7 +499,7 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
         count_below,
         n_bins,
     )
-    del ranked, values  # freed before the KL pass, whose temporaries set the peak
+    del sorted_chunks, sorted_totals, values  # freed before the KL pass, whose temporaries set the peak
     row = np.zeros(exists.shape, dtype=np.intp)
     row[exists] = np.arange(len(g))
     test_p, test_g = np.nonzero(filled & scored.T)  # scored trials with test values, in order

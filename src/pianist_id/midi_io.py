@@ -12,8 +12,7 @@ where the next event would start from every byte offset of all its chunks,
 the chain of events from each chunk's start, then every event's tick, status
 and note at once, with FIFO note pairing by one stable sort keyed by (track,
 channel, pitch). A track that pass cannot certify (a malformed one, or one
-where running status repeats a 1-data-byte message), and every track of a
-pass too short in all for numpy's per-call cost to pay off, go through
+where running status repeats a 1-data-byte message) goes through
 ``_scan_track``, one Python step per event, which also gives every error its
 message and byte offset. Both decoders return the same value per track: its
 tempo changes, its (on tick, off tick, pitch, velocity) rows in closing order,
@@ -418,11 +417,6 @@ def _performance(performer_id: str, piece_id: str, division: int, results: list)
     return performance, warnings
 
 
-#: A pass whose track chunks add up to fewer bytes than this goes straight to
-#: ``_scan_track``: there its per-event loop beats the array pass's fixed cost
-#: of numpy calls (on synth renders the two broke even near 1.1 KB, about 120
-#: notes).
-_ARRAY_TRACK_BYTES = 1200
 #: One array pass takes consecutive track chunks until their bytes, each with
 #: its ``_PAD``, would pass this; a longer chunk goes alone. Measured on 52
 #: synth renders (113 KB in all): a pass per 4, 8, 16, 32, 64 and 128 KiB took
@@ -455,15 +449,15 @@ _TWO_DATA_BYTES[0x80:0xC0] = _TWO_DATA_BYTES[0xE0:0xF0] = True
 
 def _decode_batches(tracks: Sequence[tuple[bytes, int, int]]) -> Iterator:
     """``_decode_tracks`` of each of the (data, start, end) track chunks in turn, one pass
-    of at most ``_BATCH_BYTES`` at a time; None for every chunk of a pass that has fewer
-    than ``_ARRAY_TRACK_BYTES`` track bytes."""
+    of at most ``_BATCH_BYTES`` at a time; None for every chunk of a pass too large for
+    int32 positions."""
     i = 0
     while i < len(tracks):
         j, size = i + 1, tracks[i][2] - tracks[i][1] + _PAD
         while j < len(tracks) and size + tracks[j][2] - tracks[j][1] + _PAD <= _BATCH_BYTES:
             size += tracks[j][2] - tracks[j][1] + _PAD
             j += 1
-        if _ARRAY_TRACK_BYTES <= size - (j - i) * _PAD and size < _MAX_ARRAY_TRACK_BYTES:
+        if size < _MAX_ARRAY_TRACK_BYTES:
             yield from _decode_tracks(tracks[i:j])
         else:
             yield from [None] * (j - i)
@@ -696,12 +690,12 @@ def _scan_track(data: bytes, pos: int, end: int):
     FIFO per (channel, pitch) as they come; a note closed at its note-on's tick
     is left zero-length. The reader extends it and words both warnings.
 
-    This reads the tracks ``_decode_tracks`` leaves: those of a pass with
-    fewer than ``_ARRAY_TRACK_BYTES`` track bytes, and any the pass cannot
-    certify, so a malformed track raises here with its message and byte
-    offset. An event may read past ``end`` before it is checked against
-    it. A byte read past the end of ``data`` is "truncated data" at offset
-    ``len(data)``, where a run of single-byte reads must fail.
+    This reads the tracks ``_decode_tracks`` leaves: any the pass cannot
+    certify, and those of a pass too large for its int32 positions, so a
+    malformed track raises here with its message and byte offset. An event
+    may read past ``end`` before it is checked against it. A byte read past
+    the end of ``data`` is "truncated data" at offset ``len(data)``, where a
+    run of single-byte reads must fail.
     """
     n = len(data)
     tick = 0

@@ -252,6 +252,12 @@ class TestClassify:
             classify({"OT": np.asarray([])}, train, config)
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_no_candidates_raises(self, family):
+        config = ExperimentConfig(model_family=family, feature_set=("OT",), gmm_k=1)
+        with pytest.raises(ValueError, match=r"^classification needs at least 1 candidate$"):
+            classify({"OT": np.linspace(0.0, 1.0, 12)}, {}, config)
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_empty_training_series_names_kind_and_candidate(self, family, monkeypatch):
         config = ExperimentConfig(model_family=family, feature_set=("OT", "DL"), gmm_k=1)
         values = np.linspace(0.0, 1.0, 12)

@@ -511,21 +511,26 @@ class TestAgainstReferenceParser:
                 seen["zero-length"] += any("zero-length" in w for w in expected[1])
         assert min(seen.values()) >= 20, seen
 
-    def test_long_tracks_parse_as_the_reference_parses_them(self):
-        # tracks long enough for the array pass, intact or damaged
+    def test_long_tracks_parse_as_the_reference_parses_them(self, monkeypatch):
+        # long tracks, intact or damaged, at least 100 of them certified by the array pass
+        certified = []
+        decode = midi_io._decode_tracks
+
+        def counted(tracks):
+            results = decode(tracks)
+            certified.extend(result is not None for result in results)
+            return results
+
+        monkeypatch.setattr(midi_io, "_decode_tracks", counted)
         rng = random.Random(20261019)
-        array_tracks = 0
-        for _ in range(150):
+        for _ in range(200):
             data = _damage(rng, _random_smf(rng, n_events=rng.randint(150, 400)))
-            array_tracks += sum(
-                end - start >= midi_io._ARRAY_TRACK_BYTES for start, end in _track_chunks(data)
-            )
             expected, got = _outcome(reference_parse, data), _outcome(_library_parse, data)
             if got[0] is SmfParseError and got[1].startswith("tempo must be positive"):
                 assert data[got[2] : got[2] + 3] == b"\0\0\0"  # as in the fuzz test above
                 continue
             assert got == expected, data.hex()
-        assert array_tracks >= 100
+        assert sum(certified) >= 100
 
     def test_running_status_on_one_data_byte_messages(self):
         # program change and channel pressure repeated under running status, then notes
@@ -541,7 +546,6 @@ class TestAgainstReferenceParser:
             assert _outcome(_library_parse, data) == _outcome(reference_parse, data)
             assert len(parse_smf(data)) == 2 + len(events) - len(body)
             assert midi_io._decode_tracks([(data, 22, len(data))]) == [None]
-        assert len(data) - 22 >= midi_io._ARRAY_TRACK_BYTES
 
     def test_running_status_data_byte_after_a_meta_event_is_an_error(self):
         notes = [note_on(7, 64 + i % 5, 70) + note_off(30, 64 + i % 5) for i in range(200)]
@@ -645,21 +649,6 @@ class TestArrayTrackDecoder:
         assert seen["decoded"] >= 2000 and seen["rejected"] >= 300 and seen["left to the scan"] >= 5, seen
         assert seen["uncertified between certified"] >= 100, seen
 
-    def test_short_tracks_are_left_to_the_scan(self, monkeypatch):
-        # the threshold applies to all the track bytes of a pass
-        calls = []
-        decode = midi_io._decode_tracks
-        monkeypatch.setattr(midi_io, "_decode_tracks", lambda tracks: calls.append(tracks) or decode(tracks))
-        short = note_on(0, 60, 64) + note_off(480, 60) + END_OF_TRACK
-        long = b"".join(note_on(7, 64, 70) + note_off(30, 64) for _ in range(200)) + END_OF_TRACK
-        assert 3 * len(short) < midi_io._ARRAY_TRACK_BYTES <= len(long)
-        assert len(parse_smf(_format_1(short, short, short))) == 3
-        assert calls == []
-        assert len(parse_smf(_format_1(short, long, short))) == 202
-        assert [[end - start for _, start, end in tracks] for tracks in calls] == [
-            [len(short), len(long), len(short)]
-        ]
-
     def test_passes_are_capped_by_the_byte_budget(self, monkeypatch):
         calls = []
         decode = midi_io._decode_tracks
@@ -687,12 +676,7 @@ class TestArrayTrackDecoder:
             assert all(size <= budget or len(tracks) == 1 for size, tracks in zip(sizes, calls))
             if budget == default:
                 assert len(calls) == 1
-            elif budget == 1:  # each track a pass of its own, decoded if long enough
-                long_tracks = [
-                    end - start >= midi_io._ARRAY_TRACK_BYTES
-                    for data, _, _ in files
-                    for start, end in _track_chunks(data)
-                ]
-                assert len(calls) == sum(long_tracks) > 0
+            elif budget == 1:  # each track a pass of its own
+                assert len(calls) == sum(len(list(_track_chunks(data))) for data, _, _ in files) > 0
             else:
                 assert len(calls) > 1
