@@ -441,6 +441,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise InputError("--performers must be at least 2")
     if n_notes < 2:
         raise InputError("--notes must be at least 2")
+    if seed < 0:
+        raise InputError(f"--seed must be non-negative, got {seed}")
     try:
         profiles = synth.default_profiles(n_performers, base_seed=seed, separation=args.separation)
     except ValueError as exc:  # a profile out of range

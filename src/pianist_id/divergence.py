@@ -194,9 +194,9 @@ def kl_kde(p: KDE, q: KDE) -> KlResult:
     return kl_on_grid(np.asarray(kde_pdf(p, grid)), np.asarray(kde_pdf(q, grid)), grid)
 
 
-def gaussian_kl(mean_p: float, var_p: float, mean_q: float, var_q: float) -> float:
-    """Closed-form KL between two univariate Gaussians, in nats."""
-    return 0.5 * (math.log(var_q / var_p) + (var_p + (mean_p - mean_q) ** 2) / var_q - 1.0)
+def gaussian_kl(mean_p, var_p, mean_q, var_q):
+    """Closed-form KL between two univariate Gaussians, in nats; broadcasts over arrays."""
+    return 0.5 * (np.log(var_q / var_p) + (var_p + (mean_p - mean_q) ** 2) / var_q - 1.0)
 
 
 def kl_gmm(p: GMM, q: GMM) -> KlResult:
@@ -207,19 +207,12 @@ def kl_gmm(p: GMM, q: GMM) -> KlResult:
     with closed-form Gaussian component divergences; clamped at 0 from below.
     Identical mixtures give exactly 0.
     """
-    kl_pp = _pairwise_gaussian_kl(p, p)
-    kl_pq = _pairwise_gaussian_kl(p, q)
+    kl_pp = gaussian_kl(p.means[:, None], p.variances[:, None], p.means, p.variances)
+    kl_pq = gaussian_kl(p.means[:, None], p.variances[:, None], q.means, q.variances)
     numerator = _log_weighted_sum_exp(p.weights, -kl_pp)
     denominator = _log_weighted_sum_exp(q.weights, -kl_pq)
     value = float(np.sum(p.weights * (numerator - denominator)))
     return KlResult(value=max(value, 0.0), method="variational")
-
-
-def _pairwise_gaussian_kl(a: GMM, b: GMM) -> np.ndarray:
-    var_a = a.variances[:, None]
-    var_b = b.variances[None, :]
-    delta = a.means[:, None] - b.means[None, :]
-    return 0.5 * (np.log(var_b / var_a) + (var_a + delta**2) / var_b - 1.0)
 
 
 def _log_weighted_sum_exp(weights: np.ndarray, log_terms: np.ndarray) -> np.ndarray:

@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ValueError(f"gmm_k must be >= 1, got {self.gmm_k}")
         if self.gmm_k > densities.GMM_K_CAP:
             raise ValueError(f"gmm_k={self.gmm_k} exceeds the component cap {densities.GMM_K_CAP}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         bandwidths = dict(self.bandwidths)
         if len(bandwidths) != len(self.bandwidths):
             raise ValueError("bandwidths must not repeat kinds")
@@ -187,6 +189,10 @@ def classify(
     candidates = sorted(train_series)
     chunks = {kind: {} for kind in config.feature_set}
     for kind, pid in product(config.feature_set, candidates):
+        if kind not in train_series[pid]:
+            raise ValueError(f"no {kind} training series for candidate {pid!r}")
+        if kind not in test_series:
+            raise ValueError(f"no {kind} test series for the query")
         train = values(train_series[pid][kind])
         if not len(train):
             raise ValueError(f"empty {kind} training series for candidate {pid!r}")

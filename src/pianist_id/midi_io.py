@@ -10,16 +10,15 @@ the batch of one). One array pass decodes the track chunks of all of them,
 or as many as fit in ``_BATCH_BYTES`` (32 KiB), together (``_decode_tracks``):
 where the next event would start from every byte offset of all its chunks,
 the chain of events from each chunk's start, then every event's tick, status
-and note at once, with FIFO note pairing by one stable sort keyed by (track,
-channel, pitch). A track that pass cannot certify (a malformed one, or one
+and note at once. A track that pass cannot certify (a malformed one, or one
 where running status repeats a 1-data-byte message) goes through
 ``_scan_track``, one Python step per event, which also gives every error its
-message and byte offset. Both decoders return the same value per track: its
-tempo changes, its (on tick, off tick, pitch, velocity) rows in closing order,
-and how many of the last rows are note-ons left open and closed at the final
-tick. The reader then merges each file's tracks and words both warnings: the
-dangling note-ons, per track, then the zero-length notes. All ticks of a file
-go to seconds in one vectorised step, and no per-note object is made.
+message and byte offset. Both decoders pair notes FIFO through ``_pair_notes``
+and return per track its tempo changes, its (on tick, off tick, pitch,
+velocity) rows in closing order, and how many of the last rows are note-ons
+left open and closed at the final tick. The reader then merges each file's
+tracks and words both warnings: the dangling note-ons, per track, then the
+zero-length notes. All ticks of a file go to seconds in one vectorised step.
 
 ``NoteEvent`` is one note, a plain named tuple checked when it enters a
 ``Performance``: the element of the ``.notes`` view, built on demand from the
@@ -35,7 +34,6 @@ import numbers
 import operator
 import struct
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -467,8 +465,9 @@ def _decode_batches(tracks: Sequence[tuple[bytes, int, int]]) -> Iterator:
 def _decode_tracks(tracks: Sequence[tuple[bytes, int, int]]) -> list:
     """Decode every track chunk ``data[start:end]`` as ``_scan_track`` reads it, in one array pass.
 
-    Returns, per track, ``_scan_track``'s (tempo changes, rows, n_open),
-    equal to it, or None for a track this pass cannot certify: one that
+    Returns, per track, its (tempo changes, rows, n_open): the (tick, tempo)
+    pairs in file order, and ``_pair_notes``' rows and open count for its
+    note events; or None for a track this pass cannot certify: one that
     ``_scan_track`` rejects, or one where running status repeats a
     1-data-byte message. The chunks are copied into one buffer, each followed
     by the next ``_PAD`` bytes of its file, and the pass works on arrays:
@@ -480,8 +479,8 @@ def _decode_tracks(tracks: Sequence[tuple[bytes, int, int]]) -> list:
     2. per chunk, the chain of events from its start, which must land on its end;
     3. the ticks, statuses, notes and tempos of the events on every chain at
        once: tick sums and running status start afresh at each chunk, a chunk
-       with a bad event is left out, and FIFO note pairing goes per (chunk,
-       channel, pitch) by one stable sort on that key.
+       with a bad event is left out, and the notes of every kept chunk go to
+       one ``_pair_notes`` call, keyed by (chunk, channel, pitch).
     """
     k = len(tracks)
     starts, ends, file_ends = [], [], []
@@ -621,16 +620,16 @@ def _decode_tracks(tracks: Sequence[tuple[bytes, int, int]]) -> list:
 def _pair_notes(keys, on, ticks, pitches, velocities, tracks, final_ticks):
     """FIFO-pair note events, given in file order, per key; returns (rows, n_rows, n_open).
 
-    ``tracks`` gives each event's chunk, which ``keys`` must keep apart, and
-    ``final_ticks`` each chunk's final tick. The rows are every chunk's
-    ``_scan_track`` rows in turn, and ``n_rows`` and ``n_open`` count them
-    and their open ones per chunk: (on tick, off tick, pitch, velocity) for
-    each note-off that closes an open note-on, in file order, then each
-    note-on left open, closed at its chunk's final tick, by key and then in
-    file order. Within a key, the open count before an event is the running
-    sum S of +1 per on and -1 per off, less its lowest value so far (never
-    above 0): an off is dropped where that count is 0, and the j-th off kept
-    closes the j-th on.
+    Both SMF track decoders pair their notes here. ``tracks`` gives each
+    event's chunk, which ``keys`` must keep apart, and ``final_ticks`` each
+    chunk's final tick. The rows are every chunk's in turn, and ``n_rows``
+    and ``n_open`` count them and their open ones per chunk: (on tick, off
+    tick, pitch, velocity) for each note-off that closes an open note-on, in
+    file order, then each note-on left open, closed at its chunk's final
+    tick, by key and then in file order. Within a key, the open count before
+    an event is the running sum S of +1 per on and -1 per off, less its
+    lowest value so far (never above 0): an off is dropped where that count
+    is 0, and the j-th off kept closes the j-th on.
     """
     n = len(keys)
     order = np.argsort(keys, kind="stable")
@@ -680,15 +679,10 @@ def _pair_notes(keys, on, ticks, pitches, velocities, tracks, final_ticks):
 
 
 def _scan_track(data: bytes, pos: int, end: int):
-    """Read the events of the track chunk ``data[pos:end]`` one at a time and pair its notes.
+    """Read the events of the track chunk ``data[pos:end]`` one at a time, and pair its notes.
 
-    Returns (tempo changes, rows, n_open): the (tick, tempo) pairs in file
-    order; an int64 (k, 4) array of (on tick, off tick, pitch, velocity), one
-    row per note-off that closes an open note-on, in file order, then one per
-    note-on left open, closed at the final tick, by (channel, pitch) and then
-    in file order; and the number of those last rows. Note-offs are paired
-    FIFO per (channel, pitch) as they come; a note closed at its note-on's tick
-    is left zero-length. The reader extends it and words both warnings.
+    Returns ``_decode_tracks``' (tempo changes, rows, n_open) for the track;
+    its note events go to ``_pair_notes`` in one call once all are read.
 
     This reads the tracks ``_decode_tracks`` leaves: any the pass cannot
     certify, and those of a pass too large for its int32 positions, so a
@@ -700,10 +694,8 @@ def _scan_track(data: bytes, pos: int, end: int):
     n = len(data)
     tick = 0
     running = 0  # running status; 0 while there is none
-    pending: dict[int, deque] = {}  # channel << 7 | pitch -> open (on tick, velocity)
     tempo_changes = []
-    paired = []
-    append = paired.append
+    notes = []  # (tick, status, pitch, velocity) of each note event, flat, in file order
     try:
         while pos < end:
             delta = data[pos]
@@ -727,15 +719,7 @@ def _scan_track(data: bytes, pos: int, end: int):
                     pos += 2
                     if pitch > 127 or velocity > 127:
                         raise SmfParseError("note data byte out of range", pos - 1)
-                    key = (status & 0x0F) << 7 | pitch
-                    queue = pending.get(key)
-                    if kind == 0x90 and velocity:
-                        if queue is None:
-                            queue = pending[key] = deque()
-                        queue.append((tick, velocity))
-                    elif queue:  # a note-off with no open note-on is dropped
-                        on_tick, on_velocity = queue.popleft()
-                        append((on_tick, tick, pitch, on_velocity))
+                    notes += tick, status, pitch, velocity
                 else:
                     size = 1 if kind == 0xC0 or kind == 0xD0 else 2
                     _need(data, pos, size)
@@ -767,12 +751,17 @@ def _scan_track(data: bytes, pos: int, end: int):
     except IndexError:
         raise SmfParseError("truncated data", n) from None
 
-    # note-ons still open at the end close at the final tick, by (channel, pitch)
-    n_closed = len(paired)
-    for key in sorted(key for key, queue in pending.items() if queue):
-        for on_tick, velocity in pending[key]:
-            append((on_tick, tick, key & 0x7F, velocity))
-    return tempo_changes, np.array(paired, dtype=np.int64).reshape(-1, 4), len(paired) - n_closed
+    ticks, statuses, pitches, velocities = np.array(notes, dtype=np.int64).reshape(-1, 4).T
+    rows, _, n_open = _pair_notes(
+        (statuses & 0x0F) << 7 | pitches,
+        (statuses >= 0x90) & (velocities > 0),
+        ticks,
+        pitches,
+        velocities,
+        np.zeros(len(ticks), dtype=np.intp),
+        np.array([tick]),
+    )
+    return tempo_changes, rows, int(n_open[0])
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +849,12 @@ def write_smf(
     notes after rounding are extended by one tick. At equal ticks note-offs
     precede note-ons so FIFO pairing on re-parse reconstructs the same notes.
     A gap between events longer than a 4-byte delta time (0x0FFFFFFF ticks)
-    raises ``ValueError``.
+    raises ``ValueError``, as does a division or tempo the reader would refuse.
     """
+    if not 1 <= division <= 0x7FFF:
+        raise ValueError(f"division must be in 1..32767 ticks per quarter, got {division}")
+    if not 1 <= tempo <= 0xFFFFFF:
+        raise ValueError(f"tempo must be in 1..16777215 microseconds per quarter, got {tempo}")
     ticks_per_second = division * 1_000_000 / tempo
     on_ticks = np.rint(performance.onsets * ticks_per_second)
     off_ticks = np.rint(performance.offsets * ticks_per_second)

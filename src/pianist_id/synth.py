@@ -235,15 +235,9 @@ def _separability_stats(dataset: DeviationDataset) -> dict:
             for kind, s in series.items()
             if len(s.values)
         }
-        if "OTD" in series and "ND" in series:
-            otd_all.append(series["OTD"].values)
-            nd = series["ND"].values
-            # pair ND with the OTD anchored on the same position
-            positions = series["OTD"].positions
-            nd_index = {p: i for i, p in enumerate(series["ND"].positions.tolist())}
-            nd_all.append(
-                np.asarray([nd[nd_index[p]] for p in positions.tolist()])
-            )
+        otd_all.append(series["OTD"].values)
+        # OTD is anchored on ND's positions but the last: pair each with that position's ND
+        nd_all.append(series["ND"].values[:-1])
     if otd_all:
         try:
             stats["pearson_otd_nd"] = pearson_r(

@@ -112,6 +112,11 @@ class TestExitCodes:
             (kde + ["--bandwidths", "IOI=0.01,IOI=0.5"], "bandwidths must not repeat kinds"),
             (synth + ["--performers", "0"], "--performers must be at least 2"),
             (synth + ["--notes", "0"], "--notes must be at least 2"),
+            (synth + ["--seed", "-1"], "--seed must be non-negative, got -1"),
+            # every model family refuses it, not only GMM, whose fits are seeded
+            (evaluate + ["--seed", "-1"], "seed must be non-negative, got -1"),
+            (kde + ["--seed", "-1"], "seed must be non-negative, got -1"),
+            (evaluate + ["--groups", "2", "--model", "gmm", "--seed", "-1"], "seed must be non-negative, got -1"),
         ]
         for argv, message in cases:
             assert main(argv) == 2, argv

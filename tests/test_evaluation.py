@@ -274,6 +274,16 @@ class TestClassify:
         assert fits == []  # raised before any fit
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_a_missing_kind_names_itself_and_its_owner(self, family):
+        config = ExperimentConfig(model_family=family, feature_set=("OT", "DL"), gmm_k=1)
+        values = np.linspace(0.0, 1.0, 12)
+        both = {"OT": values, "DL": values}
+        with pytest.raises(ValueError, match=r"^no DL training series for candidate 'b'$"):
+            classify(both, {"a": both, "b": {"OT": values}}, config)
+        with pytest.raises(ValueError, match=r"^no DL test series for the query$"):
+            classify({"OT": values}, {"a": both, "b": both}, config)
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_agrees_with_run_cv_on_every_trial(self, family):
         rng = np.random.default_rng(23)
         n = 48

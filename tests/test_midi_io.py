@@ -398,6 +398,21 @@ class TestWriteQuantize:
         with pytest.raises(ValueError, match="note times run past the SMF tick range"):
             write_smf(simple_performance([1e16], [60], durations=1e3))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("division", 0), ("division", 0x8000), ("division", 0x10000), ("division", -5),
+         ("tempo", 0), ("tempo", -1), ("tempo", 1 << 24)],
+    )
+    def test_a_division_or_tempo_the_reader_refuses_is_not_written(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be in 1\\.\\.[0-9]+ .*, got {value}$"):
+            write_smf(simple_performance([0.0, 0.5], [60, 62], durations=0.25), **{name: value})
+
+    def test_the_extreme_division_and_tempo_are_written_and_read_back(self):
+        perf = simple_performance([0.0, 0.5], [60, 62], durations=0.25)
+        for division, tempo in ((1, 1), (0x7FFF, 0xFFFFFF)):
+            data = write_smf(perf, division=division, tempo=tempo)
+            assert write_smf(parse_smf(data), division=division, tempo=tempo) == data
+
 
 def _random_track(rng: random.Random, n_events: int | None = None) -> bytes:
     """Events over two channels: notes (often overlapping, zero-length or left
@@ -531,6 +546,32 @@ class TestAgainstReferenceParser:
                 continue
             assert got == expected, data.hex()
         assert sum(certified) >= 100
+
+    def test_passes_too_large_for_int32_positions_parse_as_the_reference_parses_them(self, monkeypatch):
+        # with the limit below every pass's size, every track goes to _scan_track
+        monkeypatch.setattr(midi_io, "_MAX_ARRAY_TRACK_BYTES", 1)
+        monkeypatch.setattr(midi_io, "_decode_tracks", lambda tracks: pytest.fail("array pass taken"))
+        overlapping = smf_bytes(
+            [note_on(0, 60, 90), note_on(240, 60, 70), note_off(240, 60), note_on(0, 64, 50),
+             note_off(240, 60), note_off(0, 62), END_OF_TRACK]
+        )
+        notes, warnings = _library_parse(overlapping)
+        assert [(n.onset, n.offset, n.pitch) for n in notes] == [(0.0, 0.5, 60), (0.25, 0.75, 60), (0.5, 0.75, 64)]
+        assert warnings == ["dangling note-on (pitch 64) closed at final tick 720"]
+        rng = random.Random(20261020)
+        seen = {"dangling": 0, "zero-length": 0, "errors": 0}
+        for data in [overlapping] + [_damage(rng, _random_smf(rng)) for _ in range(400)]:
+            expected, got = _outcome(reference_parse, data), _outcome(_library_parse, data)
+            if got[0] is SmfParseError and got[1].startswith("tempo must be positive"):
+                assert data[got[2] : got[2] + 3] == b"\0\0\0"  # as in the fuzz test above
+                continue
+            assert got == expected, data.hex()
+            if expected[0] is SmfParseError:
+                seen["errors"] += 1
+            else:
+                seen["dangling"] += any("dangling" in w for w in expected[1])
+                seen["zero-length"] += any("zero-length" in w for w in expected[1])
+        assert min(seen.values()) >= 20, seen
 
     def test_running_status_on_one_data_byte_messages(self):
         # program change and channel pressure repeated under running status, then notes
