@@ -17,6 +17,13 @@ a substitution, an insertion or a deletion. When the errors are only dropped
 or extra notes, or only wrong pitches (none undoing another in the
 multisets), that bound is the optimum and the first pass succeeds. Time and
 memory are O((n + m) * w) for a band of w diagonals, rather than O(n * m).
+
+Between errors an optimal path slides along one diagonal of matches (Myers
+1986), so a pass steps only the rows near errors in Python. A row is settled
+when its least slot k is unique and every other slot holds that value plus
+one gap per slot away from k; each following row whose pitches match on k
+repeats it bit for bit, so the moves of such a run are written in one numpy
+step. The cells, and the moves and cost, are those of the row-by-row fill.
 """
 
 from __future__ import annotations
@@ -147,16 +154,46 @@ def _above(cost: float) -> float:
     return max(cost * (1.0 + 1e-6), cost + 2.0 * _margin(cost))
 
 
-def _banded_moves(ref: list[int], perf: list[int], low: int, high: int):
-    """The DP restricted to diagonals ``low``..``high``; returns (moves, cost at (n, m), cells).
+def _settled_slot(row: list[float], w: int) -> int | None:
+    """The slot k of a settled row, or None: row[k] is its least value and
+    every other slot holds it plus one ``COST_GAP`` per slot away from k,
+    added one at a time (float equality, which also rules out infinity)."""
+    least = min(row)
+    if least == math.inf:
+        return None
+    k = row.index(least)
+    for side in (range(k + 1, w), range(k - 1, -1, -1)):
+        value = least
+        for d in side:
+            value += COST_GAP
+            if row[d] != value:
+                return None
+    return k
+
+
+def _banded_moves(ref_pitches: np.ndarray, perf_pitches: np.ndarray, low: int, high: int):
+    """The DP restricted to diagonals ``low``..``high``; returns (moves, cost
+    at (n, m), cells, rows stepped).
 
     Cell (i, j) sits at slot p = j - i - low of row i, so its pair, deletion
     and insertion predecessors are slots p, p + 1 of row i - 1 and p - 1 of
     row i. Off-band and off-table slots hold infinity, which no comparison
     below prefers to a finite cost. ``moves[i * w + p]`` is 0 (pair),
     1 (deletion) or 2 (insertion); ties prefer them in that order.
+
+    Rows -low..m - high are full-band: every slot lies in the table. Take a
+    settled row (``_settled_slot`` finds its slot k) and a run of full-band
+    rows whose pitches match on slot k: each repeats the settled row bit for
+    bit, since k's match gives ``diag == cur[k]``, every other slot's ``up``
+    (left of k) or ``left`` (right of k) reproduces its value by the float
+    addition that made it, and a mismatch adds ``COST_SUB`` or a second gap
+    and loses. So the run's moves are 0 where the pitches match, else 1 left
+    of k and 2 right of k; they are written in one numpy step, its cells are
+    counted, and the loop resumes after it. A row is tested only when it
+    equals the row before it, as a settled row's first repeat does.
     """
-    n, m = len(ref), len(perf)
+    n, m = len(ref_pitches), len(perf_pitches)
+    ref = ref_pitches.tolist()
     sub, gap = COST_SUB, COST_GAP
     w = high - low + 1
     moves = bytearray((n + 1) * w)
@@ -168,13 +205,19 @@ def _banded_moves(ref: list[int], perf: list[int], low: int, high: int):
         prev[p] = prev[p - 1] + gap
         moves[p] = 2
     # perf_at[j] is the pitch paired at column j; column 0 has none
-    perf_at = [-1] + perf
-    cells = 0
-    base = low  # column of slot 0 in the current row
-    row = 0
-    for rp in ref:
-        base += 1
-        row += w
+    perf_at = [-1] + perf_pitches.tolist()
+    last_full = min(n, m - high)
+    # windows[j] is the pitches of slots 0..w - 1 in row j + 1 - low; a band
+    # wider than m has no full-band row to jump to
+    windows = np.lib.stride_tricks.sliding_window_view(perf_pitches, w) if w <= m else None
+    cells, stepped = 0, n
+    tested = False  # whether prev was already tested for settledness
+    i = 0
+    while i < n:
+        rp = ref[i]
+        i += 1
+        base = low + i  # column of slot 0 in this row
+        row = i * w
         cur = infinite.copy()
         # the row's slots are clamped to columns 0..m only where it meets the table edge
         p = -base if base < 0 else 0
@@ -198,8 +241,25 @@ def _banded_moves(ref: list[int], perf: list[int], low: int, high: int):
                 moves[row + p] = 2
             cur[p] = value
             p += 1
+        if cur != prev:
+            tested = False
+        elif not tested:
+            tested = True
+            k = _settled_slot(cur, w)
+            if k is not None:
+                # rows i + 1..end repeat this one: full-band rows matching on slot k
+                shift = low + k
+                misses = np.flatnonzero(ref_pitches[i:last_full] != perf_pitches[i + shift : last_full + shift])
+                end = i + int(misses[0]) if len(misses) else last_full
+                if end > i:
+                    run = np.frombuffer(moves, dtype=np.uint8)[row + w : (end + 1) * w].reshape(-1, w)
+                    fill = np.array([1] * k + [0] + [2] * (w - k - 1), dtype=np.uint8)
+                    np.copyto(run, fill, where=windows[i + low : end + low] != ref_pitches[i:end, None])
+                    cells += (end - i) * w
+                    stepped -= end - i
+                    i = end
         prev = cur
-    return moves, prev[m - n - low], cells
+    return moves, prev[m - n - low], cells, stepped
 
 
 def align_pair(reference: Performance, performance: Performance) -> NoteAlignment:
@@ -231,16 +291,16 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
         return NoteAlignment(np.stack((identity, identity)), (), (), (), n, m, 0.0)
 
     bound = _lower_bound(ref_pitches, perf_pitches)
-    ref, perf = ref_pitches.tolist(), perf_pitches.tolist()
     threshold = _above(bound)
-    band, passes, cells = None, 0, 0
+    band, passes, cells, stepped = None, 0, 0, 0
     while True:
         wanted = _band(n, m, threshold)
         if wanted != band:  # a threshold that adds no diagonal would give the same pass
             band = wanted
-            moves, total_cost, pass_cells = _banded_moves(ref, perf, *band)
+            moves, total_cost, pass_cells, pass_stepped = _banded_moves(ref_pitches, perf_pitches, *band)
             passes += 1
             cells += pass_cells
+            stepped += pass_stepped
         if total_cost + _margin(total_cost) < threshold:
             break
         (dlow, dhigh), (alow, ahigh) = _band(n, m, 2.0 * threshold), _band(n, m, _above(total_cost))
@@ -248,8 +308,8 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
     low, high = band
     w = high - low + 1
     log.debug(
-        "aligned %s (%d notes) to %s (%d notes): bound=%g passes=%d band=%d diagonals cells=%d",
-        performance.performer_id, m, reference.performer_id, n, bound, passes, w, cells,
+        "aligned %s (%d notes) to %s (%d notes): bound=%g passes=%d band=%d diagonals cells=%d rows=%d",
+        performance.performer_id, m, reference.performer_id, n, bound, passes, w, cells, stepped,
     )
 
     # the backtrace: from (n, m), each move's slot steps back one row, one

@@ -195,7 +195,13 @@ def kl_kde(p: KDE, q: KDE) -> KlResult:
 
 
 def gaussian_kl(mean_p, var_p, mean_q, var_q):
-    """Closed-form KL between two univariate Gaussians, in nats; broadcasts over arrays."""
+    """Closed-form KL between two univariate Gaussians, in nats; broadcasts over arrays.
+
+    Raises ``ValueError`` unless every variance is positive.
+    """
+    for name, var in (("var_p", var_p), ("var_q", var_q)):
+        if not np.all(np.greater(var, 0.0)):
+            raise ValueError(f"{name} must be positive, got {var!r}")
     return 0.5 * (np.log(var_q / var_p) + (var_p + (mean_p - mean_q) ** 2) / var_q - 1.0)
 
 

@@ -849,8 +849,13 @@ def write_smf(
     notes after rounding are extended by one tick. At equal ticks note-offs
     precede note-ons so FIFO pairing on re-parse reconstructs the same notes.
     A gap between events longer than a 4-byte delta time (0x0FFFFFFF ticks)
-    raises ``ValueError``, as does a division or tempo the reader would refuse.
+    raises ``ValueError``, as does a division or tempo that is not an integer
+    (a bool is not; a numpy integer is) or that the reader would refuse.
     """
+    for name, value in (("division", division), ("tempo", tempo)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    division, tempo = int(division), int(tempo)
     if not 1 <= division <= 0x7FFF:
         raise ValueError(f"division must be in 1..32767 ticks per quarter, got {division}")
     if not 1 <= tempo <= 0xFFFFFF:

@@ -1,5 +1,7 @@
 import itertools
 import logging
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pianist_id.alignment import (
     COST_SUB,
     AlignedNoteTable,
     NoteAlignment,
+    _banded_moves,
     _lower_bound,
     align_pair,
     build_table,
@@ -85,6 +88,58 @@ def full_matrix_alignment(ref, perf):
         m,
         prev[m],
     )
+
+
+def row_by_row_moves(ref, perf, low, high):
+    """The banded DP stepping every row in Python: (moves, cost at (n, m), cells).
+
+    ``_banded_moves`` jumps over runs of rows that repeat a settled row; this
+    is its row loop without the jumps, the bit-for-bit reference for them.
+    """
+    n, m = len(ref), len(perf)
+    sub, gap = COST_SUB, COST_GAP
+    w = high - low + 1
+    moves = bytearray((n + 1) * w)
+    # slot w stays infinite; it is read as p + 1 past the top diagonal
+    infinite = [math.inf] * (w + 1)
+    prev = infinite.copy()
+    prev[-low] = 0.0
+    for p in range(1 - low, min(w, m - low + 1)):
+        prev[p] = prev[p - 1] + gap
+        moves[p] = 2
+    # perf_at[j] is the pitch paired at column j; column 0 has none
+    perf_at = [-1] + perf
+    cells = 0
+    base = low  # column of slot 0 in the current row
+    row = 0
+    for rp in ref:
+        base += 1
+        row += w
+        cur = infinite.copy()
+        # the row's slots are clamped to columns 0..m only where it meets the table edge
+        p = -base if base < 0 else 0
+        stop = m - base + 1
+        if stop > w:
+            stop = w
+        cells += stop - p
+        value = math.inf  # the cell to the left, slot p - 1; off-band or column -1 at first
+        for pitch in perf_at[base + p : base + stop]:
+            # a match adds 0.0, which leaves every cost here unchanged
+            diag = prev[p] if rp == pitch else prev[p] + sub
+            up = prev[p + 1] + gap
+            left = value + gap
+            if diag <= up and diag <= left:
+                value = diag
+            elif up <= left:
+                value = up
+                moves[row + p] = 1
+            else:
+                value = left
+                moves[row + p] = 2
+            cur[p] = value
+            p += 1
+        prev = cur
+    return moves, prev[m - n - low], cells
 
 
 def edited(rng, pitches, edits=None):
@@ -223,6 +278,56 @@ class TestAlignPair:
                 continue
             al = align_pair(perf_from_pitches(ref, "r"), perf_from_pitches(perf, "p"))
             assert al == full_matrix_alignment(ref, perf), (ref, perf)
+
+    def test_banded_moves_equal_the_row_by_row_fill(self):
+        rng = np.random.default_rng(30)
+        rows = stepped = 0
+        for case in range(2000):
+            n = int(rng.integers(1, 31 if case % 5 == 0 else 401))
+            if case % 8 == 0:  # a trill
+                ref = [60, 62] * (n // 2) + [60] * (n % 2)
+            elif case % 8 == 1:  # one repeated pitch
+                ref = [60] * n
+            else:
+                ref = rng.integers(40, 40 + int(rng.integers(2, 41)), size=n).tolist()
+            perf = list(ref)
+            for _ in range(int(rng.integers(0, 7))):
+                # anywhere, or among the first or the last few rows
+                at = int(rng.choice([rng.integers(len(perf) + 1), rng.integers(3), len(perf) - rng.integers(3)]))
+                at = min(max(at, 0), len(perf) - 1)
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    perf[at] = int(rng.integers(40, 82))
+                elif kind == 1 and len(perf) > 1:
+                    del perf[at]
+                else:
+                    perf.insert(at, int(rng.integers(40, 82)))
+            m = len(perf)
+            # m != n widens the band; a short pair's band is often clipped by the table edges
+            low = max(-n, min(0, m - n) - int(rng.integers(0, 13)))
+            high = min(m, max(0, m - n) + int(rng.integers(0, 13)))
+            moves, cost, cells, case_stepped = _banded_moves(np.array(ref), np.array(perf), low, high)
+            assert (moves, cost, cells) == row_by_row_moves(ref, perf, low, high), (ref, perf, low, high)
+            rows += n
+            stepped += case_stepped
+        # the runs are jumped over, most rows are not stepped
+        assert stepped < rows / 2
+
+    def test_long_pairs_with_sparse_errors_equal_the_full_matrix_dp_in_few_steps(self, caplog):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            n = int(rng.integers(200, 401))
+            ref = rng.integers(40, 40 + int(rng.integers(20, 41)), size=n).tolist()
+            perf = ref
+            while perf == ref:
+                perf = edited(rng, ref, int(rng.integers(1, 5)))
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="pianist_id.alignment"):
+                al = align_pair(perf_from_pitches(ref, "r"), perf_from_pitches(perf, "p"))
+            assert al == full_matrix_alignment(ref, perf), (ref, perf)
+            (message,) = [r.getMessage() for r in caplog.records]
+            passes, rows = map(int, re.search(r" passes=(\d+) .* rows=(\d+)$", message).groups())
+            assert rows < n * passes, message
 
     def test_injected_errors_come_back_at_scale(self):
         score = generate_score(2000, seed=3)

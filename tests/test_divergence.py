@@ -216,6 +216,17 @@ class TestKlGmm:
         assert gaussian_kl(0.0, 1.0, 1.0, 1.0) == pytest.approx(0.5)
         assert gaussian_kl(0.0, 1.0, 0.0, 4.0) == pytest.approx(0.3181471805599453)
 
+    @pytest.mark.parametrize("name", ["var_p", "var_q"])
+    @pytest.mark.parametrize(
+        "bad",
+        [0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.array([[2.0], [-0.5]]), np.array([np.nan, 1.0])],
+        ids=["zero", "negative", "nan", "zero in an array", "negative in an array", "nan in an array"],
+    )
+    def test_gaussian_kl_refuses_a_variance_that_is_not_positive(self, name, bad):
+        args = {"mean_p": 0.0, "var_p": 1.0, "mean_q": 0.5, "var_q": 2.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            gaussian_kl(**args)
+
     def test_clamped_non_negative_on_random_mixtures(self):
         rng = np.random.default_rng(8)
         for _ in range(25):

@@ -407,6 +407,22 @@ class TestWriteQuantize:
         with pytest.raises(ValueError, match=f"^{name} must be in 1\\.\\.[0-9]+ .*, got {value}$"):
             write_smf(simple_performance([0.0, 0.5], [60, 62], durations=0.25), **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("division", 480.0), ("division", True), ("division", "480"),
+         ("tempo", 500000.0), ("tempo", False), ("tempo", np.float64(500000))],
+        ids=["division float", "division bool", "division str", "tempo float", "tempo bool", "tempo numpy float"],
+    )
+    def test_a_division_or_tempo_that_is_not_an_integer_is_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            write_smf(simple_performance([0.0, 0.5], [60, 62], durations=0.25), **{name: value})
+
+    def test_numpy_integer_division_and_tempo_are_written_as_ints_are(self):
+        perf = simple_performance([0.0, 0.5], [60, 62], durations=0.25)
+        assert write_smf(perf, division=np.int16(960), tempo=np.uint32(400000)) == write_smf(
+            perf, division=960, tempo=400000
+        )
+
     def test_the_extreme_division_and_tempo_are_written_and_read_back(self):
         perf = simple_performance([0.0, 0.5], [60, 62], durations=0.25)
         for division, tempo in ((1, 1), (0x7FFF, 0xFFFFFF)):
