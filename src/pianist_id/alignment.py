@@ -3,33 +3,38 @@
 A global dynamic program over pitch sequences (Needleman-Wunsch style,
 minimizing cost) yields matched pairs plus inserted/deleted notes; wrong-pitch
 matches are kept as pairs but flagged as substitutions, which is how
-performance errors are marked. The costs are fixed: a pitch match is free, a
-substitution costs ``COST_SUB`` and an insertion or a deletion ``COST_GAP``.
-Aligning every performance to one reference produces the position-by-performer
-note table the norm performance is averaged from.
+performance errors are marked. Aligning every performance to one reference
+produces the position-by-performer note table the norm performance is
+averaged from.
 
-The DP is exact but banded (Ukkonen 1985): it fills only the diagonals a
-path of cost at most a threshold can visit, and doubles the threshold until
-the banded optimum proves itself globally optimal. The threshold starts just
-above a lower bound read off the two pitch multisets: at most as many pairs
-can match as the pitches the two have in common, and every other note costs
-a substitution, an insertion or a deletion. When the errors are only dropped
-or extra notes, or only wrong pitches (none undoing another in the
-multisets), that bound is the optimum and the first pass succeeds. Time and
-memory are O((n + m) * w) for a band of w diagonals, rather than O(n * m).
+Costs are integers, in units of 0.2: a pitch match is free, a substitution
+costs ``SUB_UNITS`` (5) and an insertion or a deletion ``GAP_UNITS`` (3).
+``total_cost`` reads the optimum as units / 5, so 9 units read exactly 1.8.
+With integer sums, ties between optimal alignments are decided by the rule
+alone, never by round-off: at each cell the backtrace prefers a pair, then a
+deletion, then an insertion, as the full-matrix DP does.
 
-Between errors an optimal path slides along one diagonal of matches (Myers
-1986), so a pass steps only the rows near errors in Python. A row is settled
-when its least slot k is unique and every other slot holds that value plus
-one gap per slot away from k; each following row whose pitches match on k
-repeats it bit for bit, so the moves of such a run are written in one numpy
-step. The cells, and the moves and cost, are those of the row-by-row fill.
+The DP is solved by the diagonal-transition (wavefront) method of Ukkonen
+1985 and Myers 1986, as Marco-Sola et al. 2021 use it for gap-affine costs.
+Front s holds, for every diagonal k = j - i, the furthest row i whose cell
+costs at most s. It comes from fronts s - 5 (a substitution on k), s - 3 (an
+insertion from k - 1, a deletion from k + 1) and s - 1, and each point then
+slides along its run of matches. The search stops at the first front whose
+diagonal m - n reaches row n; that s is the optimum S. Each front is a
+numpy array over its diagonals, in the smallest integer dtype that holds
+every index. A diagonal that cannot finish within the cost of pairing
+note i with note i (s plus one gap per diagonal between k and m - n) is
+dropped.
+
+Work follows the errors, not the length: front s spans at most 2 s / 3 + 1
+diagonals, so a pair costing S units visits about S**2 / 3 cells, plus one
+step per matched note. Unrelated sequences cost about 5 units per note, and
+there the cells grow as the square of the notes.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +46,20 @@ log = logging.getLogger(__name__)
 #: Table positions matched by fewer performers than this are dropped.
 MIN_COVERAGE = 2
 
-#: DP cost of a wrong-pitch pair, and of an inserted or a deleted note. A
-#: wrong-pitch note is marked as a substitution pair, since 1.0 < 0.6 + 0.6.
-COST_SUB = 1.0
-COST_GAP = 0.6
+#: DP costs in integer units of 0.2: a wrong-pitch pair, and an inserted or a
+#: deleted note. A wrong-pitch note is marked as a substitution pair, since
+#: 5 < 3 + 3.
+SUB_UNITS = 5
+GAP_UNITS = 3
+UNITS_PER_COST = 5
+#: The same costs as ``total_cost`` reads them: 1.0 and 0.6.
+COST_SUB = SUB_UNITS / UNITS_PER_COST
+COST_GAP = GAP_UNITS / UNITS_PER_COST
+
+#: A front slot that holds no row: it loses every maximum, even plus one.
+_NO_ROW = -2
+#: How many fronts s < 0 the search keeps: the sources that fronts 0..5 read.
+_BEFORE = SUB_UNITS + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,181 +121,100 @@ def _partitions(paired: np.ndarray, rest: tuple[int, ...], n: int) -> bool:
     return len(paired) == n and np.array_equal(paired, np.arange(n))
 
 
-def _gap(k: int) -> float:
-    """Cheapest way to move k diagonals: k insertions, or -k deletions."""
-    return abs(k) * COST_GAP
+def _run(a: bytes, b: bytes, i: int, j: int) -> int:
+    """How many pitches match from ``a[i]`` and ``b[j]`` on: the length
+    doubles while the slices stay equal, then halves onto the first miss."""
+    most = min(len(a) - i, len(b) - j)
+    low, high = 0, 1  # low pitches are known to match; high is the next length to try
+    while high <= most and a[i : i + high] == b[j : j + high]:
+        low, high = high, 2 * high
+    high = min(high, most + 1)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if a[i : i + mid] == b[j : j + mid]:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
-def _band(n: int, m: int, threshold: float) -> tuple[int, int]:
-    """Diagonals k = j - i (lowest, highest) that a path of cost <= ``threshold`` can visit.
+def _fronts(ref: bytes, perf: bytes):
+    """The wavefront search over two pitch sequences (one byte per pitch);
+    returns (fronts, optimum in units, cells).
 
-    A path through diagonal k must move |k| diagonals from (0, 0) and then
-    |m - n - k| more to (n, m), so it costs at least ``_gap(k) + _gap(m - n - k)``.
+    ``fronts[s + _BEFORE]`` is (lo, rows): ``rows[k - lo + 2]`` is the furthest row
+    whose cell on diagonal k costs at most s units, and two ``_NO_ROW`` slots
+    pad each end, so a neighbour's slot is always in the array. A front that
+    no new move can change is the previous front itself. Fronts s < 0 reach
+    no row.
     """
-
-    def bound(k: int) -> float:
-        return _gap(k) + _gap(m - n - k)
-
-    low, high = min(0, m - n), max(0, m - n)
-    while low > -n and bound(low - 1) <= threshold:
-        low -= 1
-    while high < m and bound(high + 1) <= threshold:
-        high += 1
-    return low, high
-
-
-def _lower_bound(ref, perf) -> float:
-    """A cost no alignment of the two pitch sequences (0..127) can beat, from their pitch multisets.
-
-    At most ``c`` pairs, the sum over pitches of the smaller of the two
-    counts, can match their pitches. That leaves ``a = n - c`` reference and
-    ``b = m - c`` performance notes, paired as substitutions (which cost less
-    than a deletion plus an insertion) as far as they go. The result is never
-    below ``_gap(m - n)``. The counts are two ``np.bincount`` calls.
-    """
-    c = int(np.minimum(*(np.bincount(p, minlength=128) for p in (ref, perf))).sum())
-    a, b = len(ref) - c, len(perf) - c
-    paired = min(a, b)
-    return COST_SUB * paired + COST_GAP * (a - paired) + COST_GAP * (b - paired)
-
-
-def _margin(cost: float) -> float:
-    """Float round-off in path sums and bounds must not decide band membership."""
-    return 1e-9 * (1.0 + cost)
-
-
-def _above(cost: float) -> float:
-    """The threshold just above ``cost`` by more than its round-off margin."""
-    return max(cost * (1.0 + 1e-6), cost + 2.0 * _margin(cost))
-
-
-def _settled_slot(row: list[float], w: int) -> int | None:
-    """The slot k of a settled row, or None: row[k] is its least value and
-    every other slot holds it plus one ``COST_GAP`` per slot away from k,
-    added one at a time (float equality, which also rules out infinity)."""
-    least = min(row)
-    if least == math.inf:
-        return None
-    k = row.index(least)
-    for side in (range(k + 1, w), range(k - 1, -1, -1)):
-        value = least
-        for d in side:
-            value += COST_GAP
-            if row[d] != value:
-                return None
-    return k
-
-
-def _banded_moves(ref_pitches: np.ndarray, perf_pitches: np.ndarray, low: int, high: int):
-    """The DP restricted to diagonals ``low``..``high``; returns (moves, cost
-    at (n, m), cells, rows stepped).
-
-    Cell (i, j) sits at slot p = j - i - low of row i, so its pair, deletion
-    and insertion predecessors are slots p, p + 1 of row i - 1 and p - 1 of
-    row i. Off-band and off-table slots hold infinity, which no comparison
-    below prefers to a finite cost. ``moves[i * w + p]`` is 0 (pair),
-    1 (deletion) or 2 (insertion); ties prefer them in that order.
-
-    Rows -low..m - high are full-band: every slot lies in the table. Take a
-    settled row (``_settled_slot`` finds its slot k) and a run of full-band
-    rows whose pitches match on slot k: each repeats the settled row bit for
-    bit, since k's match gives ``diag == cur[k]``, every other slot's ``up``
-    (left of k) or ``left`` (right of k) reproduces its value by the float
-    addition that made it, and a mismatch adds ``COST_SUB`` or a second gap
-    and loses. So the run's moves are 0 where the pitches match, else 1 left
-    of k and 2 right of k; they are written in one numpy step, its cells are
-    counted, and the loop resumes after it. A row is tested only when it
-    equals the row before it, as a settled row's first repeat does.
-    """
-    n, m = len(ref_pitches), len(perf_pitches)
-    ref = ref_pitches.tolist()
-    sub, gap = COST_SUB, COST_GAP
-    w = high - low + 1
-    moves = bytearray((n + 1) * w)
-    # slot w stays infinite; it is read as p + 1 past the top diagonal
-    infinite = [math.inf] * (w + 1)
-    prev = infinite.copy()
-    prev[-low] = 0.0
-    for p in range(1 - low, min(w, m - low + 1)):
-        prev[p] = prev[p - 1] + gap
-        moves[p] = 2
-    # perf_at[j] is the pitch paired at column j; column 0 has none
-    perf_at = [-1] + perf_pitches.tolist()
-    last_full = min(n, m - high)
-    # windows[j] is the pitches of slots 0..w - 1 in row j + 1 - low; a band
-    # wider than m has no full-band row to jump to
-    windows = np.lib.stride_tricks.sliding_window_view(perf_pitches, w) if w <= m else None
-    cells, stepped = 0, n
-    tested = False  # whether prev was already tested for settledness
-    i = 0
-    while i < n:
-        rp = ref[i]
-        i += 1
-        base = low + i  # column of slot 0 in this row
-        row = i * w
-        cur = infinite.copy()
-        # the row's slots are clamped to columns 0..m only where it meets the table edge
-        p = -base if base < 0 else 0
-        stop = m - base + 1
-        if stop > w:
-            stop = w
-        cells += stop - p
-        value = math.inf  # the cell to the left, slot p - 1; off-band or column -1 at first
-        for pitch in perf_at[base + p : base + stop]:
-            # a match adds 0.0, which leaves every cost here unchanged
-            diag = prev[p] if rp == pitch else prev[p] + sub
-            up = prev[p + 1] + gap
-            left = value + gap
-            if diag <= up and diag <= left:
-                value = diag
-            elif up <= left:
-                value = up
-                moves[row + p] = 1
-            else:
-                value = left
-                moves[row + p] = 2
-            cur[p] = value
-            p += 1
-        if cur != prev:
-            tested = False
-        elif not tested:
-            tested = True
-            k = _settled_slot(cur, w)
-            if k is not None:
-                # rows i + 1..end repeat this one: full-band rows matching on slot k
-                shift = low + k
-                misses = np.flatnonzero(ref_pitches[i:last_full] != perf_pitches[i + shift : last_full + shift])
-                end = i + int(misses[0]) if len(misses) else last_full
-                if end > i:
-                    run = np.frombuffer(moves, dtype=np.uint8)[row + w : (end + 1) * w].reshape(-1, w)
-                    fill = np.array([1] * k + [0] + [2] * (w - k - 1), dtype=np.uint8)
-                    np.copyto(run, fill, where=windows[i + low : end + low] != ref_pitches[i:end, None])
-                    cells += (end - i) * w
-                    stepped -= end - i
-                    i = end
-        prev = cur
-    return moves, prev[m - n - low], cells, stepped
+    n, m = len(ref), len(perf)
+    # rows run from _NO_ROW to n + 1 (a move past the end, before the clamp)
+    dtype = np.min_scalar_type(-(max(n, m) + 2))
+    k = np.arange(-n, m + 1)
+    diagonals = k.astype(dtype)
+    ends = np.minimum(n, m - k).astype(dtype)  # the last row of each diagonal
+    # one pitch of its own past each end, so a probe there misses
+    ref_at, perf_at = np.frombuffer(ref + b"\xfe", np.uint8), np.frombuffer(perf + b"\xff", np.uint8)
+    d = m - n
+    # pairing note i with note i, then gaps, bounds the optimum from above
+    bound = SUB_UNITS * min(n, m) + GAP_UNITS * abs(d)
+    blank = np.full(n + m + 5, _NO_ROW, dtype=dtype)  # no front is wider
+    fronts = [(0, blank[:5])] * _BEFORE
+    start = (0, np.array([_NO_ROW, _NO_ROW, 0, _NO_ROW, _NO_ROW], dtype=dtype))
+    cells = 0
+    for s in range(bound + 1):
+        at = s + _BEFORE
+        # a cost that no sum of substitutions and gaps makes (1, 2, 4, 7) adds no row
+        if s and fronts[at - GAP_UNITS] is fronts[at - GAP_UNITS - 1] and (
+            fronts[at - SUB_UNITS] is fronts[at - SUB_UNITS - 1]
+        ):
+            fronts.append(fronts[-1])
+            continue
+        slack = (bound - s) // GAP_UNITS
+        lo = max(-n, -(s // GAP_UNITS), d - slack)
+        hi = min(m, s // GAP_UNITS, d + slack)
+        w = hi - lo + 1
+        rows = blank[: w + 4].copy()
+        core = rows[2:-2]
+        (lo5, sub), (lo3, gap) = fronts[at - SUB_UNITS], fronts[at - GAP_UNITS]
+        lo1, prev = fronts[-1] if s else start
+        # a substitution on k or a deletion from k + 1 moves one row down
+        np.maximum(sub[lo - lo5 + 2 : hi - lo5 + 3], gap[lo - lo3 + 3 : hi - lo3 + 4], out=core)
+        core += 1
+        # an insertion from k - 1 stays on its row; the previous front's rows cost less
+        np.maximum(core, gap[lo - lo3 + 1 : hi - lo3 + 2], out=core)
+        np.maximum(core, prev[lo - lo1 + 2 : hi - lo1 + 3], out=core)
+        np.minimum(core, ends[lo + n : hi + n + 1], out=core)
+        # slide each point that stands on a match along its run
+        columns = core + diagonals[lo + n : hi + n + 1]
+        for slot in (ref_at.take(core) == perf_at.take(columns)).nonzero()[0].tolist():
+            core[slot] += _run(ref, perf, int(core[slot]), int(columns[slot]))
+        cells += w
+        fronts.append((lo, rows))
+        if lo <= d <= hi and core[d - lo] == n:
+            return fronts, s, cells
+    raise AssertionError("the wavefront passed the cost of a complete alignment")
 
 
 def align_pair(reference: Performance, performance: Performance) -> NoteAlignment:
     """Globally optimal monotone alignment of the two pitch sequences.
 
-    A pitch match is free, a wrong-pitch pair costs ``COST_SUB`` (1.0) and an
-    inserted or a deleted note ``COST_GAP`` (0.6). Ties prefer pairing over
-    deletion over insertion, which makes the result deterministic. Identical
-    pitch sequences (``np.array_equal`` on the pitch columns) short-circuit
-    to the identity mapping (cost 0, which is the DP optimum).
+    A pitch match is free, a wrong-pitch pair costs ``SUB_UNITS`` (5) and an
+    inserted or a deleted note ``GAP_UNITS`` (3), in units of 0.2. Ties
+    prefer pairing over deletion over insertion, which makes the result
+    deterministic. Identical pitch sequences (``np.array_equal`` on the pitch
+    columns) short-circuit to the identity mapping (cost 0, which is the DP
+    optimum).
 
-    The threshold t starts just above ``_lower_bound``; a pass whose t is at
-    or below the optimum always fails, so no pass that could succeed is
-    skipped. After each pass the banded optimum U bounds the true optimum
-    from above; once it falls below t (by a round-off margin), every optimal
-    path lies in the band, so moves and cost equal those of the full table.
-    Otherwise t rises to just above U, whose pass then succeeds, when that
-    band is at most twice as wide as the doubled threshold's; else t doubles.
-
-    The backtrace records only the moves; the index columns of the pairs,
-    deletions and insertions then follow from running counts of the moves.
+    The backtrace needs no move matrix. D, the cost of a cell, never falls
+    along a diagonal, so D(i, j) <= t exactly when front t reaches row i on
+    diagonal j - i. From (n, m) with t = S it jumps back over the run of
+    matches it stands on, which the DP pairs and along which D stays t. At
+    the mismatch before it, it takes the DP's move: a pair if front t - 5
+    reaches the cell up-left, else a deletion if front t - 3 reaches the
+    cell above, else an insertion. The moves are those of the integer
+    full-matrix DP.
     """
     if not len(reference) or not len(performance):
         raise ValueError("alignment requires non-empty performances")
@@ -290,51 +224,51 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
         identity = np.arange(n)
         return NoteAlignment(np.stack((identity, identity)), (), (), (), n, m, 0.0)
 
-    bound = _lower_bound(ref_pitches, perf_pitches)
-    threshold = _above(bound)
-    band, passes, cells, stepped = None, 0, 0, 0
-    while True:
-        wanted = _band(n, m, threshold)
-        if wanted != band:  # a threshold that adds no diagonal would give the same pass
-            band = wanted
-            moves, total_cost, pass_cells, pass_stepped = _banded_moves(ref_pitches, perf_pitches, *band)
-            passes += 1
-            cells += pass_cells
-            stepped += pass_stepped
-        if total_cost + _margin(total_cost) < threshold:
-            break
-        (dlow, dhigh), (alow, ahigh) = _band(n, m, 2.0 * threshold), _band(n, m, _above(total_cost))
-        threshold = _above(total_cost) if ahigh - alow + 1 <= 2 * (dhigh - dlow + 1) else 2.0 * threshold
-    low, high = band
-    w = high - low + 1
+    # pitches are 0..127, so one byte each
+    ref, perf = ref_pitches.astype(np.uint8).tobytes(), perf_pitches.astype(np.uint8).tobytes()
+    fronts, optimum, cells = _fronts(ref, perf)
     log.debug(
-        "aligned %s (%d notes) to %s (%d notes): bound=%g passes=%d band=%d diagonals cells=%d rows=%d",
-        performance.performer_id, m, reference.performer_id, n, bound, passes, w, cells, stepped,
+        "aligned %s (%d notes) to %s (%d notes): cost=%d units fronts=%d cells=%d",
+        performance.performer_id, m, reference.performer_id, n, optimum, optimum + 1, cells,
     )
 
-    # the backtrace: from (n, m), each move's slot steps back one row, one
-    # column or both
-    steps = (w, w - 1, 1)
-    k, origin = n * w + m - n - low, -low
-    path = bytearray()
-    while k != origin:
-        move = moves[k]
-        path.append(move)
-        k -= steps[move]
-    path = np.frombuffer(path, dtype=np.uint8)[::-1]
-    rows = np.cumsum(path != 2) - 1  # the reference index each move pairs or deletes
-    cols = np.cumsum(path != 1) - 1  # the performance index each move pairs or inserts
-    paired = path == 0
-    columns = np.stack((rows[paired], cols[paired]))
-    wrong = np.flatnonzero(ref_pitches[columns[0]] != perf_pitches[columns[1]])
+    def reaches(t: int, k: int) -> int:
+        """The furthest row of diagonal k at cost <= t, or ``_NO_ROW``."""
+        lo, rows = fronts[t + _BEFORE]
+        slot = k - lo + 2
+        return int(rows[slot]) if 0 <= slot < len(rows) else _NO_ROW
+
+    # a run of matches that ends at cell (i, j) starts at n - i, m - j of the reversed pitches
+    ref_back, perf_back = ref[::-1], perf[::-1]
+    substitutions, deletions, insertions = [], [], []
+    i, j, t = n, m, optimum
+    while True:
+        run = _run(ref_back, perf_back, n - i, m - j)
+        i, j = i - run, j - run
+        if not (i or j):
+            break
+        k = j - i
+        if i and j and reaches(t - SUB_UNITS, k) >= i - 1:
+            i, j, t = i - 1, j - 1, t - SUB_UNITS
+            substitutions.append((i, j))
+        elif i and reaches(t - GAP_UNITS, k + 1) >= i - 1:
+            i, t = i - 1, t - GAP_UNITS
+            deletions.append(i)
+        else:
+            j, t = j - 1, t - GAP_UNITS
+            insertions.append(j)
+    # every note that is not deleted or inserted is paired, in order
+    paired_rows, paired_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    paired_rows[deletions] = False
+    paired_cols[insertions] = False
     return NoteAlignment(
-        columns,
-        tuple(cols[path == 2].tolist()),
-        tuple(rows[path == 1].tolist()),
-        tuple(zip(*columns[:, wrong].tolist())),
+        np.stack((np.flatnonzero(paired_rows), np.flatnonzero(paired_cols))),
+        tuple(reversed(insertions)),
+        tuple(reversed(deletions)),
+        tuple(reversed(substitutions)),
         n,
         m,
-        float(total_cost),
+        optimum / UNITS_PER_COST,
     )
 
 

@@ -8,12 +8,11 @@ import pytest
 
 from conftest import simple_performance
 from pianist_id.alignment import (
-    COST_GAP,
-    COST_SUB,
+    GAP_UNITS,
+    SUB_UNITS,
+    UNITS_PER_COST,
     AlignedNoteTable,
     NoteAlignment,
-    _banded_moves,
-    _lower_bound,
     align_pair,
     build_table,
     median_reference,
@@ -22,57 +21,77 @@ from pianist_id.midi_io import NoteEvent, Performance
 from pianist_id.synth import SCORE_PITCH_RANGE, default_profiles, generate_score, render_performer
 
 
-def brute_force_cost(ref_pitches, perf_pitches):
-    """Minimum cost over every monotone alignment, by explicit enumeration."""
-    n, m = len(ref_pitches), len(perf_pitches)
-    best = COST_GAP * n + COST_GAP * m
-    for k in range(1, min(n, m) + 1):
-        gap_cost = COST_GAP * (n - k) + COST_GAP * (m - k)
+def pairings(n, m):
+    """Every monotone set of pairs of two sequences, as (reference, performance) index tuples."""
+    for k in range(min(n, m) + 1):
         for ref_idx in itertools.combinations(range(n), k):
             for perf_idx in itertools.combinations(range(m), k):
-                pair_cost = sum(
-                    0.0 if ref_pitches[r] == perf_pitches[p] else COST_SUB
-                    for r, p in zip(ref_idx, perf_idx)
-                )
-                best = min(best, pair_cost + gap_cost)
-    return best
+                yield ref_idx, perf_idx
 
 
-def full_matrix_alignment(ref, perf):
-    """The unbanded Needleman-Wunsch DP over all (n+1)(m+1) cells, with its traceback.
+def pairing_cost(ref, perf, ref_idx, perf_idx):
+    """A pairing's cost in units: its wrong-pitch pairs, and one gap per note left unpaired."""
+    wrong = sum(ref[r] != perf[p] for r, p in zip(ref_idx, perf_idx))
+    return SUB_UNITS * wrong + GAP_UNITS * (len(ref) + len(perf) - 2 * len(ref_idx))
 
-    Same recurrence and tie order as ``align_pair`` (pair, then deletion, then
-    insertion); it is the reference the banded DP must reproduce exactly.
+
+def brute_force_cost(ref_pitches, perf_pitches):
+    """Minimum cost in units over every monotone alignment, by explicit enumeration."""
+    n, m = len(ref_pitches), len(perf_pitches)
+    return min(pairing_cost(ref_pitches, perf_pitches, *pairing) for pairing in pairings(n, m))
+
+
+def rule_path(ref, perf):
+    """The alignment the tie rule picks, found from the optimal pairings alone.
+
+    Walking back from (n, m), cell (i, j) is entered by a pair if some optimal
+    pairing pairs i - 1 with j - 1; else by a deletion if some optimal
+    pairing leaves i - 1 unpaired between pairs whose columns allow column j;
+    else by an insertion. Returns (pairs, insertions, deletions, cost units).
     """
     n, m = len(ref), len(perf)
-    moves = np.empty((n + 1, m + 1), dtype=np.uint8)
-    prev = [0.0] * (m + 1)
-    moves[0, 0] = 0
-    for j in range(1, m + 1):
-        prev[j] = prev[j - 1] + COST_GAP
-        moves[0, j] = 2
-    for i in range(1, n + 1):
-        cur = [0.0] * (m + 1)
-        cur[0] = prev[0] + COST_GAP
-        moves[i, 0] = 1
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0.0 if ref[i - 1] == perf[j - 1] else COST_SUB)
-            up = prev[j] + COST_GAP
-            left = cur[j - 1] + COST_GAP
-            if diag <= up and diag <= left:
-                cur[j], moves[i, j] = diag, 0
-            elif up <= left:
-                cur[j], moves[i, j] = up, 1
-            else:
-                cur[j], moves[i, j] = left, 2
-        prev = cur
+    scored = [(pairing_cost(ref, perf, *pairing), pairing) for pairing in pairings(n, m)]
+    best = min(cost for cost, _ in scored)
+    optimal = [list(zip(*pairing)) for cost, pairing in scored if cost == best]
+
+    def deletes_at(pairs, i, j):
+        if any(r == i - 1 for r, _ in pairs):
+            return False
+        before = max((p for r, p in pairs if r < i - 1), default=-1)
+        after = min((p for r, p in pairs if r > i - 1), default=m)
+        return before + 1 <= j <= after
+
+    pairs, insertions, deletions = [], [], []
+    i, j = n, m
+    while i or j:
+        if i and j and any((i - 1, j - 1) in chosen for chosen in optimal):
+            i, j = i - 1, j - 1
+            pairs.append((i, j))
+        elif i and any(deletes_at(chosen, i, j) for chosen in optimal):
+            i -= 1
+            deletions.append(i)
+        else:
+            assert j, (ref, perf, i, j)
+            j -= 1
+            insertions.append(j)
+    return tuple(reversed(pairs)), tuple(reversed(insertions)), tuple(reversed(deletions)), best
+
+
+def alignment_from_moves(ref, perf, move_at, cost_units):
+    """Trace a DP's moves back from (n, m) into a ``NoteAlignment``.
+
+    ``move_at(i, j)`` is the move that enters cell (i, j): 0 (pair),
+    1 (deletion) or 2 (insertion).
+    """
+    n, m = len(ref), len(perf)
     pairs, insertions, deletions = [], [], []
     i, j = n, m
     while i > 0 or j > 0:
-        if moves[i, j] == 0:
+        move = move_at(i, j)
+        if move == 0:
             i, j = i - 1, j - 1
             pairs.append((i, j))
-        elif moves[i, j] == 1:
+        elif move == 1:
             i -= 1
             deletions.append(i)
         else:
@@ -86,24 +105,57 @@ def full_matrix_alignment(ref, perf):
         tuple((r, p) for r, p in pairs if ref[r] != perf[p]),
         n,
         m,
-        prev[m],
+        cost_units / UNITS_PER_COST,
     )
 
 
-def row_by_row_moves(ref, perf, low, high):
-    """The banded DP stepping every row in Python: (moves, cost at (n, m), cells).
+def full_matrix_alignment(ref, perf):
+    """The unbanded Needleman-Wunsch DP over all (n+1)(m+1) cells, in integer units.
 
-    ``_banded_moves`` jumps over runs of rows that repeat a settled row; this
-    is its row loop without the jumps, the bit-for-bit reference for them.
+    Same recurrence and tie order as ``align_pair`` (pair, then deletion, then
+    insertion); it is the reference the wavefront must reproduce exactly.
     """
     n, m = len(ref), len(perf)
-    sub, gap = COST_SUB, COST_GAP
+    moves = np.empty((n + 1, m + 1), dtype=np.uint8)
+    prev = [0] * (m + 1)
+    moves[0, 0] = 0
+    for j in range(1, m + 1):
+        prev[j] = prev[j - 1] + GAP_UNITS
+        moves[0, j] = 2
+    for i in range(1, n + 1):
+        cur = [0] * (m + 1)
+        cur[0] = prev[0] + GAP_UNITS
+        moves[i, 0] = 1
+        for j in range(1, m + 1):
+            diag = prev[j - 1] + (0 if ref[i - 1] == perf[j - 1] else SUB_UNITS)
+            up = prev[j] + GAP_UNITS
+            left = cur[j - 1] + GAP_UNITS
+            if diag <= up and diag <= left:
+                cur[j], moves[i, j] = diag, 0
+            elif up <= left:
+                cur[j], moves[i, j] = up, 1
+            else:
+                cur[j], moves[i, j] = left, 2
+        prev = cur
+    return alignment_from_moves(ref, perf, lambda i, j: moves[i, j], prev[m])
+
+
+def row_by_row_moves(ref, perf, low, high):
+    """The DP restricted to diagonals ``low``..``high``, in integer units, stepping
+    every row in Python: (moves, cost at (n, m), cells).
+
+    Cell (i, j) sits at slot p = j - i - low of row i; off-band and off-table
+    slots hold infinity. ``moves[i * w + p]`` is 0 (pair), 1 (deletion) or
+    2 (insertion), with the ties of ``align_pair``.
+    """
+    n, m = len(ref), len(perf)
+    sub, gap = SUB_UNITS, GAP_UNITS
     w = high - low + 1
     moves = bytearray((n + 1) * w)
     # slot w stays infinite; it is read as p + 1 past the top diagonal
     infinite = [math.inf] * (w + 1)
     prev = infinite.copy()
-    prev[-low] = 0.0
+    prev[-low] = 0
     for p in range(1 - low, min(w, m - low + 1)):
         prev[p] = prev[p - 1] + gap
         moves[p] = 2
@@ -124,7 +176,6 @@ def row_by_row_moves(ref, perf, low, high):
         cells += stop - p
         value = math.inf  # the cell to the left, slot p - 1; off-band or column -1 at first
         for pitch in perf_at[base + p : base + stop]:
-            # a match adds 0.0, which leaves every cost here unchanged
             diag = prev[p] if rp == pitch else prev[p] + sub
             up = prev[p + 1] + gap
             left = value + gap
@@ -140,6 +191,23 @@ def row_by_row_moves(ref, perf, low, high):
             p += 1
         prev = cur
     return moves, prev[m - n - low], cells
+
+
+def banded_alignment(ref, perf, cost_units):
+    """``row_by_row_moves`` over every diagonal that a path of at most
+    ``cost_units`` can visit, traced back into a ``NoteAlignment``.
+
+    A path through diagonal k moves |k| diagonals from (0, 0) and |m - n - k|
+    more to (n, m), each a gap. When ``cost_units`` is at least the optimum,
+    every optimal path lies in the band, so the moves are the full DP's.
+    """
+    n, m = len(ref), len(perf)
+    inside = [k for k in range(-n, m + 1) if GAP_UNITS * (abs(k) + abs(m - n - k)) <= cost_units]
+    low, high = inside[0], inside[-1]
+    moves, cost, _ = row_by_row_moves(ref, perf, low, high)
+    w = high - low + 1
+    assert cost <= cost_units, (ref, perf, cost_units)
+    return alignment_from_moves(ref, perf, lambda i, j: moves[i * w + j - i - low], cost)
 
 
 def edited(rng, pitches, edits=None):
@@ -162,6 +230,21 @@ def perf_from_pitches(pitches, performer_id="p"):
     return simple_performance(
         [0.5 * i for i in range(len(pitches))], pitches, performer_id=performer_id
     )
+
+
+def align(ref, perf):
+    return align_pair(perf_from_pitches(ref, "r"), perf_from_pitches(perf, "p"))
+
+
+def align_logged(ref, perf, caplog):
+    """``align`` with its DEBUG line parsed: (alignment, cost units, fronts, cells)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="pianist_id.alignment"):
+        al = align(ref, perf)
+    (message,) = [r.getMessage() for r in caplog.records]
+    found = re.search(r" cost=(\d+) units fronts=(\d+) cells=(\d+)$", message)
+    assert found, message
+    return (al, *map(int, found.groups()))
 
 
 class TestNoteAlignment:
@@ -200,20 +283,27 @@ class TestAlignPair:
         assert al.total_cost == 0.0
 
     def test_single_inserted_note_is_an_insertion(self):
-        ref = perf_from_pitches([60, 62, 64, 65, 67], "r")
-        perf = perf_from_pitches([60, 62, 94, 64, 65, 67], "p")
-        al = align_pair(ref, perf)
+        al = align([60, 62, 64, 65, 67], [60, 62, 94, 64, 65, 67])
         assert al.insertions == (2,)
         assert al.pairs == ((0, 0), (1, 1), (2, 3), (3, 4), (4, 5))
-        assert al.total_cost == pytest.approx(0.6)
+        assert al.total_cost == 0.6
 
     def test_hand_dp_substitution_cheaper_than_gap_pair(self):
-        ref = perf_from_pitches([60, 62, 64], "r")
-        perf = perf_from_pitches([60, 65, 64], "p")
-        al = align_pair(ref, perf)
+        al = align([60, 62, 64], [60, 65, 64])
         assert al.pairs == ((0, 0), (1, 1), (2, 2))
         assert al.substitutions == ((1, 1),)
-        assert al.total_cost == pytest.approx(1.0)
+        assert al.total_cost == 1.0
+
+    def test_total_cost_reads_the_units_exactly(self):
+        # one dropped note (62), one wrong pitch (65 for 64), one extra note (90):
+        # 3 + 5 + 3 = 11 units
+        al = align([60, 62, 64, 67, 69, 71], [60, 65, 67, 90, 69, 71])
+        assert (al.deletions, al.substitutions, al.insertions) == ((1,), ((2, 1),), (3,))
+        assert al.total_cost == 2.2
+        # two dropped notes and one extra: 9 units, where float sums of 0.6 read 1.7999999999999998
+        al = align([60, 62, 64, 67, 69, 71, 72], [60, 64, 67, 90, 69, 72])
+        assert (al.deletions, al.substitutions, al.insertions) == ((1, 5), (), (3,))
+        assert al.total_cost == 1.8
 
     def test_empty_performance_rejected(self):
         full = perf_from_pitches([60], "a")
@@ -228,34 +318,35 @@ class TestAlignPair:
             m = int(rng.integers(1, 9))
             ref_pitches = [int(p) for p in rng.integers(60, 64, size=n)]
             perf_pitches = [int(p) for p in rng.integers(60, 64, size=m)]
-            al = align_pair(perf_from_pitches(ref_pitches, "r"), perf_from_pitches(perf_pitches, "p"))
-            expected = brute_force_cost(ref_pitches, perf_pitches)
-            assert al.total_cost == pytest.approx(expected, abs=1e-9)
+            al = align(ref_pitches, perf_pitches)
+            assert al.total_cost == brute_force_cost(ref_pitches, perf_pitches) / UNITS_PER_COST
 
-    def test_lower_bound_never_exceeds_the_optimum(self):
-        rng = np.random.default_rng(11)
-        exact = 0
-        for _ in range(1200):
-            ref = [int(p) for p in rng.integers(60, 64, size=int(rng.integers(1, 8)))]
-            if rng.random() < 0.5:
-                perf = edited(rng, ref, int(rng.integers(1, 4)))
-            else:
-                perf = [int(p) for p in rng.integers(60, 64, size=int(rng.integers(1, 8)))]
-            bound = _lower_bound(ref, perf)
-            optimum = brute_force_cost(ref, perf)
-            assert bound <= optimum + 1e-12, (ref, perf)
-            exact += bound == pytest.approx(optimum)
-        # and it is no trivial bound
-        assert exact > 400
+    def test_ties_follow_the_rule_among_the_optimal_pairings(self):
+        # every alignment with one pair costs 26 units (5.2); the rule pairs the
+        # last reference note, as it pairs note 1 of [60, 61] against [70]
+        al = align([3, 4, 2, 1, 4, 4, 3, 1], [0])
+        assert al.pairs == ((7, 0),) and al.total_cost == 5.2
+        assert align([60, 61], [70]).pairs == ((1, 0),)
+        rng = np.random.default_rng(2031)
+        checked = 0
+        while checked < 2000:
+            alphabet = int(rng.integers(1, 5))
+            ref = rng.integers(0, alphabet, size=int(rng.integers(1, 8))).tolist()
+            perf = rng.integers(0, alphabet, size=int(rng.integers(1, 8))).tolist()
+            if ref == perf:
+                continue
+            al = align(ref, perf)
+            pairs, insertions, deletions, cost = rule_path(ref, perf)
+            assert (al.pairs, al.insertions, al.deletions) == (pairs, insertions, deletions), (ref, perf)
+            assert al.total_cost == cost / UNITS_PER_COST
+            checked += 1
 
-    def test_banded_dp_equals_the_full_matrix_dp(self):
+    def test_wavefront_equals_the_full_matrix_dp(self):
         rng = np.random.default_rng(7)
         cases = [
             # the last of a run of equal pitches is the one paired
             ([60, 60], [60]),
-            # co-optimal alignments whose float costs differ in the last bit: a
-            # band grown only until the threshold equals the banded optimum, with
-            # no round-off margin, traces a different one
+            # many co-optimal alignments; float costs once let round-off choose among them
             (
                 [62, 60, 62, 61, 61, 61, 62, 60, 61, 62],
                 [61, 62, 61, 62, 60, 60, 61, 60, 62, 61, 60, 61, 60, 60, 61, 61, 62, 61, 60, 62],
@@ -276,12 +367,10 @@ class TestAlignPair:
         for ref, perf in cases:
             if ref == perf:
                 continue
-            al = align_pair(perf_from_pitches(ref, "r"), perf_from_pitches(perf, "p"))
-            assert al == full_matrix_alignment(ref, perf), (ref, perf)
+            assert align(ref, perf) == full_matrix_alignment(ref, perf), (ref, perf)
 
-    def test_banded_moves_equal_the_row_by_row_fill(self):
+    def test_wavefront_equals_the_row_by_row_fill(self):
         rng = np.random.default_rng(30)
-        rows = stepped = 0
         for case in range(2000):
             n = int(rng.integers(1, 31 if case % 5 == 0 else 401))
             if case % 8 == 0:  # a trill
@@ -291,7 +380,8 @@ class TestAlignPair:
             else:
                 ref = rng.integers(40, 40 + int(rng.integers(2, 41)), size=n).tolist()
             perf = list(ref)
-            for _ in range(int(rng.integers(0, 7))):
+            edits = int(rng.integers(0, 7))
+            for _ in range(edits):
                 # anywhere, or among the first or the last few rows
                 at = int(rng.choice([rng.integers(len(perf) + 1), rng.integers(3), len(perf) - rng.integers(3)]))
                 at = min(max(at, 0), len(perf) - 1)
@@ -302,18 +392,13 @@ class TestAlignPair:
                     del perf[at]
                 else:
                     perf.insert(at, int(rng.integers(40, 82)))
-            m = len(perf)
-            # m != n widens the band; a short pair's band is often clipped by the table edges
-            low = max(-n, min(0, m - n) - int(rng.integers(0, 13)))
-            high = min(m, max(0, m - n) + int(rng.integers(0, 13)))
-            moves, cost, cells, case_stepped = _banded_moves(np.array(ref), np.array(perf), low, high)
-            assert (moves, cost, cells) == row_by_row_moves(ref, perf, low, high), (ref, perf, low, high)
-            rows += n
-            stepped += case_stepped
-        # the runs are jumped over, most rows are not stepped
-        assert stepped < rows / 2
+            if perf == ref:
+                continue
+            # no edit costs more than a substitution, so the edit script bounds the optimum
+            expected = banded_alignment(ref, perf, SUB_UNITS * edits)
+            assert align(ref, perf) == expected, (ref, perf)
 
-    def test_long_pairs_with_sparse_errors_equal_the_full_matrix_dp_in_few_steps(self, caplog):
+    def test_long_pairs_with_sparse_errors_visit_fewer_cells_than_notes(self, caplog):
         rng = np.random.default_rng(59)
         for _ in range(20):
             n = int(rng.integers(200, 401))
@@ -321,13 +406,10 @@ class TestAlignPair:
             perf = ref
             while perf == ref:
                 perf = edited(rng, ref, int(rng.integers(1, 5)))
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="pianist_id.alignment"):
-                al = align_pair(perf_from_pitches(ref, "r"), perf_from_pitches(perf, "p"))
+            al, cost, fronts, cells = align_logged(ref, perf, caplog)
             assert al == full_matrix_alignment(ref, perf), (ref, perf)
-            (message,) = [r.getMessage() for r in caplog.records]
-            passes, rows = map(int, re.search(r" passes=(\d+) .* rows=(\d+)$", message).groups())
-            assert rows < n * passes, message
+            assert cost == round(al.total_cost * UNITS_PER_COST) and fronts == cost + 1
+            assert cells < n, (cost, cells)
 
     def test_injected_errors_come_back_at_scale(self):
         score = generate_score(2000, seed=3)
@@ -360,30 +442,43 @@ class TestAlignPair:
         assert len(al.substitutions) == counts["substitutions"]
         assert len(al.deletions) == counts["deletions"]
         assert len(al.insertions) == counts["insertions"]
-        script_cost = (
-            counts["substitutions"] * COST_SUB
-            + counts["deletions"] * COST_GAP
-            + counts["insertions"] * COST_GAP
+        script_units = SUB_UNITS * counts["substitutions"] + GAP_UNITS * (
+            counts["deletions"] + counts["insertions"]
         )
-        assert al.total_cost <= script_cost + 1e-9
+        assert al.total_cost == script_units / UNITS_PER_COST
 
     @pytest.mark.parametrize("errors", ["wrong pitches", "dropped notes"])
-    def test_an_exact_lower_bound_takes_one_pass(self, errors, caplog):
-        score = generate_score(400, seed=5)
-        pitches = score.pitches.tolist()
-        for i in range(10, 400, 40):
-            if errors == "wrong pitches":
-                # a pitch the score never plays, so no error undoes another in the multisets
-                pitches[i] = SCORE_PITCH_RANGE[1] + 1
-            else:
-                pitches[i] = None
-        performance = perf_from_pitches([p for p in pitches if p is not None])
-        with caplog.at_level(logging.DEBUG, logger="pianist_id.alignment"):
-            al = align_pair(score, performance)
-        assert al.total_cost == pytest.approx(10 * (1.0 if errors == "wrong pitches" else 0.6))
-        (message,) = [r.getMessage() for r in caplog.records]
-        assert " passes=1 " in message, message
+    def test_cells_grow_with_the_errors_not_with_the_notes(self, errors, caplog):
+        visited = []
+        for n in (400, 4000):
+            pitches = generate_score(n, seed=5).pitches.tolist()
+            for i in range(10, 400, 40):
+                if errors == "wrong pitches":
+                    # a pitch the score never plays, so the error is a substitution
+                    pitches[i] = SCORE_PITCH_RANGE[1] + 1
+                else:
+                    pitches[i] = None
+            ref = generate_score(n, seed=5).pitches.tolist()
+            al, cost, fronts, cells = align_logged(ref, [p for p in pitches if p is not None], caplog)
+            assert al.total_cost == (2.0 if errors == "wrong pitches" else 1.2) * 5
+            visited.append(cells)
+        # ten errors cost 50 or 30 units, and ten times the notes visit the same
+        # cells: fewer than a quarter of the long pair's notes
+        assert visited[0] == visited[1] < 1000, visited
 
+    def test_unrelated_pairs_trills_and_blocks_of_extra_notes_equal_the_full_matrix_dp(self):
+        rng = np.random.default_rng(300)
+        cases = [
+            (rng.integers(36, 97, size=n).tolist(), rng.integers(36, 97, size=m).tolist())
+            for n, m in ((40, 55), (120, 90), (300, 300))
+        ]
+        trill = [60, 62] * 150
+        cases.append((trill, edited(rng, trill, 12)))
+        cases.append((trill, trill[1:] + [60]))
+        score = rng.integers(36, 97, size=300).tolist()
+        cases.append((score, score[:150] + rng.integers(36, 97, size=200).tolist() + score[150:]))
+        for ref, perf in cases:
+            assert align(ref, perf) == full_matrix_alignment(ref, perf), (len(ref), len(perf))
 
 
 class TestBuildTable:
