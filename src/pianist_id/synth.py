@@ -6,13 +6,23 @@ performer profile: onsets are tempo-scaled and jittered, dynamics shifted
 renderer preserves note order and pitches, rendered performances align to the
 score as the identity mapping, which gives the whole pipeline a ground truth.
 
-Scores and renders are built as note columns. Random draws are made one at a
-time in note order, so a seed gives the same notes as the note-by-note form
-in ``tests/synth_reference.py``.
+Scores and renders are built as note columns from the same random stream as
+the note-by-note form in ``tests/synth_reference.py``, which draws through
+``Generator.choice``, ``uniform`` and ``normal``; a seed gives the same notes
+and bytes from both. Each value here is drawn by the cheapest call that
+consumes the same words of the stream and gives the same float: a chord size
+is ``bisect_right`` of one ``random()`` on the CDF that ``choice`` builds, a
+uniform value is ``low + (high - low) * random()``, and a normal one is
+``loc + scale * z`` for a standard normal ``z``. A render whose profile has
+no second velocity mode draws all its normals in one ``standard_normal`` call,
+in note order. A second mode interleaves a ``random()`` per note with the
+normals, which take a variable number of words, so that render draws note by
+note.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +43,12 @@ MIN_NOTE_GAP = 1e-6
 MIN_DURATION = 0.01
 
 
+def _require_finite(**fields) -> None:
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class VelocityShift:
     """Gaussian velocity offset, optionally with a second mode for bimodality."""
@@ -43,6 +59,9 @@ class VelocityShift:
     second_weight: float = 0.0
 
     def __post_init__(self):
+        _require_finite(mean=self.mean, stddev=self.stddev, second_weight=self.second_weight)
+        if self.second_mean is not None:
+            _require_finite(second_mean=self.second_mean)
         if self.stddev < 0:
             raise ValueError("stddev must be non-negative")
         if not 0.0 <= self.second_weight <= 1.0:
@@ -59,6 +78,12 @@ class PerformerProfile:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(
+            tempo_scale=self.tempo_scale,
+            onset_jitter=self.onset_jitter,
+            articulation_bias=self.articulation_bias,
+            duration_scale=self.duration_scale,
+        )
         if not 0.5 <= self.tempo_scale <= 2.0:
             raise ValueError(f"tempo_scale must lie in [0.5, 2.0], got {self.tempo_scale}")
         if self.onset_jitter[1] < 0:
@@ -76,7 +101,13 @@ def generate_score(n_notes: int, seed: int) -> Performance:
     if n_notes < 2:
         raise ValueError(f"need at least 2 notes, got {n_notes}")
     rng = np.random.default_rng(seed)
+    random, integers = rng.random, rng.integers
     chord_sizes, chord_probs = zip(*CHORD_PROBABILITIES)
+    cumulative = np.cumsum(chord_probs)
+    chord_cdf = (cumulative / cumulative[-1]).tolist()  # the CDF Generator.choice searches
+    ioi_low, ioi_high = SCORE_IOI_RANGE
+    fraction_low, fraction_high = SCORE_DURATION_FRACTION
+    dynamic_low, dynamic_high = SCORE_DYNAMIC_RANGE
     onsets: list[float] = []
     offsets: list[float] = []
     pitches: list[int] = []
@@ -84,17 +115,16 @@ def generate_score(n_notes: int, seed: int) -> Performance:
     onset = 0.0
     pitch_center = 66
     while len(pitches) < n_notes:
-        ioi = float(rng.uniform(*SCORE_IOI_RANGE))
-        duration = float(rng.uniform(*SCORE_DURATION_FRACTION)) * ioi
-        size = min(int(rng.choice(chord_sizes, p=chord_probs)), n_notes - len(pitches))
-        pitch_center += int(rng.integers(-5, 6))
+        ioi = ioi_low + (ioi_high - ioi_low) * random()
+        duration = (fraction_low + (fraction_high - fraction_low) * random()) * ioi
+        size = min(chord_sizes[bisect_right(chord_cdf, random())], n_notes - len(pitches))
+        pitch_center += int(integers(-5, 6))
         pitch_center = min(max(pitch_center, SCORE_PITCH_RANGE[0] + 8), SCORE_PITCH_RANGE[1] - 8)
         onsets += [onset] * size
         offsets += [onset + duration] * size
         pitches.extend(range(pitch_center, pitch_center + 4 * size, 4))
-        dynamics.extend(
-            int(rng.integers(SCORE_DYNAMIC_RANGE[0], SCORE_DYNAMIC_RANGE[1] + 1)) for _ in range(size)
-        )
+        # scalar draws: integers(..., size=k) takes the same words but costs more per call
+        dynamics.extend(int(integers(dynamic_low, dynamic_high + 1)) for _ in range(size))
         onset += ioi
     return Performance.from_columns("score", f"synth-{seed}", onsets, offsets, pitches, dynamics)
 
@@ -106,8 +136,9 @@ def render_performer(
 
     All notes of a chord share one jitter draw, so simultaneous notes stay
     simultaneous; jittered onsets are nudged forward where needed to keep the
-    original note order. Random draws are made in note order (a chord's jitter
-    before its first note's velocity draws); the rest is array arithmetic.
+    original note order. Random values are drawn in note order (a chord's jitter
+    before its first note's velocity draws), as the module docstring describes;
+    the rest is array arithmetic.
     """
     rng = np.random.default_rng(profile.seed)
     jitter_mean, jitter_std = profile.onset_jitter
@@ -115,14 +146,23 @@ def render_performer(
 
     starts_chord = np.ones(len(score), dtype=bool)  # a note whose onset differs from the last
     starts_chord[1:] = score.onsets[1:] != score.onsets[:-1]
-    jitters: list[float] = []
-    velocity_offsets: list[float] = []
-    for starts in starts_chord.tolist():
-        if starts:
-            jitters.append(rng.normal(jitter_mean, jitter_std))
-        second_mode = shift.second_mean is not None and rng.random() < shift.second_weight
-        mean = shift.second_mean if second_mode else shift.mean
-        velocity_offsets.append(rng.normal(mean, shift.stddev))
+    chord_index = np.cumsum(starts_chord) - 1
+    if shift.second_mean is None:
+        # one normal per chord and one per note, in stream order: a note's velocity
+        # normal follows those of the notes before it and its chord's jitter normal
+        velocity_at = np.arange(len(score)) + chord_index + 1
+        z = rng.standard_normal(len(velocity_at) + int(starts_chord.sum()))
+        jitters = jitter_mean + jitter_std * z[velocity_at[starts_chord] - 1]
+        velocity_offsets = shift.mean + shift.stddev * z[velocity_at]
+    else:
+        random, normal = rng.random, rng.normal
+        jitters = []
+        velocity_offsets = []
+        for starts in starts_chord.tolist():
+            if starts:
+                jitters.append(normal(jitter_mean, jitter_std))
+            mean = shift.second_mean if random() < shift.second_weight else shift.mean
+            velocity_offsets.append(normal(mean, shift.stddev))
 
     # the onset floor depends on the previous chord's floored onset, so it is a loop
     chord_onsets = (score.onsets[starts_chord] * profile.tempo_scale + jitters).tolist()
@@ -130,7 +170,7 @@ def render_performer(
     for k, onset in enumerate(chord_onsets):
         chord_onsets[k] = onset = max(onset, floor)
         floor = onset + MIN_NOTE_GAP
-    onsets = np.asarray(chord_onsets)[np.cumsum(starts_chord) - 1]
+    onsets = np.asarray(chord_onsets)[chord_index]
     durations = (score.offsets - score.onsets) * profile.duration_scale - profile.articulation_bias
     dynamics = np.clip(np.rint(score.dynamics + np.asarray(velocity_offsets)), 1, 127)
     return Performance.from_columns(

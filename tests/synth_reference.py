@@ -1,11 +1,16 @@
 """Reference score generator and renderer for tests, one note at a time.
 
 ``reference_generate_score`` and ``reference_render_performer`` build one
-``NoteEvent`` per note, in a loop that draws from the random generator in the
-same order as ``pianist_id.synth``. They are the oracle for
-``synth.generate_score`` and ``synth.render_performer``, which compute the
-same notes with array arithmetic: for every seed and profile, both give the
-same columns bit for bit, and so the same ``write_smf`` bytes.
+``NoteEvent`` per note, in a loop that makes one draw per value, in note
+order, through numpy's own ``Generator.choice``, ``uniform``, ``integers``
+and ``normal``. They are the oracle for ``synth.generate_score`` and
+``synth.render_performer``, which draw the same words of the same stream
+through cheaper calls (``random()`` for a choice or a uniform value, and one
+``standard_normal`` call per render without a second velocity mode) and
+compute the same notes with array arithmetic: for every seed and profile,
+both give the same columns bit for bit, and so the same ``write_smf`` bytes.
+Keep the calls here as they are; ``tests/test_synth.py`` pins the numpy
+identities that make the two forms agree.
 """
 
 from __future__ import annotations

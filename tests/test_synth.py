@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ def edge_profiles(seed):
         ),
         # zero spread
         PerformerProfile(tempo_scale=1.3, duration_scale=1.3, seed=seed + 2),
+        # a second mode that is never and always taken still draws a random() per note
+        PerformerProfile(
+            onset_jitter=(0.01, 0.02),
+            velocity_shift=VelocityShift(3.0, 2.0, second_mean=-9.0, second_weight=0.0),
+            seed=seed + 3,
+        ),
+        PerformerProfile(
+            onset_jitter=(0.01, 0.02),
+            velocity_shift=VelocityShift(3.0, 2.0, second_mean=-9.0, second_weight=1.0),
+            seed=seed + 4,
+        ),
+        # zero spreads with a second mode
+        PerformerProfile(
+            tempo_scale=0.8,
+            velocity_shift=VelocityShift(4.0, 0.0, second_mean=-4.0, second_weight=0.5),
+            duration_scale=0.8,
+            seed=seed + 5,
+        ),
     ]
 
 
@@ -147,25 +166,55 @@ class TestRenderPerformer:
             VelocityShift(stddev=-1.0)
 
 
+
+NON_FINITE_FIELDS = [
+    ("mean", lambda v: VelocityShift(mean=v)),
+    ("stddev", lambda v: VelocityShift(stddev=v)),
+    ("second_mean", lambda v: VelocityShift(second_mean=v, second_weight=0.5)),
+    ("second_weight", lambda v: VelocityShift(second_mean=1.0, second_weight=v)),
+    ("tempo_scale", lambda v: PerformerProfile(tempo_scale=v)),
+    ("onset_jitter", lambda v: PerformerProfile(onset_jitter=(v, 0.01))),
+    ("onset_jitter", lambda v: PerformerProfile(onset_jitter=(0.0, v))),
+    ("articulation_bias", lambda v: PerformerProfile(articulation_bias=v)),
+    ("duration_scale", lambda v: PerformerProfile(duration_scale=v)),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, build",
+    NON_FINITE_FIELDS,
+    ids=[f"{name}-{i}" for i, (name, _) in enumerate(NON_FINITE_FIELDS)],
+)
+def test_non_finite_profile_fields_are_rejected_by_name(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        build(value)
+
+
 class TestAgainstNoteByNoteReference:
     def test_scores_and_renders_equal_the_reference_bit_for_bit(self):
-        floor_bound = clamped_low = clamped_high = at_min_duration = bimodal = 0
-        for seed in range(20):
-            n_notes = 150 + 7 * seed
-            score = generate_score(n_notes, seed)
-            assert_same_notes(score, reference_generate_score(n_notes, seed))
-            profiles = default_profiles(3, base_seed=seed) + edge_profiles(seed)
-            for i, profile in enumerate(profiles):
-                rendered = render_performer(score, profile, f"p{i}")
-                assert_same_notes(rendered, reference_render_performer(score, profile, f"p{i}"))
-                chord_onsets = np.unique(rendered.onsets)
-                floor_bound += int(np.sum(chord_onsets[1:] == chord_onsets[:-1] + MIN_NOTE_GAP))
-                clamped_low += int(np.sum(rendered.dynamics == 1))
-                clamped_high += int(np.sum(rendered.dynamics == 127))
-                durations = rendered.offsets - rendered.onsets
-                at_min_duration += int(np.sum(np.isclose(durations, MIN_DURATION)))
-                bimodal += profile.velocity_shift.second_mean is not None
-        assert min(floor_bound, clamped_low, clamped_high, at_min_duration, bimodal) > 0
+        floor_bound = clamped_low = clamped_high = at_min_duration = cut_chords = 0
+        second_weights = set()  # None for the draw plan without a second mode
+        for seed in range(40):
+            # short scores often end in a chord cut short to the note count
+            for n_notes in (150 + 7 * seed, 2 + seed % 11):
+                score = generate_score(n_notes, seed)
+                assert_same_notes(score, reference_generate_score(n_notes, seed))
+                cut_chords += bool(generate_score(n_notes + 1, seed).onsets[-1] == score.onsets[-1])
+                profiles = default_profiles(3, base_seed=seed) + edge_profiles(seed)
+                for i, profile in enumerate(profiles):
+                    rendered = render_performer(score, profile, f"p{i}")
+                    assert_same_notes(rendered, reference_render_performer(score, profile, f"p{i}"))
+                    chord_onsets = np.unique(rendered.onsets)
+                    floor_bound += int(np.sum(chord_onsets[1:] == chord_onsets[:-1] + MIN_NOTE_GAP))
+                    clamped_low += int(np.sum(rendered.dynamics == 1))
+                    clamped_high += int(np.sum(rendered.dynamics == 127))
+                    durations = rendered.offsets - rendered.onsets
+                    at_min_duration += int(np.sum(np.isclose(durations, MIN_DURATION)))
+                    shift = profile.velocity_shift
+                    second_weights.add(None if shift.second_mean is None else shift.second_weight)
+        assert min(floor_bound, clamped_low, clamped_high, at_min_duration, cut_chords) > 0
+        assert {None, 0.0, 0.35, 1.0} <= second_weights
 
     def test_unnamed_render_and_empty_score(self):
         score = generate_score(40, seed=3)
@@ -175,6 +224,61 @@ class TestAgainstNoteByNoteReference:
         )
         empty = Performance.from_columns("score", "empty", [], [], [], [])
         assert len(render_performer(empty, default_profiles(3)[2])) == 0
+
+
+class TestNumpyDrawEquivalences:
+    """The numpy identities that let ``synth`` draw the reference's stream with cheaper calls.
+
+    Each case draws from two generators of one seed, one each way, and needs the
+    same values and the same generator state after."""
+
+    @staticmethod
+    def generators(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    @staticmethod
+    def assert_in_step(a, b):
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 401])
+    @pytest.mark.parametrize(
+        "probabilities", [(0.82, 0.13, 0.05), (0.5, 0.0, 0.5), (1.0,), (0.1, 0.2, 0.3, 0.4)]
+    )
+    def test_choice_with_p_is_a_bisect_of_one_random(self, seed, probabilities):
+        a, b = self.generators(seed)
+        cumulative = np.cumsum(probabilities)
+        cdf = (cumulative / cumulative[-1]).tolist()
+        items = tuple(range(10, 10 + len(probabilities)))
+        for _ in range(500):
+            assert int(a.choice(items, p=probabilities)) == items[bisect_right(cdf, b.random())]
+        self.assert_in_step(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 401])
+    @pytest.mark.parametrize("low, high", [(0.1, 1.0), (0.62, 0.74), (-3.0, 5.5), (0.5, 0.5)])
+    def test_uniform_is_its_arithmetic_on_random(self, seed, low, high):
+        a, b = self.generators(seed)
+        for _ in range(500):
+            assert a.uniform(low, high) == low + (high - low) * b.random()
+        self.assert_in_step(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 401])
+    @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (-8.0, 3.0), (0.012, 0.006), (4.0, 0.0)])
+    def test_normal_is_loc_plus_scale_times_a_standard_normal(self, seed, loc, scale):
+        a, b = self.generators(seed)
+        for _ in range(500):
+            assert a.normal(loc, scale) == loc + scale * b.standard_normal()
+        # the array form, as the renderer uses it
+        z = b.standard_normal(500)
+        assert np.array_equal([a.normal(loc, scale) for _ in range(500)], loc + scale * z)
+        self.assert_in_step(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 401])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3000])
+    def test_standard_normal_of_k_is_k_scalar_draws(self, seed, k):
+        a, b = self.generators(seed)
+        drawn = a.standard_normal(k)
+        assert drawn.tobytes() == np.array([b.standard_normal() for _ in range(k)]).tobytes()
+        self.assert_in_step(a, b)
 
 
 def tree_sha256(root):
