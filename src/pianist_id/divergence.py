@@ -8,16 +8,17 @@ approximation built from closed-form Gaussian component divergences.
 Divergence across model families is rejected.
 
 Cross-validation's one KL table (``evaluation._kl_table``) compares GMMs with
-``kl``. It scores histograms in stacked passes with ``kl_histogram_rows``, of
-which ``kl_histogram`` is the one-pair case: a pair's edges are merged by one
-stable sort, each model's cumulative mass is exact at its own edges and
-interpolated with ``np.interp``'s arithmetic at the other's, and differences
-over the merged edges give both rebinned mass vectors. For KDEs, ``kl_rows``
-scores the tests of every round against that round's candidate pool
-densities, all on one shared grid per feature kind, in stacked passes of at
-most ``densities.KERNEL_BATCH`` integrand elements. Every value keeps the
-bits of its lone pair. ``fuse`` adds weighted KLs feature by feature, for
-single values or for whole arrays of them.
+``kl``. It scores histograms in stacked passes of at most ``HISTOGRAM_BATCH``
+elements with ``kl_histogram_rows``, of which ``kl_histogram`` is the one-pair
+case: a pair's edges are merged by one stable sort, each model's cumulative
+mass is exact at its own edges and interpolated with ``np.interp``'s
+arithmetic at the other's, and differences over the merged edges give both
+rebinned mass vectors. For KDEs, ``kl_rows`` scores the tests of every round
+against that round's candidate pool densities, all on one shared grid per
+feature kind, in stacked passes of at most ``densities.KERNEL_BATCH``
+integrand elements. Every value keeps the bits of its lone pair. ``fuse`` adds
+weighted KLs feature by feature, for single values or for whole arrays of
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ from .densities import GMM, KDE, Histogram, kde_pdf
 
 #: Denominator density floor; keeps the KDE integrand finite on disjoint supports.
 Q_FLOOR = 1e-300
+
+#: Elements of the (2, pairs, edges) float64 stacks of one ``kl_histogram_rows``
+#: pass (104 KiB), below glibc's 128 KiB mmap threshold: the temporaries of
+#: each pass reuse heap pages instead of faulting in fresh ones.
+HISTOGRAM_BATCH = 13 * 2**10
 
 
 @dataclass(frozen=True)
@@ -74,14 +80,19 @@ def kl_histogram_rows(p: Histogram, q: Histogram, p_rows=None, q_rows=None) -> l
     """``kl_histogram`` of row ``p_rows[i]`` of the histogram stack ``p``
     against row ``q_rows[i]`` of ``q`` (by default, row i of each).
 
-    Pairs with equal edges keep their masses. Other pairs merge both edge
-    sets by one stable sort, keep the last of each run of equal edges, and
-    difference each model's cumulative mass there (``_other_cdf``). Rows are
-    summed in groups of equal length, so each row's ``np.sum`` adds its terms
-    in the order a lone row would. Values are clamped and checked as a
-    ``KlResult`` would be.
+    Pairs are scored in passes over as many as fit ``HISTOGRAM_BATCH``
+    elements, or one. Pairs with equal edges keep their masses. Other pairs
+    merge both edge sets by one stable sort, keep the last of each run of
+    equal edges, and difference each model's cumulative mass there
+    (``_other_cdf``). Rows are summed in groups of equal length, so each
+    row's ``np.sum`` adds its terms in the order a lone row would. Values are
+    clamped and checked as a ``KlResult`` would be.
     """
     p_rows, q_rows = (np.arange(len(p.edges)),) * 2 if p_rows is None else (p_rows, q_rows)
+    per_pass = max(1, HISTOGRAM_BATCH // (2 * (p.edges.shape[-1] + q.edges.shape[-1])))
+    if len(p_rows) > per_pass:
+        return [value for start in range(0, len(p_rows), per_pass) for value in kl_histogram_rows(
+            p, q, p_rows[start : start + per_pass], q_rows[start : start + per_pass])]
     pe, qe = p.edges[p_rows], q.edges[q_rows]
     same = np.all(pe == qe, axis=1) if pe.shape == qe.shape else np.zeros(len(pe), dtype=bool)
     parts = []  # (rows, stacked p and q masses)

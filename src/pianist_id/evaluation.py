@@ -292,10 +292,17 @@ def metrics(confusion):
 
 @dataclass(frozen=True)
 class DeviationDataset:
-    """Per-performer deviation series over a shared position index."""
+    """Per-performer deviation series over a shared position index; a
+    non-empty series must lie in [0, n_positions)."""
 
     n_positions: int
     by_performer: Mapping[str, Mapping[str, DeviationSeries]]
+
+    def __post_init__(self):
+        for pid, by_kind in self.by_performer.items():
+            for kind, s in by_kind.items():
+                if len(s) and not 0 <= s.positions[0] <= s.end_positions[-1] < self.n_positions:
+                    raise ValueError(f"the {kind} series of performer {pid!r} has positions outside [0, {self.n_positions})")
 
     @classmethod
     def from_table(cls, table: AlignedNoteTable) -> "DeviationDataset":
@@ -376,13 +383,6 @@ class EvaluationReport:
             for t in self.trials
         )
         return text + "[\n" + trials + "\n  ]\n}\n"
-
-
-def _value_groups(series: DeviationSeries, fold: FoldSpec) -> np.ndarray:
-    """Group id per value; -1 when a successor pair straddles group bounds."""
-    start_groups = fold.group_of(series.positions)
-    end_groups = fold.group_of(series.end_positions)
-    return np.where(start_groups == end_groups, start_groups, -1)
 
 
 def run_cv(
@@ -591,9 +591,14 @@ def _map(fn, items, jobs: int) -> list:
 
 
 def _group_chunks(series: DeviationSeries, fold: FoldSpec) -> list[np.ndarray]:
-    """The series' values per group; a value whose pair straddles groups is in none."""
-    groups = _value_groups(series, fold)
-    return [series.values[groups == g] for g in range(fold.n_groups)]
+    """The series' values per group, as slices; a value whose pair straddles
+    groups is in none. Positions and end positions strictly increase, so a
+    group's values run from the first position at or past its start to the
+    last end position before its end."""
+    starts, ends = np.asarray(fold.groups).T
+    lo = np.searchsorted(series.positions, starts).tolist()
+    hi = np.searchsorted(series.end_positions, ends).tolist()
+    return [series.values[a:b] for a, b in zip(lo, hi)]
 
 
 def _confusion(predicted: np.ndarray, n_groups: int) -> np.ndarray:

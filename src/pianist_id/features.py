@@ -10,10 +10,11 @@ OTD (gap between a note's offset and the next onset; negative means legato
 overlap). Deviations subtract the performer's quantity from the norm's: plain
 difference for OT/DL/ND, difference of absolute values for IOI/OTD.
 
-There is one path from note streams to deviations: restrict the performer and
-norm streams to their shared positions, then derive each kind from that pair
-and subtract. ``deviations`` does both for one kind; ``extract_deviations``
-restricts each performer once and derives every kind from it.
+There is one path from note streams to deviations: gather a performer's and
+the norm's notes at their shared positions, derive each kind from both and
+subtract. ``extract_deviations`` does it for every table column in one pass
+over the stacked columns, whose slices are each performer's series;
+``deviations`` runs the same pass on one stream and one kind.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .alignment import AlignedNoteTable
 
 KINDS = ("OT", "IOI", "OTD", "DL", "ND")
-POINT_KINDS = frozenset({"OT", "DL", "ND"})
 PAIR_KINDS = frozenset({"IOI", "OTD"})
 
 NORM_LABEL = "norm"
@@ -84,6 +84,9 @@ class DeviationSeries:
             raise ValueError("positions/end_positions/values length mismatch")
         if len(self.values) and not np.all(np.isfinite(self.values)):
             raise ValueError("series values must be finite")
+        p, e = self.positions, self.end_positions
+        if len(p) and ((p[1:] <= p[:-1]).any() or e is not p and ((e[1:] <= e[:-1]).any() or (e < p).any())):
+            raise ValueError("positions and end_positions must be strictly increasing, no end before its start")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -126,20 +129,28 @@ def derive_quantity(stream: NoteStream, kind: str) -> DeviationSeries:
     IOI and OTD run between consecutive present notes of the stream; streams
     with fewer than 2 notes yield an empty result for those kinds.
     """
-    _check_kind(kind)
-    if kind in POINT_KINDS:
-        starts = ends = stream.positions
-        if kind == "OT":
-            values = stream.onsets
-        elif kind == "DL":
-            values = stream.dynamics
-        else:
-            values = stream.offsets - stream.onsets
-    else:
-        starts, ends = stream.positions[:-1], stream.positions[1:]
-        earlier = stream.onsets if kind == "IOI" else stream.offsets  # IOI or OTD
-        values = stream.onsets[1:] - earlier[:-1]
-    return DeviationSeries(kind, stream.label, values, starts, ends)
+    values = _quantity(_check_kind(kind), stream.onsets, stream.offsets, stream.dynamics)
+    return _series(kind, stream.label, values, stream.positions)
+
+
+def _quantity(kind: str, onsets, offsets, dynamics) -> np.ndarray:
+    """One kind's quantity of notes in position order; a pair kind has one value
+    per consecutive pair of them."""
+    if kind == "OT":
+        return onsets
+    if kind == "DL":
+        return dynamics
+    if kind == "ND":
+        return offsets - onsets
+    earlier = onsets if kind == "IOI" else offsets  # IOI or OTD
+    return onsets[1:] - earlier[:-1]
+
+
+def _series(kind: str, label: str, values: np.ndarray, positions: np.ndarray) -> DeviationSeries:
+    """``values`` of the notes at ``positions``; a pair kind's value anchors on
+    the first of its two notes."""
+    starts, ends = (positions[:-1], positions[1:]) if kind in PAIR_KINDS else (positions, positions)
+    return DeviationSeries(kind, label, values, starts, ends)
 
 
 def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
@@ -152,32 +163,29 @@ def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationS
     The sign convention is norm minus performer: x - y for OT/DL/ND and
     |x| - |y| for IOI/OTD, with x the norm quantity.
     """
-    return _deviation(*_restrict_to_shared(performer, norm), kind)
-
-
-def _restrict_to_shared(performer: NoteStream, norm: NoteStream) -> tuple[NoteStream, NoteStream]:
-    """Both streams on their common positions."""
     common, *indices = np.intersect1d(
         performer.positions, norm.positions, assume_unique=True, return_indices=True
     )
-    return tuple(
-        NoteStream(stream.label, common, stream.onsets[i], stream.offsets[i], stream.dynamics[i])
-        for stream, i in zip((performer, norm), indices)
-    )
+    perf, ref = ((s.onsets[i], s.offsets[i], s.dynamics[i]) for s, i in zip((performer, norm), indices))
+    [series] = _deviation_columns((_check_kind(kind),), [performer.label], [0, len(common)], common, perf, ref)
+    return series[kind]
 
 
-def _deviation(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
-    """Norm-minus-performer deviation of two streams on the same positions."""
-    perf_q = derive_quantity(performer, kind)
-    x = derive_quantity(norm, kind).values
-    y = perf_q.values
-    return DeviationSeries(
-        kind=kind,
-        performer_id=performer.label,
-        values=np.abs(x) - np.abs(y) if kind in PAIR_KINDS else x - y,
-        positions=perf_q.positions,
-        end_positions=perf_q.end_positions,
-    )
+def _deviation_columns(kinds, labels, bounds, positions, perf, norm) -> list[dict[str, DeviationSeries]]:
+    """Per label, the norm-minus-performer series of each kind, where label c's
+    notes are ``[bounds[c], bounds[c + 1])`` of the stacked ``positions`` and of
+    the (onsets, offsets, dynamics) in ``perf`` and, at the same positions,
+    ``norm``. A pair kind is subtracted over every consecutive pair of the
+    stack, and a label's slice leaves out the pair that ends in the next
+    label's first note."""
+    out = [{} for _ in labels]
+    for kind in kinds:
+        x, y = _quantity(kind, *norm), _quantity(kind, *perf)
+        pair = kind in PAIR_KINDS
+        values = np.abs(x) - np.abs(y) if pair else x - y
+        for series, label, lo, hi in zip(out, labels, bounds, bounds[1:]):
+            series[kind] = _series(kind, label, values[lo : max(lo, hi - pair)], positions[lo:hi])
+    return out
 
 
 def extract_deviations(
@@ -186,16 +194,22 @@ def extract_deviations(
     """Every kind's deviation series for every performer in the table, from
     ``norm`` or else from ``compute_norm(table)``.
 
-    Each performer stream is restricted to the norm once and every kind is
-    derived from that pair, which gives the same series as ``deviations``.
+    One pass serves every column: ``np.nonzero`` picks each column's present
+    cells at the norm's positions, column after column, and their notes and
+    the norm's are gathered once. The series are slices of one stacked array
+    per kind, with the bits ``deviations`` gives for each performer stream.
     """
     if norm is None:
         norm = compute_norm(table)
-    out: dict[str, dict[str, DeviationSeries]] = {}
-    for pid in table.performer_ids:
-        perf_r, norm_r = _restrict_to_shared(performer_stream(table, pid), norm)
-        out[pid] = {kind: _deviation(perf_r, norm_r, kind) for kind in KINDS}
-    return out
+    index = np.arange(table.n_positions)
+    shared = (table.present_mask() & np.isin(index, norm.positions)[:, None]).T
+    cols, rows = np.nonzero(shared)
+    at = np.searchsorted(norm.positions, index)[rows]
+    bounds = np.searchsorted(cols, np.arange(len(table.performer_ids) + 1)).tolist()
+    perf = [a.T[shared] for a in (table.onsets, table.offsets, table.dynamics)]
+    ref = [a[at] for a in (norm.onsets, norm.offsets, norm.dynamics)]
+    by_column = _deviation_columns(KINDS, table.performer_ids, bounds, rows, perf, ref)
+    return dict(zip(table.performer_ids, by_column))
 
 
 def pearson_r(a, b) -> float:

@@ -25,9 +25,9 @@ from pianist_id.evaluation import (
     EmptyTestSeriesError,
     ExperimentConfig,
     FoldSpec,
+    _group_chunks,
     _kde_kls,
     _kind_kls,
-    _value_groups,
     classify,
     f_score,
     feature_subsets,
@@ -392,12 +392,60 @@ class TestRunCv:
         series = DeviationSeries(
             kind="IOI",
             performer_id="a",
-            values=np.zeros(7),
+            values=np.arange(7.0),
             positions=positions,
             end_positions=positions + 1,
         )
-        groups = _value_groups(series, logo_split(8, 2))
-        assert list(groups) == [0, 0, 0, -1, 1, 1, 1]
+        chunks = _group_chunks(series, logo_split(8, 2))
+        assert [c.tolist() for c in chunks] == [[0.0, 1.0, 2.0], [4.0, 5.0, 6.0]]
+
+    def test_a_group_only_pairs_straddle_is_empty(self):
+        # groups [0, 4), [4, 8), [8, 12): the (3, 7) and (7, 9) pairs straddle
+        # bounds, so the middle group holds no value
+        series = DeviationSeries(
+            kind="OTD",
+            performer_id="a",
+            values=np.asarray([10.0, 11.0, 12.0, 13.0, 14.0]),
+            positions=np.asarray([0, 1, 3, 7, 9]),
+            end_positions=np.asarray([1, 3, 7, 9, 10]),
+        )
+        chunks = _group_chunks(series, logo_split(12, 3))
+        assert [c.tolist() for c in chunks] == [[10.0, 11.0], [], [14.0]]
+        empty = point_series("a", [])
+        assert [len(c) for c in _group_chunks(empty, logo_split(12, 3))] == [0, 0, 0]
+
+    def test_chunks_equal_the_group_of_masks(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            n = int(rng.integers(4, 40))
+            fold = logo_split(n, int(rng.integers(2, min(n, 8) + 1)))
+            positions = np.flatnonzero(rng.random(n) < rng.random())
+            pair = rng.random() < 0.5
+            starts, ends = (positions[:-1], positions[1:]) if pair else (positions, positions)
+            series = DeviationSeries("IOI" if pair else "OT", "a", rng.normal(size=len(starts)), starts, ends)
+            start, end = fold.group_of(series.positions), fold.group_of(series.end_positions)
+            chunks = _group_chunks(series, fold)
+            assert len(chunks) == fold.n_groups
+            for g, chunk in enumerate(chunks):
+                assert chunk.tobytes() == series.values[(start == g) & (end == g)].tobytes()
+
+    @pytest.mark.parametrize("positions", [np.arange(40), np.arange(-1, 19)])
+    def test_a_dataset_refuses_positions_outside_its_index(self, positions):
+        # unchecked, positions 0..39 would put 25 of 40 values in the last of 4
+        # groups, and a negative position would fall out of every group
+        series = {
+            "a": {"OT": point_series("a", np.zeros(20))},
+            "b": {"OT": point_series("b", np.zeros(len(positions)), positions=positions)},
+        }
+        with pytest.raises(ValueError, match=r"the OT series of performer 'b' has positions outside \[0, 20\)"):
+            DeviationDataset(n_positions=20, by_performer=series)
+
+    def test_a_pair_series_may_end_on_the_last_position_only(self):
+        positions = np.arange(19)
+        ioi = DeviationSeries("IOI", "a", np.zeros(19), positions, positions + 1)
+        DeviationDataset(n_positions=20, by_performer={"a": {"IOI": ioi}, "b": {"IOI": ioi}})
+        with pytest.raises(ValueError, match="the IOI series of performer 'a'"):
+            DeviationDataset(n_positions=19, by_performer={"a": {"IOI": ioi}, "b": {"IOI": ioi}})
 
     def test_kde_and_gmm_families_run(self):
         rng = np.random.default_rng(3)

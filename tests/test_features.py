@@ -6,6 +6,7 @@ from pianist_id.alignment import AlignedNoteTable, build_table
 from pianist_id.features import (
     KINDS,
     PAIR_KINDS,
+    DeviationSeries,
     NoteStream,
     UndefinedCorrelationError,
     compute_norm,
@@ -16,6 +17,7 @@ from pianist_id.features import (
     pearson_r,
     performer_stream,
 )
+from pianist_id.midi_io import Performance
 
 
 def stream_from_notes(onsets, offsets, dynamics, label="s", positions=None):
@@ -115,6 +117,23 @@ class TestDeriveQuantity:
         s = stream_from_notes([0.0], [0.4], [64])
         with pytest.raises(ValueError):
             derive_quantity(s, "XX")
+
+
+class TestDeviationSeries:
+    @pytest.mark.parametrize(
+        "positions, end_positions",
+        [([3, 1, 2, 0], None), ([0, 1, 1], None), ([0, 2, 1], [1, 3, 4]), ([0, 1, 2], [1, 3, 2])],
+    )
+    def test_unordered_positions_are_refused(self, positions, end_positions):
+        # None: one array for both, as a point kind's series has
+        positions = np.asarray(positions)
+        ends = positions if end_positions is None else np.asarray(end_positions)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DeviationSeries("IOI", "a", np.zeros(len(positions)), positions, ends)
+
+    def test_an_end_before_its_position_is_refused(self):
+        with pytest.raises(ValueError, match="no end before its start"):
+            DeviationSeries("IOI", "a", np.zeros(2), np.asarray([1, 4]), np.asarray([2, 3]))
 
 
 class TestDeviations:
@@ -261,6 +280,79 @@ class TestDumpCsv:
             series = by_performer["p1"][kind]
             assert series.positions.tolist() == [0, 1, 2, 3, 4, 6]
             assert series.end_positions.tolist() == [1, 2, 3, 4, 6, 7]
+
+    @staticmethod
+    def assert_extract_equals_streams(table, norm=None):
+        by_performer = extract_deviations(table, norm)
+        norm = compute_norm(table) if norm is None else norm
+        assert list(by_performer) == list(table.performer_ids)
+        for pid in table.performer_ids:
+            assert list(by_performer[pid]) == list(KINDS)
+            stream = performer_stream(table, pid)
+            for kind in KINDS:
+                got, want = by_performer[pid][kind], deviations(stream, norm, kind)
+                assert (got.kind, got.performer_id) == (want.kind, want.performer_id)
+                for name in ("values", "positions", "end_positions"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype, (pid, kind, name)
+                    assert a.tobytes() == b.tobytes(), (pid, kind, name)
+        return by_performer
+
+    def test_extract_deviations_equals_deviations_with_dropped_and_extra_notes(self):
+        onsets = [0.0, 0.5, 1.0, 1.6, 2.0, 2.4, 2.9, 3.3]
+        pitches = [60, 62, 64, 65, 67, 69, 71, 72]
+        score = simple_performance(onsets, pitches, performer_id="score")
+        perfs = [
+            simple_performance(
+                [t + 0.01 * i * k for k, t in enumerate(onsets)], pitches,
+                durations=0.3 + 0.05 * i, dynamics=60 + 3 * i, performer_id=f"p{i}",
+            )
+            for i in range(3)
+        ]
+        # p1 drops the note at 1.6 and plays an extra note between 2.4 and 2.9
+        notes = list(perfs[1].notes)
+        extra = notes[5]._replace(onset=2.6, offset=2.7, pitch=90)
+        perfs[1] = Performance("p1", "piece", tuple(notes[:3] + notes[4:6] + [extra] + notes[6:]))
+        table, report = build_table(perfs, reference=score)
+        assert (report.per_performer["p1"]["deletions"], report.per_performer["p1"]["insertions"]) == (1, 1)
+        assert table.present_mask()[:, 1].tolist() == [True] * 3 + [False] + [True] * 4
+        self.assert_extract_equals_streams(table)
+
+    def test_extract_deviations_equals_deviations_on_a_column_with_one_note(self):
+        # d, with no note, comes first, so its pair-kind slices start at 0
+        nan = np.nan
+        onsets = np.asarray([[nan, 0.0, nan, 0.1], [nan, 0.5, 0.45, 0.52], [nan, 1.0, nan, nan]])
+        table = AlignedNoteTable(
+            performer_ids=("d", "a", "b", "c"),
+            onsets=onsets,
+            offsets=onsets + np.asarray([0.0, 0.3, 0.2, 0.25]),
+            dynamics=np.where(np.isnan(onsets), nan, [[80.0, 60.0, 61.0, 70.0]] * 3),
+            pitches=np.where(np.isnan(onsets), -1, 60).astype(np.int16),
+        )
+        by_performer = self.assert_extract_equals_streams(table)
+        assert [len(by_performer["b"][kind]) for kind in KINDS] == [1, 0, 0, 1, 1]
+        assert all(len(series) == 0 for series in by_performer["d"].values())
+
+    def test_extract_deviations_equals_deviations_with_a_partial_norm(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            present = rng.random((n, k)) < 0.7
+            onsets = np.where(present, np.cumsum(rng.uniform(0.1, 1.0, (n, k)), axis=0), np.nan)
+            table = AlignedNoteTable(
+                performer_ids=tuple(f"p{i}" for i in range(k)),
+                onsets=onsets,
+                offsets=onsets + rng.uniform(0.05, 0.5, (n, k)),
+                dynamics=np.where(present, rng.integers(1, 128, (n, k)), np.nan),
+                pitches=np.where(present, 60, -1).astype(np.int16),
+            )
+            # the norm covers some positions only, and one the table lacks
+            positions = np.flatnonzero(rng.random(n + 1) < 0.6)
+            norm = NoteStream(
+                "norm", positions, rng.normal(size=len(positions)),
+                rng.normal(size=len(positions)), rng.normal(64, 9, len(positions)),
+            )
+            self.assert_extract_equals_streams(table, norm)
 
     def test_extract_deviations_covers_all_kinds(self, identical_table):
         by_performer = extract_deviations(identical_table)

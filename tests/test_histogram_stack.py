@@ -9,6 +9,7 @@ from histogram_reference import (
     reference_kl_table,
 )
 
+from pianist_id import divergence
 from pianist_id.densities import HISTOGRAM_SMOOTHING_EPS, Histogram, fit_histogram
 from pianist_id.divergence import kl_histogram, kl_histogram_rows
 from pianist_id.evaluation import ExperimentConfig, _histogram_kls, classify
@@ -149,13 +150,15 @@ class TestKlHistogram:
             checked += isinstance(expected, bytes)
         assert checked > 100
 
-    def test_rows_equal_pairs(self):
-        rng = np.random.default_rng(14)
+    def stack_pairs(self, rng):
+        """Random pairs of one p and one q bin count, the last of equal edges."""
         pairs = [self.random_pair(rng) for _ in range(60)]
         pairs = [(p, q) for p, q in pairs if len(p.edges) == len(pairs[0][0].edges)]
         pairs = [(p, q) for p, q in pairs if len(q.edges) == len(pairs[0][1].edges)]
-        pairs.append(pairs[0][:1] * 2)  # equal edges take the copy branch
+        return pairs + [pairs[0][:1] * 2]  # equal edges take the copy branch
 
+    def test_rows_equal_pairs(self):
+        pairs = self.stack_pairs(np.random.default_rng(14))
         rows = kl_histogram_rows(stack([p for p, _ in pairs]), stack([q for _, q in pairs]))
         assert rows == [reference_kl_histogram(p, q) for p, q in pairs]
         assert rows[-1] == 0.0
@@ -206,8 +209,9 @@ class TestTiedEdges:
                         lambda: reference_kl_histogram(a, b)
                     )
 
-    def test_stacks_mixing_tied_tie_free_and_equal_edges_equal_the_reference(self):
-        rng = np.random.default_rng(42)
+    def stacks_pairs(self, rng):
+        """Two stacks' pairs: tied, tie-free and equal edges of ten bins, then
+        twenty bins against five."""
         grid = self.GRID
         ten_bins, _ = self.edge_pairs()
         equal = [(pe, pe, True) for pe, _, _ in ten_bins[:3]]
@@ -218,12 +222,33 @@ class TestTiedEdges:
             (p20, grid[4:10]),
             (p20, grid[12:33:4]),
         ]
-        for edges in (ten_bins + equal, twenty_against_five):
-            pairs = [(self.model(rng, e[0]), self.model(rng, e[1])) for e in edges * 40]
+        return [
+            [(self.model(rng, e[0]), self.model(rng, e[1])) for e in edges * 40]
+            for edges in (ten_bins + equal, twenty_against_five)
+        ]
+
+    def test_stacks_mixing_tied_tie_free_and_equal_edges_equal_the_reference(self):
+        for pairs in self.stacks_pairs(np.random.default_rng(42)):
             rows = kl_histogram_rows(stack([p for p, _ in pairs]), stack([q for _, q in pairs]))
             assert outcome(lambda: rows) == outcome(
                 lambda: [reference_kl_histogram(p, q) for p, q in pairs]
             )
+
+
+def test_passes_of_one_pair_equal_one_pass(monkeypatch):
+    """The stacks above, and rows picked from them, scored in one pass, one
+    pair per pass and three pairs per pass."""
+    stacks = [TestKlHistogram().stack_pairs(np.random.default_rng(14))]
+    stacks += TestTiedEdges().stacks_pairs(np.random.default_rng(42))
+    rng = np.random.default_rng(16)
+    for pairs in stacks:
+        p, q = stack([p for p, _ in pairs]), stack([q for _, q in pairs])
+        p_rows, q_rows = rng.integers(0, len(pairs), (2, 3 * len(pairs)))
+        results = []
+        for bound in (10**9, 1, 6 * (p.edges.shape[1] + q.edges.shape[1])):
+            monkeypatch.setattr(divergence, "HISTOGRAM_BATCH", bound)
+            results.append(outcome(lambda: kl_histogram_rows(p, q) + kl_histogram_rows(p, q, p_rows, q_rows)))
+        assert results[1:] == results[:1] * 2
 
 
 class TestStackedTable:
