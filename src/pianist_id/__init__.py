@@ -20,7 +20,7 @@ from .densities import (
     histogram_pdf,
     kde_pdf,
 )
-from .divergence import KlResult, fuse, gaussian_kl, kl, kl_gmm, kl_histogram, kl_kde
+from .divergence import KlResult, gaussian_kl, kl, kl_gmm, kl_histogram, kl_kde
 from .evaluation import (
     DeviationDataset,
     EvaluationReport,

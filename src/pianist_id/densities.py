@@ -61,12 +61,17 @@ class Histogram:
         edges_shape, masses_shape = np.shape(self.edges), np.shape(self.masses)
         if edges_shape != masses_shape[:-1] + (masses_shape[-1] + 1,):
             raise ValueError("need len(edges) == len(masses) + 1")
-        if np.any(np.diff(self.edges, axis=-1) <= 0):
+        # every comparison is written so that NaN fails it
+        if not (np.diff(self.edges, axis=-1) > 0).all():
             raise ValueError("edges must be strictly increasing")
-        if np.any(self.masses < 0):
+        if not np.isfinite(self.edges[..., [0, -1]]).all():
+            raise ValueError("edges must be finite")
+        if not (self.masses >= 0).all():
             raise ValueError("masses must be non-negative")
-        if np.any(np.abs(self.masses.sum(axis=-1) - 1.0) > 1e-12):
+        if not (np.abs(self.masses.sum(axis=-1) - 1.0) <= 1e-12).all():
             raise ValueError("masses must sum to 1")
+        if not (math.isfinite(self.smoothing_eps) and self.smoothing_eps >= 0):
+            raise ValueError(f"smoothing_eps must be finite and non-negative, got {self.smoothing_eps}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,8 @@ class KDE:
         check_bandwidth(self.bandwidth)
         if len(self.sample_points) == 0:
             raise ValueError("KDE needs at least one sample")
+        if not np.isfinite(self.sample_points).all():
+            raise ValueError("sample_points must be finite")
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,12 @@ class GMM:
         k = len(self.weights)
         if not len(self.means) == len(self.variances) == k or k < 1:
             raise ValueError("weights/means/variances must share a positive length")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12 or np.any(self.weights < 0):
+        if not (abs(float(self.weights.sum()) - 1.0) <= 1e-12 and (self.weights >= 0).all()):
             raise ValueError("weights must form a probability vector")
-        if np.any(self.variances <= 0):
-            raise ValueError("variances must be positive")
+        if not np.isfinite(self.means).all():
+            raise ValueError("means must be finite")
+        if not (np.isfinite(self.variances) & (self.variances > 0)).all():
+            raise ValueError("variances must be positive and finite")
 
     @property
     def k(self) -> int:

@@ -1,4 +1,4 @@
-"""KL divergence between fitted models of the same family, plus linear fusion.
+"""KL divergence between fitted models of the same family.
 
 Values are reported in nats. Histograms use the exact discrete sum after
 rebinning both models onto the union of their edges; KDEs use deterministic
@@ -16,16 +16,13 @@ arithmetic at the other's, and differences over the merged edges give both
 rebinned mass vectors. For KDEs, ``kl_rows`` scores the tests of every round
 against that round's candidate pool densities, all on one shared grid per
 feature kind, in stacked passes of at most ``densities.KERNEL_BATCH``
-integrand elements. Every value keeps the bits of its lone pair. ``fuse`` adds
-weighted KLs feature by feature, for single values or for whole arrays of
-them.
+integrand elements. Every value keeps the bits of its lone pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -163,9 +160,11 @@ def _kl_sums(pm: np.ndarray, qm: np.ndarray) -> np.ndarray:
     return out
 
 
-def kde_grid(lo: float, hi: float, pad: float, max_step: float) -> np.ndarray:
-    """Uniform grid over [lo - pad, hi + pad] with the fewest points that keep
-    the step at or below ``max_step``."""
+def kde_grid(lo: float, hi: float, bandwidths) -> np.ndarray:
+    """Uniform grid over [lo, hi] widened by 5x the largest of ``bandwidths``,
+    with the fewest points that keep the step at or below a quarter of the
+    smallest."""
+    pad, max_step = 5.0 * max(bandwidths), min(bandwidths) / 4.0
     lo, hi = lo - pad, hi + pad
     return np.linspace(lo, hi, math.ceil((hi - lo) / max_step) + 1)
 
@@ -190,17 +189,12 @@ def kl_on_grid(px: np.ndarray, qx: np.ndarray, grid: np.ndarray) -> KlResult:
 
 
 def kl_kde(p: KDE, q: KDE) -> KlResult:
-    """``kl_on_grid`` for two KDEs on a grid of their own.
-
-    The grid spans the union of both sample ranges widened by 5x the larger
-    bandwidth, with the fewest points that keep the step at or below a
-    quarter of the smaller bandwidth.
-    """
+    """``kl_on_grid`` for two KDEs on the ``kde_grid`` of both sample ranges
+    and both bandwidths."""
     grid = kde_grid(
         min(float(p.sample_points.min()), float(q.sample_points.min())),
         max(float(p.sample_points.max()), float(q.sample_points.max())),
-        pad=5.0 * max(p.bandwidth, q.bandwidth),
-        max_step=min(p.bandwidth, q.bandwidth) / 4.0,
+        (p.bandwidth, q.bandwidth),
     )
     return kl_on_grid(np.asarray(kde_pdf(p, grid)), np.asarray(kde_pdf(q, grid)), grid)
 
@@ -254,24 +248,3 @@ def kl(p, q) -> KlResult:
     except KeyError:
         raise TypeError(f"unsupported model type {type(p).__name__}") from None
     return fn(p, q)
-
-
-def fuse(kls: Sequence, weights: Iterable[float] | None = None):
-    """Weighted linear combination of per-feature KL values (default weights 1).
-
-    A value may also be an array (all of one shape), fusing every element at
-    once. Terms are added one at a time in feature order, so each element
-    gets the bits its lone float sum would.
-    """
-    values = [np.asarray(k.value if isinstance(k, KlResult) else k, dtype=np.float64) for k in kls]
-    if weights is None:
-        weights = [1.0] * len(values)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(values):
-        raise ValueError(f"got {len(values)} KL values but {len(weights)} weights")
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ValueError("fusion weights must be finite and non-negative")
-    total = 0.0
-    for w, v in zip(weights, values):
-        total = total + w * v
-    return float(total) if np.ndim(total) == 0 else total

@@ -209,11 +209,11 @@ def _decide(kls: Mapping[str, np.ndarray], subsets, weights=None):
 
     ``kls[kind]`` holds one row per trial and one column per candidate, NaN
     in a trial with no test values of that kind. Subset s's kinds, weighted by
-    ``weights[s]`` (1 when None), are added in its order from 0.0, as
-    ``divergence.fuse`` adds them. Returns the fused KL per (subset, trial,
-    candidate), and per (subset, trial) the column of the smallest, ties to
-    the first (smallest id); -1 where a kind of the subset has no test values.
-    KLs are finite, so a fused KL that overflows to inf raises ``ValueError``.
+    ``weights[s]`` (1 when None), are added in its order from 0.0. Returns the
+    fused KL per (subset, trial, candidate), and per (subset, trial) the column
+    of the smallest, ties to the first (smallest id); -1 where a kind of the
+    subset has no test values. KLs are finite, so a fused KL that overflows to
+    inf raises ``ValueError``.
     """
     kinds = list(kls)
     terms = np.stack([kls[kind] for kind in kinds] + [np.zeros_like(kls[kinds[0]])])
@@ -519,24 +519,21 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
 def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
     """One kind's ``_kind_kls`` array for the KDE family, with bandwidth ``h``.
 
-    Every KDE of the kind lives on one shared grid, spanning all of its
-    grouped values widened by 5 bandwidths, with the fewest points that keep
-    the step at or below h/4. The exact kernel sums of all groups of one size
-    are one stacked ``densities.kernel_sum``, whose batches ``jobs`` threads
-    split between them. One masked sum over the group axis builds every
-    scored round's pools, and ``divergence.kl_rows`` scores each non-empty
-    test against its round's pools, in calls whose (tests x candidates x
-    grid) integrand stays within ``densities.KERNEL_BATCH`` elements, or
-    holds one test.
+    Every KDE of the kind lives on one shared ``divergence.kde_grid`` over all
+    of its grouped values. The exact kernel sums of all groups of one size are
+    one stacked ``densities.kernel_sum``, whose batches ``jobs`` threads split
+    between them. One masked sum over the group axis builds every scored
+    round's pools, and ``divergence.kl_rows`` scores each non-empty test
+    against its round's pools, in calls whose (tests x candidates x grid)
+    integrand stays within ``densities.KERNEL_BATCH`` elements, or holds one
+    test.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
     sizes = np.asarray([[len(c) for c in chunks[pid]] for pid in pids])
     flat = [c for pid in pids for c in chunks[pid]]
     values = np.concatenate(flat)
-    grid = divergence.kde_grid(
-        float(values.min()), float(values.max()), pad=5.0 * h, max_step=h / 4.0
-    )
+    grid = divergence.kde_grid(float(values.min()), float(values.max()), (h,))
     log.debug(
         "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
         kind, float(grid[0]), float(grid[-1]), len(grid),

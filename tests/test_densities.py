@@ -8,6 +8,7 @@ from pianist_id.densities import (
     DEFAULT_BANDWIDTHS,
     GMM,
     KDE,
+    Histogram,
     fit_gmm,
     fit_gmm_trace,
     fit_histogram,
@@ -197,3 +198,35 @@ class TestGmm:
     def test_variance_floor_on_degenerate_series(self):
         g = fit_gmm(np.full(10, 2.0), k=1, seed=0)
         assert g.variances[0] == pytest.approx(1e-12)
+
+
+def two_bins(edges=(0.0, 0.5, 1.0), masses=(0.5, 0.5), smoothing_eps=0.0):
+    return Histogram(np.asarray(edges), np.asarray(masses), smoothing_eps)
+
+
+def two_components(weights=(0.5, 0.5), means=(0.0, 1.0), variances=(1.0, 2.0)):
+    return GMM(np.asarray(weights), np.asarray(means), np.asarray(variances))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: two_bins(edges=(0.0, math.nan, 1.0)), "edges must be strictly increasing"),
+        (lambda: two_bins(edges=(math.nan, 0.5, 1.0)), "edges must be strictly increasing"),
+        (lambda: two_bins(edges=(0.0, 0.5, math.inf)), "edges must be finite"),
+        (lambda: two_bins(edges=(-math.inf, 0.5, 1.0)), "edges must be finite"),
+        (lambda: two_bins(masses=(math.nan, 0.5)), "masses must be non-negative"),
+        (lambda: two_bins(masses=(math.nan, math.nan)), "masses must be non-negative"),
+        (lambda: two_bins(smoothing_eps=math.nan), "smoothing_eps must be finite and non-negative, got nan"),
+        (lambda: two_bins(smoothing_eps=math.inf), "smoothing_eps must be finite and non-negative, got inf"),
+        (lambda: two_components(means=(math.nan, 1.0)), "means must be finite"),
+        (lambda: two_components(means=(0.0, math.inf)), "means must be finite"),
+        (lambda: two_components(weights=(math.nan, 0.5)), "weights must form a probability vector"),
+        (lambda: two_components(variances=(math.nan, 1.0)), "variances must be positive and finite"),
+        (lambda: two_components(variances=(1.0, math.inf)), "variances must be positive and finite"),
+        (lambda: KDE(np.asarray([0.0, math.nan]), 0.5), "sample_points must be finite"),
+    ],
+)
+def test_a_model_with_a_nan_or_inf_field_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -8,7 +8,6 @@ from pianist_id.divergence import (
     Q_FLOOR,
     KlResult,
     _clamped,
-    fuse,
     gaussian_kl,
     kl,
     kl_gmm,
@@ -245,32 +244,6 @@ class TestDispatchAndFusion:
     def test_dispatch_by_type(self):
         h = fit_histogram(np.asarray([0.0, 1.0]), n_bins=2)
         assert kl(h, h).method == "discrete"
-
-    def test_fuse_equal_weights(self):
-        assert fuse([0.2, 0.3, 0.1]) == pytest.approx(0.6)
-
-    def test_fuse_zero_values(self):
-        assert fuse([0.0, 0.0]) == 0.0
-
-    def test_fuse_excludes_zero_weight_features(self):
-        assert fuse([0.2, 9.9, 0.1], [1.0, 0.0, 1.0]) == pytest.approx(0.3)
-
-    def test_fuse_homogeneous_in_weights(self):
-        kls = [0.25, 0.5, 1.25]
-        weights = [1.0, 2.0, 0.5]
-        doubled = [2 * w for w in weights]
-        assert fuse(kls, doubled) == pytest.approx(2 * fuse(kls, weights))
-
-    def test_fuse_accepts_kl_results(self):
-        values = [KlResult(0.1, "discrete"), KlResult(0.4, "discrete")]
-        assert fuse(values) == pytest.approx(0.5)
-
-    def test_fuse_validates_lengths_and_signs(self):
-        with pytest.raises(ValueError):
-            fuse([0.1, 0.2], [1.0])
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                fuse([0.1], [bad])
 
     def test_kl_result_rejects_negative_or_non_finite(self):
         with pytest.raises(ValueError):

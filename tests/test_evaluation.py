@@ -18,13 +18,14 @@ from pianist_id.densities import (
     kernel_density,
     kernel_sum,
 )
-from pianist_id.divergence import fuse, kde_grid, kl, kl_kde, kl_on_grid
+from pianist_id.divergence import kde_grid, kl, kl_kde, kl_on_grid
 from pianist_id.evaluation import (
     MODEL_FAMILIES,
     DeviationDataset,
     EmptyTestSeriesError,
     ExperimentConfig,
     FoldSpec,
+    _decide,
     _group_chunks,
     _kde_kls,
     _kind_kls,
@@ -205,6 +206,42 @@ class TestConfig:
         assert (d["gmm_tol"], d["gmm_max_iter"]) == (GMM_TOL, GMM_MAX_ITER)
 
 
+class TestDecide:
+    def test_fused_values_are_weighted_terms_added_in_subset_order(self):
+        # KLs over 1e-3..1e3; in trial 0 all are 0 (every candidate ties), and
+        # each kind has one trial with no test values
+        rng = np.random.default_rng(11)
+        kls = {kind: 10.0 ** rng.uniform(-3, 3, (40, 4)) for kind in ("OT", "DL", "ND")}
+        for i, kls_of_kind in enumerate(kls.values()):
+            kls_of_kind[0] = 0.0
+            kls_of_kind[1 + i] = np.nan
+        # two non-zero terms add the same both ways round: only the last
+        # subset tells the order of its terms apart
+        subsets = [("ND", "OT"), ("OT", "DL", "ND"), ("DL",), ("ND", "DL", "OT")]
+        weights = [(0.5, 2.0), (1.0, 0.0, 3.0), (1.0,), (1.0, 2.0, 0.5)]
+        fused, predicted = _decide(kls, subsets, weights)
+        expected = np.empty(fused.shape)
+        for s, t, c in np.ndindex(expected.shape):
+            total = 0.0
+            for kind, w in zip(subsets[s], weights[s]):
+                total = total + w * float(kls[kind][t, c])
+            expected[s, t, c] = total
+        np.testing.assert_array_equal(fused, expected)  # ==, with NaN where a kind has no test values
+        winners = np.argmin(expected, axis=2)  # ties to the first candidate
+        winners[np.isnan(expected[:, :, 0])] = -1
+        np.testing.assert_array_equal(predicted, winners)
+        # a kind of the subset without test values skips the trial, even at weight 0
+        assert predicted[0, 2] >= 0 and (predicted[1:, 2] == -1).all()
+        # weights of 2, or twice the subset's, double every fused value and keep every winner
+        doubled = [tuple(2 * w for w in ws) for ws in weights]
+        twos = [(2.0,) * len(subset) for subset in subsets]
+        for base, twice in ((weights, doubled), (None, twos)):
+            fused, predicted = _decide(kls, subsets, base)
+            fused2, predicted2 = _decide(kls, subsets, twice)
+            np.testing.assert_array_equal(fused2, 2 * fused)
+            np.testing.assert_array_equal(predicted2, predicted)
+
+
 class TestClassify:
     def test_training_data_predicts_its_own_performer(self):
         rng = np.random.default_rng(1)
@@ -321,10 +358,10 @@ class TestClassify:
                 # an independent pairwise reference: fit each model on its own, score each pair
                 tests = {kind: fit_model(values, kind, config) for kind, values in test.items()}
                 fused = {
-                    candidate: fuse([
-                        kl(tests[kind], fit_model(values[kind], kind, config))
+                    candidate: sum(
+                        kl(tests[kind], fit_model(values[kind], kind, config)).value
                         for kind in config.feature_set
-                    ])
+                    )
                     for candidate, values in train.items()
                 }
                 assert fused == trial["fused_kl"]
@@ -644,7 +681,7 @@ class TestKdeTable:
         pids = list(chunks)
         n_groups = len(chunks[pids[0]])
         values = np.concatenate([c for pid in pids for c in chunks[pid]])
-        grid = kde_grid(float(values.min()), float(values.max()), pad=5.0 * h, max_step=h / 4.0)
+        grid = kde_grid(float(values.min()), float(values.max()), (h,))
         sums = {pid: [kernel_sum(c, h, grid) for c in chunks[pid]] for pid in pids}
         table = np.full((len(pids) * n_groups, len(pids)), np.nan)
         for i, pid in enumerate(pids):
@@ -714,7 +751,7 @@ class TestKdeTable:
         sizes = {"a": [3, 3, 7, 3], "b": [3, 7, 3, 7], "c": [7, 3, 3, 0]}
         chunks = {pid: [rng.normal(i, 1.0, k) for k in ks] for i, (pid, ks) in enumerate(sizes.items())}
         values = np.concatenate([c for cs in chunks.values() for c in cs])
-        n_points = len(kde_grid(values.min(), values.max(), pad=5.0 * h, max_step=h / 4.0))
+        n_points = len(kde_grid(values.min(), values.max(), (h,)))
         monkeypatch.setattr(densities, "KERNEL_BATCH", 6 * n_points)
         monkeypatch.setattr(densities, "KERNEL_CHUNK", 7 * 10)
         check(chunks)
