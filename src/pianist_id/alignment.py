@@ -9,7 +9,8 @@ averaged from.
 
 Costs are integers, in units of 0.2: a pitch match is free, a substitution
 costs ``SUB_UNITS`` (5) and an insertion or a deletion ``GAP_UNITS`` (3).
-``total_cost`` reads the optimum as units / 5, so 9 units read exactly 1.8.
+``total_cost`` is the cost of the alignment's edit script, read as units /
+5, so 9 units read exactly 1.8; the backtrace's script costs the optimum.
 With integer sums, ties between optimal alignments are decided by the rule
 alone, never by round-off: at each cell the backtrace prefers a pair, then a
 deletion, then an insertion, as the full-matrix DP does.
@@ -35,6 +36,7 @@ there the cells grow as the square of the notes.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,63 +64,64 @@ _NO_ROW = -2
 _BEFORE = SUB_UNITS + 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NoteAlignment:
-    """Monotone correspondence between reference and performance note indices.
+    """Monotone correspondence between reference and performance note indices,
+    held as its edit script.
 
-    The matched pairs are the data: ``pair_columns``, a read-only (2, k)
-    array of indices, reference then performance, both strictly increasing;
-    ``pairs`` is a tuple view of them, built on each access. Every reference
-    index lands in exactly one of pairs/deletions, every performance index in
-    exactly one of pairs/insertions. ``substitutions`` is the subset of pairs
-    whose pitches differ (the marked errors). The four hold the same
-    alignment and are checked against each other when it is built.
+    ``deletions`` (reference) and ``insertions`` (performance) are the
+    unpaired indices, strictly increasing; every other note is paired, in
+    order, with the note of the same rank on the other side. ``substitutions``
+    are the pairs whose pitches differ (the marked errors), in order. Derived
+    on each access: ``pair_columns``, a read-only (2, k) index array,
+    reference then performance; ``pairs``, a tuple view of it; and
+    ``total_cost``, the script's cost.
     """
 
-    pair_columns: np.ndarray
     insertions: tuple[int, ...]
     deletions: tuple[int, ...]
     substitutions: tuple[tuple[int, int], ...]
     n_reference: int
     n_performance: int
-    total_cost: float
 
     def __post_init__(self):
-        columns = np.array(self.pair_columns, dtype=np.intp)
-        if columns.ndim != 2 or len(columns) != 2:
-            raise ValueError("pair_columns must be two index columns: reference, then performance")
-        if columns.shape[1] and (columns[:, 0].min() < 0 or (np.diff(columns) <= 0).any()):
-            raise ValueError("pairs must be strictly increasing in both coordinates")
-        if not _partitions(columns[0], self.deletions, self.n_reference):
-            raise ValueError("pairs and deletions must partition reference indices")
-        if not _partitions(columns[1], self.insertions, self.n_performance):
-            raise ValueError("pairs and insertions must partition performance indices")
+        for name, gaps, n in (("insertions", self.insertions, self.n_performance),
+                              ("deletions", self.deletions, self.n_reference)):
+            if not all(a < b for a, b in zip((-1, *gaps), (*gaps, n))):
+                raise ValueError(f"{name} must be strictly increasing indices below {n}")
+        if self.n_reference - len(self.deletions) != self.n_performance - len(self.insertions):
+            raise ValueError("n_reference - len(deletions) must equal n_performance - len(insertions)")
+        last = -1
+        for r, q in self.substitutions:
+            i, j = bisect_left(self.deletions, r), bisect_left(self.insertions, q)
+            if not last < r < self.n_reference or r - i != q - j or (
+                r in self.deletions[i : i + 1] or q in self.insertions[j : j + 1]
+            ):
+                raise ValueError("substitutions must be pairs, by strictly increasing reference index")
+            last = r
+
+    @property
+    def pair_columns(self) -> np.ndarray:
+        """Every note not deleted or inserted, paired in order: a read-only
+        (2, k) ``intp`` array, reference then performance."""
+        rows, cols = np.ones(self.n_reference, dtype=bool), np.ones(self.n_performance, dtype=bool)
+        rows[list(self.deletions)] = False
+        cols[list(self.insertions)] = False
+        columns = np.stack((np.flatnonzero(rows), np.flatnonzero(cols)))
         columns.setflags(write=False)
-        object.__setattr__(self, "pair_columns", columns)
+        return columns
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The matched (reference, performance) index pairs, in order."""
         return tuple(zip(*self.pair_columns.tolist()))
 
-    def _fields(self) -> tuple:
-        return (self.insertions, self.deletions, self.substitutions,
-                self.n_reference, self.n_performance, self.total_cost)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NoteAlignment):
-            return NotImplemented
-        return self._fields() == other._fields() and np.array_equal(self.pair_columns, other.pair_columns)
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-def _partitions(paired: np.ndarray, rest: tuple[int, ...], n: int) -> bool:
-    """Whether the sets of ``paired`` (strictly increasing) and ``rest`` are disjoint and make range(n)."""
-    if rest:
-        paired = np.sort(np.concatenate((paired, np.array(rest, dtype=np.intp))))
-    return len(paired) == n and np.array_equal(paired, np.arange(n))
+    @property
+    def total_cost(self) -> float:
+        """The script's cost: ``SUB_UNITS`` per substitution and ``GAP_UNITS``
+        per gap, read as units / ``UNITS_PER_COST``."""
+        gaps = len(self.insertions) + len(self.deletions)
+        return (SUB_UNITS * len(self.substitutions) + GAP_UNITS * gaps) / UNITS_PER_COST
 
 
 def _run(a: bytes, b: bytes, i: int, j: int) -> int:
@@ -221,8 +224,7 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
     ref_pitches, perf_pitches = reference.pitches, performance.pitches
     n, m = len(ref_pitches), len(perf_pitches)
     if np.array_equal(ref_pitches, perf_pitches):
-        identity = np.arange(n)
-        return NoteAlignment(np.stack((identity, identity)), (), (), (), n, m, 0.0)
+        return NoteAlignment((), (), (), n, m)
 
     # pitches are 0..127, so one byte each
     ref, perf = ref_pitches.astype(np.uint8).tobytes(), perf_pitches.astype(np.uint8).tobytes()
@@ -257,18 +259,8 @@ def align_pair(reference: Performance, performance: Performance) -> NoteAlignmen
         else:
             j, t = j - 1, t - GAP_UNITS
             insertions.append(j)
-    # every note that is not deleted or inserted is paired, in order
-    paired_rows, paired_cols = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
-    paired_rows[deletions] = False
-    paired_cols[insertions] = False
     return NoteAlignment(
-        np.stack((np.flatnonzero(paired_rows), np.flatnonzero(paired_cols))),
-        tuple(reversed(insertions)),
-        tuple(reversed(deletions)),
-        tuple(reversed(substitutions)),
-        n,
-        m,
-        optimum / UNITS_PER_COST,
+        tuple(reversed(insertions)), tuple(reversed(deletions)), tuple(reversed(substitutions)), n, m
     )
 
 
@@ -364,13 +356,13 @@ def build_table(
 
     for col, perf in enumerate(performances):
         al = align_pair(reference, perf)
+        rows, picks = al.pair_columns
         per_performer[perf.performer_id] = {
-            "pairs": al.pair_columns.shape[1],
+            "pairs": len(rows),
             "substitutions": len(al.substitutions),
             "insertions": len(al.insertions),
             "deletions": len(al.deletions),
         }
-        rows, picks = al.pair_columns
         onsets[rows, col] = perf.onsets[picks]
         offsets[rows, col] = perf.offsets[picks]
         dynamics[rows, col] = perf.dynamics[picks]

@@ -102,6 +102,8 @@ class ExperimentConfig:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             if not all(math.isfinite(w) and w >= 0 for w in self.weights):
                 raise ValueError("fusion weights must be finite and non-negative")
+            if not any(self.weights):
+                raise ValueError("fusion weights must not all be 0, as a weight of 0 leaves its kind out")
         if self.n_groups < 2:
             raise ValueError(f"need at least 2 groups, got {self.n_groups}")
         if self.n_bins < 1:
@@ -200,7 +202,7 @@ def classify(
     kls = {kind: _kind_kls(kind, c, config, 1, (1,))[1:2] for kind, c in chunks.items()}
     _, predicted = _decide(kls, [config.feature_set], [config.effective_weights])
     if predicted[0, 0] < 0:
-        raise EmptyTestSeriesError(_skip_reason(kls, config.feature_set, 0))
+        raise EmptyTestSeriesError(_skip_reason(kls, config, 0))
     return candidates[predicted[0, 0]]
 
 
@@ -209,20 +211,23 @@ def _decide(kls: Mapping[str, np.ndarray], subsets, weights=None):
 
     ``kls[kind]`` holds one row per trial and one column per candidate, NaN
     in a trial with no test values of that kind. Subset s's kinds, weighted by
-    ``weights[s]`` (1 when None), are added in its order from 0.0. Returns the
-    fused KL per (subset, trial, candidate), and per (subset, trial) the column
-    of the smallest, ties to the first (smallest id); -1 where a kind of the
+    ``weights[s]`` (1 when None), are added in its order from 0.0; a kind of
+    weight 0 adds 0.0, as 0 times its finite KL does. Returns the fused KL per
+    (subset, trial, candidate), and per (subset, trial) the column of the
+    smallest, ties to the first (smallest id); -1 where a weighted kind of the
     subset has no test values. KLs are finite, so a fused KL that overflows to
     inf raises ``ValueError``.
     """
     kinds = list(kls)
     terms = np.stack([kls[kind] for kind in kinds] + [np.zeros_like(kls[kinds[0]])])
-    # subset s's j-th term: kind index[s, j] times factor[s, j]; a shorter subset adds 1 * 0.0
+    # subset s's j-th term: kind index[s, j] times factor[s, j]; a shorter
+    # subset, and a kind of weight 0, adds the zeros row
     index = np.full((len(subsets), max(map(len, subsets))), len(kinds))
     factor = np.ones(index.shape)
     for s, subset in enumerate(subsets):
         index[s, : len(subset)] = [kinds.index(kind) for kind in subset]
         factor[s, : len(subset)] = 1.0 if weights is None else weights[s]
+    index[factor == 0] = len(kinds)
     fused = np.zeros((len(subsets),) + terms.shape[1:])
     with np.errstate(over="ignore"):
         for j in range(index.shape[1]):
@@ -237,8 +242,9 @@ def _decide(kls: Mapping[str, np.ndarray], subsets, weights=None):
     return fused, predicted
 
 
-def _skip_reason(kls: Mapping[str, np.ndarray], feature_set, trial: int) -> str:
-    kind = next(kind for kind in feature_set if np.isnan(kls[kind][trial, 0]))
+def _skip_reason(kls: Mapping[str, np.ndarray], config: ExperimentConfig, trial: int) -> str:
+    kinds = zip(config.feature_set, config.effective_weights)
+    kind = next(kind for kind, w in kinds if w and np.isnan(kls[kind][trial, 0]))
     return f"empty {kind} test series"
 
 
@@ -615,7 +621,7 @@ def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> Evalu
     trials, skipped = [], []
     for t, (pid, g) in enumerate(product(performer_ids, range(config.n_groups))):
         if predicted[t] < 0:
-            reason = _skip_reason(table, config.feature_set, t)
+            reason = _skip_reason(table, config, t)
             log.warning("skipping trial (%s, group %d): %s", pid, g, reason)
             skipped.append({"performer": pid, "group": g, "reason": reason})
             continue

@@ -81,7 +81,8 @@ def alignment_from_moves(ref, perf, move_at, cost_units):
     """Trace a DP's moves back from (n, m) into a ``NoteAlignment``.
 
     ``move_at(i, j)`` is the move that enters cell (i, j): 0 (pair),
-    1 (deletion) or 2 (insertion).
+    1 (deletion) or 2 (insertion). The traced pairs and the DP's own cost
+    are checked against the ones the alignment derives from its script.
     """
     n, m = len(ref), len(perf)
     pairs, insertions, deletions = [], [], []
@@ -98,15 +99,16 @@ def alignment_from_moves(ref, perf, move_at, cost_units):
             j -= 1
             insertions.append(j)
     pairs.reverse()
-    return NoteAlignment(
-        np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
+    al = NoteAlignment(
         tuple(reversed(insertions)),
         tuple(reversed(deletions)),
         tuple((r, p) for r, p in pairs if ref[r] != perf[p]),
         n,
         m,
-        cost_units / UNITS_PER_COST,
     )
+    assert al.pairs == tuple(pairs), (ref, perf)
+    assert al.total_cost == cost_units / UNITS_PER_COST, (ref, perf)
+    return al
 
 
 def full_matrix_alignment(ref, perf):
@@ -248,29 +250,40 @@ def align_logged(ref, perf, caplog):
 
 
 class TestNoteAlignment:
-    def test_pairs_are_a_tuple_view_of_the_index_columns(self):
-        given = np.array([[0, 2, 3], [1, 2, 4]])
-        al = NoteAlignment(given, (0, 3), (1,), ((2, 2),), 4, 5, 2.2)
-        given[0, 0] = 1  # the alignment keeps its own read-only copy
+    def test_pairs_and_cost_are_derived_from_the_script(self):
+        al = NoteAlignment((0, 3), (1,), ((2, 2),), 4, 5)
         assert al.pairs == ((0, 1), (2, 2), (3, 4))
+        np.testing.assert_array_equal(al.pair_columns, [[0, 2, 3], [1, 2, 4]])
         assert al.pair_columns.dtype == np.intp and not al.pair_columns.flags.writeable
-        same = NoteAlignment([[0, 2, 3], [1, 2, 4]], (0, 3), (1,), ((2, 2),), 4, 5, 2.2)
+        assert al.total_cost == (SUB_UNITS + 3 * GAP_UNITS) / UNITS_PER_COST == 2.8
+        same = NoteAlignment((0, 3), (1,), ((2, 2),), 4, 5)
         assert al == same and hash(al) == hash(same)
-        assert al != NoteAlignment([[0, 2, 3], [1, 2, 4]], (0, 3), (1,), (), 4, 5, 2.2)
-        empty = NoteAlignment(np.empty((2, 0), dtype=int), (0,), (0,), (), 1, 1, 1.2)
+        assert al != NoteAlignment((0, 3), (1,), (), 4, 5)
+        empty = NoteAlignment((0,), (0,), (), 1, 1)
         assert empty.pairs == () and empty.pair_columns.shape == (2, 0)
+        assert empty.total_cost == 1.2
+        identity = NoteAlignment((), (), (), 3, 3)
+        assert identity.pairs == ((0, 0), (1, 1), (2, 2)) and identity.total_cost == 0.0
 
-    def test_rejects_columns_that_are_not_a_partition(self):
-        cases = [
-            ((np.array([[0, 1], [1, 2], [2, 3]]), (), (), 3, 4), "two index columns"),  # pairs as rows
-            ((np.array([[0, 0], [1, 2]]), (1, 2), (), 3, 3), "strictly increasing"),
-            ((np.array([[0, 2], [0, 1]]), (2,), (), 3, 3), "deletions must partition"),  # a gap
-            ((np.array([[0, 2], [0, 1]]), (2,), (1, 1), 3, 4), "deletions must partition"),  # a duplicate
-            ((np.array([[0, 1], [0, 1]]), (1,), (), 2, 3), "insertions must partition"),
-        ]
-        for (columns, insertions, deletions, n, m), message in cases:
-            with pytest.raises(ValueError, match=message):
-                NoteAlignment(columns, insertions, deletions, (), n, m, 0.0)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (((2, 1), (), (), 3, 5), "insertions must be strictly increasing"),
+            (((), (1, 1), (), 4, 2), "deletions must be strictly increasing"),
+            (((), (3,), (), 3, 2), "deletions must be strictly increasing indices below 3"),
+            (((-1,), (), (), 2, 3), "insertions must be strictly increasing"),
+            (((), (), (), 3, 4), "n_reference - len\\(deletions\\) must equal"),
+            (((), (), ((5, 7),), 2, 2), "substitutions must be pairs"),  # out of range
+            (((1,), (), ((1, 1),), 2, 3), "substitutions must be pairs"),  # an inserted note
+            (((), (1,), ((1, 1),), 3, 2), "substitutions must be pairs"),  # a deleted note
+            (((), (), ((0, 1),), 2, 2), "substitutions must be pairs"),  # unequal ranks
+            (((), (), ((1, 1), (0, 0)), 2, 2), "substitutions must be pairs"),  # out of order
+            (((), (), ((1, 1), (1, 1)), 2, 2), "substitutions must be pairs"),  # repeated
+        ],
+    )
+    def test_refuses_a_script_that_is_not_an_alignment(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            NoteAlignment(*fields)
 
 
 class TestAlignPair:

@@ -106,6 +106,7 @@ class TestExitCodes:
             # non-finite values are rejected before any fit
             (kde + ["--weights", "nan,1,1"], "weights must be finite and non-negative"),
             (kde + ["--weights", "inf,1,1"], "weights must be finite and non-negative"),
+            (evaluate + ["--weights", "0,0,0,0,0"], "fusion weights must not all be 0"),
             (kde + ["--bandwidths", "IOI=inf"], "bandwidth for IOI must be positive and finite"),
             (kde + ["--bandwidths", "DL=nan"], "bandwidth for DL must be positive and finite"),
             (kde + ["--bandwidths", "XX=0.1"], "unknown feature kind in bandwidths: 'XX'"),

@@ -166,6 +166,10 @@ class TestConfig:
             with pytest.raises(ValueError, match="finite and non-negative"):
                 ExperimentConfig(feature_set=("OT", "DL"), weights=(bad, 1.0))
 
+    def test_rejects_weights_that_are_all_zero(self):
+        with pytest.raises(ValueError, match="fusion weights must not all be 0"):
+            ExperimentConfig(weights=(0.0,) * 5)
+
     def test_default_weights_are_all_one(self):
         config = ExperimentConfig(feature_set=("OT", "DL"))
         assert config.effective_weights == (1.0, 1.0)
@@ -224,14 +228,16 @@ class TestDecide:
         for s, t, c in np.ndindex(expected.shape):
             total = 0.0
             for kind, w in zip(subsets[s], weights[s]):
-                total = total + w * float(kls[kind][t, c])
+                if w:  # a kind of weight 0 takes no part
+                    total = total + w * float(kls[kind][t, c])
             expected[s, t, c] = total
-        np.testing.assert_array_equal(fused, expected)  # ==, with NaN where a kind has no test values
+        np.testing.assert_array_equal(fused, expected)  # ==, NaN where a weighted kind has no test values
         winners = np.argmin(expected, axis=2)  # ties to the first candidate
         winners[np.isnan(expected[:, :, 0])] = -1
         np.testing.assert_array_equal(predicted, winners)
-        # a kind of the subset without test values skips the trial, even at weight 0
-        assert predicted[0, 2] >= 0 and (predicted[1:, 2] == -1).all()
+        # a weighted kind of the subset without test values skips the trial;
+        # DL at weight 0 in subset 1 does not
+        assert (predicted[:2, 2] >= 0).all() and (predicted[2:, 2] == -1).all()
         # weights of 2, or twice the subset's, double every fused value and keep every winner
         doubled = [tuple(2 * w for w in ws) for ws in weights]
         twos = [(2.0,) * len(subset) for subset in subsets]
@@ -287,6 +293,21 @@ class TestClassify:
         train = {"a": {"OT": np.asarray([0.0, 1.0])}}
         with pytest.raises(EmptyTestSeriesError):
             classify({"OT": np.asarray([])}, train, config)
+
+    def test_a_kind_of_weight_0_without_test_values_is_left_out(self):
+        # the README's example, with a DL series for each candidate and none in the query
+        rng = np.random.default_rng(0)
+        train = {"a": {"OT": rng.normal(0.0, 0.5, 300)}, "b": {"OT": rng.normal(2.0, 0.5, 300)}}
+        query = {"OT": rng.normal(2.0, 0.5, 60), "DL": np.array([])}
+        for pid in train:
+            train[pid]["DL"] = rng.normal(0.0, 0.5, 300)
+        config = ExperimentConfig(model_family="kde", feature_set=("OT", "DL"), weights=(1.0, 0.0))
+        assert classify(query, train, config) == "b"
+        with pytest.raises(EmptyTestSeriesError, match="^empty DL test series$"):
+            classify(query, train, replace(config, weights=(1.0, 1.0)))
+        # only a weighted kind is named
+        with pytest.raises(EmptyTestSeriesError, match="^empty DL test series$"):
+            classify({**query, "OT": np.array([])}, train, replace(config, weights=(0.0, 1.0)))
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_no_candidates_raises(self, family):
