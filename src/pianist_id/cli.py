@@ -174,6 +174,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds --config; built once per process, as ``_build_parser``."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing value is left to the full parse
+    return pre
+
+
 def _config_flags(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
     """The settings of ``argv``'s --config file as flags of its command.
 
@@ -181,9 +189,7 @@ def _config_flags(argv: list[str], commands: dict[str, argparse.ArgumentParser])
     becomes the bare flag, and ``false`` and ``null`` are dropped. Keys that
     name no option of the command are ignored.
     """
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", nargs="?")  # a missing value is left to the full parse
-    path = pre.parse_known_args(argv[1:])[0].config
+    path = _config_parser().parse_known_args(argv[1:])[0].config
     if path is None or argv[0] not in commands:
         return []
     # argparse lists a parser's options only in its ``_actions``
@@ -404,7 +410,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     table, files = _align(args)
-    dataset = DeviationDataset.from_table(table)
+    # the kinds that the report and the sweep's subsets decide, weight 0 included
+    dataset = DeviationDataset.from_table(table, KINDS if args.sweep else config.feature_set)
     result = None
     try:
         if args.sweep:
@@ -430,7 +437,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scores = report.scores
     print(
         f"macro precision {scores.macro_precision:.3f} recall {scores.macro_recall:.3f} "
-        f"F {scores.macro_f:.3f} over {len(report.trials)} trials -> {out}"
+        f"F {scores.macro_f:.3f} over {report.confusion.sum()} trials -> {out}"
     )
     return 0
 

@@ -17,6 +17,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping
 
@@ -182,12 +183,15 @@ def classify(
     Values are arrays or ``DeviationSeries``. The query is the held-out group
     of one CV round: each candidate's chunks of a kind are its training series
     and, for the first candidate, the query; ``_kind_kls`` scores round 1.
+    A kind of weight 0 decides nothing, so it is neither required nor scored.
     """
     def values(x):
         return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
     if not train_series:
         raise ValueError("classification needs at least 1 candidate")
+    used = [(kind, w) for kind, w in zip(config.feature_set, config.effective_weights) if w]
+    config = replace(config, feature_set=tuple(k for k, _ in used), weights=tuple(w for _, w in used))
     candidates = sorted(train_series)
     chunks = {kind: {} for kind in config.feature_set}
     for kind, pid in product(config.feature_set, candidates):
@@ -311,8 +315,10 @@ class DeviationDataset:
                     raise ValueError(f"the {kind} series of performer {pid!r} has positions outside [0, {self.n_positions})")
 
     @classmethod
-    def from_table(cls, table: AlignedNoteTable) -> "DeviationDataset":
-        return cls(n_positions=table.n_positions, by_performer=extract_deviations(table))
+    def from_table(cls, table: AlignedNoteTable, kinds: Iterable[str] = KINDS) -> "DeviationDataset":
+        """The table's deviation series of ``kinds`` (every kind by default)."""
+        by_performer = extract_deviations(table, kinds=kinds)
+        return cls(n_positions=table.n_positions, by_performer=by_performer)
 
     @property
     def performer_ids(self) -> tuple[str, ...]:
@@ -321,12 +327,60 @@ class DeviationDataset:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """A decided KL table: ``_kl_table``'s rows for one feature set and weighting.
+
+    ``kls[kind]`` holds one row per (performer, group) trial, in
+    ``_kl_table``'s order, and one column per candidate, for each kind of
+    ``config.feature_set``, weight 0 included. ``fused`` holds the trials'
+    fused KLs and ``predicted`` each trial's winning column, -1 for a skipped
+    trial, both from ``_decide``. ``confusion``, ``scores``, ``trials`` (one
+    dict per decided trial) and ``skipped`` (one per skipped trial, with its
+    reason) are derived from these on first access.
+    """
+
     performer_ids: tuple[str, ...]
-    confusion: np.ndarray
-    scores: Metrics
-    trials: tuple[dict, ...]
-    skipped: tuple[dict, ...]
     config: ExperimentConfig
+    kls: Mapping[str, np.ndarray]
+    fused: np.ndarray
+    predicted: np.ndarray
+
+    def _trial_ids(self, decided: bool):
+        """The (trial, performer, group) of each decided, or else skipped, trial."""
+        n_groups = self.config.n_groups
+        rows = np.flatnonzero((self.predicted >= 0) == decided).tolist()
+        return [(t, self.performer_ids[t // n_groups], t % n_groups) for t in rows]
+
+    @cached_property
+    def confusion(self) -> np.ndarray:
+        return _confusion(self.predicted[None], self.config.n_groups)[0]
+
+    @cached_property
+    def scores(self) -> Metrics:
+        return metrics(self.confusion)
+
+    @cached_property
+    def trials(self) -> tuple[dict, ...]:
+        ids, kinds = self.performer_ids, self.config.feature_set
+        # per trial, per candidate, the KL of each kind
+        kls = np.stack([self.kls[kind] for kind in kinds], axis=2).tolist()
+        fused, predicted = self.fused.tolist(), self.predicted.tolist()
+        return tuple(
+            {
+                "performer": pid,
+                "group": g,
+                "predicted": ids[predicted[t]],
+                "fused_kl": dict(zip(ids, fused[t])),
+                "feature_kl": {c: dict(zip(kinds, row)) for c, row in zip(ids, kls[t])},
+            }
+            for t, pid, g in self._trial_ids(True)
+        )
+
+    @cached_property
+    def skipped(self) -> tuple[dict, ...]:
+        return tuple(
+            {"performer": pid, "group": g, "reason": _skip_reason(self.kls, self.config, t)}
+            for t, pid, g in self._trial_ids(False)
+        )
 
     def normalized_confusion(self) -> np.ndarray:
         row_sums = self.confusion.sum(axis=1, keepdims=True)
@@ -337,7 +391,8 @@ class EvaluationReport:
             where=row_sums > 0,
         )
 
-    def to_json_dict(self) -> dict:
+    def _head(self) -> dict:
+        """``to_json_dict`` without its ``"trials"``."""
         return {
             "performers": list(self.performer_ids),
             "config": self.config.to_json_dict(),
@@ -356,20 +411,23 @@ class EvaluationReport:
                 "macro_recall": self.scores.macro_recall,
                 "macro_f_score": self.scores.macro_f,
             },
-            "trials": list(self.trials),
             "skipped": list(self.skipped),
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self._head(), "trials": list(self.trials)}
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
 
         Every other key sorts before ``"trials"`` and goes through ``json``. Each
-        trial fills one format string, which ``json`` lays out once per report,
-        with ``json``'s own text of its KLs, so inf and NaN read Infinity and NaN.
+        decided trial fills one format string, which ``json`` lays out once per
+        report. Its KLs are slices of one ``json`` text of the stacked KL and
+        fused arrays, so inf and NaN read Infinity and NaN; no trial dict is built.
         """
-        head = {key: value for key, value in self.to_json_dict().items() if key != "trials"}
-        text = json.dumps(head, sort_keys=True, indent=2)[:-2] + ',\n  "trials": '
-        if not self.trials:
+        text = json.dumps(self._head(), sort_keys=True, indent=2)[:-2] + ',\n  "trials": '
+        decided = self._trial_ids(True)
+        if not decided:
             return text + "[]\n}\n"
         ids, kinds = sorted(self.performer_ids), sorted(self.config.feature_set)
         blank = "\0"  # a value's place, which json writes as "\u0000"
@@ -380,13 +438,19 @@ class EvaluationReport:
         }
         template = json.dumps(skeleton, sort_keys=True, indent=2).replace("%", "%%")
         template = "    " + template.replace("\n", "\n    ").replace(': "\\u0000"', ": %s")
+        # each decided trial's row: the KL of every kind for every candidate, then
+        # every candidate's fused KL, with candidates and kinds in sorted order
+        order = sorted(range(len(ids)), key=self.performer_ids.__getitem__)
+        rows = self.predicted >= 0
+        kls = np.stack([self.kls[kind] for kind in kinds], axis=2)[rows][:, order]
+        numbers = np.concatenate((kls.reshape(len(decided), -1), self.fused[rows][:, order]), axis=1)
+        width = numbers.shape[1]
+        values = json.dumps(numbers.ravel().tolist(), separators=(",", ":"))[1:-1].split(",")
+        quoted = {pid: json.dumps(pid) for pid in self.performer_ids}
+        winners = [self.performer_ids[c] for c in self.predicted[rows].tolist()]
         trials = ",\n".join(
-            template % (
-                *json.dumps([t["feature_kl"][c][kind] for c in ids for kind in kinds]
-                            + [t["fused_kl"][c] for c in ids], separators=(",", ":"))[1:-1].split(","),
-                t["group"], json.dumps(t["performer"]), json.dumps(t["predicted"]),
-            )
-            for t in self.trials
+            template % (*values[i * width : (i + 1) * width], g, quoted[pid], quoted[winner])
+            for i, ((_, pid, g), winner) in enumerate(zip(decided, winners))
         )
         return text + "[\n" + trials + "\n  ]\n}\n"
 
@@ -614,37 +678,19 @@ def _confusion(predicted: np.ndarray, n_groups: int) -> np.ndarray:
 
 
 def _report(dataset: DeviationDataset, table, config: ExperimentConfig) -> EvaluationReport:
-    """Decide every trial of a ``_kl_table`` for one feature set and weighting,
-    with one logged warning per skipped trial."""
-    performer_ids = dataset.performer_ids
+    """The ``EvaluationReport`` of a ``_kl_table`` decided for one feature set
+    and weighting, with one logged warning per skipped trial."""
     (fused,), (predicted,) = _decide(table, [config.feature_set], [config.effective_weights])
-    trials, skipped = [], []
-    for t, (pid, g) in enumerate(product(performer_ids, range(config.n_groups))):
-        if predicted[t] < 0:
-            reason = _skip_reason(table, config, t)
-            log.warning("skipping trial (%s, group %d): %s", pid, g, reason)
-            skipped.append({"performer": pid, "group": g, "reason": reason})
-            continue
-        per_kind = {kind: table[kind][t].tolist() for kind in config.feature_set}
-        trials.append({
-            "performer": pid,
-            "group": g,
-            "predicted": performer_ids[predicted[t]],
-            "fused_kl": dict(zip(performer_ids, fused[t].tolist())),
-            "feature_kl": {
-                c: {kind: row[i] for kind, row in per_kind.items()}
-                for i, c in enumerate(performer_ids)
-            },
-        })
-    confusion = _confusion(predicted[None], config.n_groups)[0]
-    return EvaluationReport(
-        performer_ids=performer_ids,
-        confusion=confusion,
-        scores=metrics(confusion),
-        trials=tuple(trials),
-        skipped=tuple(skipped),
+    report = EvaluationReport(
+        performer_ids=dataset.performer_ids,
         config=config,
+        kls={kind: table[kind] for kind in config.feature_set},
+        fused=fused,
+        predicted=predicted,
     )
+    for trial in report.skipped:
+        log.warning("skipping trial (%s, group %d): %s", trial["performer"], trial["group"], trial["reason"])
+    return report
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,11 @@ def _quantity(kind: str, onsets, offsets, dynamics) -> np.ndarray:
     return onsets[1:] - earlier[:-1]
 
 
-def _series(kind: str, label: str, values: np.ndarray, positions: np.ndarray) -> DeviationSeries:
-    """``values`` of the notes at ``positions``; a pair kind's value anchors on
-    the first of its two notes."""
+def _series(kind: str, label: str, values: np.ndarray, positions: np.ndarray, new=DeviationSeries) -> DeviationSeries:
+    """``values`` of the notes at ``positions``, made by ``new``; a pair kind's
+    value anchors on the first of its two notes."""
     starts, ends = (positions[:-1], positions[1:]) if kind in PAIR_KINDS else (positions, positions)
-    return DeviationSeries(kind, label, values, starts, ends)
+    return new(kind, label, values, starts, ends)
 
 
 def deviations(performer: NoteStream, norm: NoteStream, kind: str) -> DeviationSeries:
@@ -177,28 +177,49 @@ def _deviation_columns(kinds, labels, bounds, positions, perf, norm) -> list[dic
     the (onsets, offsets, dynamics) in ``perf`` and, at the same positions,
     ``norm``. A pair kind is subtracted over every consecutive pair of the
     stack, and a label's slice leaves out the pair that ends in the next
-    label's first note."""
+    label's first note.
+
+    ``DeviationSeries``' checks run once on the stacks: each label's positions
+    must strictly increase, and each kind's values be finite. The series, whose
+    slices then pass them, are built without re-running them."""
+    rises = np.diff(positions) > 0
+    rises[[b - 1 for b in bounds[1:-1] if 0 < b < len(positions)]] = True  # label joins
+    if not rises.all():
+        raise ValueError("positions and end_positions must be strictly increasing, no end before its start")
     out = [{} for _ in labels]
     for kind in kinds:
         x, y = _quantity(kind, *norm), _quantity(kind, *perf)
         pair = kind in PAIR_KINDS
         values = np.abs(x) - np.abs(y) if pair else x - y
+        if not np.isfinite(values).all():
+            raise ValueError("series values must be finite")
         for series, label, lo, hi in zip(out, labels, bounds, bounds[1:]):
-            series[kind] = _series(kind, label, values[lo : max(lo, hi - pair)], positions[lo:hi])
+            series[kind] = _series(kind, label, values[lo : max(lo, hi - pair)], positions[lo:hi], _checked_series)
     return out
 
 
+def _checked_series(kind, label, values, positions, end_positions) -> DeviationSeries:
+    """A ``DeviationSeries`` of parts that already pass its checks."""
+    series = object.__new__(DeviationSeries)
+    series.__dict__.update(
+        kind=kind, performer_id=label, values=values, positions=positions, end_positions=end_positions
+    )
+    return series
+
+
 def extract_deviations(
-    table: AlignedNoteTable, norm: NoteStream | None = None
+    table: AlignedNoteTable, norm: NoteStream | None = None, kinds: Iterable[str] = KINDS
 ) -> dict[str, dict[str, DeviationSeries]]:
-    """Every kind's deviation series for every performer in the table, from
-    ``norm`` or else from ``compute_norm(table)``.
+    """Each of ``kinds``' deviation series (every kind by default) for every
+    performer in the table, from ``norm`` or else from ``compute_norm(table)``.
 
     One pass serves every column: ``np.nonzero`` picks each column's present
     cells at the norm's positions, column after column, and their notes and
     the norm's are gathered once. The series are slices of one stacked array
-    per kind, with the bits ``deviations`` gives for each performer stream.
+    per kind, with the bits ``deviations`` gives for each performer stream,
+    and a kind not in ``kinds`` is not derived.
     """
+    kinds = [_check_kind(kind) for kind in kinds]
     if norm is None:
         norm = compute_norm(table)
     index = np.arange(table.n_positions)
@@ -208,7 +229,7 @@ def extract_deviations(
     bounds = np.searchsorted(cols, np.arange(len(table.performer_ids) + 1)).tolist()
     perf = [a.T[shared] for a in (table.onsets, table.offsets, table.dynamics)]
     ref = [a[at] for a in (norm.onsets, norm.offsets, norm.dynamics)]
-    by_column = _deviation_columns(KINDS, table.performer_ids, bounds, rows, perf, ref)
+    by_column = _deviation_columns(kinds, table.performer_ids, bounds, rows, perf, ref)
     return dict(zip(table.performer_ids, by_column))
 
 

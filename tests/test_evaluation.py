@@ -310,6 +310,18 @@ class TestClassify:
             classify({**query, "OT": np.array([])}, train, replace(config, weights=(0.0, 1.0)))
 
     @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_a_kind_of_weight_0_needs_no_training_series(self, family):
+        rng = np.random.default_rng(3)
+        train = {pid: {"OT": rng.normal(centre, 0.5, 300), "DL": np.array([])}
+                 for pid, centre in (("a", 0.0), ("b", 2.0), ("c", 1.0))}
+        query = {"OT": rng.normal(1.9, 0.5, 60), "DL": rng.normal(0.0, 0.5, 60)}
+        config = ExperimentConfig(model_family=family, feature_set=("OT", "DL"), weights=(1.0, 0.0), gmm_k=2)
+        expected = classify(query, train, replace(config, feature_set=("OT",), weights=None))
+        assert classify(query, train, config) == expected == "b"
+        with pytest.raises(ValueError, match="^empty DL training series for candidate 'a'$"):
+            classify(query, train, replace(config, weights=(1.0, 1.0)))
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
     def test_no_candidates_raises(self, family):
         config = ExperimentConfig(model_family=family, feature_set=("OT",), gmm_k=1)
         with pytest.raises(ValueError, match=r"^classification needs at least 1 candidate$"):
@@ -939,8 +951,9 @@ class TestSweep:
 class TestReportJson:
     """``to_json`` writes its trials with a format string; ``json`` is the oracle."""
 
-    # json escapes, % signs for the format string, and the text json gives a value's place
-    IDS = ('a"q', "b\\s", "c%d%%", "d%(x)s", "é", "Ω\n", "\0")
+    # json escapes, % signs for the format string, a comma as in the KL text,
+    # and the text json gives a value's place
+    IDS = ('a"q', "b\\s", "c%d%%", "d%(x)s", "e,f", "é", "Ω\n", "\0")
 
     @staticmethod
     def oracle(report):
@@ -1008,12 +1021,12 @@ class TestReportJson:
         report = run_cv(self.dataset(self.IDS[:3]), ExperimentConfig(
             feature_set=("OT", "DL"), n_groups=4, n_bins=6
         ))
-        trials = json.loads(json.dumps(report.trials))  # a deep copy
+        kls, fused = {kind: kl.copy() for kind, kl in report.kls.items()}, report.fused.copy()
         values = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-7)
-        for t, value in zip(trials, values):
-            t["fused_kl"][self.IDS[1]] = value
-            t["feature_kl"][self.IDS[2]]["DL"] = value
-        edited = replace(report, trials=tuple(trials))
+        for t, value in enumerate(values):  # trial t's candidates IDS[1] and IDS[2]
+            fused[t, 1] = value
+            kls["DL"][t, 2] = value
+        edited = replace(report, kls=kls, fused=fused)
         text = edited.to_json()
         assert text == self.oracle(edited)
         assert '": -0.0,' in text and "NaN" in text and "-Infinity" in text

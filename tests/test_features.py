@@ -3,6 +3,7 @@ import pytest
 
 from conftest import simple_performance
 from pianist_id.alignment import AlignedNoteTable, build_table
+from pianist_id.evaluation import DeviationDataset
 from pianist_id.features import (
     KINDS,
     PAIR_KINDS,
@@ -353,6 +354,35 @@ class TestDumpCsv:
                 rng.normal(size=len(positions)), rng.normal(64, 9, len(positions)),
             )
             self.assert_extract_equals_streams(table, norm)
+
+    def test_a_pass_over_some_kinds_gives_the_all_kinds_series(self):
+        rng = np.random.default_rng(8)
+        n, k = 30, 4
+        present = rng.random((n, k)) < 0.7
+        present[:, 0] = True  # every position has a present cell
+        onsets = np.where(present, np.cumsum(rng.uniform(0.1, 1.0, (n, k)), axis=0), np.nan)
+        table = AlignedNoteTable(
+            performer_ids=tuple(f"p{i}" for i in range(k)),
+            onsets=onsets,
+            offsets=onsets + rng.uniform(0.05, 0.5, (n, k)),
+            dynamics=np.where(present, rng.integers(1, 128, (n, k)), np.nan),
+            pitches=np.where(present, 60, -1).astype(np.int16),
+        )
+        every = DeviationDataset.from_table(table).by_performer
+        for kinds in (("IOI", "DL", "ND"), ("OTD",), ("ND", "OT"), KINDS):
+            some = DeviationDataset.from_table(table, kinds).by_performer
+            assert list(some) == list(every)
+            for pid, by_kind in some.items():
+                assert list(by_kind) == list(kinds)
+                for kind, got in by_kind.items():
+                    want = every[pid][kind]
+                    for name in ("values", "positions", "end_positions"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (pid, kind, name)
+                    # built without re-checking, each series passes the checks
+                    DeviationSeries(kind, pid, got.values, got.positions, got.end_positions)
+        with pytest.raises(ValueError, match="unknown feature kind 'XX'"):
+            extract_deviations(table, kinds=("OT", "XX"))
 
     def test_extract_deviations_covers_all_kinds(self, identical_table):
         by_performer = extract_deviations(identical_table)
