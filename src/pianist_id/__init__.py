@@ -39,7 +39,6 @@ from .features import (
     compute_norm,
     derive_quantity,
     deviations,
-    pearson_r,
     performer_stream,
 )
 from .midi_io import (

@@ -11,9 +11,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -30,6 +28,8 @@ from .evaluation import DeviationDataset, ExperimentConfig, run_cv
 from .features import KINDS, compute_norm, dump_features_csv, extract_deviations
 from .midi_io import (
     Performance,
+    csv_field,
+    csv_text,
     from_note_table,
     parse_smf,
     parse_smf_with_warnings,  # noqa: F401  perfbench/tracing.py wraps this name
@@ -39,9 +39,6 @@ from .midi_io import (
 )
 
 PROG = "pianist-id"
-
-#: Aligned-table cells written per block.
-CSV_BLOCK = 256
 
 SMF_SUFFIXES = (".mid", ".midi")
 PERFORMANCE_SUFFIXES = SMF_SUFFIXES + (".csv",)
@@ -220,10 +217,14 @@ def _config_flags(argv: list[str], commands: dict[str, argparse.ArgumentParser])
     return tokens
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _make_dir(path: Path) -> Path:
+    """Make ``path`` and its parents; a path that cannot be made (an existing
+    file, a path under one) is an input error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {path}: {exc.strerror}") from exc
+    return path
 
 
 def _read_smfs(files: list[tuple[Path, str]]) -> Iterator:
@@ -321,13 +322,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         raise InputError(str(exc)) from exc
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow((text, ""))
-    return buf.getvalue()[:-1]
-
-
 def _write(path: Path, text: str) -> None:
     path.write_bytes(text.encode("utf-8"))
 
@@ -348,7 +342,7 @@ def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, dict[str, str]]:
 def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> Path:
     """Make ``--out`` and write ``files`` into it, once every output is
     computed, so a run that fails leaves no ``--out``."""
-    out = _out_dir(args)
+    out = _make_dir(Path(args.out))
     for name, text in files.items():
         _write(out / name, text)
     return out
@@ -357,24 +351,20 @@ def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> Path:
 def cmd_align(args: argparse.Namespace) -> int:
     table, files = _align(args)
 
-    # the ids are the only fields csv might quote; ints and float reprs it writes as they are
-    performers = [_csv_field(pid) for pid in table.performer_ids]
-    chunks = ["position,performer,onset,offset,pitch,dynamic\n"]
-    # present cells in row-major order: by position, then by performer column;
-    # converted to Python values a block at a time to keep few alive at once
-    positions, cols = np.nonzero(table.present_mask())
-    for start in range(0, len(positions), CSV_BLOCK):
-        rows, cells = positions[start : start + CSV_BLOCK], cols[start : start + CSV_BLOCK]
-        rows_out = zip(
-            rows.tolist(),
-            map(performers.__getitem__, cells.tolist()),
-            table.onsets[rows, cells].tolist(),
-            table.offsets[rows, cells].tolist(),
-            table.pitches[rows, cells].tolist(),
-            table.dynamics[rows, cells].astype(np.int64).tolist(),
-        )
-        chunks.append("".join(map("%d,%s,%r,%r,%d,%d\n".__mod__, rows_out)))
-    files["aligned_table.csv"] = "".join(chunks)
+    # present cells in row-major order: by position, then by performer column
+    present = table.present_mask()
+    positions, cols = np.nonzero(present)
+    performers = np.array([csv_field(pid) for pid in table.performer_ids], dtype=object)
+    files["aligned_table.csv"] = csv_text(
+        ("position", "performer", "onset", "offset", "pitch", "dynamic"),
+        "%d,%s,%r,%r,%d,%d",
+        positions,
+        performers[cols],
+        table.onsets[present],
+        table.offsets[present],
+        table.pitches[present],
+        table.dynamics[present].astype(np.int64),
+    )
     out = _write_outputs(args, files)
     print(
         f"aligned {len(table.performer_ids)} performances at {table.n_positions} positions"
@@ -391,15 +381,11 @@ def cmd_features(args: argparse.Namespace) -> int:
     series = [by_performer[pid][kind] for pid in sorted(by_performer) for kind in KINDS]
     files["features.csv"] = dump_features_csv(series)
 
-    rows = zip(
-        norm.positions.tolist(),
-        norm.onsets.tolist(),
-        norm.offsets.tolist(),
-        norm.dynamics.tolist(),
-        table.coverage().tolist(),
+    files["norm.csv"] = csv_text(
+        ("position", "mean_onset", "mean_offset", "mean_dynamic", "coverage"),
+        "%d,%r,%r,%r,%d",
+        norm.positions, norm.onsets, norm.offsets, norm.dynamics, table.coverage(),
     )
-    header = "position,mean_onset,mean_offset,mean_dynamic,coverage\n"
-    files["norm.csv"] = header + "".join(map("%d,%r,%r,%r,%d\n".__mod__, rows))
     out = _write_outputs(args, files)
     print(f"wrote deviation features for {len(by_performer)} performers -> {out}")
     return 0
@@ -454,15 +440,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         profiles = synth.default_profiles(n_performers, base_seed=seed, separation=args.separation)
     except ValueError as exc:  # a profile out of range
         raise InputError(f"--separation {args.separation} gives a bad profile: {exc}") from exc
-    out = _out_dir(args)
+    out = _make_dir(Path(args.out))
 
     score = synth.generate_score(n_notes, seed)
     width = len(str(n_performers))
 
-    midi_dir = out / "performances"
-    csv_dir = out / "note_tables"
-    midi_dir.mkdir(exist_ok=True)
-    csv_dir.mkdir(exist_ok=True)
+    midi_dir = _make_dir(out / "performances")
+    csv_dir = _make_dir(out / "note_tables")
 
     def write(performance: Performance, midi: Path, note_table: Path) -> None:
         # the note table is the quantized performance: what re-reading the SMF yields

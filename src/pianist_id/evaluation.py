@@ -10,8 +10,6 @@ scores a query as the held-out group of one such round, with the same builders.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
@@ -26,6 +24,7 @@ import numpy as np
 from . import densities, divergence
 from .alignment import AlignedNoteTable
 from .features import KINDS, DeviationSeries, extract_deviations
+from .midi_io import csv_field, csv_text
 
 log = logging.getLogger(__name__)
 
@@ -756,36 +755,32 @@ def sweep(
 
 
 def confusion_csv(report: EvaluationReport, normalized: bool = False) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["true\\predicted", *report.performer_ids])
     matrix = report.normalized_confusion() if normalized else report.confusion
-    for i, pid in enumerate(report.performer_ids):
-        row = [repr(float(v)) if normalized else int(v) for v in matrix[i]]
-        writer.writerow([pid, *row])
-    return buf.getvalue()
+    ids = [csv_field(pid) for pid in report.performer_ids]
+    cell = ",%r" if normalized else ",%d"
+    return csv_text(("true\\predicted", *report.performer_ids), "%s" + cell * len(ids), ids, *matrix.T)
 
 
 def metrics_csv(report: EvaluationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["class", "precision", "recall", "f_score"])
     s = report.scores
-    for i, pid in enumerate(report.performer_ids):
-        writer.writerow(
-            [pid, repr(s.per_class_precision[i]), repr(s.per_class_recall[i]), repr(s.per_class_f[i])]
-        )
-    writer.writerow(["macro", repr(s.macro_precision), repr(s.macro_recall), repr(s.macro_f)])
-    return buf.getvalue()
+    return csv_text(
+        ("class", "precision", "recall", "f_score"),
+        "%s,%r,%r,%r",
+        [*map(csv_field, report.performer_ids), "macro"],
+        (*s.per_class_precision, s.macro_precision),
+        (*s.per_class_recall, s.macro_recall),
+        (*s.per_class_f, s.macro_f),
+    )
 
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:
     """Table-4-style layout: Feature,Precision,Recall,F-score."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Feature", "Precision", "Recall", "F-score"])
-    for row in rows:
-        writer.writerow(
-            [row.feature_label, repr(row.precision), repr(row.recall), repr(row.f)]
-        )
-    return buf.getvalue()
+    rows = list(rows)
+    return csv_text(
+        ("Feature", "Precision", "Recall", "F-score"),
+        "%s,%r,%r,%r",
+        [row.feature_label for row in rows],  # kind names joined by "+": nothing to quote
+        [row.precision for row in rows],
+        [row.recall for row in rows],
+        [row.f for row in rows],
+    )

@@ -19,24 +19,18 @@ over the stacked columns, whose slices are each performer's series;
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .alignment import AlignedNoteTable
+from .midi_io import csv_field, csv_text
 
 KINDS = ("OT", "IOI", "OTD", "DL", "ND")
 PAIR_KINDS = frozenset({"IOI", "OTD"})
 
 NORM_LABEL = "norm"
-
-
-class UndefinedCorrelationError(ValueError):
-    """Pearson correlation is undefined (constant input or length < 2)."""
 
 
 def _check_kind(kind: str) -> str:
@@ -233,29 +227,17 @@ def extract_deviations(
     return dict(zip(table.performer_ids, by_column))
 
 
-def pearson_r(a, b) -> float:
-    """Sample Pearson correlation; errors on constant input or length < 2."""
-    x = np.asarray(a.values if hasattr(a, "values") else a, dtype=np.float64)
-    y = np.asarray(b.values if hasattr(b, "values") else b, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if len(x) < 2:
-        raise UndefinedCorrelationError("need at least 2 samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for constant input")
-    r = float(np.dot(dx, dy)) / denom
-    return max(-1.0, min(1.0, r))
-
-
 def dump_features_csv(series: Iterable[DeviationSeries]) -> str:
     """CSV dump with columns performer,kind,position,value (UTF-8, LF)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["performer", "kind", "position", "value"])
-    for s in series:
-        for pos, value in zip(s.positions.tolist(), s.values.tolist()):
-            writer.writerow([s.performer_id, s.kind, pos, repr(float(value))])
-    return buf.getvalue()
+    series = list(series)
+    counts = [len(s.values) for s in series]
+    performers = np.array([csv_field(s.performer_id) for s in series], dtype=object)
+    kinds = np.array([s.kind for s in series], dtype=object)
+    return csv_text(
+        ("performer", "kind", "position", "value"),
+        "%s,%s,%d,%r",
+        np.repeat(performers, counts),
+        np.repeat(kinds, counts),
+        np.concatenate([np.empty(0, np.intp), *(s.positions for s in series)]),
+        np.concatenate([np.empty(0), *(s.values for s in series)]),
+    )

@@ -765,7 +765,34 @@ def _scan_track(data: bytes, pos: int, end: int):
 
 
 # ---------------------------------------------------------------------------
-# note-table CSV interchange
+# CSV: every CSV output, and the note-table interchange format
+
+#: Rows converted to Python values per block by ``csv_text``.
+CSV_BLOCK = 256
+
+
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def csv_text(header: Sequence[str], row_format: str, *columns) -> str:
+    """CSV text (UTF-8, LF): the ``header`` fields, then ``row_format % row`` for
+    each row of the equal-length ``columns`` (arrays or sequences).
+
+    Array columns become Python values one ``CSV_BLOCK`` of rows at a time, so few
+    are alive at once and ``%r`` writes shortest round-trip floats. Text fields go
+    in as ``%s`` values quoted by ``csv_field``, never into the format.
+    """
+    line = row_format + "\n"
+    chunks = [",".join(map(csv_field, header)) + "\n"]
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        block = (c[start : start + CSV_BLOCK] for c in columns)
+        values = (b.tolist() if isinstance(b, np.ndarray) else b for b in block)
+        chunks.append("".join(map(line.__mod__, zip(*values))))
+    return "".join(chunks)
 
 
 def to_note_table(performance: Performance) -> str:
@@ -774,18 +801,7 @@ def to_note_table(performance: Performance) -> str:
     Times are written with shortest round-trip decimal text, so parsing the
     output back reproduces every field bit-exactly.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(NOTE_TABLE_HEADER)
-    writer.writerows(
-        zip(
-            map(repr, performance.onsets.tolist()),
-            map(repr, performance.offsets.tolist()),
-            performance.pitches.tolist(),
-            performance.dynamics.tolist(),
-        )
-    )
-    return buf.getvalue()
+    return csv_text(NOTE_TABLE_HEADER, "%r,%r,%d,%d", *(getattr(performance, c) for c in _COLUMNS))
 
 
 def from_note_table(

@@ -29,7 +29,6 @@ import numpy as np
 
 from .alignment import build_table
 from .evaluation import DeviationDataset, EvaluationReport, ExperimentConfig, run_cv
-from .features import UndefinedCorrelationError, pearson_r
 from .midi_io import Performance
 
 SCORE_PITCH_RANGE = (36, 96)
@@ -228,7 +227,6 @@ def default_profiles(
 class BenchmarkResult:
     report: EvaluationReport
     dataset: DeviationDataset
-    separability: dict
 
 
 def benchmark(
@@ -241,9 +239,7 @@ def benchmark(
 ) -> BenchmarkResult:
     """Generate, render and evaluate a full synthetic experiment.
 
-    Returns the CV report together with the dataset and ground-truth
-    separability statistics (per-feature deviation means/stddevs and the
-    pooled correlation between the duration-linked features).
+    Returns the CV report together with the dataset it was computed from.
     """
     if profiles is None:
         profiles = default_profiles(n_performers, base_seed=seed)
@@ -262,27 +258,5 @@ def benchmark(
     dataset = DeviationDataset.from_table(table)
     report = run_cv(dataset, config, jobs=jobs)
 
-    return BenchmarkResult(report=report, dataset=dataset, separability=_separability_stats(dataset))
+    return BenchmarkResult(report=report, dataset=dataset)
 
-
-def _separability_stats(dataset: DeviationDataset) -> dict:
-    stats: dict = {"per_performer": {}}
-    otd_all, nd_all = [], []
-    for pid in dataset.performer_ids:
-        series = dataset.by_performer[pid]
-        stats["per_performer"][pid] = {
-            kind: {"mean": float(s.values.mean()), "stddev": float(s.values.std())}
-            for kind, s in series.items()
-            if len(s.values)
-        }
-        otd_all.append(series["OTD"].values)
-        # OTD is anchored on ND's positions but the last: pair each with that position's ND
-        nd_all.append(series["ND"].values[:-1])
-    if otd_all:
-        try:
-            stats["pearson_otd_nd"] = pearson_r(
-                np.concatenate(otd_all), np.concatenate(nd_all)
-            )
-        except UndefinedCorrelationError:
-            stats["pearson_otd_nd"] = None  # constant deviations (degenerate data)
-    return stats

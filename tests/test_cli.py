@@ -14,6 +14,7 @@ from conftest import END_OF_TRACK, note_off, note_on, simple_performance, smf_by
 from pianist_id import cli
 from pianist_id.alignment import build_table
 from pianist_id.cli import main
+from pianist_id.features import KINDS, compute_norm, extract_deviations
 from pianist_id.midi_io import from_note_table, parse_smf, write_smf
 
 
@@ -54,6 +55,20 @@ class TestExitCodes:
         assert synth.returncode == 0, synth.stderr
         assert (tmp_path / "d" / "profiles.json").is_file()
         assert run().returncode == 2
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["synth", "align", "features", "evaluate"])
+    def test_out_that_cannot_be_made_exits_2_naming_it(self, command, under, trio_dir, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / "file" / "out" if under else tmp_path / "file"
+        inputs = ["--input", str(trio_dir)]
+        flags = {"synth": ["--notes", "4"], "evaluate": inputs + ["--groups", "2"]}
+        argv = [command, "--out", str(out), *flags.get(command, inputs)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pianist-id: error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_missing_input_path_exits_2(self, tmp_path, capsys):
         code = main(["align", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -291,7 +306,7 @@ class TestAlign:
         perfs = [
             simple_performance(onsets, pitches, performer_id="p,1"),
             simple_performance(onsets[1:], pitches[1:], dynamics=80, performer_id='p"2'),
-            simple_performance([o * 1.1 for o in onsets], pitches, performer_id="p3"),
+            simple_performance([o * 1.1 for o in onsets], pitches, performer_id="p%3"),
         ]
         d = write_midi_dir(tmp_path, perfs)
         out = tmp_path / "out"
@@ -314,7 +329,56 @@ class TestAlign:
                         int(table.dynamics[row, col]),
                     ])
         written = (out / "aligned_table.csv").read_text()
-        assert '"p,1"' in written and '"p""2"' in written
+        assert '"p,1"' in written and '"p""2"' in written and ",p%3," in written
+        assert written == expected.getvalue()
+
+    @pytest.mark.parametrize(
+        "name", ["features.csv", "confusion.csv", "confusion_normalized.csv", "metrics.csv"]
+    )
+    def test_csv_outputs_quote_performer_ids_as_csv_does(self, name, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--performers", "3", "--notes", "90", "--seed", "4", "--out", str(data)]) == 0
+        d = tmp_path / "perfs"
+        d.mkdir()
+        for path, pid in zip(sorted((data / "performances").iterdir()), ("p,1", 'p"2', "p%3")):
+            path.rename(d / f"{pid}.mid")
+        out = tmp_path / "out"
+        command = ["features"] if name == "features.csv" else ["evaluate", "--groups", "3"]
+        assert main([*command, "--input", str(d), "--out", str(out)]) == 0
+
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        if name == "features.csv":
+            table, _ = build_table([
+                parse_smf(path.read_bytes(), performer_id=path.stem, piece_id=d.name)
+                for path in sorted(d.iterdir())
+            ])
+            by_performer = extract_deviations(table, compute_norm(table))
+            writer.writerow(["performer", "kind", "position", "value"])
+            for pid in sorted(by_performer):
+                for kind in KINDS:
+                    s = by_performer[pid][kind]
+                    for pos, value in zip(s.positions.tolist(), s.values.tolist()):
+                        writer.writerow([pid, kind, pos, repr(value)])
+        else:
+            report = json.loads((out / "report.json").read_text())
+            ids = report["performers"]
+            if name == "metrics.csv":
+                m = report["metrics"]
+                writer.writerow(["class", "precision", "recall", "f_score"])
+                for pid in ids:
+                    c = m["per_class"][pid]
+                    writer.writerow([pid, *map(repr, (c["precision"], c["recall"], c["f_score"]))])
+                writer.writerow(
+                    ["macro", *map(repr, (m["macro_precision"], m["macro_recall"], m["macro_f_score"]))]
+                )
+            else:
+                key, cell = ("confusion", int) if name == "confusion.csv" else ("confusion_normalized", repr)
+                writer.writerow(["true\\predicted", *ids])
+                for pid, row in zip(ids, report[key]):
+                    writer.writerow([pid, *map(cell, row)])
+        written = (out / name).read_text()
+        assert '"p,1"' in written and '"p""2"' in written and "p%3," in written
         assert written == expected.getvalue()
 
 

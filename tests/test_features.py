@@ -9,13 +9,11 @@ from pianist_id.features import (
     PAIR_KINDS,
     DeviationSeries,
     NoteStream,
-    UndefinedCorrelationError,
     compute_norm,
     derive_quantity,
     deviations,
     dump_features_csv,
     extract_deviations,
-    pearson_r,
     performer_stream,
 )
 from pianist_id.midi_io import Performance
@@ -215,28 +213,6 @@ class TestDeviations:
             per_performer = np.stack([derive_quantity(s, kind).values for s in streams])
             from_norm = derive_quantity(norm, kind).values
             assert np.max(np.abs(per_performer.mean(axis=0) - from_norm)) < 1e-12
-
-
-class TestPearson:
-    def test_perfect_correlation(self):
-        a = np.asarray([0.1, 0.4, 0.9, 1.6])
-        assert pearson_r(a, a) == pytest.approx(1.0)
-
-    def test_perfect_anticorrelation(self):
-        a = np.asarray([0.1, 0.4, 0.9, 1.6])
-        assert pearson_r(a, -a) == pytest.approx(-1.0)
-
-    def test_constant_input_is_undefined(self):
-        with pytest.raises(UndefinedCorrelationError):
-            pearson_r([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
-
-    def test_short_input_is_undefined(self):
-        with pytest.raises(UndefinedCorrelationError):
-            pearson_r([1.0], [2.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestDumpCsv:

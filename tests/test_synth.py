@@ -374,8 +374,3 @@ class TestBenchmark:
             precisions.append(result.report.scores.macro_precision)
         for earlier, later in zip(precisions, precisions[1:]):
             assert later <= earlier + 0.05
-
-    def test_separability_stats_present(self):
-        result = benchmark(3, 500, seed=17)
-        assert "pearson_otd_nd" in result.separability
-        assert set(result.separability["per_performer"]) == set(result.report.performer_ids)
