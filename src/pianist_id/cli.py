@@ -3,9 +3,9 @@
 Every option can also come from a JSON config file (--config). Each key that
 names an option of the command becomes that option's flag, and one argparse
 parser converts and checks flags and config values alike; explicit flags come
-later and win. Commands are deterministic under a fixed config and seed,
-independent of --jobs. Exit codes: 0 success, 2 usage or input error, 1
-internal error.
+later and win. Commands are deterministic under a fixed config and seed;
+evaluate's --jobs, kept for old scripts, changes nothing. Exit codes: 0
+success, 2 usage or input error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 from dataclasses import asdict
@@ -152,8 +151,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         help="also evaluate every feature subset of size >= 2 for the chosen model",
     )
     p_eval.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="threads for the KDE kernel sums (default: cores); results do not depend on it",
+        "--jobs", type=int, default=1,
+        help="accepted for old scripts and configs; it no longer changes anything",
     )
 
     p_synth = command("synth", cmd_synth, "generate a synthetic benchmark dataset", inputs=False)
@@ -341,10 +340,15 @@ def _align(args: argparse.Namespace) -> tuple[AlignedNoteTable, dict[str, str]]:
 
 def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> Path:
     """Make ``--out`` and write ``files`` into it, once every output is
-    computed, so a run that fails leaves no ``--out``."""
+    computed, so a run that fails leaves no ``--out``. A target that exists
+    and is not a regular file is an input error, found before any is written."""
     out = _make_dir(Path(args.out))
-    for name, text in files.items():
-        _write(out / name, text)
+    targets = {out / name: text for name, text in files.items()}
+    for target in targets:
+        if not target.is_file() and target.exists():
+            raise InputError(f"cannot write {target}: it exists and is not a regular file")
+    for target, text in targets.items():
+        _write(target, text)
     return out
 
 
@@ -402,10 +406,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         if args.sweep:
             # one KL table serves every subset and the main report
-            result = evaluation.sweep(dataset, config, jobs=args.jobs)
+            result = evaluation.sweep(dataset, config)
             report = result.report
         else:
-            report = run_cv(dataset, config, jobs=args.jobs)
+            report = run_cv(dataset, config)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

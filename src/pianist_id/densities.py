@@ -41,6 +41,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 KERNEL_BATCH = 2**13
 KERNEL_CHUNK = 2**18
 
+#: Bandwidths past which ``kernel_sum`` skips a term: exp(y) is +0.0 in float64
+#: below y = -745.14, so exp(-0.5 * z * z) is exactly 0 for z over about 38.6.
+REACH = 40
+
 
 def _as_values(series) -> np.ndarray:
     values = np.asarray(getattr(series, "values", series), dtype=np.float64)
@@ -207,23 +211,35 @@ def kernel_sum(samples: np.ndarray, bandwidth: float, xs: np.ndarray) -> np.ndar
 
     Exact (no binning); zero everywhere for an empty sample. ``samples`` may
     also be a (rows, n) stack, giving one row of sums per row of samples, with
-    the bits of that row's lone sum.
+    the bits of that row's lone sum. Where finite samples meet an ascending
+    ``xs`` over more than 2 ``REACH`` bandwidths, each pass computes only the
+    x within ``REACH`` bandwidths of its samples, and the rest are +0.0, as
+    each of their terms is.
     """
     stack = np.atleast_2d(samples)
     k, n = stack.shape
-    out = np.empty((k, len(xs)))
+    out = np.zeros((k, len(xs)))
     # two buffers serve every pass, filled first so that no ufunc buffers a broadcast
     # input; each (row, x) is summed alone, so passes and chunks change no bit
     rows, chunk = max(1, KERNEL_BATCH // max(len(xs) * n, 1)), max(1, KERNEL_CHUNK // max(n, 1))
     buffers = np.empty((2, min(rows, k), min(chunk, len(xs)), n))
-    for r in range(0, k, rows):
-        for start in range(0, len(xs), chunk):
-            z, e = buffers[0, : k - r, : len(xs) - start], buffers[1, : k - r, : len(xs) - start]
-            np.copyto(z, xs[start : start + chunk, None])
+    passes, reach = range(0, k, rows), REACH * bandwidth
+    spans = [(0, len(xs))] * len(passes)
+    wide = len(xs) > 1 and xs[-1] - xs[0] > 2 * reach
+    if n and wide and (xs[1:] >= xs[:-1]).all() and np.isfinite(stack).all():
+        # every x outside a pass's span lies over REACH bandwidths from each of its samples
+        lo = np.minimum.reduceat(stack.min(axis=1), passes) - reach
+        hi = np.maximum.reduceat(stack.max(axis=1), passes) + reach
+        spans = zip(np.searchsorted(xs, lo).tolist(), np.searchsorted(xs, hi, "right").tolist())
+    for r, (a, b) in zip(passes, spans):
+        for start in range(a, b, chunk):
+            stop = min(start + chunk, b)
+            z, e = buffers[0, : k - r, : stop - start], buffers[1, : k - r, : stop - start]
+            np.copyto(z, xs[start:stop, None])
             np.copyto(e, stack[r : r + rows, None])
             np.divide(np.subtract(z, e, z), bandwidth, z)
             np.multiply(np.multiply(-0.5, z, e), z, e)
-            out[r : r + rows, start : start + chunk] = np.exp(e, e).sum(axis=2)
+            out[r : r + rows, start:stop] = np.exp(e, e).sum(axis=2)
     return out if np.ndim(samples) == 2 else out[0]
 
 

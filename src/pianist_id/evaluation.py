@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -202,7 +201,7 @@ def classify(
         if not len(train):
             raise ValueError(f"empty {kind} training series for candidate {pid!r}")
         chunks[kind][pid] = [train, values(test_series[kind] if pid == candidates[0] else ())]
-    kls = {kind: _kind_kls(kind, c, config, 1, (1,))[1:2] for kind, c in chunks.items()}
+    kls = {kind: _kind_kls(kind, c, config, (1,))[1:2] for kind, c in chunks.items()}
     _, predicted = _decide(kls, [config.feature_set], [config.effective_weights])
     if predicted[0, 0] < 0:
         raise EmptyTestSeriesError(_skip_reason(kls, config, 0))
@@ -454,20 +453,18 @@ class EvaluationReport:
         return text + "[\n" + trials + "\n  ]\n}\n"
 
 
-def run_cv(
-    dataset: DeviationDataset, config: ExperimentConfig, jobs: int = 1
-) -> EvaluationReport:
+def run_cv(dataset: DeviationDataset, config: ExperimentConfig) -> EvaluationReport:
     """Exhaustive LOGO cross-validation over every (performer, group) pair.
 
     For a trial with test group g, every candidate (the test performer
     included) trains on their remaining groups pooled; deviations whose
     successor spans two groups belong to neither side. The report is
-    deterministic for a fixed config and independent of ``jobs``.
+    deterministic for a fixed config.
     """
-    return _report(dataset, _kl_table(dataset, config, jobs), config)
+    return _report(dataset, _kl_table(dataset, config), config)
 
 
-def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
+def _kl_table(dataset: DeviationDataset, config: ExperimentConfig):
     """``{kind: KL array}`` over every (performer, group) trial.
 
     Row ``p * n_groups + g`` is the trial of performer p (in id order) with
@@ -487,11 +484,11 @@ def _kl_table(dataset: DeviationDataset, config: ExperimentConfig, jobs: int):
         chunks = {
             pid: _group_chunks(dataset.by_performer[pid][kind], fold) for pid in performer_ids
         }
-        table[kind] = _kind_kls(kind, chunks, config, jobs, range(config.n_groups))
+        table[kind] = _kind_kls(kind, chunks, config, range(config.n_groups))
     return table
 
 
-def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) -> np.ndarray:
+def _kind_kls(kind: str, chunks, config: ExperimentConfig, held_out) -> np.ndarray:
     """One kind's KL array, in ``_kl_table``'s layout, from ``chunks[pid][g]``.
 
     Only the rounds (test groups) in ``held_out`` are scored; other rounds'
@@ -500,8 +497,8 @@ def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) 
     family's least series size (``gmm_k`` for GMM, 1 otherwise); the first too
     small is reported with the family's own reason, naming the kind, the
     part, the performer and the group. ``_histogram_kls`` fits and scores in
-    stacked passes, ``_kde_kls`` too, on one shared grid with ``jobs``
-    threads for the kernel sums, and ``_gmm_kls`` one round at a time.
+    stacked passes, ``_kde_kls`` too, on one shared grid, and ``_gmm_kls``
+    one round at a time.
     """
     least = config.gmm_k if config.model_family == "gmm" else 1
     for g in sorted(held_out):
@@ -521,7 +518,7 @@ def _kind_kls(kind: str, chunks, config: ExperimentConfig, jobs: int, held_out) 
     if config.model_family == "histogram":
         return _histogram_kls(chunks, config.n_bins, held_out)
     if config.model_family == "kde":
-        return _kde_kls(kind, chunks, config.bandwidth_for(kind), jobs, held_out)
+        return _kde_kls(kind, chunks, config.bandwidth_for(kind), held_out)
     return _gmm_kls(kind, chunks, config, held_out)
 
 
@@ -585,17 +582,16 @@ def _histogram_kls(chunks, n_bins: int, held_out) -> np.ndarray:
     return table
 
 
-def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
+def _kde_kls(kind: str, chunks, h: float, held_out) -> np.ndarray:
     """One kind's ``_kind_kls`` array for the KDE family, with bandwidth ``h``.
 
     Every KDE of the kind lives on one shared ``divergence.kde_grid`` over all
     of its grouped values. The exact kernel sums of all groups of one size are
-    one stacked ``densities.kernel_sum``, whose batches ``jobs`` threads split
-    between them. One masked sum over the group axis builds every scored
-    round's pools, and ``divergence.kl_rows`` scores each non-empty test
-    against its round's pools, in calls whose (tests x candidates x grid)
-    integrand stays within ``densities.KERNEL_BATCH`` elements, or holds one
-    test.
+    one stacked ``densities.kernel_sum``. One masked sum over the group axis
+    builds every scored round's pools, and ``divergence.kl_rows`` scores each
+    non-empty test against its round's pools, in calls whose (tests x
+    candidates x grid) integrand stays within ``densities.KERNEL_BATCH``
+    elements, or holds one test.
     """
     pids = list(chunks)
     n, n_groups = len(pids), len(chunks[pids[0]])
@@ -604,17 +600,14 @@ def _kde_kls(kind: str, chunks, h: float, jobs: int, held_out) -> np.ndarray:
     values = np.concatenate(flat)
     grid = divergence.kde_grid(float(values.min()), float(values.max()), (h,))
     log.debug(
-        "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, %d kernel evaluations",
+        "KDE grid %s: lo %r hi %r, %d points, step/h %.4g, at most %d kernel evaluations",
         kind, float(grid[0]), float(grid[-1]), len(grid),
         (grid[1] - grid[0]) / h, len(values) * len(grid),
     )
     sums = np.empty((n, n_groups, len(grid)))
-
-    def fill(rows):
+    for size in sorted(set(sizes.flat)):
+        rows = np.flatnonzero(sizes == size)
         sums.reshape(-1, len(grid))[rows] = densities.kernel_sum(np.stack([flat[i] for i in rows]), h, grid)
-
-    by_size = [np.flatnonzero(sizes == size) for size in sorted(set(sizes.flat))]
-    _map(fill, [part for rows in by_size for part in np.array_split(rows, min(jobs, len(rows)))], jobs)
     rounds = np.asarray(held_out)
     # a pool is the sum of its groups' vectors, added in group order, never
     # the total minus the group, which would cancel in the tails that decide the KL
@@ -646,14 +639,6 @@ def _gmm_kls(kind: str, chunks, config: ExperimentConfig, held_out) -> np.ndarra
                 test = fit_model(chunks[pid][g], kind, config)
                 table[i * n_groups + g] = [divergence.kl(test, q).value for q in pools]
     return table
-
-
-def _map(fn, items, jobs: int) -> list:
-    """``[fn(item) for item in items]``, over ``jobs`` threads when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _group_chunks(series: DeviationSeries, fold: FoldSpec) -> list[np.ndarray]:
@@ -725,7 +710,6 @@ def sweep(
     dataset: DeviationDataset,
     config: ExperimentConfig,
     subsets: Iterable[tuple[str, ...]] | None = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Run CV for every feature subset of ``config``'s model family; rank by precision.
 
@@ -740,7 +724,7 @@ def sweep(
         raise ValueError("sweep needs at least one feature subset")
     kinds = tuple(dict.fromkeys(chain(*subsets, config.feature_set)))
     table_config = replace(config, feature_set=kinds, weights=None)
-    table = _kl_table(dataset, table_config, jobs)
+    table = _kl_table(dataset, table_config)
     _, predicted = _decide(table, subsets)
     rows = [
         SweepRow(subset, s.macro_precision, s.macro_recall, s.macro_f)

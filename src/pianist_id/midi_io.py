@@ -123,6 +123,22 @@ def _checked_columns(onsets, offsets, pitches, dynamics) -> tuple[np.ndarray, ..
     return onsets, offsets, pitches.astype(np.int64), dynamics.astype(np.int64)
 
 
+def stable_order(primary: np.ndarray, tiebreak: np.ndarray, bits: int) -> np.ndarray:
+    """``np.lexsort((tiebreak, primary))`` for a NaN-free ``primary`` and integer
+    ``tiebreak`` values in [0, 2**bits): ties keep their input order, and -0.0
+    ties 0.0.
+
+    A stable argsort of ``primary``, then, in that order, a stable argsort of
+    each entry's dense rank in ``primary`` shifted past ``bits``, or-ed with
+    its tiebreak.
+    """
+    first = np.argsort(primary, kind="stable")
+    ranked = primary[first]
+    key = tiebreak[first]
+    key[1:] |= np.cumsum(ranked[1:] != ranked[:-1]) << bits
+    return first[np.argsort(key, kind="stable")]
+
+
 _COLUMNS = ("onsets", "offsets", "pitches", "dynamics")
 
 
@@ -136,8 +152,8 @@ class Performance:
     given in.
 
     Both constructors take the same path: every note is checked in one
-    vectorised pass (``_checked_columns``), and the columns are sorted with
-    one stable ``np.lexsort``. :meth:`from_columns` takes four equal-length
+    vectorised pass (``_checked_columns``), and the columns are sorted in
+    one ``stable_order``. :meth:`from_columns` takes four equal-length
     columns; ``Performance(performer_id, piece_id, notes)`` takes
     ``NoteEvent``s and unzips them into columns at once. ``notes`` is a view:
     a new tuple of ``NoteEvent`` built from the checked columns on each access.
@@ -164,7 +180,7 @@ class Performance:
 
     def _set_columns(self, performer_id, piece_id, *columns) -> None:
         columns = _checked_columns(*columns)
-        order = np.lexsort((columns[2], columns[0]))  # stable: by onset, then pitch
+        order = stable_order(columns[0], columns[2], 7)  # by onset, then pitch
         sorted_columns = [column[order] for column in columns]
         for column in sorted_columns:
             column.setflags(write=False)
@@ -888,7 +904,7 @@ def write_smf(
     ticks = np.column_stack((on_ticks, off_ticks)).ravel()
     is_off = np.tile(np.array([0, 1]), len(performance))
     pitches = np.repeat(performance.pitches, 2)
-    order = np.lexsort((pitches, 1 - is_off, ticks))
+    order = stable_order(ticks, ((1 - is_off) << 7) | pitches, 8)
     deltas = np.diff(ticks[order], prepend=0)
     if len(deltas) and deltas.max() > 0x0FFFFFFF:
         raise ValueError("a gap between notes runs past the SMF delta-time range")

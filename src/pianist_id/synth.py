@@ -235,7 +235,6 @@ def benchmark(
     profiles: list[PerformerProfile] | None = None,
     config: ExperimentConfig | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> BenchmarkResult:
     """Generate, render and evaluate a full synthetic experiment.
 
@@ -256,7 +255,7 @@ def benchmark(
     ]
     table, _ = build_table(performances)
     dataset = DeviationDataset.from_table(table)
-    report = run_cv(dataset, config, jobs=jobs)
+    report = run_cv(dataset, config)
 
     return BenchmarkResult(report=report, dataset=dataset)
 

@@ -44,7 +44,7 @@ def full_scale():
     IOI+DL+ND fusion; timed single-threaded."""
     config = ExperimentConfig(model_family="histogram", feature_set=("IOI", "DL", "ND"))
     started = time.monotonic()
-    result = benchmark(9, 16980, config=config, seed=FULL_SCALE_SEED, jobs=1)
+    result = benchmark(9, 16980, config=config, seed=FULL_SCALE_SEED)
     elapsed = time.monotonic() - started
     return result, elapsed
 

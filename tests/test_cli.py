@@ -70,6 +70,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize(
+        "command, target",
+        [("align", "aligned_table.csv"), ("features", "norm.csv"), ("evaluate", "report.json")],
+    )
+    def test_output_that_is_a_directory_exits_2_before_any_is_written(
+        self, command, target, trio_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        (out / target).mkdir(parents=True)
+        flags = ["--groups", "2"] if command == "evaluate" else []
+        assert main([command, "--input", str(trio_dir), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"pianist-id: error: cannot write {out / target}: it exists and is not a regular file\n"
+        assert [p.name for p in out.iterdir()] == [target]
+        assert not any((out / target).iterdir())
+
     def test_missing_input_path_exits_2(self, tmp_path, capsys):
         code = main(["align", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2

@@ -121,6 +121,84 @@ class TestKde:
         assert not kernel_sum(np.empty((2, 0)), 0.4, xs).any()
 
 
+def every_term(samples, h, xs):
+    """``kernel_sum`` with no term skipped, for one sample or each row of a stack."""
+    z = (xs[:, None] - np.asarray(samples)[..., None, :]) / h
+    return np.exp((-0.5 * z) * z).sum(-1)
+
+
+class TestKernelSumSpan:
+    """``kernel_sum`` skips the x over ``REACH`` bandwidths from a pass's samples
+    and keeps every bit of the sum of every term."""
+
+    H = 0.5  # a power of two, so that grid points and samples lie exact multiples of h apart
+
+    def check(self, samples, xs, h=H):
+        sums = kernel_sum(samples, h, xs)
+        assert sums.tobytes() == every_term(samples, h, xs).tobytes()
+        return sums
+
+    def test_underflow_rule_holds(self):
+        assert np.exp(-0.5 * densities.REACH**2) == 0.0
+        assert np.exp(-0.5 * 38.5**2) > 0.0  # a term 38.5 bandwidths out is subnormal, not 0
+
+    def test_rows_far_apart_in_one_pass(self):
+        rng = np.random.default_rng(31)
+        xs = np.linspace(-100.0, 1100.0, 401)
+        stack = np.stack([rng.normal(mu, 2.0, 5) for mu in (500.0, 0.0, 1000.0, 250.0)])
+        assert densities.KERNEL_BATCH // (len(xs) * 5) >= 4  # the four rows make one pass
+        self.check(stack, xs)
+        for row in stack:
+            self.check(row, xs)
+
+    def test_samples_exactly_reach_bandwidths_from_grid_points(self):
+        h, reach = self.H, densities.REACH
+        xs = np.arange(-400, 401) * h
+        for samples in ([0.0], [0.0, 10.0], [-reach * h, reach * h], [38.5 * h, -100.0]):
+            sums = self.check(np.asarray(samples), xs)
+            assert not np.signbit(sums).any()
+        sums = self.check(np.asarray([0.0]), xs)
+        inside = np.abs(xs) <= 38.5 * h
+        assert (sums[inside] > 0).all() and (sums[~inside] == 0.0).all()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_one_row_passes_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(densities, "KERNEL_BATCH", 1)
+        monkeypatch.setattr(densities, "KERNEL_CHUNK", chunk)
+        rng = np.random.default_rng(32)
+        xs = np.linspace(-50.0, 250.0, 613)
+        stack = np.stack([rng.normal(mu, 1.5, 6) for mu in np.linspace(0.0, 200.0, 9)])
+        sums = self.check(stack, xs)
+        # each row's far x are skipped, and are +0.0
+        far = np.abs(xs[None, :] - stack.mean(axis=1, keepdims=True)) > 60.0
+        assert far.sum() > sums.size // 2
+        assert (sums[far] == 0.0).all() and not np.signbit(sums[far]).any()
+        # the skipping is live: a short reach zeroes terms that are not 0
+        monkeypatch.setattr(densities, "REACH", 2)
+        assert kernel_sum(stack, self.H, xs).tobytes() != sums.tobytes()
+
+    def test_non_finite_samples_take_the_full_loop(self):
+        rng = np.random.default_rng(33)
+        xs = np.linspace(-100.0, 100.0, 301)
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = rng.normal(0.0, 3.0, (3, 4))
+            stack[1, 2] = bad
+            sums = kernel_sum(stack, self.H, xs)
+            assert np.array_equal(sums, every_term(stack, self.H, xs), equal_nan=True)
+            assert np.isnan(sums[1]).all() == np.isnan(bad)
+            assert sums[[0, 2]].tobytes() == every_term(stack[[0, 2]], self.H, xs).tobytes()
+
+    def test_non_ascending_xs_take_the_full_loop(self):
+        rng = np.random.default_rng(34)
+        samples = rng.normal(0.0, 2.0, (2, 5))
+        xs = np.linspace(-100.0, 100.0, 301)
+        swapped = xs.copy()
+        swapped[[5, 150]] = swapped[[150, 5]]  # the ends still span over 2 REACH bandwidths
+        for order in (xs[::-1], rng.permutation(xs), swapped):
+            self.check(samples, order)
+            self.check(samples[0], order)
+
+
 class TestGmm:
     def test_k1_closed_form(self):
         rng = np.random.default_rng(3)

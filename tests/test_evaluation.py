@@ -2,7 +2,6 @@ import json
 import logging
 import math
 import re
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -422,16 +421,13 @@ class TestRunCv:
         assert len(report.trials) == 2 * 4
         assert list(report.confusion.sum(axis=1)) == [4, 4]
 
-    def test_reports_are_byte_identical_across_runs_and_jobs(self):
+    def test_reports_are_byte_identical_across_runs(self):
         dataset = self.disjoint_dataset()
         for family in ("histogram", "gmm"):
             config = ExperimentConfig(
                 model_family=family, feature_set=("OT",), n_groups=4, n_bins=8, gmm_k=1
             )
-            first = run_cv(dataset, config, jobs=1).to_json()
-            second = run_cv(dataset, config, jobs=1).to_json()
-            threaded = run_cv(dataset, config, jobs=3).to_json()
-            assert first == second == threaded
+            assert run_cv(dataset, config).to_json() == run_cv(dataset, config).to_json()
 
     def test_weight_scaling_leaves_confusion_unchanged(self):
         rng = np.random.default_rng(12)
@@ -622,17 +618,17 @@ class TestRunCv:
         rng = np.random.default_rng(9)
         config = ExperimentConfig(model_family=family, feature_set=("OT",), gmm_k=1)
         chunks = {pid: [rng.normal(mu, 1.0, 6) for _ in range(3)] for pid, mu in (("a", 0), ("b", 1))}
-        full = _kind_kls("OT", chunks, config, 1, range(3))
+        full = _kind_kls("OT", chunks, config, range(3))
         for g in range(3):
-            rows = _kind_kls("OT", chunks, config, 1, (g,))
+            rows = _kind_kls("OT", chunks, config, (g,))
             scored = np.arange(6) % 3 == g
             assert rows[scored].tobytes() == full[scored].tobytes()
             assert np.isnan(rows[~scored]).all()
         # c's values all sit in group 0, so only round 0 has a pool that cannot be fitted
         chunks["c"] = [rng.normal(0.5, 1.0, 6), np.empty(0), np.empty(0)]
         with pytest.raises(ValueError):
-            _kind_kls("OT", chunks, config, 1, range(3))
-        rows = _kind_kls("OT", chunks, config, 1, (1, 2))
+            _kind_kls("OT", chunks, config, range(3))
+        rows = _kind_kls("OT", chunks, config, (1, 2))
         assert np.isfinite(rows[[1, 2, 4, 5]]).all()
         assert np.isnan(rows[[0, 3, 6, 7, 8]]).all()
 
@@ -707,15 +703,15 @@ class TestKdeTable:
                     assert abs(value - kl_kde(test, pool).value) <= 1e-4
 
     @staticmethod
-    def one_trial_at_a_time(chunks, h, held_out=None):
-        """``_kde_kls`` built trial by trial: a list of group kernel sums per
+    def one_trial_at_a_time(chunks, h, held_out=None, kernel=kernel_sum):
+        """``_kde_kls`` built trial by trial: a list of group ``kernel`` sums per
         performer, each pool summed from a list of its groups' vectors, and
         each (test, candidate) pair scored on its own."""
         pids = list(chunks)
         n_groups = len(chunks[pids[0]])
         values = np.concatenate([c for pid in pids for c in chunks[pid]])
         grid = kde_grid(float(values.min()), float(values.max()), (h,))
-        sums = {pid: [kernel_sum(c, h, grid) for c in chunks[pid]] for pid in pids}
+        sums = {pid: [kernel(c, h, grid) for c in chunks[pid]] for pid in pids}
         table = np.full((len(pids) * n_groups, len(pids)), np.nan)
         for i, pid in enumerate(pids):
             for g in range(n_groups) if held_out is None else held_out:
@@ -746,21 +742,35 @@ class TestKdeTable:
                 mu, sigma = rng.normal(0, 2), rng.uniform(0.05, 2)
                 chunks[pid] = [rng.normal(mu, sigma, size) for size in sizes]
             expected = self.one_trial_at_a_time(chunks, h).tobytes()
-            assert _kde_kls("OT", chunks, h, jobs=1, held_out=range(n_groups)).tobytes() == expected
-            # threads write disjoint rows of one array: switch often, and a lost
-            # write would leave that row uninitialised
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                assert _kde_kls("OT", chunks, h, jobs=3, held_out=range(n_groups)).tobytes() == expected
-            finally:
-                sys.setswitchinterval(interval)
+            assert _kde_kls("OT", chunks, h, held_out=range(n_groups)).tobytes() == expected
             with monkeypatch.context() as patch:
                 # one test per kl_rows call, and many kernel_sum chunks
                 patch.setattr(densities, "KERNEL_BATCH", 1)
                 patch.setattr(densities, "KERNEL_CHUNK", 1)
-                assert _kde_kls("OT", chunks, h, jobs=1, held_out=range(n_groups)).tobytes() == expected
+                assert _kde_kls("OT", chunks, h, held_out=range(n_groups)).tobytes() == expected
         assert empty_tests > 5
+
+    def test_drifting_table_equals_every_term_sums_bit_for_bit(self):
+        def every_term(samples, h, xs):
+            z = (xs[:, None] - samples) / h
+            return np.exp((-0.5 * z) * z).sum(-1)
+
+        rng = np.random.default_rng(10)
+        h, n_groups = 1.2, 8
+        # onset deviations that drift with time, each group over its own 70 bandwidths:
+        # a test's middle lies about 35 bandwidths from its pools, whose tails decide the KL
+        chunks = {
+            pid: [rng.uniform(g * 84.0, (g + 1) * 84.0, 40 + 3 * g) + i for g in range(n_groups)]
+            for i, pid in enumerate("abc")
+        }
+        values = np.concatenate([c for cs in chunks.values() for c in cs])
+        grid = kde_grid(values.min(), values.max(), (h,))
+        # a group's window, its span and REACH bandwidths each side, covers under a third of the grid
+        widest = max(np.ptp(c) for cs in chunks.values() for c in cs) + 2 * densities.REACH * h
+        assert widest < np.ptp(grid) / 3
+        expected = self.one_trial_at_a_time(chunks, h, kernel=every_term)
+        assert np.isfinite(expected).all()
+        assert _kde_kls("OT", chunks, h, range(n_groups)).tobytes() == expected.tobytes()
 
     def test_stacked_layouts_equal_one_trial_at_a_time_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -769,9 +779,8 @@ class TestKdeTable:
         def check(chunks, held_out=None):
             n_groups = len(next(iter(chunks.values())))
             expected = self.one_trial_at_a_time(chunks, h, held_out).tobytes()
-            for jobs in (1, 3):
-                rounds = range(n_groups) if held_out is None else held_out
-                assert _kde_kls("OT", chunks, h, jobs, rounds).tobytes() == expected
+            rounds = range(n_groups) if held_out is None else held_out
+            assert _kde_kls("OT", chunks, h, rounds).tobytes() == expected
 
         # every chunk of the kind has one length, as in kde_cv: one stacked class
         check({pid: [rng.normal(i, 1.0, 10) for _ in range(8)] for i, pid in enumerate("abcd")})
@@ -788,13 +797,6 @@ class TestKdeTable:
         monkeypatch.setattr(densities, "KERNEL_BATCH", 6 * n_points)
         monkeypatch.setattr(densities, "KERNEL_CHUNK", 7 * 10)
         check(chunks)
-
-    def test_report_bytes_do_not_depend_on_jobs(self):
-        dataset = self.dataset()
-        config = ExperimentConfig(
-            model_family="kde", feature_set=("IOI", "OT"), weights=(0.5, 2.0), n_groups=4
-        )
-        assert run_cv(dataset, config, jobs=1).to_json() == run_cv(dataset, config, jobs=3).to_json()
 
     def test_non_finite_bandwidth_is_rejected_by_kind(self):
         for bad in (math.inf, math.nan, 0.0):
@@ -885,7 +887,7 @@ class TestSweep:
                 n_bins=8,
             )
             # a one-shot iterable serves the table and every row
-            result = sweep(dataset, config, subsets=iter(self.SUBSETS), jobs=2)
+            result = sweep(dataset, config, subsets=iter(self.SUBSETS))
             assert result.report.to_json() == run_cv(dataset, config).to_json()
             assert len(result.rows) == len(self.SUBSETS)
             for row in result.rows:

@@ -163,6 +163,20 @@ class TestPerformanceColumns:
         assert len(seen) == 7 and min(seen.values()) >= 50, seen
 
 
+class TestStableOrder:
+    def test_equals_lexsort_with_many_ties(self):
+        rng = np.random.default_rng(40)
+        for n in (0, 1, 2, 17, 500):
+            for bits in (1, 7, 8):
+                tiebreak = rng.integers(0, 2**bits, n)
+                ticks = rng.integers(0, 6, n)  # few distinct values: ties everywhere
+                onsets = rng.choice([0.0, -0.0, 0.5, 0.25, 3.0], n)  # -0.0 ties 0.0
+                for primary in (ticks, onsets, ticks * 2**40):
+                    expected = np.lexsort((tiebreak, primary))
+                    assert np.array_equal(midi_io.stable_order(primary, tiebreak, bits), expected)
+        assert midi_io.stable_order(np.empty(0), np.empty(0, dtype=np.int64), 7).shape == (0,)
+
+
 class TestParse:
     def test_tick_to_seconds_example(self):
         # 480 ticks/quarter at 500000 us/quarter: tick 480 -> 0.5 s, tick 960 -> 1.0 s
